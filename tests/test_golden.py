@@ -1,0 +1,133 @@
+"""Golden digests: the CLI's trace and report bytes for small fixed configs.
+
+Every strategy is run through ``vistep run`` and the contract checks
+through ``vistep verify``; the sha256 of each output file is pinned.  A
+change to any of these bytes must be intentional and recorded in
+CHANGES.md together with the new digest.
+"""
+
+import hashlib
+
+import pytest
+
+from vistep.cli import main
+
+GAME = """\
+problem.kind = pvb
+problem.n = 3
+problem.seed = 1
+run.K = 60
+run.seed = 3
+run.gap_every = 10
+run.sigma = 0.05
+run.quantizer = {quantizer}
+run.randk_k = 4
+run.weights = {weights}
+"""
+
+QUADRATIC = """\
+problem.kind = quadratic
+problem.d = 20
+problem.mu = 0.2
+problem.L = 1.0
+problem.seed = 2
+run.K = 80
+run.seed = 4
+run.regime = sm
+run.quantizer = randk
+run.randk_k = 5
+"""
+
+MIXING = """\
+problem.kind = mixing
+problem.d = 6
+problem.mu = 0.5
+problem.L = 2.0
+problem.workers = 3
+problem.lambda = 1.0
+problem.seed = 5
+run.K = 80
+run.seed = 6
+run.regime = sm
+"""
+
+RUNS = {
+    "game-fulldet": (GAME, "fulldet", "identity", "uniform"),
+    "game-noisy": (GAME, "noisy", "identity", "uniform"),
+    "game-past": (GAME, "past", "identity", "uniform"),
+    "game-vr": (GAME, "vr", "identity", "uniform"),
+    "game-coord": (GAME, "coord", "identity", "uniform"),
+    "game-quant-identity": (GAME, "quant", "identity", "uniform"),
+    "game-quant-randk": (GAME, "quant", "randk", "uniform"),
+    "game-qvr-identity": (GAME, "qvr", "identity", "uniform"),
+    "game-qvr-randk": (GAME, "qvr", "randk", "uniform"),
+    "game-is-lipschitz": (GAME, "is", "identity", "lipschitz"),
+    "quad-fulldet": (QUADRATIC, "fulldet", None, None),
+    "quad-vr": (QUADRATIC, "vr", None, None),
+    "quad-coord": (QUADRATIC, "coord", None, None),
+    "quad-quant": (QUADRATIC, "quant", None, None),
+    "mix-local": (MIXING, "local", None, None),
+    "mix-fulldet": (MIXING, "fulldet", None, None),
+}
+
+# exact rows for every enumerable strategy and Monte Carlo rows for noisy/past;
+# the -mc configs draw Monte Carlo rows for every strategy
+VERIFY = {
+    "verify-game": GAME.format(quantizer="randk", weights="uniform")
+    + "verify.estimators = fulldet,noisy,past,vr,is,coord,quant,qvr\nverify.n_points = 3\n",
+    "verify-mixing": MIXING + "verify.estimators = local,fulldet\nverify.n_points = 3\n",
+    "verify-game-mc": GAME.format(quantizer="randk", weights="uniform")
+    + "verify.estimators = fulldet,noisy,past,vr,is,coord,quant,qvr\nverify.n_points = 2\nverify.n_samples = 500\n",
+    "verify-mixing-mc": MIXING + "verify.estimators = local\nverify.n_points = 2\nverify.n_samples = 500\n",
+}
+
+DIGESTS = {
+    "game-fulldet": "79258b0e10c14cecc2478adcdc251bc675f3b3ab8da2a9528eaa23a74935098c",
+    "game-noisy": "b2a7d8d9733c4202141a984bd02e33c0851b01f1c73afa46fe8c2317707f9785",
+    "game-past": "9db9bf9aa5065c6e0258ac9296bb58369fa7b62d5233ecfb973599b626c2fd1f",
+    "game-vr": "5c94571acd347f91f05b59281297ae20c573f21384f567c395344708eb4e2b89",
+    "game-coord": "52e6404cfdae6bd135352a89460efc594896e60dfe591421369c27de669b4442",
+    "game-quant-identity": "fe9059b4c0fa417b9cb812c91637ca893976f0ea4ffba02f9b1d49e77a27846e",
+    "game-quant-randk": "9b421efad3126456c2709f963c9c57faa4d26343f19156e486cbe01fb2da21fd",
+    "game-qvr-identity": "898b587c9e76739135ead2ecd62650eea94a2a20d51b946098e2d846927f4148",
+    "game-qvr-randk": "fc42a7b9bcb507526ec6620d6068881c178cabca8563790ccde9eb47db5b0985",
+    "game-is-lipschitz": "ec83077285e3e3513094338629c7161592fec27231ab21537ae62440b00ccf71",
+    "quad-fulldet": "c5daa182ff65e43ba7e7ab88501d17a25dc943d71043e0cc3b9090f214c6586c",
+    "quad-vr": "5a74182cdaa4deea40111c58086aa5c4c532150d392e01d9098e52ff293080aa",
+    "quad-coord": "d570a216826ca783a130e17d30207a55fd5648bb27a7d2eed58b4f659078b9ff",
+    "quad-quant": "edfb246301156eda578e9e1bea45128318afcd5f68f1fc78ee631e53738f964b",
+    "mix-local": "03f0eb3462dbffa64974d0ad78bb0ed53d2454f28ba5adf7adcb687a410bef21",
+    "mix-fulldet": "77e5eb651374ca3b830d2530396cdf356d76c375cb79cf7073f20bfe5fa6cb11",
+    "verify-game": "098b208ac3b8723fea1943c6e3b56177be22d86c9ed80eef456782185a91025d",
+    "verify-mixing": "0ce8477aebb7ea4f877ffc97a7fba95f17649676805f2d8bd6e0dd3d7fc0cff9",
+    "verify-game-mc": "03ed0c1763f0726672bfafba5ef93dabee4b2936c3cd8560bd8f3f05264dbf37",
+    "verify-mixing-mc": "dfc887ef94ff183b607f348701b35e166040c47a41b2b5d4736c7383d6c7880f",
+}
+
+
+def run_config(label):
+    template, name, quantizer, weights = RUNS[label]
+    text = template.format(quantizer=quantizer, weights=weights) if quantizer else template
+    return text + f"run.estimator = {name}\n"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_run_trace_digest(tmp_path, label):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_config(label), encoding="utf-8")
+    out = tmp_path / "trace.csv"
+    assert main(["run", "-c", str(cfg), "-o", str(out)]) == 0
+    assert sha256_of(out) == DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(VERIFY))
+def test_verify_report_digest(tmp_path, label):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(VERIFY[label], encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert main(["verify", "-c", str(cfg), "-o", str(out)]) == 0
+    assert sha256_of(out) == DIGESTS[label]
