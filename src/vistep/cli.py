@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import KINDS, EstimatorKind, Quantizer, importance_weights, optimal_tau
+from .estimators import KINDS, STRATEGIES, EstimatorKind, Quantizer, importance_weights, optimal_tau
 from .metrics import VerificationReport, verify_assumption2, verify_unbiasedness
 from .problems import VIProblem, gen_mixing_vi, gen_policeman_burglar, gen_quadratic_vi
 from .solver import RunTrace, SolverConfig, run_solver
@@ -206,40 +206,49 @@ def build_problem(cfg: Config) -> VIProblem:
     return gen_mixing_vi(base, cfg.require("problem", "lambda"))
 
 
+def _quantizer(cfg: Config, p: VIProblem, name: str) -> Quantizer:
+    if cfg.get("run", "quantizer") != "randk":
+        return Quantizer("identity")
+    k = cfg.get("run", "randk_k")
+    if k is None:
+        raise ConfigError("run.randk_k is required for the randk quantizer")
+    return Quantizer("randk", k=k, d=p.d)
+
+
+def _weights(cfg: Config, p: VIProblem, name: str) -> tuple[float, ...]:
+    if cfg.get("run", "weights") != "lipschitz":
+        return tuple(float(x) for x in np.full(p.M, 1.0 / p.M))
+    if p.L_m is None:
+        raise ConfigError("problem has no per-component constants for lipschitz weights")
+    return tuple(float(x) for x in importance_weights(p.L_m))
+
+
+def _tau_split(cfg: Config, p: VIProblem, name: str) -> float:
+    split = cfg.get("run", "tau_split")
+    if split is not None:
+        return float(split)
+    mix = p.payload
+    if not hasattr(mix, "l_phi"):
+        raise ConfigError(f"{name} estimator requires a mixing problem")
+    # the branch split that minimizes A is the strategy's own tau rule
+    return optimal_tau(EstimatorKind(name, tau_split=0.5), L=mix.l_phi, lam=mix.lam)
+
+
+# EstimatorKind parameter -> its value from the run.* keys; a strategy reads
+# the parameters its table row lists, and so only their keys
+_PARAMETERS = {
+    "sigma": lambda cfg, p, name: cfg.get("run", "sigma"),
+    "quantizer": _quantizer,
+    "weights": _weights,
+    "tau_split": _tau_split,
+}
+
+
 def build_estimator(cfg: Config, p: VIProblem, name: str | None = None) -> EstimatorKind:
     name = cfg.require("run", "estimator") if name is None else name
     if name not in KINDS:
         raise ConfigError(f"unknown estimator {name!r}")
-    sigma = cfg.get("run", "sigma")
-    if name in ("quant", "qvr"):
-        qkind = cfg.get("run", "quantizer")
-        if qkind == "randk":
-            k = cfg.get("run", "randk_k")
-            if k is None:
-                raise ConfigError("run.randk_k is required for the randk quantizer")
-            q = Quantizer("randk", k=k, d=p.d)
-        else:
-            q = Quantizer("identity")
-        return EstimatorKind(name, quantizer=q)
-    if name == "is":
-        if cfg.get("run", "weights") == "lipschitz":
-            if p.L_m is None:
-                raise ConfigError("problem has no per-component constants for lipschitz weights")
-            w = importance_weights(p.L_m)
-        else:
-            w = np.full(p.M, 1.0 / p.M)
-        return EstimatorKind("is", weights=tuple(float(x) for x in w))
-    if name == "local":
-        split = cfg.get("run", "tau_split")
-        if split is None:
-            mix = p.payload
-            if not hasattr(mix, "l_phi"):
-                raise ConfigError("local estimator requires a mixing problem")
-            split = optimal_tau(EstimatorKind("local", tau_split=0.5), L=mix.l_phi, lam=mix.lam)
-        return EstimatorKind("local", tau_split=float(split))
-    if name in ("noisy", "past"):
-        return EstimatorKind(name, sigma=sigma)
-    return EstimatorKind(name)
+    return EstimatorKind(name, **{param: _PARAMETERS[param](cfg, p, name) for param in STRATEGIES[name].reads})
 
 
 def build_solver_config(cfg: Config, kind: EstimatorKind) -> SolverConfig:
@@ -381,8 +390,8 @@ def cmd_verify(cfg: Config, out_path: str | None = None) -> int:
     report = VerificationReport(rows=[])
     for name in names:
         kind = build_estimator(cfg, p, name=name)
-        # gaussian-noise strategies have no finite outcome set to enumerate
-        n_mc = n_samples if n_samples > 1 else (4000 if kind.name in ("noisy", "past") else 0)
+        # strategies without a finite outcome set are checked by Monte Carlo
+        n_mc = n_samples if n_samples > 1 else (0 if kind.strategy.atoms else 4000)
         report.extend(verify_unbiasedness(kind, p, n_points=n_points, n_samples=n_mc))
         report.extend(verify_assumption2(kind, p, n_points=n_points, n_samples=n_samples))
     lines = [",".join(REPORT_COLUMNS)]

@@ -115,7 +115,10 @@ class RngStream:
         # min() guards the measure-zero u*n == n rounding edge
         return min(int(self.uniform() * n), n - 1)
 
-    def integers(self, n: int, size) -> np.ndarray:
+    def integers(self, n: int, size=None):
+        """size draws of integer(n); one plain int when size is None."""
+        if size is None:
+            return self.integer(n)
         if n < 1:
             raise ValueError("need n >= 1")
         u = self._gen.random(size)
@@ -147,8 +150,11 @@ class RngStream:
         u = self._gen.random(n)
         return np.argsort(u, kind="stable")[:k]
 
-    def subsets(self, n: int, k: int, rows: int) -> np.ndarray:
-        """rows independent k-subsets, one per row; same rule as subset()."""
+    def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
+        """rows independent k-subsets, one per row; same rule as subset().
+        One subset() draw when rows is None."""
+        if rows is None:
+            return self.subset(n, k)
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         u = self._gen.random((rows, n))

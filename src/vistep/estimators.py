@@ -2,31 +2,24 @@
 
 Each strategy produces the pair (g^k, g^{k+1/2}) consumed by one iteration:
 g^k drives the look-ahead half step, g^{k+1/2} the corrected full step.
-Snapshot strategies (vr, coord, quant, qvr, is, local) anchor g^k at a
-cached F(w) and build g^{k+1/2} as an unbiased correction around it;
-fulldet/noisy call the oracle directly and past reuses the previous half
-step's oracle value.
-
-Every strategy carries the constants (A, B, C, E, D1, D2, D3, rho) of its
-second-moment contract, the recommended momentum tau*, and a cost ledger
-(oracle calls, coordinates, bits, communications).
+Each is defined once, as a row of STRATEGIES; the solver step (est_pair),
+the exact outcome atoms (half_atoms), the Monte Carlo batch
+(sample_half_batch), the contract constants, tau* and the step-size rule
+all come from that row.  A cost ledger records what the solver consumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from .core import ProxSpec, RngStream, Vector, prox_eval
 from .problems import MixingVI, VIProblem, eval_component, eval_full
-
-KINDS = ("fulldet", "noisy", "past", "vr", "coord", "quant", "qvr", "is", "local")
-
-# strategies whose g^k is the cached F(w)
-SNAPSHOT_KINDS = ("vr", "coord", "quant", "qvr", "is", "local")
 
 
 @dataclass(frozen=True)
@@ -55,25 +48,30 @@ class Quantizer:
         return self.d / self.k
 
 
-def quantize(q: Quantizer, x: Vector, rng: RngStream) -> Vector:
-    """One draw of Q(x)."""
-    if q.kind == "identity":
-        return np.asarray(x, dtype=float).copy()
+def quantize(q: Quantizer, x: Vector, rng: RngStream | None = None, kept=None) -> Vector:
+    """Q(x).  randk keeps the coordinates ``kept`` (drawn from ``rng`` when
+    not given); x may also hold one vector per row, with one row of k
+    indices in ``kept`` each."""
     x = np.asarray(x, dtype=float)
-    if x.size != q.d:
-        raise ValueError(f"vector length {x.size} does not match quantizer dimension {q.d}")
-    idx = rng.subset(q.d, q.k)
-    out = np.zeros_like(x)
-    out[idx] = x[idx] * (q.d / q.k)
+    if q.kind == "identity":
+        return x.copy()
+    if x.shape[-1] != q.d:
+        raise ValueError(f"vector length {x.shape[-1]} does not match quantizer dimension {q.d}")
+    if kept is None:
+        kept = rng.subset(q.d, q.k)
+    at = kept if x.ndim == 1 else (np.arange(len(x))[:, None], kept)
+    out = np.zeros(x.shape)
+    out[at] = x[at] * (q.d / q.k)
     return out
 
 
 @dataclass(frozen=True)
 class EstimatorKind:
-    """Strategy tag plus its variant-specific parameters.
+    """Strategy name plus the parameters it reads (its row's ``reads``);
+    a parameter the strategy does not read must keep its default.
 
     sigma     oracle noise level for noisy/past (E|noise|^2 = sigma^2),
-    quantizer required by quant/qvr,
+    quantizer compression of quant/qvr,
     weights   component probabilities for is (positive, summing to 1),
     tau_split branch probability of the local strategy's Phi part.
     """
@@ -85,21 +83,39 @@ class EstimatorKind:
     tau_split: float = 0.0
 
     def __post_init__(self):
-        if self.name not in KINDS:
+        if self.name not in STRATEGIES:
             raise ValueError(f"unknown estimator kind {self.name!r}")
+        reads = self.strategy.reads
+        for name, default in _PARAMETER_DEFAULTS.items():
+            if name not in reads and getattr(self, name) != default:
+                raise ValueError(f"{self.name} does not read {name}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.name in ("quant", "qvr") and self.quantizer is None:
+        if "quantizer" in reads and self.quantizer is None:
             raise ValueError(f"{self.name} requires a quantizer")
-        if self.name == "is":
+        if "weights" in reads:
             if self.weights is None or len(self.weights) == 0:
-                raise ValueError("is requires component weights")
+                raise ValueError(f"{self.name} requires component weights")
             w = np.asarray(self.weights, dtype=float)
             if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("is weights must be positive and sum to 1")
+                raise ValueError("component weights must be positive and sum to 1")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        if self.name == "local" and not 0.0 < self.tau_split < 1.0:
-            raise ValueError("local requires 0 < tau_split < 1")
+        if "tau_split" in reads and not 0.0 < self.tau_split < 1.0:
+            raise ValueError(f"{self.name} requires 0 < tau_split < 1")
+
+    @property
+    def strategy(self) -> Strategy:
+        return STRATEGIES[self.name]
+
+    @cached_property
+    def _weight_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The is strategy's cumulative weights and inverse-probability
+        scales 1/(M p_m), computed once per kind."""
+        w = np.asarray(self.weights, dtype=float)
+        return np.cumsum(w), 1.0 / (len(w) * w)
+
+
+_PARAMETER_DEFAULTS = {f.name: f.default for f in fields(EstimatorKind) if f.name != "name"}
 
 
 def fulldet() -> EstimatorKind:
@@ -158,8 +174,10 @@ def _coord_bits(d: int) -> int:
     return 64 + math.ceil(math.log2(d)) if d > 1 else 64
 
 
-def _payload_bits(q: Quantizer, d: int) -> int:
-    if q.kind == "identity":
+def _payload_bits(kind: EstimatorKind, d: int) -> int:
+    """Bits of one transmitted difference: dense unless randk-compressed."""
+    q = kind.quantizer
+    if q is None or q.kind == "identity":
         return _dense_bits(d)
     return q.k * _coord_bits(d)
 
@@ -176,60 +194,258 @@ class EstimatorState:
     pending_half: Vector | None = None
     sigma_sq: float = 0.0
     costs: CostLedger = field(default_factory=CostLedger)
-    cum_p: np.ndarray | None = None
 
 
-def _noisy_full(p: VIProblem, z: Vector, sigma: float, rng: RngStream, costs: CostLedger) -> Vector:
-    """Full oracle call, optionally with isotropic noise of total variance
-    sigma^2; counts one full call and one dense transmission."""
-    costs.full_calls += 1
-    costs.bits += _dense_bits(p.d)
-    v = eval_full(p, z)
-    if sigma > 0:
-        v = v + (sigma / math.sqrt(p.d)) * rng.normal(p.d)
-    return v
+# ---------------------------------------------------------------------------
+# The strategy table.  An outcome is a pair (s, r): s picks the difference
+# source (a component, the Phi/consensus branch, or 0) and r holds the rest
+# of the draw (oracle noise, a coordinate, randk's kept coordinates) or is
+# None.  Each entry is an array with one element or row per draw, or a
+# scalar or vector for the single draw of a solver step (n = None).
+
+FRESH, PAST, SNAPSHOT = "fresh", "past", "snapshot"
 
 
-def _refresh_cache(state: EstimatorState, p: VIProblem) -> None:
-    """Recompute the F(w) cache after w moved, paying the refresh cost."""
-    name = state.kind.name
-    if name in ("vr", "is", "qvr"):
-        comps = [eval_component(p, m, state.w) for m in range(p.M)]
-        state.fw = np.mean(comps, axis=0)
-        state.costs.comp_calls += p.M
-        state.costs.bits += _dense_bits(p.d)
-    elif name in ("coord", "quant"):
-        state.fw = eval_full(p, state.w)
-        state.costs.full_calls += 1
-        state.costs.bits += _dense_bits(p.d)
-    elif name == "local":
-        state.fw = eval_full(p, state.w)
-        state.costs.full_calls += 1
-        state.costs.comms += 1
-        state.costs.bits += _dense_bits(p.d)
+@dataclass(frozen=True)
+class Strategy:
+    """One estimation strategy; est_pair, init_estimator, snapshot_update,
+    half_atoms, sample_half_batch, the contract constants, tau* and the
+    step-size rule (by anchor) are all derived from it."""
+
+    anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
+    draw: Callable  # (kind, p, rng, n) -> n outcomes
+    diff: Callable  # (kind, p, s, z, w, fw, costs) -> source s's billed difference at z (F(z) without a snapshot)
+    correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
+    constants: Callable  # (kind, L, D, d=, M=, L_m=, D_m=, lam=) -> the nonzero contract constants
+    tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
+    refresh: Callable | None = None  # (kind, p, w, costs) -> billed F(w); None without a snapshot
+    atoms: Callable | None = None  # (kind, p) -> (probabilities, outcomes), if the outcomes are finite
+    bound: Callable = lambda p: (p.L, p.D)  # p -> the (L, D) the constants are taken at
+    reads: tuple[str, ...] = ()  # the EstimatorKind parameters it reads
+
+
+def _charged(value, costs: CostLedger, bits=0, full_calls=0, comp_calls=0, coords=0, comms=0, local_steps=0):
+    """value, after adding the counts to the ledger."""
+    costs.bits += bits
+    costs.full_calls += full_calls
+    costs.comp_calls += comp_calls
+    costs.coords += coords
+    costs.comms += comms
+    costs.local_steps += local_steps
+    return value
+
+
+def _component_mean(kind, p, w, costs):
+    mean = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
+    return _charged(mean, costs, _dense_bits(p.d), comp_calls=p.M)
+
+
+def _full_value(kind, p, w, costs, comms=0):
+    return _charged(eval_full(p, w), costs, _dense_bits(p.d), full_calls=1, comms=comms)
+
+
+def _component_diff(kind, p, s, z, w, fw, costs):
+    diff = eval_component(p, s, z) - eval_component(p, s, w)
+    return _charged(diff, costs, _payload_bits(kind, p.d), comp_calls=2)
+
+
+def _branch_diff(kind, p, s, z, w, fw, costs):
+    """Phi's difference (s = 0, a local step) or consensus's (a broadcast)."""
+    if s == 0:
+        return _charged(p.payload.phi(z) - p.payload.phi(w), costs, local_steps=1)
+    return _charged(p.payload.consensus(z) - p.payload.consensus(w), costs, _dense_bits(p.d), comms=1)
+
+
+def _per_draw(values, s):
+    """values[s], shaped to scale the single draw's difference (s an int) or
+    one difference row per draw (s an index array)."""
+    return np.asarray(values)[s][:, None] if isinstance(s, np.ndarray) else values[s]
+
+
+def _zeros(n):
+    """Source 0 for each of n draws, or for the single draw (n = None)."""
+    return 0 if n is None else np.zeros(n, dtype=np.int64)
+
+
+def _with_kept(kind, rng, s, n):
+    q = kind.quantizer
+    return s, None if q.kind == "identity" else rng.subsets(q.d, q.k, n)
+
+
+def _kept_atoms(kind, sources: int):
+    """Every (source, kept subset) outcome, subsets in lexicographic order."""
+    q = kind.quantizer
+    kept = None if q.kind == "identity" else np.array(list(combinations(range(q.d), q.k)))
+    count = 1 if kept is None else len(kept)
+    s = np.repeat(np.arange(sources), count)
+    return np.full(len(s), (1.0 / count) / sources), (s, None if kept is None else np.tile(kept, (sources, 1)))
+
+
+def _one_coordinate(kind, p, o, diff, fw):
+    g = np.empty(diff.shape)
+    g[...] = fw
+    at = o[1] if diff.ndim == 1 else (np.arange(len(diff)), o[1])
+    g[at] += p.d * diff[at]
+    return g
+
+
+def _oracle_constants(kind, L, D, **_):
+    s = kind.sigma
+    return dict(A=3.0 * L * L, D1=3.0 * D * D + 6.0 * s * s, D3=s * s)
+
+
+def _past_constants(kind, L, D, **_):
+    s = kind.sigma
+    return dict(rho=1.0 / 3.0, B=3.0, C=2.0 * L * L, D1=6.0 * s * s, D2=4.0 * D * D + 12.0 * s * s, D3=s * s)
+
+
+def _variance_constants(omega, L, D):
+    """A correction whose second moment is omega times the exact difference's."""
+    return dict(A=omega * L * L, D1=omega * D * D, E=2.0 * (omega + 1) * L * L, D3=2.0 * (omega + 1) * D * D)
+
+
+def _coordinate_constants(kind, L, D, d=None, **_):
+    if d is None:
+        raise ValueError(f"{kind.name} constants need the dimension d")
+    return _variance_constants(d, L, D)
+
+
+def _importance_constants(kind, L, D, M=None, L_m=None, D_m=None, **_):
+    if L_m is None or M is None:
+        raise ValueError(f"{kind.name} constants need per-component L_m and M")
+    Lt = np.asarray(L_m, dtype=float) / M
+    Dt = (np.asarray(D_m, dtype=float) if D_m is not None else np.zeros(M)) / M
+    pw = np.asarray(kind.weights, dtype=float)
+    if len(pw) != len(Lt):
+        raise ValueError(f"{kind.name} weights and L_m lengths differ")
+    S = float(np.sum(Lt * Lt / pw))
+    SD = float(np.sum(Dt * Dt / pw))
+    return dict(A=S, D1=SD, E=2.0 * (S + L * L), D3=2.0 * (SD + D * D))
+
+
+def _split_constants(kind, L, D, lam=None, **_):
+    if lam is None:
+        raise ValueError(f"{kind.name} constants need the consensus strength lam")
+    t = kind.tau_split
+    A = L * L / t + lam * lam / (1.0 - t)
+    return dict(A=A, E=2.0 * (A + (L + lam) * (L + lam)), D3=2.0 * D * D)
+
+
+def _finite_sum_tau(kind, M=None, **_):
+    return None if M is None else M / (M + 1.0)
+
+
+def _common_bound(p):
+    """One bound over every component and the full operator."""
+    L = max(float(p.L), float(np.max(p.L_m)) if p.L_m is not None else 0.0)
+    D = max(float(p.D), float(np.max(p.D_m)) if p.D_m is not None else 0.0)
+    return L, D
+
+
+_NOISY = Strategy(
+    FRESH, reads=("sigma",), constants=_oracle_constants, tau=lambda kind, **_: 0.0,
+    draw=lambda kind, p, rng, n: (
+        _zeros(n), rng.normal((p.d,) if n is None else (n, p.d)) if kind.sigma > 0 else None
+    ),
+    diff=lambda kind, p, s, z, w, fw, costs: _charged(eval_full(p, z), costs, _dense_bits(p.d), full_calls=1),
+    # a batch's F(z) rows arrive as a broadcast view of one row; return a real array
+    correct=lambda kind, p, o, diff, fw: np.ascontiguousarray(diff) if o[1] is None
+    else diff + (kind.sigma / math.sqrt(p.d)) * o[1],
+)
+_QUANT = Strategy(
+    SNAPSHOT, reads=("quantizer",), refresh=_full_value, atoms=lambda kind, p: _kept_atoms(kind, 1),
+    draw=lambda kind, p, rng, n: _with_kept(kind, rng, _zeros(n), n),
+    diff=lambda kind, p, s, z, w, fw, costs: _charged(
+        eval_full(p, z) - fw, costs, _payload_bits(kind, p.d), full_calls=1
+    ),
+    correct=lambda kind, p, o, diff, fw: quantize(kind.quantizer, diff, kept=o[1]) + fw,
+    constants=lambda kind, L, D, **_: _variance_constants(kind.quantizer.omega, L, D),
+    tau=lambda kind, **_: kind.quantizer.omega / (kind.quantizer.omega + 1.0),
+)
+
+STRATEGIES: dict[str, Strategy] = {
+    "fulldet": replace(_NOISY, reads=(), atoms=lambda kind, p: (np.ones(1), (_zeros(1), None))),
+    "noisy": _NOISY,
+    "past": replace(_NOISY, anchor=PAST, constants=_past_constants),
+    "vr": Strategy(
+        SNAPSHOT, refresh=_component_mean, diff=_component_diff, bound=_common_bound, tau=_finite_sum_tau,
+        draw=lambda kind, p, rng, n: (rng.integers(p.M, n), None),
+        correct=lambda kind, p, o, diff, fw: diff + fw,
+        atoms=lambda kind, p: (np.full(p.M, 1.0 / p.M), (np.arange(p.M), None)),
+        constants=lambda kind, L, D, **_: _variance_constants(1, L, D),
+    ),
+    "coord": Strategy(
+        SNAPSHOT, refresh=_full_value, constants=_coordinate_constants,
+        tau=lambda kind, d=None, **_: _finite_sum_tau(kind, d),
+        draw=lambda kind, p, rng, n: (_zeros(n), rng.integers(p.d, n)),
+        diff=lambda kind, p, s, z, w, fw, costs: _charged(eval_full(p, z) - fw, costs, _coord_bits(p.d), coords=1),
+        correct=_one_coordinate,
+        atoms=lambda kind, p: (np.full(p.d, 1.0 / p.d), (_zeros(p.d), np.arange(p.d))),
+    ),
+    "quant": _QUANT,
+    "qvr": replace(
+        _QUANT, refresh=_component_mean, diff=_component_diff, bound=_common_bound,
+        draw=lambda kind, p, rng, n: _with_kept(kind, rng, rng.integers(p.M, n), n),
+        atoms=lambda kind, p: _kept_atoms(kind, p.M),
+    ),
+    "is": Strategy(
+        SNAPSHOT, refresh=_component_mean, diff=_component_diff, reads=("weights",),
+        constants=_importance_constants, tau=_finite_sum_tau,
+        draw=lambda kind, p, rng, n: (
+            np.minimum(np.searchsorted(kind._weight_tables[0], rng.uniform(n), side="right"), p.M - 1),
+            None,
+        ),
+        correct=lambda kind, p, o, diff, fw: diff * _per_draw(kind._weight_tables[1], o[0]) + fw,
+        atoms=lambda kind, p: (np.array(kind.weights), (np.arange(p.M), None)),
+    ),
+    "local": Strategy(
+        SNAPSHOT, reads=("tau_split",), diff=_branch_diff, constants=_split_constants,
+        refresh=lambda kind, p, w, costs: _full_value(kind, p, w, costs, comms=1),
+        # source 0 is the Phi branch (probability tau_split), 1 the consensus branch
+        draw=lambda kind, p, rng, n: ((rng.uniform(n) >= kind.tau_split) * 1, None),
+        correct=lambda kind, p, o, diff, fw: diff / _per_draw((kind.tau_split, 1.0 - kind.tau_split), o[0]) + fw,
+        atoms=lambda kind, p: (np.array([kind.tau_split, 1.0 - kind.tau_split]), (np.arange(2), None)),
+        tau=lambda kind, L=None, lam=None, **_: None if L is None or lam is None else L / (L + lam),
+        bound=lambda p: (p.payload.l_phi, p.D),
+    ),
+}
+KINDS = tuple(STRATEGIES)
+# strategies whose g^k is the cached F(w)
+SNAPSHOT_KINDS = tuple(name for name, strat in STRATEGIES.items() if strat.anchor == SNAPSHOT)
+
+
+def check_problem(kind: EstimatorKind, p: VIProblem) -> None:
+    """Raise if the strategy's parameters do not fit the problem: a randk
+    quantizer of another dimension, weights of another length than M, or
+    a Phi/consensus split without a mixing problem."""
+    q = kind.quantizer
+    if q is not None and q.kind == "randk" and q.d != p.d:
+        raise ValueError(f"quantizer dimension {q.d} does not match problem dimension {p.d}")
+    if kind.weights is not None and len(kind.weights) != p.M:
+        raise ValueError(f"{kind.name} weights have length {len(kind.weights)}, problem has M={p.M}")
+    if "tau_split" in kind.strategy.reads and not isinstance(p.payload, MixingVI):
+        raise TypeError(f"{kind.name} estimator requires a mixing problem")
 
 
 def init_estimator(kind: EstimatorKind, p: VIProblem, z0: Vector, rng: RngStream) -> EstimatorState:
     """Set up the state at z^0 = w^0, paying any cache-fill cost."""
-    if kind.name == "local" and not isinstance(p.payload, MixingVI):
-        raise TypeError("local estimator requires a mixing problem")
-    if kind.name == "is" and len(kind.weights) != p.M:
-        raise ValueError(f"is weights have length {len(kind.weights)}, problem has M={p.M}")
+    check_problem(kind, p)
     state = EstimatorState(kind=kind, w=np.asarray(z0, dtype=float).copy())
-    if kind.name == "past":
-        state.past_g = _noisy_full(p, state.w, kind.sigma, rng, state.costs)
-    elif kind.name in SNAPSHOT_KINDS:
-        _refresh_cache(state, p)
-    if kind.name == "is":
-        state.cum_p = np.cumsum(np.asarray(kind.weights, dtype=float))
+    strat = kind.strategy
+    if strat.anchor == PAST:
+        state.past_g = _sample(state, p, state.w, rng)
+    elif strat.refresh is not None:
+        state.fw = strat.refresh(kind, p, state.w, state.costs)
     return state
 
 
-def _draw_component(state: EstimatorState, M: int, rng: RngStream) -> int:
-    if state.kind.name == "is":
-        u = rng.uniform()
-        return min(int(np.searchsorted(state.cum_p, u, side="right")), M - 1)
-    return rng.integer(M)
+def _sample(state: EstimatorState, p: VIProblem, z: Vector, rng: RngStream) -> Vector:
+    """One billed draw of the strategy's estimate at z."""
+    kind = state.kind
+    strat = kind.strategy
+    outcome = strat.draw(kind, p, rng, None)
+    diff = strat.diff(kind, p, int(outcome[0]), z, state.w, state.fw, state.costs)
+    return strat.correct(kind, p, outcome, diff, state.fw)
 
 
 def est_pair(
@@ -244,79 +460,18 @@ def est_pair(
     """One iteration's estimates: returns (g^k, g^{k+1/2}, z^{k+1/2}) where
     z^{k+1/2} = prox(z_bar - gamma*g^k) and E[g^{k+1/2} | z^{k+1/2}] equals
     F(z^{k+1/2}).  Updates the cost ledger as a side effect."""
-    kind = state.kind
-    name = kind.name
-    costs = state.costs
-    d = p.d
-
-    if name in ("fulldet", "noisy"):
-        g_k = _noisy_full(p, z_k, kind.sigma, rng, costs)
-        z_half = prox_eval(prox, gamma, z_bar - gamma * g_k)
-        g_half = _noisy_full(p, z_half, kind.sigma, rng, costs)
-        return g_k, g_half, z_half
-
-    if name == "past":
-        if state.past_g is None:
-            raise RuntimeError("past estimator used before initialization")
-        g_k = state.past_g
-        z_half = prox_eval(prox, gamma, z_bar - gamma * g_k)
-        g_half = _noisy_full(p, z_half, kind.sigma, rng, costs)
+    anchor = state.kind.strategy.anchor
+    if anchor == FRESH:
+        g_k = _sample(state, p, z_k, rng)
+    else:
+        g_k = state.past_g if anchor == PAST else state.fw
+        if g_k is None:
+            raise RuntimeError("estimator used before initialization")
+    z_half = prox_eval(prox, gamma, z_bar - gamma * g_k)
+    g_half = _sample(state, p, z_half, rng)
+    if anchor == PAST:
         state.sigma_sq = float(np.sum((g_half - g_k) ** 2))
         state.pending_half = g_half
-        return g_k, g_half, z_half
-
-    if state.fw is None:
-        raise RuntimeError("snapshot estimator used before initialization")
-    g_k = state.fw
-    z_half = prox_eval(prox, gamma, z_bar - gamma * g_k)
-
-    if name == "vr":
-        m = _draw_component(state, p.M, rng)
-        a = eval_component(p, m, z_half)
-        b = eval_component(p, m, state.w)
-        costs.comp_calls += 2
-        costs.bits += _dense_bits(d)
-        g_half = (a - b) + state.fw
-    elif name == "coord":
-        i = rng.integer(d)
-        fz = eval_full(p, z_half)
-        costs.coords += 1
-        costs.bits += _coord_bits(d)
-        g_half = state.fw.copy()
-        g_half[i] += d * (fz[i] - state.fw[i])
-    elif name == "quant":
-        fz = eval_full(p, z_half)
-        costs.full_calls += 1
-        costs.bits += _payload_bits(kind.quantizer, d)
-        g_half = quantize(kind.quantizer, fz - state.fw, rng) + state.fw
-    elif name == "qvr":
-        m = _draw_component(state, p.M, rng)
-        a = eval_component(p, m, z_half)
-        b = eval_component(p, m, state.w)
-        costs.comp_calls += 2
-        costs.bits += _payload_bits(kind.quantizer, d)
-        g_half = quantize(kind.quantizer, a - b, rng) + state.fw
-    elif name == "is":
-        m = _draw_component(state, p.M, rng)
-        a = eval_component(p, m, z_half)
-        b = eval_component(p, m, state.w)
-        costs.comp_calls += 2
-        costs.bits += _dense_bits(d)
-        scale = 1.0 / (p.M * kind.weights[m])
-        g_half = scale * (a - b) + state.fw
-    elif name == "local":
-        mix: MixingVI = p.payload
-        u = rng.uniform()
-        if u < kind.tau_split:
-            diff = (mix.phi(z_half) - mix.phi(state.w)) / kind.tau_split
-            costs.local_steps += 1
-        else:
-            diff = (mix.consensus(z_half) - mix.consensus(state.w)) / (1.0 - kind.tau_split)
-            costs.comms += 1
-            costs.bits += _dense_bits(d)
-        g_half = diff + state.fw
-    else:  # pragma: no cover
-        raise ValueError(f"unknown estimator kind {name!r}")
     return g_k, g_half, z_half
 
 
@@ -327,10 +482,12 @@ def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngS
     if not 0.0 <= tau < 1.0:
         raise ValueError("need 0 <= tau < 1")
     refreshed = rng.uniform() < 1.0 - tau
+    refresh = state.kind.strategy.refresh
     if refreshed:
         state.w = np.asarray(z_next, dtype=float).copy()
-        _refresh_cache(state, p)
-    if state.kind.name == "past" and state.pending_half is not None:
+        if refresh is not None:
+            state.fw = refresh(state.kind, p, state.w, state.costs)
+    if state.pending_half is not None:
         state.past_g = state.pending_half
         state.pending_half = None
     return refreshed
@@ -369,26 +526,12 @@ def optimal_tau(
     lam: float | None = None,
 ) -> float:
     """Recommended momentum: balances per-iteration cost against the
-    snapshot refresh cost (refresh happens with probability 1 - tau)."""
-    name = kind.name
-    if name in ("fulldet", "noisy", "past"):
-        return 0.0
-    if name in ("vr", "is"):
-        if M is None:
-            raise ValueError("need M for the finite-sum tau rule")
-        return M / (M + 1.0)
-    if name == "coord":
-        if d is None:
-            raise ValueError("need d for the coordinate tau rule")
-        return d / (d + 1.0)
-    if name in ("quant", "qvr"):
-        omega = kind.quantizer.omega
-        return omega / (omega + 1.0)
-    if name == "local":
-        if L is None or lam is None:
-            raise ValueError("need L and lam for the local tau rule")
-        return L / (L + lam)
-    raise ValueError(f"unknown estimator kind {name!r}")  # pragma: no cover
+    snapshot refresh cost (refresh happens with probability 1 - tau).
+    vr/is need M, coord d, local L and lam."""
+    tau = kind.strategy.tau(kind, M=M, d=d, L=L, lam=lam)
+    if tau is None:
+        raise ValueError(f"the {kind.name} tau rule needs problem data that was not given")
+    return tau
 
 
 def assumption_constants(
@@ -409,76 +552,14 @@ def assumption_constants(
     (1/M)-averaged sum and are rescaled internally by 1/M so that the sum
     of the rescaled components is the full operator.  For local, L is the
     stacked worker operator's constant and lam the consensus strength.
+    tau_star is 0 when its rule lacks data (vr without M).
     """
-    name = kind.name
-    A = B = C = E = D1 = D2 = D3 = 0.0
-    rho = 1.0
-    tau_star = 0.0
-
-    if name in ("fulldet", "noisy"):
-        s = kind.sigma
-        A = 3.0 * L * L
-        D1 = 3.0 * D * D + 6.0 * s * s
-        D3 = s * s
-    elif name == "past":
-        s = kind.sigma
-        rho = 1.0 / 3.0
-        B = 3.0
-        C = 2.0 * L * L
-        D1 = 6.0 * s * s
-        D2 = 4.0 * D * D + 12.0 * s * s
-        D3 = s * s
-    elif name == "vr":
-        A = L * L
-        D1 = D * D
-        E = 4.0 * L * L
-        D3 = 4.0 * D * D
-        if M is not None:
-            tau_star = optimal_tau(kind, M=M)
-    elif name == "coord":
-        if d is None:
-            raise ValueError("coord constants need the dimension d")
-        A = d * L * L
-        D1 = d * D * D
-        E = 2.0 * (d + 1) * L * L
-        D3 = 2.0 * (d + 1) * D * D
-        tau_star = optimal_tau(kind, d=d)
-    elif name in ("quant", "qvr"):
-        omega = kind.quantizer.omega
-        A = omega * L * L
-        D1 = omega * D * D
-        E = 2.0 * (omega + 1.0) * L * L
-        D3 = 2.0 * (omega + 1.0) * D * D
-        tau_star = optimal_tau(kind)
-    elif name == "is":
-        if L_m is None or M is None:
-            raise ValueError("is constants need per-component L_m and M")
-        Lt = np.asarray(L_m, dtype=float) / M
-        Dt = (np.asarray(D_m, dtype=float) if D_m is not None else np.zeros(M)) / M
-        pw = np.asarray(kind.weights, dtype=float)
-        if len(pw) != len(Lt):
-            raise ValueError("is weights and L_m lengths differ")
-        S = float(np.sum(Lt * Lt / pw))
-        SD = float(np.sum(Dt * Dt / pw))
-        A = S
-        D1 = SD
-        E = 2.0 * (S + L * L)
-        D3 = 2.0 * (SD + D * D)
-        tau_star = optimal_tau(kind, M=M)
-    elif name == "local":
-        if lam is None:
-            raise ValueError("local constants need the consensus strength lam")
-        t = kind.tau_split
-        A = L * L / t + lam * lam / (1.0 - t)
-        L_full = L + lam
-        E = 2.0 * (A + L_full * L_full)
-        D3 = 2.0 * D * D
-        tau_star = optimal_tau(kind, L=L, lam=lam)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown estimator kind {name!r}")
-
-    T = 4.0 * B / rho if B > 0 else 0.0
-    return AssumptionConstants(A=A, B=B, C=C, E=E, D1=D1, D2=D2, D3=D3, rho=rho, tau_star=tau_star, T=T)
+    strat = kind.strategy
+    c = dict(A=0.0, B=0.0, C=0.0, E=0.0, D1=0.0, D2=0.0, D3=0.0, rho=1.0)
+    c.update(strat.constants(kind, L, D, d=d, M=M, L_m=L_m, D_m=D_m, lam=lam))
+    tau_star = strat.tau(kind, M=M, d=d, L=L, lam=lam)
+    T = 4.0 * c["B"] / c["rho"] if c["B"] > 0 else 0.0
+    return AssumptionConstants(**c, tau_star=0.0 if tau_star is None else tau_star, T=T)
 
 
 def importance_weights(L_m) -> np.ndarray:
@@ -491,84 +572,34 @@ def importance_weights(L_m) -> np.ndarray:
 
 def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConstants:
     """Constants table with L/D taken from the problem, per-kind convention."""
-    name = kind.name
-    if name in ("vr", "qvr"):
-        L = max(float(p.L), float(np.max(p.L_m)) if p.L_m is not None else 0.0)
-        D = max(float(p.D), float(np.max(p.D_m)) if p.D_m is not None else 0.0)
-        return assumption_constants(kind, L, D, M=p.M)
-    if name == "is":
-        return assumption_constants(kind, p.L, p.D, M=p.M, L_m=p.L_m, D_m=p.D_m)
-    if name == "coord":
-        return assumption_constants(kind, p.L, p.D, d=p.d)
-    if name == "local":
-        mix: MixingVI = p.payload
-        return assumption_constants(kind, mix.l_phi, p.D, lam=mix.lam)
-    return assumption_constants(kind, p.L, p.D, M=p.M)
+    L, D = kind.strategy.bound(p)
+    lam = p.payload.lam if isinstance(p.payload, MixingVI) else None
+    return assumption_constants(kind, L, D, d=p.d, M=p.M, L_m=p.L_m, D_m=p.D_m, lam=lam)
 
 
 # ---------------------------------------------------------------------------
-# Sampling views of the half-step estimate, shared with the verification
-# suite: the same correction formulas as est_pair, exposed as exhaustive
-# atoms (for exact expectations) and as batched draws (for Monte Carlo).
+# The verification suite's views of g^{k+1/2}: the strategy's own draw and
+# correction over every outcome atom (exact) or a batch of draws (Monte Carlo).
 
 
-def _component_diffs(p: VIProblem, z_half: Vector, w: Vector) -> np.ndarray:
-    return np.stack([eval_component(p, m, z_half) - eval_component(p, m, w) for m in range(p.M)])
+def _batch(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, w: Vector, fw) -> np.ndarray:
+    """g^{k+1/2} for each of a batch of outcomes."""
+    strat = kind.strategy
+    sources, index = np.unique(outcomes[0], return_inverse=True)
+    diffs = [strat.diff(kind, p, int(s), z_half, w, fw, CostLedger()) for s in sources]
+    rows = np.broadcast_to(diffs[0], (len(index), p.d)) if len(diffs) == 1 else np.stack(diffs)[index]
+    return strat.correct(kind, p, outcomes, rows, fw)
 
 
-def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, w: Vector, fw: Vector):
+def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, w: Vector, fw: Vector | None):
     """All possible g^{k+1/2} values with their probabilities, for kinds
     whose randomness is finite and enumerable.  Returns [(prob, value)]."""
-    name = kind.name
-    d = p.d
-    if name == "fulldet":
-        return [(1.0, eval_full(p, z_half))]
-    if name == "vr":
-        diffs = _component_diffs(p, z_half, w)
-        return [(1.0 / p.M, diffs[m] + fw) for m in range(p.M)]
-    if name == "is":
-        diffs = _component_diffs(p, z_half, w)
-        return [
-            (kind.weights[m], diffs[m] / (p.M * kind.weights[m]) + fw)
-            for m in range(p.M)
-        ]
-    if name == "coord":
-        fz = eval_full(p, z_half)
-        atoms = []
-        for i in range(d):
-            v = fw.copy()
-            v[i] += d * (fz[i] - fw[i])
-            atoms.append((1.0 / d, v))
-        return atoms
-    if name == "quant":
-        return [(prob, qv + fw) for prob, qv in _quantizer_atoms(kind.quantizer, eval_full(p, z_half) - fw)]
-    if name == "qvr":
-        diffs = _component_diffs(p, z_half, w)
-        atoms = []
-        for m in range(p.M):
-            for prob, qv in _quantizer_atoms(kind.quantizer, diffs[m]):
-                atoms.append((prob / p.M, qv + fw))
-        return atoms
-    if name == "local":
-        mix: MixingVI = p.payload
-        t = kind.tau_split
-        phi_d = (mix.phi(z_half) - mix.phi(w)) / t
-        con_d = (mix.consensus(z_half) - mix.consensus(w)) / (1.0 - t)
-        return [(t, phi_d + fw), (1.0 - t, con_d + fw)]
-    raise ValueError(f"estimator kind {name!r} is not enumerable")
-
-
-def _quantizer_atoms(q: Quantizer, x: Vector):
-    if q.kind == "identity":
-        return [(1.0, np.asarray(x, dtype=float).copy())]
-    total = math.comb(q.d, q.k)
-    atoms = []
-    for sub in combinations(range(q.d), q.k):
-        v = np.zeros(q.d)
-        idx = list(sub)
-        v[idx] = np.asarray(x, dtype=float)[idx] * (q.d / q.k)
-        atoms.append((1.0 / total, v))
-    return atoms
+    check_problem(kind, p)
+    atoms = kind.strategy.atoms
+    if atoms is None:
+        raise ValueError(f"estimator kind {kind.name!r} is not enumerable")
+    probs, outcomes = atoms(kind, p)
+    return list(zip(probs.tolist(), _batch(kind, p, outcomes, z_half, w, fw)))
 
 
 def sample_half_batch(
@@ -582,54 +613,10 @@ def sample_half_batch(
 ):
     """n independent draws of g^{k+1/2} as an (n, d) array.
 
-    Index and subset draws use the same uniform-to-index mapping as the
-    scalar path in est_pair; gaussian oracle noise is drawn blockwise and
-    is therefore distribution-equal (not stream-equal) to per-call draws.
+    Indices and subsets come from uniforms the way the solver step draws
+    them, but each kind of random number is drawn in one block (all
+    components before all subsets; all gaussian noise at once), so the
+    batch is distribution-equal, not stream-equal, to n solver draws.
     """
-    name = kind.name
-    d = p.d
-    if name == "fulldet":
-        return np.tile(eval_full(p, z_half), (n, 1))
-    if name in ("noisy", "past"):
-        s = kind.sigma
-        base = eval_full(p, z_half)
-        return base + (s / math.sqrt(d)) * rng.normal((n, d))
-    if name in ("vr", "is"):
-        diffs = _component_diffs(p, z_half, w)
-        if name == "vr":
-            idx = rng.integers(p.M, n)
-            return diffs[idx] + fw
-        cum = np.cumsum(np.asarray(kind.weights, dtype=float))
-        u = np.atleast_1d(rng.uniform(n))
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), p.M - 1)
-        scales = 1.0 / (p.M * np.asarray(kind.weights, dtype=float))
-        return diffs[idx] * scales[idx][:, None] + fw
-    if name == "coord":
-        fz = eval_full(p, z_half)
-        idx = rng.integers(d, n)
-        out = np.tile(fw, (n, 1))
-        out[np.arange(n), idx] += d * (fz[idx] - fw[idx])
-        return out
-    if name in ("quant", "qvr"):
-        q = kind.quantizer
-        if name == "quant":
-            diffs = (eval_full(p, z_half) - fw)[None, :]
-            rows = np.zeros(n, dtype=np.int64)
-        else:
-            diffs = _component_diffs(p, z_half, w)
-            rows = rng.integers(p.M, n)
-        if q.kind == "identity":
-            return diffs[rows] + fw
-        subs = rng.subsets(d, q.k, n)
-        out = np.tile(fw, (n, 1))
-        rsel = np.arange(n)[:, None]
-        out[rsel, subs] += (q.d / q.k) * diffs[rows[:, None], subs]
-        return out
-    if name == "local":
-        mix: MixingVI = p.payload
-        t = kind.tau_split
-        phi_d = (mix.phi(z_half) - mix.phi(w)) / t
-        con_d = (mix.consensus(z_half) - mix.consensus(w)) / (1.0 - t)
-        u = np.atleast_1d(rng.uniform(n))
-        return np.where((u < t)[:, None], phi_d[None, :], con_d[None, :]) + fw
-    raise ValueError(f"cannot sample estimator kind {name!r}")
+    check_problem(kind, p)
+    return _batch(kind, p, kind.strategy.draw(kind, p, rng, n), z_half, w, fw)

@@ -24,7 +24,11 @@ from scipy.optimize import brentq
 
 from .core import Vector, prox_eval, rng_stream
 from .estimators import (
+    FRESH,
+    PAST,
+    CostLedger,
     EstimatorKind,
+    check_problem,
     constants_for_problem,
     est_pair,
     half_atoms,
@@ -32,7 +36,7 @@ from .estimators import (
     sample_half_batch,
     snapshot_update,
 )
-from .problems import BilinearGame, VIProblem, eval_component, eval_full, random_feasible
+from .problems import BilinearGame, VIProblem, eval_full, random_feasible
 
 
 @dataclass(frozen=True)
@@ -170,16 +174,23 @@ def distance_to_solution(p: VIProblem, z: Vector) -> float:
 # Verification of the estimator contracts.
 
 
-def _snapshot_mean(kind: EstimatorKind, p: VIProblem, w: Vector) -> Vector:
-    """F(w) computed the way the running cache computes it."""
-    if kind.name in ("vr", "is", "qvr"):
-        return np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
-    return eval_full(p, w)
-
-
-def _test_states(p: VIProblem, n_points: int, seed: int):
+def _test_points(kind: EstimatorKind, p: VIProblem, n_points: int, seed: int):
+    """Random state pairs (z^{k+1/2}, w) with F(w) as the strategy caches it
+    (None without a snapshot) and the target F(z^{k+1/2})."""
+    if n_points < 1:
+        raise ValueError("need n_points >= 1")
     rng = rng_stream(seed, 5)
-    return [(random_feasible(p, rng), random_feasible(p, rng)) for _ in range(n_points)]
+    refresh = kind.strategy.refresh
+    for _ in range(n_points):
+        z_half, w = random_feasible(p, rng), random_feasible(p, rng)
+        fw = None if refresh is None else refresh(kind, p, w, CostLedger())
+        yield z_half, w, fw, eval_full(p, z_half)
+
+
+def _keep_worst(worst: dict, row: CheckRow) -> None:
+    """Keep the largest-slack row per lemma, or a failing one."""
+    if row.lemma not in worst or row.slack > worst[row.lemma].slack or not row.passed:
+        worst[row.lemma] = row
 
 
 def verify_unbiasedness(
@@ -197,12 +208,10 @@ def verify_unbiasedness(
     of four standard errors.  ``sampler`` replaces the draw routine, which
     lets a deliberately broken estimator serve as a negative control.
     """
-    rows = []
+    check_problem(kind, p)
     rng = rng_stream(seed, 6)
-    worst = None
-    for z_half, w in _test_states(p, n_points, seed):
-        fw = _snapshot_mean(kind, p, w)
-        target = eval_full(p, z_half)
+    worst = {}
+    for z_half, w, fw, target in _test_points(kind, p, n_points, seed):
         scale = 1.0 + float(np.linalg.norm(target))
         if n_samples == 0 and sampler is None:
             atoms = half_atoms(kind, p, z_half, w, fw)
@@ -222,11 +231,8 @@ def verify_unbiasedness(
             trace_cov = float(np.sum(batch.var(axis=0))) / n_samples
             rhs = 4.0 * math.sqrt(trace_cov) + 1e-12 * scale
             n = n_samples
-        row = _row("unbiased", kind.name, lhs, rhs, n, 0.0)
-        if worst is None or (row.slack > worst.slack) or (not row.passed):
-            worst = row
-    rows.append(worst)
-    return VerificationReport(rows)
+        _keep_worst(worst, _row("unbiased", kind.name, lhs, rhs, n, 0.0))
+    return VerificationReport(list(worst.values()))
 
 
 def _second_moment_rows_static(
@@ -240,22 +246,15 @@ def _second_moment_rows_static(
     rng = rng_stream(seed, 6)
     tol = 1e-9 if n_samples == 0 else 5.0 / math.sqrt(n_samples)
     worst = {}
-
-    def keep(key, row):
-        if key not in worst or row.slack > worst[key].slack or not row.passed:
-            worst[key] = row
-
-    for z_half, w in _test_states(p, n_points, seed):
+    for z_half, w, fw, target in _test_points(kind, p, n_points, seed):
         gap_sq = float(np.sum((z_half - w) ** 2))
-        target = eval_full(p, z_half)
-        if kind.name in ("fulldet", "noisy"):
+        if kind.strategy.anchor == FRESH:
             # tau = 0 for these, so the anchor w is the current iterate
             s2 = kind.sigma**2
             diff_lhs = float(np.sum((target - eval_full(p, w)) ** 2)) + 2.0 * s2
-            keep("diff", _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, 0, 1e-9))
-            keep("res", _row("residual-second-moment", kind.name, s2, c.E * gap_sq + c.D3, 0, 1e-9))
+            _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, 0, 1e-9))
+            _keep_worst(worst, _row("residual-second-moment", kind.name, s2, c.E * gap_sq + c.D3, 0, 1e-9))
             continue
-        fw = _snapshot_mean(kind, p, w)
         if n_samples == 0:
             atoms = half_atoms(kind, p, z_half, w, fw)
             diff_lhs = sum(prob * float(np.sum((val - fw) ** 2)) for prob, val in atoms)
@@ -266,9 +265,9 @@ def _second_moment_rows_static(
             diff_lhs = float(np.mean(np.sum((batch - fw) ** 2, axis=1)))
             res_lhs = float(np.mean(np.sum((batch - target) ** 2, axis=1)))
             n = n_samples
-        keep("diff", _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, n, tol))
-        keep("res", _row("residual-second-moment", kind.name, res_lhs, c.E * gap_sq + c.D3, n, tol))
-    return [worst["diff"], worst["res"]]
+        _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, n, tol))
+        _keep_worst(worst, _row("residual-second-moment", kind.name, res_lhs, c.E * gap_sq + c.D3, n, tol))
+    return list(worst.values())
 
 
 def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, seed: int) -> list:
@@ -287,19 +286,11 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
     coin = rng_stream(seed, 7)
     z = random_feasible(p, rng)
     state = init_estimator(kind, p, z, rng)
-
     halves = []
-    ws = []
-    rows = []
     worst = {}
-
-    def keep(key, row):
-        if key not in worst or row.slack > worst[key].slack or not row.passed:
-            worst[key] = row
-
     sigma_prev = None
     for _ in range(n_points + 2):
-        ws.append(z.copy())
+        w_k = z.copy()
         g_k, g_half, z_half = est_pair(state, p, z, z, p.prox, gamma, rng)
         halves.append(z_half)
         z = prox_eval(p.prox, gamma, z - gamma * g_half)
@@ -309,18 +300,13 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
             f_curr = eval_full(p, halves[-1])
             sigma_sq = float(np.sum((f_prev - f_curr) ** 2))
             diff_lhs = sigma_sq + 2.0 * s2
-            keep("diff", _row("diff-second-moment", kind.name, diff_lhs, c.B * sigma_sq + c.D1, 0, 1e-9))
+            _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.B * sigma_sq + c.D1, 0, 1e-9))
             if s2 == 0.0 and sigma_prev is not None:
-                w_k = ws[-1]
                 move_sq = float(np.sum((halves[-1] - w_k) ** 2))
                 rhs = (1.0 - c.rho) * sigma_prev + c.C * move_sq + c.D2
-                keep("recur", _row("sigma-recursion", kind.name, sigma_sq, rhs, 0, 1e-9))
+                _keep_worst(worst, _row("sigma-recursion", kind.name, sigma_sq, rhs, 0, 1e-9))
             sigma_prev = sigma_sq
-    rows.append(worst["diff"])
-    if "recur" in worst:
-        rows.append(worst["recur"])
-    rows.append(_row("residual-second-moment", kind.name, s2, c.D3, 0, 1e-9))
-    return rows
+    return list(worst.values()) + [_row("residual-second-moment", kind.name, s2, c.D3, 0, 1e-9)]
 
 
 def verify_assumption2(
@@ -336,6 +322,7 @@ def verify_assumption2(
     (A, B, D1), the residual bound (E, D3), and for the stored-half-step
     strategy the memory recursion (rho, C, D2).
     """
-    if kind.name == "past":
+    check_problem(kind, p)
+    if kind.strategy.anchor == PAST:
         return VerificationReport(_second_moment_rows_past(kind, p, n_points, seed))
     return VerificationReport(_second_moment_rows_static(kind, p, n_points, n_samples, seed))

@@ -37,7 +37,6 @@ class VIProblem:
     D: float = 0.0
     mu_F: float = 0.0
     mu_h: float = 0.0
-    noise_sigma: float = 0.0
     L_m: np.ndarray | None = None
     D_m: np.ndarray | None = None
     known_solution: np.ndarray | None = None

@@ -25,6 +25,8 @@ import numpy as np
 
 from .core import RngStream, Vector, prox_eval, rng_stream
 from .estimators import (
+    FRESH,
+    PAST,
     AssumptionConstants,
     EstimatorKind,
     EstimatorState,
@@ -113,25 +115,26 @@ def step_size_bound(
     (1-tau)/(4(mu_F+mu_h))} with T = 4B/rho; monotone: gamma <=
     sqrt(1-tau)/(2*sqrt(2A+TC+E)) with T = 2B/rho.  The direct-oracle
     strategies use their sharper dedicated bounds (recovering L from the
-    constants table): 1/(6L) and 1/(3L) for fulldet/noisy, and the stored
-    half-step rule min{1/(12*sqrt(2)*L), 1/(3L)} for past.
+    constants table): 1/(6L) and 1/(3L) when g^k is a fresh oracle sample
+    (fulldet/noisy), and the stored half-step rule min{1/(12*sqrt(2)*L),
+    1/(3L)} when it is the previous half step's (past).
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if not 0.0 <= tau < 1.0:
         raise ValueError("need 0 <= tau < 1")
     c = constants
-    name = kind.name
+    anchor = kind.strategy.anchor
     mu = mu_F + mu_h
 
     if regime == "sm":
         if mu <= 0:
             raise ValueError("strongly monotone regime needs mu_F + mu_h > 0")
         T = 4.0 * c.B / c.rho if c.B > 0 else 0.0
-        if name in ("fulldet", "noisy"):
+        if anchor == FRESH:
             L = math.sqrt(c.A / 3.0)
             gamma = min(_safe_div(1.0, 6.0 * L), 1.0 / (4.0 * mu))
-        elif name == "past":
+        elif anchor == PAST:
             L = math.sqrt(c.C / 2.0)
             gamma = min(
                 _safe_div(1.0, 12.0 * math.sqrt(2.0) * L),
@@ -146,10 +149,10 @@ def step_size_bound(
         return gamma, T
 
     T = 2.0 * c.B / c.rho if c.B > 0 else 0.0
-    if name in ("fulldet", "noisy"):
+    if anchor == FRESH:
         L = math.sqrt(c.A / 3.0)
         gamma = _safe_div(1.0, 3.0 * L)
-    elif name == "past":
+    elif anchor == PAST:
         L = math.sqrt(c.C / 2.0)
         gamma = min(_safe_div(1.0, 12.0 * math.sqrt(2.0) * L), _safe_div(1.0, 3.0 * L))
     else:
@@ -187,16 +190,6 @@ def lyapunov_value(
     dz = float(np.sum((z - z_star) ** 2))
     dw = float(np.sum((w - z_star) ** 2))
     return tau * dz + dw + T * gamma * gamma * sigma_sq
-
-
-def averaged_iterate(z_halves) -> Vector:
-    """Mean of the recorded half iterates (rows of a 2d array, or a list)."""
-    arr = np.asarray(z_halves, dtype=float)
-    if arr.ndim == 1:
-        return arr.copy()
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("need at least one iterate")
-    return arr.mean(axis=0)
 
 
 def _gap_supported(p: VIProblem) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from vistep import (
     EstimatorKind,
     Quantizer,
+    SolverConfig,
     assumption_constants,
     constants_for_problem,
     coord,
@@ -34,10 +35,13 @@ from vistep import (
     qvr,
     random_feasible,
     rng_stream,
+    run_solver,
     snapshot_update,
+    verify_assumption2,
+    verify_unbiasedness,
     vr,
 )
-from vistep.estimators import SNAPSHOT_KINDS, half_atoms, sample_half_batch
+from vistep.estimators import SNAPSHOT_KINDS, STRATEGIES, half_atoms, sample_half_batch
 
 
 def pvb3():
@@ -151,6 +155,15 @@ def test_estimator_kind_validation():
         EstimatorKind("local", tau_split=0.0)
     with pytest.raises(ValueError):
         EstimatorKind("local", tau_split=1.0)
+    # a parameter the strategy does not read is rejected, not ignored
+    with pytest.raises(ValueError, match="does not read sigma"):
+        EstimatorKind("fulldet", sigma=0.5)
+    with pytest.raises(ValueError, match="does not read sigma"):
+        EstimatorKind("vr", sigma=0.5)
+    with pytest.raises(ValueError, match="does not read quantizer"):
+        EstimatorKind("vr", quantizer=Quantizer("identity"))
+    with pytest.raises(ValueError, match="does not read tau_split"):
+        EstimatorKind("coord", tau_split=0.5)
     assert importance((0.5, 0.3, 0.2)).weights == (0.5, 0.3, 0.2)
 
 
@@ -160,6 +173,45 @@ def test_init_estimator_guards():
         init_estimator(local(0.5), p, initial_point(p, 0), rng_stream(0, 0))
     with pytest.raises(ValueError):
         init_estimator(importance((0.5, 0.5)), p, initial_point(p, 0), rng_stream(0, 0))
+
+
+def test_quantizer_dimension_mismatch_fails_fast_everywhere():
+    # a randk quantizer built for d=6 on a d=12 problem: the solver and both
+    # verifiers (exact and Monte Carlo) raise the same error naming both sizes
+    p = gen_quadratic_vi(12, 0.1, 1.0)
+    kind = quant(Quantizer("randk", k=2, d=6))
+    message = "quantizer dimension 6 does not match problem dimension 12"
+    with pytest.raises(ValueError, match=message):
+        run_solver(p, SolverConfig(kind, K=5))
+    with pytest.raises(ValueError, match=message):
+        verify_unbiasedness(kind, p, n_points=2)
+    with pytest.raises(ValueError, match=message):
+        verify_unbiasedness(kind, p, n_points=2, n_samples=100)
+    with pytest.raises(ValueError, match=message):
+        verify_assumption2(kind, p, n_points=2)
+    with pytest.raises(ValueError, match=message):
+        verify_assumption2(kind, p, n_points=2, n_samples=100)
+
+
+def test_solver_and_verifier_share_the_correction(monkeypatch):
+    # halving coord's coordinate term biases the estimate: the solver's
+    # trajectory moves and the exact unbiasedness check fails, because both
+    # run the strategy's one correction
+    p = pvb3()
+    config = SolverConfig(coord(), K=30, seed=4)
+    before = run_solver(p, config)
+    assert verify_unbiasedness(coord(), p, n_points=2).all_pass
+
+    original = STRATEGIES["coord"].correct
+
+    def halved(kind, p, o, rows, fw):
+        return fw + 0.5 * (original(kind, p, o, rows, fw) - fw)
+
+    broken = dataclasses.replace(STRATEGIES["coord"], correct=halved)
+    monkeypatch.setitem(STRATEGIES, "coord", broken)
+    after = run_solver(p, config)
+    assert not np.array_equal(after.z_final, before.z_final)
+    assert not verify_unbiasedness(coord(), p, n_points=2).all_pass
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from vistep import (
     SolverConfig,
     VIProblem,
     assumption_constants,
-    averaged_iterate,
     constants_for_problem,
     coord,
     est_pair,
@@ -168,17 +167,6 @@ def test_lyapunov_value_arithmetic():
     w = np.array([0.0, 2.0])
     got = lyapunov_value(z, w, 4.0, z_star, tau=0.5, gamma=0.01, T=36.0)
     assert got == pytest.approx(0.5 * 1.0 + 4.0 + 36.0 * 1e-4 * 4.0, rel=1e-12)
-
-
-def test_averaged_iterate_shapes():
-    np.testing.assert_allclose(averaged_iterate([[1.0, 2.0], [3.0, 4.0]]), [2.0, 3.0], atol=1e-15)
-    v = np.array([1.0, 5.0])
-    out = averaged_iterate(v)
-    np.testing.assert_array_equal(out, v)
-    out[0] = 7.0
-    assert v[0] == 1.0
-    with pytest.raises(ValueError):
-        averaged_iterate(np.zeros((0, 3)))
 
 
 def test_solver_config_validation():
