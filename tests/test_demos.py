@@ -1,0 +1,39 @@
+"""Golden digests of the demos' printed output.
+
+Each script in ``demos/`` runs in its own interpreter with ``src`` on the
+path; it must exit 0 and print exactly the pinned bytes.  The demos are
+deterministic, so a change to any digest must be intentional and recorded
+in CHANGES.md together with the new digest.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DIGESTS = {
+    "estimator_showdown.py": "a9322ad4ac437629a94a2853f47d92b55dc01ba92c40e0a3f280a852af5bf485",
+    "local_mixing.py": "f60b6b8a1300053e12b91bc36cc243d457f2d0f55b3cd40fbdb09263257f1466",
+    "policeman_burglar.py": "d80819187d1c8fbbd8db6a41c1f4e2f0290611af5c11ec0c7e4d4e3cdd8b5758",
+    "strongly_monotone_rates.py": "00e6b9ded314c34b769344e97c78da3f9a535f9442712829577e6f809a76f618",
+    "verify_constants.py": "bb798c4c625cbb8aa01f718f0f1c3aa920b5fabb90e29b2d0a96184479cd5d83",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("script", sorted(DIGESTS))
+def test_demo_output_digest(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env, capture_output=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[script]
