@@ -34,7 +34,7 @@ strategies = [
 
 print(f"{'check':>24} {'strategy':>9} {'lhs':>11} {'rhs':>11} {'slack':>7} {'n':>6} pass")
 for kind in strategies:
-    n_mc = 20000 if kind.name in ("noisy", "past") else 0
+    n_mc = 20000 if kind.strategy.atoms is None else 0
     report = verify_unbiasedness(kind, p, n_points=5, n_samples=n_mc)
     report.extend(verify_assumption2(kind, p, n_points=20))
     for r in report.rows:

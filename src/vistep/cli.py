@@ -171,6 +171,8 @@ def parse_config_text(text: str) -> Config:
             parsed = value
         if choices is not None and parsed not in choices:
             raise ConfigError(f"line {lineno}: {section}.{key} must be one of {', '.join(choices)}")
+        if (section, key) == ("verify", "n_samples") and (parsed == 1 or parsed < 0):
+            raise ConfigError(f"line {lineno}: verify.n_samples must be 0 or at least 2, got {parsed}")
         entries[(section, key)] = parsed
     return Config(entries=entries)
 
@@ -390,9 +392,7 @@ def cmd_verify(cfg: Config, out_path: str | None = None) -> int:
     report = VerificationReport(rows=[])
     for name in names:
         kind = build_estimator(cfg, p, name=name)
-        # strategies without a finite outcome set are checked by Monte Carlo
-        n_mc = n_samples if n_samples > 1 else (0 if kind.strategy.atoms else 4000)
-        report.extend(verify_unbiasedness(kind, p, n_points=n_points, n_samples=n_mc))
+        report.extend(verify_unbiasedness(kind, p, n_points=n_points, n_samples=n_samples))
         report.extend(verify_assumption2(kind, p, n_points=n_points, n_samples=n_samples))
     lines = [",".join(REPORT_COLUMNS)]
     for r in report.rows:

@@ -7,6 +7,7 @@ projection, independent of the prox scale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,14 @@ def project_simplex(v: Vector) -> Vector:
         raise ValueError("expected a nonempty 1-d vector")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
+    if not math.isfinite(css[-1]):
+        raise ValueError("cannot project a vector whose entries are not finite or whose sum overflows")
     j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * j > css)[0][-1]
+    support = np.nonzero(u * j > css)[0]
+    if support.size == 0:
+        # |u_1| >= 2^53 rounds u_1 - 1 to u_1; the projection is shift invariant
+        return project_simplex(v - u[0])
+    rho = support[-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 

@@ -593,13 +593,14 @@ def _batch(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, w: Vecto
 
 def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, w: Vector, fw: Vector | None):
     """All possible g^{k+1/2} values with their probabilities, for kinds
-    whose randomness is finite and enumerable.  Returns [(prob, value)]."""
+    whose randomness is finite and enumerable: (probs, values), one value
+    row per atom."""
     check_problem(kind, p)
     atoms = kind.strategy.atoms
     if atoms is None:
         raise ValueError(f"estimator kind {kind.name!r} is not enumerable")
     probs, outcomes = atoms(kind, p)
-    return list(zip(probs.tolist(), _batch(kind, p, outcomes, z_half, w, fw)))
+    return probs, _batch(kind, p, outcomes, z_half, w, fw)
 
 
 def sample_half_batch(

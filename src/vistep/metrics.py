@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Vector, prox_eval, rng_stream
+from .core import Vector, rng_stream
 from .estimators import (
     FRESH,
     PAST,
@@ -30,11 +30,9 @@ from .estimators import (
     EstimatorKind,
     check_problem,
     constants_for_problem,
-    est_pair,
     half_atoms,
     init_estimator,
     sample_half_batch,
-    snapshot_update,
 )
 from .problems import BilinearGame, VIProblem, eval_full, random_feasible
 
@@ -91,16 +89,8 @@ def duality_gap_bilinear(game: BilinearGame, z: Vector) -> float:
 
 
 def _simplex_vertices(blocks) -> list[np.ndarray]:
-    d = sum(blocks)
-    verts = []
-    for combo in product(*(range(b) for b in blocks)):
-        v = np.zeros(d)
-        start = 0
-        for b, i in zip(blocks, combo):
-            v[start + i] = 1.0
-            start += b
-        verts.append(v)
-    return verts
+    """Every vertex of the simplex product: one unit vector per block."""
+    return [np.concatenate(units) for units in product(*(np.eye(b) for b in blocks))]
 
 
 def restricted_gap_bruteforce(p: VIProblem, z: Vector) -> GapReport:
@@ -173,18 +163,50 @@ def distance_to_solution(p: VIProblem, z: Vector) -> float:
 # ---------------------------------------------------------------------------
 # Verification of the estimator contracts.
 
+MC_SAMPLES = 4000  # Monte Carlo draws when n_samples = 0 and the outcomes cannot be enumerated
+_BLOCK_ROWS = 256  # outcome rows per block of squared distances
 
-def _test_points(kind: EstimatorKind, p: VIProblem, n_points: int, seed: int):
+
+def _draws(kind: EstimatorKind, p: VIProblem, n_samples: int, sampler=None) -> int:
+    """Validate a verifier call; return 0 to enumerate the outcome atoms
+    (n_samples = 0, the strategy has atoms and no sampler replaces its
+    draw), else the number of Monte Carlo draws (n_samples, or MC_SAMPLES)."""
+    check_problem(kind, p)
+    if n_samples == 1 or n_samples < 0:
+        raise ValueError(f"need n_samples = 0 or n_samples >= 2, got {n_samples}")
+    if n_samples == 0 and (sampler is not None or kind.strategy.atoms is None):
+        return MC_SAMPLES
+    return n_samples
+
+
+def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int | None, seed: int, sampler=None):
     """Random state pairs (z^{k+1/2}, w) with F(w) as the strategy caches it
-    (None without a snapshot) and the target F(z^{k+1/2})."""
+    (None without a snapshot), the target F(z^{k+1/2}) and the outcome set
+    of g^{k+1/2}: (probs, values) over every atom when draws = 0, (None,
+    values) of that many Monte Carlo draws, or (None, None) when draws is
+    None."""
     if n_points < 1:
         raise ValueError("need n_points >= 1")
-    rng = rng_stream(seed, 5)
+    points, rng = rng_stream(seed, 5), rng_stream(seed, 6)
     refresh = kind.strategy.refresh
     for _ in range(n_points):
-        z_half, w = random_feasible(p, rng), random_feasible(p, rng)
+        z_half, w = random_feasible(p, points), random_feasible(p, points)
         fw = None if refresh is None else refresh(kind, p, w, CostLedger())
-        yield z_half, w, fw, eval_full(p, z_half)
+        probs = values = None
+        if draws == 0:
+            probs, values = half_atoms(kind, p, z_half, w, fw)
+        elif sampler is not None:
+            values = sampler(p, z_half, w, fw, rng, draws)
+        elif draws is not None:
+            values = sample_half_batch(kind, p, z_half, w, fw, rng, draws)
+        yield z_half, w, fw, eval_full(p, z_half), probs, values
+
+
+def _sq_dists(values: np.ndarray, ref: Vector) -> np.ndarray:
+    """|v - ref|^2 for each row v, a block of rows at a time, so no second
+    array of the values' size is made."""
+    blocks = range(0, len(values), _BLOCK_ROWS)
+    return np.concatenate([np.sum((values[i : i + _BLOCK_ROWS] - ref) ** 2, axis=1) for i in blocks])
 
 
 def _keep_worst(worst: dict, row: CheckRow) -> None:
@@ -203,71 +225,26 @@ def verify_unbiasedness(
 ) -> VerificationReport:
     """Check E[g^{k+1/2}] = F(z^{k+1/2}) at random state pairs.
 
-    n_samples = 0 enumerates the outcome atoms (exact, tolerance at float
-    precision); n_samples > 0 averages Monte Carlo draws against a bound
-    of four standard errors.  ``sampler`` replaces the draw routine, which
-    lets a deliberately broken estimator serve as a negative control.
+    n_samples = 0 enumerates the outcome atoms where the strategy has them
+    (exact, tolerance at float precision) and otherwise averages
+    MC_SAMPLES Monte Carlo draws; n_samples >= 2 averages that many draws.
+    Monte Carlo means are held to four standard errors.  ``sampler``
+    replaces the draw routine, which lets a deliberately broken estimator
+    serve as a negative control.
     """
-    check_problem(kind, p)
-    rng = rng_stream(seed, 6)
+    draws = _draws(kind, p, n_samples, sampler)
     worst = {}
-    for z_half, w, fw, target in _test_points(kind, p, n_points, seed):
+    for z_half, w, fw, target, probs, values in _outcome_sets(kind, p, n_points, draws, seed, sampler):
         scale = 1.0 + float(np.linalg.norm(target))
-        if n_samples == 0 and sampler is None:
-            atoms = half_atoms(kind, p, z_half, w, fw)
-            mean = sum(prob * val for prob, val in atoms)
-            lhs = float(np.linalg.norm(mean - target))
+        if probs is not None:
+            lhs = float(np.linalg.norm(np.einsum("i,ij->j", probs, values) - target))
             rhs = 1e-9 * scale
-            n = len(atoms)
         else:
-            if n_samples <= 1:
-                raise ValueError("Monte Carlo mode needs n_samples > 1")
-            if sampler is not None:
-                batch = sampler(p, z_half, w, fw, rng, n_samples)
-            else:
-                batch = sample_half_batch(kind, p, z_half, w, fw, rng, n_samples)
-            mean = batch.mean(axis=0)
-            lhs = float(np.linalg.norm(mean - target))
-            trace_cov = float(np.sum(batch.var(axis=0))) / n_samples
+            lhs = float(np.linalg.norm(values.mean(axis=0) - target))
+            trace_cov = float(np.sum(values.var(axis=0))) / len(values)
             rhs = 4.0 * math.sqrt(trace_cov) + 1e-12 * scale
-            n = n_samples
-        _keep_worst(worst, _row("unbiased", kind.name, lhs, rhs, n, 0.0))
+        _keep_worst(worst, _row("unbiased", kind.name, lhs, rhs, len(values), 0.0))
     return VerificationReport(list(worst.values()))
-
-
-def _second_moment_rows_static(
-    kind: EstimatorKind,
-    p: VIProblem,
-    n_points: int,
-    n_samples: int,
-    seed: int,
-) -> list:
-    c = constants_for_problem(kind, p)
-    rng = rng_stream(seed, 6)
-    tol = 1e-9 if n_samples == 0 else 5.0 / math.sqrt(n_samples)
-    worst = {}
-    for z_half, w, fw, target in _test_points(kind, p, n_points, seed):
-        gap_sq = float(np.sum((z_half - w) ** 2))
-        if kind.strategy.anchor == FRESH:
-            # tau = 0 for these, so the anchor w is the current iterate
-            s2 = kind.sigma**2
-            diff_lhs = float(np.sum((target - eval_full(p, w)) ** 2)) + 2.0 * s2
-            _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, 0, 1e-9))
-            _keep_worst(worst, _row("residual-second-moment", kind.name, s2, c.E * gap_sq + c.D3, 0, 1e-9))
-            continue
-        if n_samples == 0:
-            atoms = half_atoms(kind, p, z_half, w, fw)
-            diff_lhs = sum(prob * float(np.sum((val - fw) ** 2)) for prob, val in atoms)
-            res_lhs = sum(prob * float(np.sum((val - target) ** 2)) for prob, val in atoms)
-            n = len(atoms)
-        else:
-            batch = sample_half_batch(kind, p, z_half, w, fw, rng, n_samples)
-            diff_lhs = float(np.mean(np.sum((batch - fw) ** 2, axis=1)))
-            res_lhs = float(np.mean(np.sum((batch - target) ** 2, axis=1)))
-            n = n_samples
-        _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, n, tol))
-        _keep_worst(worst, _row("residual-second-moment", kind.name, res_lhs, c.E * gap_sq + c.D3, n, tol))
-    return list(worst.values())
 
 
 def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, seed: int) -> list:
@@ -277,8 +254,10 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
     pointwise along any trajectory run with gamma <= 1/(3L); the noise
     contributions enter both sides analytically.  The memory recursion is
     only a pointwise statement for a noise-free oracle, so that row is
-    emitted when sigma = 0.
+    emitted when sigma = 0.  The solver's own iteration runs at tau = 0.
     """
+    from .solver import iterate_once  # solver imports this module's gap
+
     c = constants_for_problem(kind, p)
     s2 = kind.sigma**2
     gamma = 1.0 / (3.0 * p.L)
@@ -286,26 +265,22 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
     coin = rng_stream(seed, 7)
     z = random_feasible(p, rng)
     state = init_estimator(kind, p, z, rng)
-    halves = []
     worst = {}
-    sigma_prev = None
+    f_prev = sigma_prev = None
     for _ in range(n_points + 2):
-        w_k = z.copy()
-        g_k, g_half, z_half = est_pair(state, p, z, z, p.prox, gamma, rng)
-        halves.append(z_half)
-        z = prox_eval(p.prox, gamma, z - gamma * g_half)
-        snapshot_update(state, z, 0.0, coin, p)
-        if len(halves) >= 2:
-            f_prev = eval_full(p, halves[-2])
-            f_curr = eval_full(p, halves[-1])
+        w_k = z
+        z, z_half = iterate_once(state, p, z, 0.0, gamma, rng, coin)
+        f_curr = eval_full(p, z_half)
+        if f_prev is not None:
             sigma_sq = float(np.sum((f_prev - f_curr) ** 2))
             diff_lhs = sigma_sq + 2.0 * s2
             _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.B * sigma_sq + c.D1, 0, 1e-9))
             if s2 == 0.0 and sigma_prev is not None:
-                move_sq = float(np.sum((halves[-1] - w_k) ** 2))
+                move_sq = float(np.sum((z_half - w_k) ** 2))
                 rhs = (1.0 - c.rho) * sigma_prev + c.C * move_sq + c.D2
                 _keep_worst(worst, _row("sigma-recursion", kind.name, sigma_sq, rhs, 0, 1e-9))
             sigma_prev = sigma_sq
+        f_prev = f_curr
     return list(worst.values()) + [_row("residual-second-moment", kind.name, s2, c.D3, 0, 1e-9)]
 
 
@@ -320,9 +295,31 @@ def verify_assumption2(
 
     Emits the worst-case row per inequality: the anchored-difference bound
     (A, B, D1), the residual bound (E, D3), and for the stored-half-step
-    strategy the memory recursion (rho, C, D2).
+    strategy the memory recursion (rho, C, D2).  n_samples as for
+    verify_unbiasedness; the strategies whose g^k is a fresh oracle sample
+    are checked analytically and the stored-half-step one along a
+    trajectory, so neither uses an outcome set.
     """
-    check_problem(kind, p)
-    if kind.strategy.anchor == PAST:
+    draws = _draws(kind, p, n_samples)
+    anchor = kind.strategy.anchor
+    if anchor == PAST:
         return VerificationReport(_second_moment_rows_past(kind, p, n_points, seed))
-    return VerificationReport(_second_moment_rows_static(kind, p, n_points, n_samples, seed))
+    c = constants_for_problem(kind, p)
+    s2 = kind.sigma**2
+    worst = {}
+    for z_half, w, fw, target, probs, values in _outcome_sets(
+        kind, p, n_points, None if anchor == FRESH else draws, seed
+    ):
+        gap_sq = float(np.sum((z_half - w) ** 2))
+        if values is None:
+            # tau = 0 for these, so the anchor w is the current iterate
+            diff_lhs, res_lhs, n, tol = float(np.sum((target - eval_full(p, w)) ** 2)) + 2.0 * s2, s2, 0, 1e-9
+        else:
+            diff_sq, res_sq, n = _sq_dists(values, fw), _sq_dists(values, target), len(values)
+            if probs is None:
+                diff_lhs, res_lhs, tol = float(np.mean(diff_sq)), float(np.mean(res_sq)), 5.0 / math.sqrt(n)
+            else:
+                diff_lhs, res_lhs, tol = sum((probs * diff_sq).tolist()), sum((probs * res_sq).tolist()), 1e-9
+        _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, n, tol))
+        _keep_worst(worst, _row("residual-second-moment", kind.name, res_lhs, c.E * gap_sq + c.D3, n, tol))
+    return VerificationReport(list(worst.values()))

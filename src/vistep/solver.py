@@ -43,6 +43,10 @@ REGIMES = ("mono", "sm")
 COST_COLUMNS = ("full_calls", "comp_calls", "coords", "bits", "comms", "local_steps")
 
 
+class DivergenceError(ArithmeticError):
+    """The iterate left the finite range; names the iteration and step size."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.  gamma=None takes the theory bound for the regime,
@@ -249,6 +253,8 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
     record(0)
     for k in range(1, rows):
         z, z_half = iterate_once(state, p, z, tau, gamma, est_rng, coin_rng)
+        if not np.isfinite(z).all():
+            raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}")
         half_sum += z_half
         half_count += 1
         last_half = z_half

@@ -83,6 +83,9 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("problem.kind = banana\n")
     with pytest.raises(ConfigError, match="must be one of"):
         parse_config_text("run.estimator = newton\n")
+    for n_samples in ("1", "-5"):
+        with pytest.raises(ConfigError, match="line 2: verify.n_samples must be 0 or at least 2"):
+            parse_config_text(f"verify.n_points = 2\nverify.n_samples = {n_samples}\n")
 
 
 def test_require_reports_missing_keys():
@@ -230,6 +233,18 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("problem.kind = quadratic\nproblem.d = 4\nproblem.mu = 3.0\nproblem.L = 1.0\n")
     assert main(["gen", "-c", str(bad)]) == 2
+    one_draw = tmp_path / "one_draw.cfg"
+    one_draw.write_text("problem.kind = pvb\nproblem.n = 2\nverify.estimators = vr\nverify.n_samples = 1\n")
+    assert main(["verify", "-c", str(one_draw)]) == 1
+    assert "line 4: verify.n_samples" in capsys.readouterr().err
+    diverging = tmp_path / "diverging.cfg"
+    diverging.write_text(
+        "problem.kind = quadratic\nproblem.d = 10\nproblem.mu = 0.1\nproblem.L = 1.0\n"
+        "run.estimator = fulldet\nrun.K = 1000\nrun.regime = sm\nrun.gamma = 5\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "-c", str(diverging), "-o", str(tmp_path / "d.csv")]) == 2
+    assert "error: iterate is not finite at k=311 with gamma=5" in capsys.readouterr().err
     good = tmp_path / "good.cfg"
     good.write_text("problem.kind = pvb\nproblem.n = 2\n")
     capsys.readouterr()

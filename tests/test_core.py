@@ -65,6 +65,20 @@ def test_project_simplex_rejects_bad_shapes():
         project_simplex(np.zeros(0))
 
 
+def test_project_simplex_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            project_simplex(np.array([0.2, bad, 0.5]))
+
+
+def test_project_simplex_of_huge_entries_is_the_top_vertex():
+    # at |v| >= 2^53 the threshold's -1 is lost to rounding; the projection
+    # of v equals that of v shifted by a constant
+    np.testing.assert_array_equal(project_simplex(np.array([-1e200, -3e199, 5e199])), [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(project_simplex(np.array([4e16, 4e16 + 8.0, 0.0])), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(project_simplex(np.array([1e300, 1e300])), [0.5, 0.5])
+
+
 def test_prox_spec_validation():
     assert FREE.free
     assert FREE.dim is None

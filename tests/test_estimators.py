@@ -370,7 +370,7 @@ def test_local_branch_expectation_recovers_operator():
     state = init_estimator(local(0.6), p, z0, rng)
     z_half = rng.normal(p.d)
     atoms = half_atoms(local(0.6), p, z_half, state.w, state.fw)
-    mean = sum(prob * val for prob, val in atoms)
+    mean = sum(prob * val for prob, val in zip(*atoms))
     np.testing.assert_allclose(mean, eval_full(p, z_half), atol=1e-12)
 
 
@@ -671,8 +671,8 @@ def test_half_atoms_probabilities_and_mean():
         if kind.name in ("coord", "quant"):
             fw = eval_full(p, w)
         atoms = half_atoms(kind, p, z_half, w, fw)
-        assert sum(prob for prob, _ in atoms) == pytest.approx(1.0, abs=1e-12)
-        mean = sum(prob * val for prob, val in atoms)
+        assert sum(prob for prob, _ in zip(*atoms)) == pytest.approx(1.0, abs=1e-12)
+        mean = sum(prob * val for prob, val in zip(*atoms))
         scale = 1.0 + np.linalg.norm(eval_full(p, z_half))
         assert np.linalg.norm(mean - eval_full(p, z_half)) <= 1e-10 * scale
 
@@ -694,7 +694,7 @@ def test_uniform_importance_equals_vr_atoms():
     fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     a_vr = half_atoms(vr(), p, z_half, w, fw)
     a_is = half_atoms(importance((1.0 / 3.0,) * 3), p, z_half, w, fw)
-    for (pa, va), (pb, vb) in zip(a_vr, a_is):
+    for (pa, va), (pb, vb) in zip(zip(*a_vr), zip(*a_is)):
         assert pa == pytest.approx(pb, abs=1e-15)
         np.testing.assert_allclose(va, vb, atol=1e-12)
 
@@ -709,7 +709,7 @@ def test_lipschitz_importance_is_degenerate_on_proportional_components():
     fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     weights = tuple(importance_weights(p.L_m))
     atoms = half_atoms(importance(weights), p, z_half, w, fw)
-    vals = np.stack([v for _, v in atoms])
+    vals = atoms[1]
     assert np.max(np.abs(vals - vals[0])) <= 1e-9
 
 
@@ -736,7 +736,7 @@ def test_sample_half_batch_rows_are_atoms():
         fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
         if kind.name in ("coord", "quant"):
             fw = eval_full(p, w)
-        atoms = np.stack([v for _, v in half_atoms(kind, p, z_half, w, fw)])
+        atoms = half_atoms(kind, p, z_half, w, fw)[1]
         batch = sample_half_batch(kind, p, z_half, w, fw, rng_stream(27, 0), 40)
         for row in batch:
             dist = np.min(np.max(np.abs(atoms - row), axis=1))
@@ -751,7 +751,7 @@ def test_sample_half_batch_component_frequencies():
     fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     n = 9000
     batch = sample_half_batch(vr(), p, z_half, w, fw, rng_stream(29, 0), n)
-    atoms = np.stack([v for _, v in half_atoms(vr(), p, z_half, w, fw)])
+    atoms = half_atoms(vr(), p, z_half, w, fw)[1]
     labels = np.array([int(np.argmin(np.max(np.abs(atoms - row), axis=1))) for row in batch])
     counts = np.bincount(labels, minlength=3)
     # uniform over 3 components, four standard errors around 3000

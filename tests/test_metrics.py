@@ -6,6 +6,7 @@ import pytest
 from vistep import (
     BilinearGame,
     CheckRow,
+    CostLedger,
     FREE,
     ProxSpec,
     Quantizer,
@@ -34,7 +35,8 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
-from vistep.estimators import sample_half_batch
+from vistep.estimators import half_atoms, sample_half_batch
+from vistep.metrics import MC_SAMPLES
 
 
 def two_by_two(mat):
@@ -198,6 +200,49 @@ def test_unbiasedness_monte_carlo_and_negative_control():
     assert not report.all_pass
     with pytest.raises(ValueError):
         verify_unbiasedness(noisy(0.7), p, n_samples=1)
+
+
+def test_exact_rows_equal_the_per_atom_loop_sums():
+    # the verifiers reduce over the atoms as arrays (qvr's 2448 atoms span
+    # several row blocks); the per-atom Python sums are the reference, bit for bit
+    p = pvb3()
+    for kind in (coord(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("randk", k=3, d=p.d))):
+        points = rng_stream(0, 5)
+        z_half, w = random_feasible(p, points), random_feasible(p, points)
+        fw = kind.strategy.refresh(kind, p, w, CostLedger())
+        target = eval_full(p, z_half)
+        probs, values = half_atoms(kind, p, z_half, w, fw)
+        atoms = list(zip(probs.tolist(), values))
+        mean = sum(prob * val for prob, val in atoms)
+        diff = sum(prob * float(np.sum((val - fw) ** 2)) for prob, val in atoms)
+        res = sum(prob * float(np.sum((val - target) ** 2)) for prob, val in atoms)
+        assert [r.lhs for r in verify_unbiasedness(kind, p, n_points=1).rows] == [np.linalg.norm(mean - target)]
+        assert [r.lhs for r in verify_assumption2(kind, p, n_points=1).rows] == [diff, res]
+
+
+def test_zero_samples_enumerates_or_draws_the_default():
+    p = pvb3()
+    assert [r.n for r in verify_unbiasedness(vr(), p, n_points=2).rows] == [p.M]
+    assert [r.n for r in verify_unbiasedness(noisy(0.7), p, n_points=2).rows] == [MC_SAMPLES]
+
+    def plain(problem, z_half, w, fw, rng, n):
+        return sample_half_batch(vr(), problem, z_half, w, fw, rng, n)
+
+    # a sampler replaces the draw, so its outcomes are drawn, not enumerated
+    report = verify_unbiasedness(vr(), p, n_points=2, sampler=plain)
+    assert report.all_pass
+    assert [r.n for r in report.rows] == [MC_SAMPLES]
+
+
+def test_both_verifiers_reject_one_or_negative_samples():
+    # one draw would hold the Monte Carlo moment rows to a 500% tolerance
+    p = pvb3()
+    for n_samples in (1, -2):
+        for kind in (vr(), coord(), noisy(0.7), past()):
+            with pytest.raises(ValueError, match="n_samples"):
+                verify_unbiasedness(kind, p, n_points=2, n_samples=n_samples)
+            with pytest.raises(ValueError, match="n_samples"):
+                verify_assumption2(kind, p, n_points=2, n_samples=n_samples)
 
 
 def test_assumption2_exact_modes():

@@ -1,0 +1,120 @@
+"""Property tests: the prox operators, the cost ledgers and the config
+round trip, on generated inputs."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from vistep import (
+    ProxSpec,
+    Quantizer,
+    SolverConfig,
+    coord,
+    fulldet,
+    gen_policeman_burglar,
+    importance,
+    noisy,
+    past,
+    project_simplex,
+    prox_eval,
+    quant,
+    qvr,
+    run_solver,
+    vr,
+)
+from vistep.cli import _SCHEMA, Config, parse_config_text
+from vistep.estimators import KINDS
+from vistep.solver import COST_COLUMNS
+
+PROPERTY = settings(max_examples=150, deadline=None)
+TOL = 1e-9
+
+entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+vectors = st.integers(1, 12).flatmap(lambda n: arrays(np.float64, n, elements=entries))
+block_lists = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+
+
+def pair_on(blocks):
+    """Two vectors of the blocks' total length."""
+    return arrays(np.float64, (2, sum(blocks)), elements=entries)
+
+
+def assert_on_simplices(x, blocks):
+    start = 0
+    for b in blocks:
+        part = x[start : start + b]
+        assert part.min() >= 0.0
+        assert abs(part.sum() - 1.0) <= TOL
+        start += b
+
+
+@PROPERTY
+@given(vectors)
+def test_projection_feasible_and_idempotent(v):
+    x = project_simplex(v)
+    assert_on_simplices(x, [len(v)])
+    np.testing.assert_allclose(project_simplex(x), x, rtol=0.0, atol=TOL)
+
+
+@PROPERTY
+@given(block_lists.flatmap(lambda blocks: st.tuples(st.just(blocks), pair_on(blocks))))
+def test_prox_feasible_idempotent_and_nonexpansive(case):
+    blocks, (a, b) = case
+    spec = ProxSpec(tuple(blocks))
+    pa, pb = prox_eval(spec, 0.5, a), prox_eval(spec, 0.5, b)
+    assert_on_simplices(pa, blocks)
+    np.testing.assert_allclose(prox_eval(spec, 2.0, pa), pa, rtol=0.0, atol=TOL)
+    assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + TOL
+
+
+GAME = gen_policeman_burglar(2, seed=3)
+KIND_CHOICES = (
+    fulldet(),
+    noisy(0.1),
+    past(0.1),
+    vr(),
+    coord(),
+    quant(Quantizer("randk", k=3, d=GAME.d)),
+    qvr(Quantizer("randk", k=3, d=GAME.d)),
+    importance((0.3, 0.7)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KIND_CHOICES), st.integers(0, 2**16), st.integers(0, 12), st.sampled_from([0.0, 0.5, None]))
+def test_cost_ledgers_never_decrease(kind, seed, K, tau):
+    trace = run_solver(GAME, SolverConfig(kind=kind, K=K, seed=seed, tau=tau, gap_every=50))
+    for name in COST_COLUMNS:
+        assert np.all(np.diff(getattr(trace, name)) >= 0), name
+
+
+def schema_values(key):
+    """Values of one config key that the parser accepts."""
+    typ, choices = _SCHEMA[key]
+    if choices is not None:
+        return st.sampled_from(choices)
+    if key == ("verify", "n_samples"):
+        return st.just(0) | st.integers(min_value=2)
+    if typ == "int":
+        return st.integers()
+    floats = st.floats(allow_nan=False)
+    if typ == "float_or_auto":
+        return st.none() | floats
+    if typ == "float":
+        return floats
+    return st.lists(st.sampled_from(KINDS), max_size=4).map(",".join)
+
+
+configs = st.lists(st.sampled_from(sorted(_SCHEMA)), unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: schema_values(key) for key in keys})
+)
+
+
+@PROPERTY
+@given(configs)
+def test_echo_lines_round_trip(entries):
+    cfg = Config(entries=entries)
+    again = parse_config_text("\n".join(cfg.echo_lines()))
+    assert again.entries == entries
+    assert again.echo_lines() == cfg.echo_lines()

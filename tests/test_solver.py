@@ -7,6 +7,7 @@ import pytest
 
 from vistep import (
     FREE,
+    DivergenceError,
     QuadraticOperator,
     SolverConfig,
     VIProblem,
@@ -159,6 +160,26 @@ def test_feasibility_of_final_iterates():
         assert abs(z[:9].sum() - 1.0) <= 1e-10
         assert abs(z[9:].sum() - 1.0) <= 1e-10
         assert z.min() >= -1e-15
+
+
+def test_divergence_fails_fast_naming_iteration_and_step():
+    # gamma = 5 is far above the 1/(6L) bound: the iterate overflows at k = 311
+    # and the trace would otherwise fill with NaN
+    q = gen_quadratic_vi(10, 0.1, 1.0, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=r"not finite at k=311 with gamma=5$"):
+            run_solver(q, SolverConfig(kind=fulldet(), K=1000, regime="sm", gamma=5.0))
+        assert np.isfinite(run_solver(q, SolverConfig(kind=fulldet(), K=310, regime="sm", gamma=5.0)).z_final).all()
+
+
+def test_huge_step_on_the_simplex_stays_feasible():
+    # gamma = 1e200 puts the pre-projection points near 1e200: the projection
+    # still lands on the simplex product, so nothing diverges
+    p = gen_policeman_burglar(3)
+    trace = run_solver(p, SolverConfig(kind=fulldet(), K=10, gamma=1e200))
+    for z in (trace.z_final, trace.w_final, trace.z_avg):
+        assert z[:9].sum() == 1.0 and z[9:].sum() == 1.0
+        assert z.min() >= 0.0
 
 
 def test_lyapunov_value_arithmetic():
