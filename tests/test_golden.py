@@ -1,9 +1,10 @@
-"""Golden digests: the CLI's trace and report bytes for small fixed configs.
+"""Golden digests: the CLI's output bytes for small fixed configs.
 
 Every strategy is run through ``vistep run`` and the contract checks
-through ``vistep verify``; the sha256 of each output file is pinned.  A
-change to any of these bytes must be intentional and recorded in
-CHANGES.md together with the new digest.
+through ``vistep verify``; the sha256 of each output file is pinned, as
+is that of a ``vistep sweep`` table and of the text ``vistep report`` and
+``vistep gen`` print.  A change to any of these bytes must be intentional
+and recorded in CHANGES.md together with the new digest.
 """
 
 import hashlib
@@ -81,6 +82,21 @@ VERIFY = {
     "verify-mixing-mc": MIXING + "verify.estimators = local\nverify.n_points = 2\nverify.n_samples = 500\n",
 }
 
+# every game strategy in one table; the game has no known solution, so the
+# dist_sq and lyapunov columns are NaN
+SWEEP = GAME.format(quantizer="randk", weights="lipschitz") + (
+    "sweep.estimators = fulldet,noisy,past,vr,is,coord,quant,qvr\n"
+)
+
+# `vistep report` on a trace with gap columns and on one with NaN gaps
+REPORTS = {"report-game": "game-vr", "report-quad": "quad-fulldet"}
+
+GEN = {
+    "gen-pvb": GAME.format(quantizer="identity", weights="uniform"),
+    "gen-quad": QUADRATIC,
+    "gen-mixing": MIXING,
+}
+
 DIGESTS = {
     "game-fulldet": "79258b0e10c14cecc2478adcdc251bc675f3b3ab8da2a9528eaa23a74935098c",
     "game-noisy": "b2a7d8d9733c4202141a984bd02e33c0851b01f1c73afa46fe8c2317707f9785",
@@ -102,6 +118,12 @@ DIGESTS = {
     "verify-mixing": "0ce8477aebb7ea4f877ffc97a7fba95f17649676805f2d8bd6e0dd3d7fc0cff9",
     "verify-game-mc": "03ed0c1763f0726672bfafba5ef93dabee4b2936c3cd8560bd8f3f05264dbf37",
     "verify-mixing-mc": "dfc887ef94ff183b607f348701b35e166040c47a41b2b5d4736c7383d6c7880f",
+    "sweep-game": "b4c615bcb8eb792b9ff2f24f24cfb8ffa7e0df80c0162913fb12fb48aa6430ee",
+    "report-game": "eb24341bff85643f5a2cfde4e8675f58526af28e4f346b531d75551dc5b7716c",
+    "report-quad": "52d89603c809de23e549a9b3460f38a9d794ba8a5172be9274f994b0e9371432",
+    "gen-pvb": "ec704a4b3b8c63eb8aa41901fbc731c64b31f673b6e74bdaf2ede08453d24dcf",
+    "gen-quad": "10b3f8017462cf08a379fd69dd28fb99f7229c87d087ff7a0887b39a187b1e1e",
+    "gen-mixing": "bfbae955fa610a8ad23406b3462e08516f2825bcb504b6179d52ee32a4c51a1a",
 }
 
 
@@ -131,3 +153,30 @@ def test_verify_report_digest(tmp_path, label):
     out = tmp_path / "report.csv"
     assert main(["verify", "-c", str(cfg), "-o", str(out)]) == 0
     assert sha256_of(out) == DIGESTS[label]
+
+
+def test_sweep_table_digest(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP, encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out)]) == 0
+    assert sha256_of(out) == DIGESTS["sweep-game"]
+
+
+@pytest.mark.parametrize("label", sorted(REPORTS))
+def test_report_stdout_digest(tmp_path, capsys, label):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_config(REPORTS[label]), encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    assert main(["run", "-c", str(cfg), "-o", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["report", "-i", str(trace)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(GEN))
+def test_gen_stdout_digest(tmp_path, capsys, label):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(GEN[label], encoding="utf-8")
+    assert main(["gen", "-c", str(cfg)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIGESTS[label]
