@@ -119,48 +119,34 @@ def step_size_bound(
     (1-tau)/(4(mu_F+mu_h))} with T = 4B/rho; monotone: gamma <=
     sqrt(1-tau)/(2*sqrt(2A+TC+E)) with T = 2B/rho.  The direct-oracle
     strategies use their sharper dedicated bounds (recovering L from the
-    constants table): 1/(6L) and 1/(3L) when g^k is a fresh oracle sample
-    (fulldet/noisy), and the stored half-step rule min{1/(12*sqrt(2)*L),
-    1/(3L)} when it is the previous half step's (past).
+    constants table): 1/(6L) (strongly monotone) and 1/(3L) (monotone) when
+    g^k is a fresh oracle sample (fulldet/noisy), and the stored half-step
+    rule min{1/(12*sqrt(2)*L), 1/(3L)} when it is the previous half step's
+    (past); their strongly monotone cap is 1/(4(mu_F+mu_h)).
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if not 0.0 <= tau < 1.0:
         raise ValueError("need 0 <= tau < 1")
+    sm = regime == "sm"
+    mu = mu_F + mu_h
+    if sm and mu <= 0:
+        raise ValueError("strongly monotone regime needs mu_F + mu_h > 0")
     c = constants
     anchor = kind.strategy.anchor
-    mu = mu_F + mu_h
-
-    if regime == "sm":
-        if mu <= 0:
-            raise ValueError("strongly monotone regime needs mu_F + mu_h > 0")
-        T = 4.0 * c.B / c.rho if c.B > 0 else 0.0
-        if anchor == FRESH:
-            L = math.sqrt(c.A / 3.0)
-            gamma = min(_safe_div(1.0, 6.0 * L), 1.0 / (4.0 * mu))
-        elif anchor == PAST:
-            L = math.sqrt(c.C / 2.0)
-            gamma = min(
-                _safe_div(1.0, 12.0 * math.sqrt(2.0) * L),
-                1.0 / (4.0 * mu),
-                _safe_div(1.0, 3.0 * L),
-            )
-        else:
-            gamma = min(
-                _safe_div(math.sqrt(1.0 - tau), 2.0 * math.sqrt(2.0 * c.A + T * c.C)),
-                (1.0 - tau) / (4.0 * mu),
-            )
-        return gamma, T
-
-    T = 2.0 * c.B / c.rho if c.B > 0 else 0.0
+    T = (4.0 if sm else 2.0) * c.B / c.rho if c.B > 0 else 0.0
+    # each anchor's rule, and the numerator of its mu cap
     if anchor == FRESH:
         L = math.sqrt(c.A / 3.0)
-        gamma = _safe_div(1.0, 3.0 * L)
+        gamma, room = _safe_div(1.0, (6.0 if sm else 3.0) * L), 1.0
     elif anchor == PAST:
         L = math.sqrt(c.C / 2.0)
-        gamma = min(_safe_div(1.0, 12.0 * math.sqrt(2.0) * L), _safe_div(1.0, 3.0 * L))
+        gamma, room = min(_safe_div(1.0, 12.0 * math.sqrt(2.0) * L), _safe_div(1.0, 3.0 * L)), 1.0
     else:
-        gamma = _safe_div(math.sqrt(1.0 - tau), 2.0 * math.sqrt(2.0 * c.A + T * c.C + c.E))
+        E = 0.0 if sm else c.E
+        gamma, room = _safe_div(math.sqrt(1.0 - tau), 2.0 * math.sqrt(2.0 * c.A + T * c.C + E)), 1.0 - tau
+    if sm:
+        gamma = min(gamma, room / (4.0 * mu))
     return gamma, T
 
 
