@@ -1,8 +1,9 @@
 """Command line front end.
 
 Config files are plain text, one ``section.key = value`` per line, with
-``#`` comments and blank lines ignored.  Unknown keys are rejected with
-their line number; ``auto`` asks for the built-in rule where a numeric
+``#`` comments and blank lines ignored.  Unknown keys, malformed values
+and integers below their key's least value are rejected with their line
+number; ``auto`` asks for the built-in rule where a numeric
 override is allowed (step size, momentum, local split).
 
 Commands:
@@ -29,22 +30,11 @@ import numpy as np
 from .estimators import KINDS, STRATEGIES, EstimatorKind, Quantizer, importance_weights, optimal_tau
 from .metrics import VerificationReport, verify_assumption2, verify_unbiasedness
 from .problems import VIProblem, gen_mixing_vi, gen_policeman_burglar, gen_quadratic_vi
-from .solver import RunTrace, SolverConfig, run_solver
+from .solver import COST_COLUMNS, RunTrace, SolverConfig, run_solver
 
-TRACE_COLUMNS = (
-    "k",
-    "full_calls",
-    "comp_calls",
-    "coords",
-    "bits",
-    "comms",
-    "local_steps",
-    "dist_sq",
-    "lyapunov",
-    "gap_last",
-    "gap_avg",
-)
-_INT_COLUMNS = TRACE_COLUMNS[:7]
+_INT_COLUMNS = ("k",) + COST_COLUMNS
+_FLOAT_COLUMNS = ("dist_sq", "lyapunov", "gap_last", "gap_avg")
+TRACE_COLUMNS = _INT_COLUMNS + _FLOAT_COLUMNS
 
 REPORT_COLUMNS = ("lemma", "variant", "lhs", "rhs", "slack", "n", "pass")
 
@@ -55,51 +45,39 @@ class ConfigError(Exception):
     pass
 
 
-# key -> (type, choices); type one of int, float, str, float_or_auto
+# key -> (type, rule, default).  type is one of int, float, str,
+# float_or_auto; the rule is the tuple of choices of a str key or the least
+# value of an int key (None: any value), and an int key also accepts its
+# default.  A default of None is auto for a float_or_auto key; any other key
+# without a default is required where it is read.
 _SCHEMA = {
-    ("problem", "kind"): ("str", ("pvb", "quadratic", "mixing")),
-    ("problem", "n"): ("int", None),
-    ("problem", "theta"): ("float", None),
-    ("problem", "sigma_w"): ("float", None),
-    ("problem", "seed"): ("int", None),
-    ("problem", "d"): ("int", None),
-    ("problem", "mu"): ("float", None),
-    ("problem", "L"): ("float", None),
-    ("problem", "workers"): ("int", None),
-    ("problem", "lambda"): ("float", None),
-    ("run", "estimator"): ("str", KINDS),
-    ("run", "K"): ("int", None),
-    ("run", "seed"): ("int", None),
-    ("run", "regime"): ("str", ("mono", "sm")),
-    ("run", "gamma"): ("float_or_auto", None),
-    ("run", "tau"): ("float_or_auto", None),
-    ("run", "gap_every"): ("int", None),
-    ("run", "sigma"): ("float", None),
-    ("run", "quantizer"): ("str", ("identity", "randk")),
-    ("run", "randk_k"): ("int", None),
-    ("run", "weights"): ("str", ("uniform", "lipschitz")),
-    ("run", "tau_split"): ("float_or_auto", None),
-    ("sweep", "estimators"): ("str", None),
-    ("verify", "estimators"): ("str", None),
-    ("verify", "n_points"): ("int", None),
-    ("verify", "n_samples"): ("int", None),
-}
-
-_DEFAULTS = {
-    ("problem", "theta"): 0.6,
-    ("problem", "sigma_w"): 3.0,
-    ("problem", "seed"): 0,
-    ("run", "seed"): 0,
-    ("run", "regime"): "mono",
-    ("run", "gamma"): None,
-    ("run", "tau"): None,
-    ("run", "gap_every"): 1,
-    ("run", "sigma"): 0.0,
-    ("run", "quantizer"): "identity",
-    ("run", "weights"): "uniform",
-    ("run", "tau_split"): None,
-    ("verify", "n_points"): 3,
-    ("verify", "n_samples"): 0,
+    ("problem", "kind"): ("str", ("pvb", "quadratic", "mixing"), None),
+    ("problem", "n"): ("int", 1, None),
+    ("problem", "theta"): ("float", None, 0.6),
+    ("problem", "sigma_w"): ("float", None, 3.0),
+    ("problem", "seed"): ("int", 0, 0),
+    ("problem", "d"): ("int", 1, None),
+    ("problem", "mu"): ("float", None, None),
+    ("problem", "L"): ("float", None, None),
+    ("problem", "workers"): ("int", 1, None),
+    ("problem", "lambda"): ("float", None, None),
+    ("run", "estimator"): ("str", KINDS, None),
+    ("run", "K"): ("int", 0, None),
+    ("run", "seed"): ("int", 0, 0),
+    ("run", "regime"): ("str", ("mono", "sm"), "mono"),
+    ("run", "gamma"): ("float_or_auto", None, None),
+    ("run", "tau"): ("float_or_auto", None, None),
+    ("run", "gap_every"): ("int", 1, 1),
+    ("run", "sigma"): ("float", None, 0.0),
+    ("run", "quantizer"): ("str", ("identity", "randk"), "identity"),
+    ("run", "randk_k"): ("int", 1, None),
+    ("run", "weights"): ("str", ("uniform", "lipschitz"), "uniform"),
+    ("run", "tau_split"): ("float_or_auto", None, None),
+    ("sweep", "estimators"): ("str", None, None),
+    ("verify", "estimators"): ("str", None, None),
+    ("verify", "n_points"): ("int", 1, 3),
+    # 0 enumerates the outcome atoms or draws the default batch
+    ("verify", "n_samples"): ("int", 2, 0),
 }
 
 
@@ -109,12 +87,8 @@ class Config:
 
     entries: dict
 
-    def get(self, section: str, key: str, default=None):
-        if (section, key) in self.entries:
-            return self.entries[(section, key)]
-        if (section, key) in _DEFAULTS:
-            return _DEFAULTS[(section, key)]
-        return default
+    def get(self, section: str, key: str):
+        return self.entries.get((section, key), _SCHEMA[(section, key)][2])
 
     def require(self, section: str, key: str):
         val = self.get(section, key)
@@ -153,26 +127,28 @@ def parse_config_text(text: str) -> Config:
             raise ConfigError(f"line {lineno}: key {lhs!r} is missing a section prefix")
         section, key = lhs.split(".", 1)
         if (section, key) not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
-        typ, choices = _SCHEMA[(section, key)]
+            raise ConfigError(f"line {lineno}: unknown key {lhs}")
+        typ, rule, default = _SCHEMA[(section, key)]
+        where = f"line {lineno}: {lhs}"
         if typ == "float_or_auto" and value == "auto":
             parsed = None
         elif typ == "int":
             try:
                 parsed = int(value)
             except ValueError:
-                raise ConfigError(f"line {lineno}: {section}.{key} needs an integer, got {value!r}")
-        elif typ in ("float", "float_or_auto"):
+                raise ConfigError(f"{where} needs an integer, got {value!r}")
+            if rule is not None and parsed < rule and parsed != default:
+                also = f"{default} or " if default is not None and default < rule else ""
+                raise ConfigError(f"{where} must be {also}at least {rule}, got {parsed}")
+        elif typ == "str":
+            if rule is not None and value not in rule:
+                raise ConfigError(f"{where} must be one of {', '.join(rule)}")
+            parsed = value
+        else:
             try:
                 parsed = float(value)
             except ValueError:
-                raise ConfigError(f"line {lineno}: {section}.{key} needs a number, got {value!r}")
-        else:
-            parsed = value
-        if choices is not None and parsed not in choices:
-            raise ConfigError(f"line {lineno}: {section}.{key} must be one of {', '.join(choices)}")
-        if (section, key) == ("verify", "n_samples") and (parsed == 1 or parsed < 0):
-            raise ConfigError(f"line {lineno}: verify.n_samples must be 0 or at least 2, got {parsed}")
+                raise ConfigError(f"{where} needs a number, got {value!r}")
         entries[(section, key)] = parsed
     return Config(entries=entries)
 
@@ -194,32 +170,22 @@ def build_problem(cfg: Config) -> VIProblem:
         return gen_policeman_burglar(
             n, theta=cfg.get("problem", "theta"), sigma_w=cfg.get("problem", "sigma_w"), seed=seed
         )
+    d, mu, L = (cfg.require("problem", key) for key in ("d", "mu", "L"))
     if kind == "quadratic":
-        return gen_quadratic_vi(
-            cfg.require("problem", "d"), cfg.require("problem", "mu"), cfg.require("problem", "L"), seed=seed
-        )
-    workers = cfg.require("problem", "workers")
-    base = [
-        gen_quadratic_vi(
-            cfg.require("problem", "d"), cfg.require("problem", "mu"), cfg.require("problem", "L"), seed=seed + m
-        )
-        for m in range(workers)
-    ]
+        return gen_quadratic_vi(d, mu, L, seed=seed)
+    base = [gen_quadratic_vi(d, mu, L, seed=seed + m) for m in range(cfg.require("problem", "workers"))]
     return gen_mixing_vi(base, cfg.require("problem", "lambda"))
 
 
 def _quantizer(cfg: Config, p: VIProblem, name: str) -> Quantizer:
     if cfg.get("run", "quantizer") != "randk":
         return Quantizer("identity")
-    k = cfg.get("run", "randk_k")
-    if k is None:
-        raise ConfigError("run.randk_k is required for the randk quantizer")
-    return Quantizer("randk", k=k, d=p.d)
+    return Quantizer("randk", k=cfg.require("run", "randk_k"), d=p.d)
 
 
 def _weights(cfg: Config, p: VIProblem, name: str) -> tuple[float, ...]:
     if cfg.get("run", "weights") != "lipschitz":
-        return tuple(float(x) for x in np.full(p.M, 1.0 / p.M))
+        return (1.0 / p.M,) * p.M
     if p.L_m is None:
         raise ConfigError("problem has no per-component constants for lipschitz weights")
     return tuple(float(x) for x in importance_weights(p.L_m))
@@ -273,25 +239,30 @@ class TraceFile:
     columns: dict
 
 
-def _trace_cell(name: str, row: int, trace: RunTrace) -> str:
-    arr = getattr(trace, name)
-    if name in _INT_COLUMNS:
-        return str(int(arr[row]))
-    return _fmt_float(arr[row])
+def _write_text(path: str | None, lines: list[str]) -> None:
+    """Write the lines, each ended by a newline, to a file or to stdout."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _trace_rows(trace: RunTrace, start: int = 0) -> list[str]:
+    """CSV rows of the trace from row ``start`` on, formatted column by column."""
+    cols = [[str(x) for x in getattr(trace, name)[start:].tolist()] for name in _INT_COLUMNS]
+    cols += [[f"{x:.17g}" for x in getattr(trace, name)[start:].tolist()] for name in _FLOAT_COLUMNS]
+    return [",".join(cells) for cells in zip(*cols)]
 
 
 def write_trace(path: str, trace: RunTrace, echo_lines) -> None:
     lines = ["# vistep trace", "# config-begin"]
     lines += [f"# {ln}" for ln in echo_lines]
     lines += ["# config-end"]
-    lines += [f"# gamma = {_fmt_float(trace.gamma)}"]
-    lines += [f"# tau = {_fmt_float(trace.tau)}"]
-    lines += [f"# T = {_fmt_float(trace.T)}"]
+    lines += [f"# {name} = {_fmt_float(getattr(trace, name))}" for name in ("gamma", "tau", "T")]
     lines += [",".join(TRACE_COLUMNS)]
-    for row in range(len(trace.k)):
-        lines.append(",".join(_trace_cell(name, row, trace) for name in TRACE_COLUMNS))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, lines + _trace_rows(trace))
 
 
 def read_trace(path: str) -> TraceFile:
@@ -317,34 +288,24 @@ def read_trace(path: str) -> TraceFile:
     header = body[0].split(",")
     if tuple(header) != TRACE_COLUMNS:
         raise ValueError(f"trace file {path} has unexpected columns {header}")
-    cols = {name: [] for name in TRACE_COLUMNS}
-    for ln in body[1:]:
-        parts = ln.split(",")
+    rows = [ln.split(",") for ln in body[1:]]
+    for ln, parts in zip(body[1:], rows):
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"trace file {path} has a malformed row: {ln!r}")
-        for name, tok in zip(TRACE_COLUMNS, parts):
-            cols[name].append(tok)
-    columns = {}
-    for name in TRACE_COLUMNS:
-        if name in _INT_COLUMNS:
-            columns[name] = np.array([int(t) for t in cols[name]], dtype=np.int64)
-        else:
-            columns[name] = np.array([float(t) for t in cols[name]])
+    cells = dict(zip(TRACE_COLUMNS, zip(*rows)))  # empty when there are no rows
+    columns = {name: np.array([int(t) for t in cells.get(name, ())], dtype=np.int64) for name in _INT_COLUMNS}
+    columns.update({name: np.array([float(t) for t in cells.get(name, ())]) for name in _FLOAT_COLUMNS})
     return TraceFile(config_text="\n".join(cfg_lines), columns=columns)
 
 
-def cmd_gen(cfg: Config, out=None) -> int:
-    out = sys.stdout if out is None else out
+def cmd_gen(cfg: Config) -> int:
     p = build_problem(cfg)
-    print(f"kind = {p.meta.get('kind', '?')}", file=out)
-    print(f"d = {p.d}", file=out)
-    print(f"M = {p.M}", file=out)
     blocks = "free" if p.prox.free else ",".join(str(b) for b in p.prox.blocks)
-    print(f"blocks = {blocks}", file=out)
-    print(f"L = {_fmt_float(p.L)}", file=out)
-    print(f"mu_F = {_fmt_float(p.mu_F)}", file=out)
+    lines = [f"kind = {p.meta.get('kind', '?')}", f"d = {p.d}", f"M = {p.M}", f"blocks = {blocks}"]
+    lines += [f"L = {_fmt_float(p.L)}", f"mu_F = {_fmt_float(p.mu_F)}"]
     if p.L_m is not None:
-        print(f"L_m = {' '.join(_fmt_float(x) for x in p.L_m)}", file=out)
+        lines.append(f"L_m = {' '.join(_fmt_float(x) for x in p.L_m)}")
+    _write_text(None, lines)
     return 0
 
 
@@ -356,25 +317,20 @@ def cmd_run(cfg: Config, out_path: str) -> int:
     return 0
 
 
-def _final_cells(name: str, trace: RunTrace) -> str:
-    if name in ("gamma", "tau"):
-        return _fmt_float(getattr(trace, name))
-    return _trace_cell(name, len(trace.k) - 1, trace)
+def _estimator_names(cfg: Config, section: str) -> list[str]:
+    names = [s.strip() for s in cfg.require(section, "estimators").split(",") if s.strip()]
+    if not names:
+        raise ConfigError(f"{section}.estimators is empty")
+    return names
 
 
 def cmd_sweep(cfg: Config, out_path: str) -> int:
     p = build_problem(cfg)
-    names = [s.strip() for s in cfg.require("sweep", "estimators").split(",") if s.strip()]
-    if not names:
-        raise ConfigError("sweep.estimators is empty")
     lines = [",".join(SWEEP_COLUMNS)]
-    for name in names:
-        kind = build_estimator(cfg, p, name=name)
-        trace = run_solver(p, build_solver_config(cfg, kind))
-        cells = [name] + [_final_cells(col, trace) for col in SWEEP_COLUMNS[1:]]
-        lines.append(",".join(cells))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for name in _estimator_names(cfg, "sweep"):
+        trace = run_solver(p, build_solver_config(cfg, build_estimator(cfg, p, name=name)))
+        lines.append(f"{name},{_fmt_float(trace.gamma)},{_fmt_float(trace.tau)},{_trace_rows(trace, -1)[0]}")
+    _write_text(out_path, lines)
     return 0
 
 
@@ -384,54 +340,30 @@ def exit_code_for(report: VerificationReport) -> int:
 
 def cmd_verify(cfg: Config, out_path: str | None = None) -> int:
     p = build_problem(cfg)
-    names = [s.strip() for s in cfg.require("verify", "estimators").split(",") if s.strip()]
-    if not names:
-        raise ConfigError("verify.estimators is empty")
     n_points = cfg.get("verify", "n_points")
     n_samples = cfg.get("verify", "n_samples")
     report = VerificationReport(rows=[])
-    for name in names:
+    for name in _estimator_names(cfg, "verify"):
         kind = build_estimator(cfg, p, name=name)
         report.extend(verify_unbiasedness(kind, p, n_points=n_points, n_samples=n_samples))
         report.extend(verify_assumption2(kind, p, n_points=n_points, n_samples=n_samples))
     lines = [",".join(REPORT_COLUMNS)]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.lemma,
-                    r.variant,
-                    _fmt_float(r.lhs),
-                    _fmt_float(r.rhs),
-                    _fmt_float(r.slack),
-                    str(r.n),
-                    "1" if r.passed else "0",
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        cells = [r.lemma, r.variant, _fmt_float(r.lhs), _fmt_float(r.rhs), _fmt_float(r.slack), str(r.n)]
+        lines.append(",".join(cells + ["1" if r.passed else "0"]))
+    _write_text(out_path, lines)
     return exit_code_for(report)
 
 
-def cmd_report(in_path: str, out=None) -> int:
-    out = sys.stdout if out is None else out
-    tf = read_trace(in_path)
-    k = tf.columns["k"]
-    last = len(k) - 1
-    print(f"rows = {len(k)}", file=out)
-    print(f"iterations = {int(k[last])}", file=out)
-    for name in _INT_COLUMNS[1:]:
-        print(f"{name} = {int(tf.columns[name][last])}", file=out)
-    for name in ("dist_sq", "lyapunov", "gap_last", "gap_avg"):
-        print(f"{name} = {_fmt_float(tf.columns[name][last])}", file=out)
-    finite = tf.columns["gap_avg"][np.isfinite(tf.columns["gap_avg"])]
+def cmd_report(in_path: str) -> int:
+    columns = read_trace(in_path).columns
+    lines = [f"rows = {len(columns['k'])}", f"iterations = {int(columns['k'][-1])}"]
+    lines += [f"{name} = {int(columns[name][-1])}" for name in COST_COLUMNS]
+    lines += [f"{name} = {_fmt_float(columns[name][-1])}" for name in _FLOAT_COLUMNS]
+    finite = columns["gap_avg"][np.isfinite(columns["gap_avg"])]
     if finite.size:
-        print(f"best_gap_avg = {_fmt_float(finite.min())}", file=out)
+        lines.append(f"best_gap_avg = {_fmt_float(finite.min())}")
+    _write_text(None, lines)
     return 0
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Vector, rng_stream
 from .estimators import (
@@ -146,6 +145,9 @@ def restricted_gap_ball(p: VIProblem, z: Vector, radius: float, center: Vector |
         if vnorm_sq(lo) <= radius * radius:
             v = Q @ (gh / (2.0 * lam_s + 2.0 * lo))
         else:
+            # scipy.optimize is slow to import and only this root find needs it
+            from scipy.optimize import brentq
+
             while vnorm_sq(hi) > radius * radius:
                 hi *= 2.0
             lam = brentq(lambda t: vnorm_sq(t) - radius * radius, lo, max(hi, lo * 2), xtol=1e-14, rtol=8.9e-16)

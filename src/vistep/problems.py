@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import FREE, ProxSpec, Vector, prox_eval, rng_stream
 
@@ -226,6 +225,8 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
     symmetric part is mu*I + alpha*P >= mu*I, so the strong monotonicity
     constant is mu by construction.
     """
+    if d < 1:
+        raise ValueError("need d >= 1")
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
     rng = rng_stream(seed, 0)
@@ -239,6 +240,9 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
     if L == mu:
         mat = mu * eye
     else:
+        # scipy.optimize is slow to import and only this root find needs it
+        from scipy.optimize import brentq
+
         N = S + P
 
         def excess(a):

@@ -86,6 +86,20 @@ def test_parse_errors_carry_line_numbers():
     for n_samples in ("1", "-5"):
         with pytest.raises(ConfigError, match="line 2: verify.n_samples must be 0 or at least 2"):
             parse_config_text(f"verify.n_points = 2\nverify.n_samples = {n_samples}\n")
+    below_least = {
+        "run.K = -1": "run.K must be at least 0, got -1",
+        "verify.n_points = 0": "verify.n_points must be at least 1, got 0",
+        "problem.d = 0": "problem.d must be at least 1, got 0",
+        "run.gap_every = 0": "run.gap_every must be at least 1, got 0",
+        "run.randk_k = 0": "run.randk_k must be at least 1, got 0",
+        "problem.n = 0": "problem.n must be at least 1, got 0",
+        "problem.workers = 0": "problem.workers must be at least 1, got 0",
+        "problem.seed = -3": "problem.seed must be at least 0, got -3",
+        "run.seed = -1": "run.seed must be at least 0, got -1",
+    }
+    for line, message in below_least.items():
+        with pytest.raises(ConfigError, match=f"line 2: {message}"):
+            parse_config_text(f"problem.kind = pvb\n{line}\n")
 
 
 def test_require_reports_missing_keys():
@@ -237,6 +251,10 @@ def test_main_exit_codes(tmp_path, capsys):
     one_draw.write_text("problem.kind = pvb\nproblem.n = 2\nverify.estimators = vr\nverify.n_samples = 1\n")
     assert main(["verify", "-c", str(one_draw)]) == 1
     assert "line 4: verify.n_samples" in capsys.readouterr().err
+    no_points = tmp_path / "no_points.cfg"
+    no_points.write_text("problem.kind = pvb\nproblem.n = 2\nverify.estimators = vr\nverify.n_points = 0\n")
+    assert main(["verify", "-c", str(no_points)]) == 1
+    assert "line 4: verify.n_points must be at least 1" in capsys.readouterr().err
     diverging = tmp_path / "diverging.cfg"
     diverging.write_text(
         "problem.kind = quadratic\nproblem.d = 10\nproblem.mu = 0.1\nproblem.L = 1.0\n"
@@ -265,3 +283,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "kind = pvb" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the two brentq root finds need it, and they import it when they run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vistep, vistep.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

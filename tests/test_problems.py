@@ -146,6 +146,9 @@ def test_quadratic_edge_cases():
         gen_quadratic_vi(5, 2.0, 1.0)
     with pytest.raises(ValueError):
         gen_quadratic_vi(5, 0.0, 1.0)
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="d >= 1"):
+            gen_quadratic_vi(d, 0.5, 1.0)
     p = gen_quadratic_vi(4, 1.5, 1.5, seed=0)
     np.testing.assert_array_equal(p.payload.mat, 1.5 * np.eye(4))
 

@@ -91,13 +91,12 @@ def test_cost_ledgers_never_decrease(kind, seed, K, tau):
 
 def schema_values(key):
     """Values of one config key that the parser accepts."""
-    typ, choices = _SCHEMA[key]
-    if choices is not None:
-        return st.sampled_from(choices)
-    if key == ("verify", "n_samples"):
-        return st.just(0) | st.integers(min_value=2)
+    typ, rule, default = _SCHEMA[key]
     if typ == "int":
-        return st.integers()
+        values = st.integers(min_value=rule)
+        return values if default is None else st.just(default) | values
+    if rule is not None:
+        return st.sampled_from(rule)
     floats = st.floats(allow_nan=False)
     if typ == "float_or_auto":
         return st.none() | floats
