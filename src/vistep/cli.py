@@ -1,9 +1,9 @@
 """Command line front end.
 
 Config files are plain text, one ``section.key = value`` per line, with
-``#`` comments and blank lines ignored.  Unknown keys, malformed values
-and integers below their key's least value are rejected with their line
-number; ``auto`` asks for the built-in rule where a numeric
+``#`` comments and blank lines ignored.  Unknown keys, malformed values,
+non-finite floats and integers below their key's least value are rejected
+with their line number; ``auto`` asks for the built-in rule where a numeric
 override is allowed (step size, momentum, local split).
 
 Commands:
@@ -149,6 +149,8 @@ def parse_config_text(text: str) -> Config:
                 parsed = float(value)
             except ValueError:
                 raise ConfigError(f"{where} needs a number, got {value!r}")
+            if not np.isfinite(parsed):
+                raise ConfigError(f"{where} must be finite, got {value!r}")
         entries[(section, key)] = parsed
     return Config(entries=entries)
 
@@ -293,9 +295,24 @@ def read_trace(path: str) -> TraceFile:
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"trace file {path} has a malformed row: {ln!r}")
     cells = dict(zip(TRACE_COLUMNS, zip(*rows)))  # empty when there are no rows
-    columns = {name: np.array([int(t) for t in cells.get(name, ())], dtype=np.int64) for name in _INT_COLUMNS}
-    columns.update({name: np.array([float(t) for t in cells.get(name, ())]) for name in _FLOAT_COLUMNS})
+    columns = {name: np.array(_parse_cells(path, name, cells, int), dtype=np.int64) for name in _INT_COLUMNS}
+    columns.update({name: np.array(_parse_cells(path, name, cells, float)) for name in _FLOAT_COLUMNS})
     return TraceFile(config_text="\n".join(cfg_lines), columns=columns)
+
+
+def _parse_cells(path: str, name: str, cells: dict, typ) -> list:
+    """Column ``name`` of the trace's cells as typ; a cell that does not
+    parse is named by its file, data row and column."""
+    col = cells.get(name, ())
+    try:
+        return [typ(t) for t in col]
+    except ValueError:
+        pass
+    for row, t in enumerate(col, start=1):
+        try:
+            typ(t)
+        except ValueError:
+            raise ValueError(f"trace file {path} has a bad {name} cell in data row {row}: {t!r}") from None
 
 
 def cmd_gen(cfg: Config) -> int:

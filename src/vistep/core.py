@@ -78,7 +78,7 @@ def prox_eval(spec: ProxSpec, gamma: float, v: Vector) -> Vector:
     result does not depend on gamma (indicator functions scale trivially),
     but gamma must still be a valid step size.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     v = np.asarray(v, dtype=float)
     if spec.free:

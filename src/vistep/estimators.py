@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProxSpec, RngStream, Vector, prox_eval
+from .core import RngStream, Vector, prox_eval
 from .problems import MixingVI, VIProblem, eval_component, eval_full
 
 
@@ -89,7 +89,7 @@ class EstimatorKind:
         for name, default in _PARAMETER_DEFAULTS.items():
             if name not in reads and getattr(self, name) != default:
                 raise ValueError(f"{self.name} does not read {name}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         if "quantizer" in reads and self.quantizer is None:
             raise ValueError(f"{self.name} requires a quantizer")
@@ -97,7 +97,7 @@ class EstimatorKind:
             if self.weights is None or len(self.weights) == 0:
                 raise ValueError(f"{self.name} requires component weights")
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+            if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-9):
                 raise ValueError("component weights must be positive and sum to 1")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if "tau_split" in reads and not 0.0 < self.tau_split < 1.0:
@@ -191,7 +191,6 @@ class EstimatorState:
     w: Vector
     fw: Vector | None = None
     past_g: Vector | None = None
-    pending_half: Vector | None = None
     sigma_sq: float = 0.0
     costs: CostLedger = field(default_factory=CostLedger)
 
@@ -410,8 +409,6 @@ STRATEGIES: dict[str, Strategy] = {
     ),
 }
 KINDS = tuple(STRATEGIES)
-# strategies whose g^k is the cached F(w)
-SNAPSHOT_KINDS = tuple(name for name, strat in STRATEGIES.items() if strat.anchor == SNAPSHOT)
 
 
 def check_problem(kind: EstimatorKind, p: VIProblem) -> None:
@@ -453,13 +450,14 @@ def est_pair(
     p: VIProblem,
     z_bar: Vector,
     z_k: Vector,
-    prox: ProxSpec,
     gamma: float,
     rng: RngStream,
 ) -> tuple[Vector, Vector, Vector]:
     """One iteration's estimates: returns (g^k, g^{k+1/2}, z^{k+1/2}) where
-    z^{k+1/2} = prox(z_bar - gamma*g^k) and E[g^{k+1/2} | z^{k+1/2}] equals
-    F(z^{k+1/2}).  Updates the cost ledger as a side effect."""
+    z^{k+1/2} = prox(z_bar - gamma*g^k), with the problem's prox, and
+    E[g^{k+1/2} | z^{k+1/2}] equals F(z^{k+1/2}).  Updates the cost ledger
+    as a side effect; the past strategy stores g^{k+1/2} as the next
+    iteration's g^k."""
     anchor = state.kind.strategy.anchor
     if anchor == FRESH:
         g_k = _sample(state, p, z_k, rng)
@@ -467,18 +465,17 @@ def est_pair(
         g_k = state.past_g if anchor == PAST else state.fw
         if g_k is None:
             raise RuntimeError("estimator used before initialization")
-    z_half = prox_eval(prox, gamma, z_bar - gamma * g_k)
+    z_half = prox_eval(p.prox, gamma, z_bar - gamma * g_k)
     g_half = _sample(state, p, z_half, rng)
     if anchor == PAST:
         state.sigma_sq = float(np.sum((g_half - g_k) ** 2))
-        state.pending_half = g_half
+        state.past_g = g_half
     return g_k, g_half, z_half
 
 
 def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngStream, p: VIProblem) -> bool:
     """End-of-iteration update: with probability 1 - tau (one uniform draw)
-    move w to z_next and refresh the F(w) cache; the past strategy commits
-    its stored half-step value regardless.  Returns whether w moved."""
+    move w to z_next and refresh the F(w) cache.  Returns whether w moved."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("need 0 <= tau < 1")
     refreshed = rng.uniform() < 1.0 - tau
@@ -487,9 +484,6 @@ def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngS
         state.w = np.asarray(z_next, dtype=float).copy()
         if refresh is not None:
             state.fw = refresh(state.kind, p, state.w, state.costs)
-    if state.pending_half is not None:
-        state.past_g = state.pending_half
-        state.pending_half = None
     return refreshed
 
 
@@ -502,8 +496,8 @@ class AssumptionConstants:
                                  + C*E|z^{k+1/2}-w^k|^2 + D2
     E|g^{k+1/2}-F(z^{k+1/2})|^2 <= E_*E|z^{k+1/2}-w^k|^2 + D3
 
-    tau_star is the recommended momentum, T the strongly monotone Lyapunov
-    weight 4B/rho (0 when the strategy carries no sigma memory).
+    tau_star is the recommended momentum (optimal_tau).  The Lyapunov
+    weight T that goes with a step size comes from solver.step_size_bound.
     """
 
     A: float
@@ -515,7 +509,6 @@ class AssumptionConstants:
     D3: float
     rho: float
     tau_star: float
-    T: float
 
 
 def optimal_tau(
@@ -552,14 +545,13 @@ def assumption_constants(
     (1/M)-averaged sum and are rescaled internally by 1/M so that the sum
     of the rescaled components is the full operator.  For local, L is the
     stacked worker operator's constant and lam the consensus strength.
-    tau_star is 0 when its rule lacks data (vr without M).
+    Raises, like optimal_tau, when the tau* rule lacks its data (vr
+    without M).
     """
     strat = kind.strategy
     c = dict(A=0.0, B=0.0, C=0.0, E=0.0, D1=0.0, D2=0.0, D3=0.0, rho=1.0)
     c.update(strat.constants(kind, L, D, d=d, M=M, L_m=L_m, D_m=D_m, lam=lam))
-    tau_star = strat.tau(kind, M=M, d=d, L=L, lam=lam)
-    T = 4.0 * c["B"] / c["rho"] if c["B"] > 0 else 0.0
-    return AssumptionConstants(**c, tau_star=0.0 if tau_star is None else tau_star, T=T)
+    return AssumptionConstants(**c, tau_star=optimal_tau(kind, M=M, d=d, L=L, lam=lam))
 
 
 def importance_weights(L_m) -> np.ndarray:

@@ -121,7 +121,7 @@ def restricted_gap_ball(p: VIProblem, z: Vector, radius: float, center: Vector |
     payload = p.payload
     if not hasattr(payload, "linear") or not hasattr(payload, "linear_t"):
         raise TypeError("ball gap needs an affine operator")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("need radius > 0")
     c = np.zeros(p.d) if center is None else np.asarray(center, dtype=float)
     mat = np.stack([payload.linear(e) for e in np.eye(p.d)], axis=1)

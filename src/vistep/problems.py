@@ -66,8 +66,7 @@ class BilinearGame:
         return self._apply(self.mats[m], z)
 
     # the operator is linear; these drive the spectral-norm estimator
-    def linear(self, v: Vector) -> Vector:
-        return self._apply(self.avg, v)
+    linear = full
 
     def linear_t(self, v: Vector) -> Vector:
         u, w = v[: self.half], v[self.half :]
@@ -120,12 +119,16 @@ class MixingVI:
     def _blocks(self, Z: Vector) -> np.ndarray:
         return Z.reshape(self.workers, self.d_base)
 
-    def phi(self, Z: Vector) -> Vector:
+    def _per_worker(self, method: str, Z: Vector) -> Vector:
+        """Each worker's payload ``method`` applied to its own block of Z."""
         out = np.empty_like(Z)
         for m, p in enumerate(self.base):
             blk = slice(m * self.d_base, (m + 1) * self.d_base)
-            out[blk] = p.payload.full(Z[blk])
+            out[blk] = getattr(p.payload, method)(Z[blk])
         return out
+
+    def phi(self, Z: Vector) -> Vector:
+        return self._per_worker("full", Z)
 
     def consensus(self, Z: Vector) -> Vector:
         blocks = self._blocks(Z)
@@ -138,19 +141,11 @@ class MixingVI:
         return self.full(Z)
 
     def linear(self, v: Vector) -> Vector:
-        out = np.empty_like(v)
-        for m, p in enumerate(self.base):
-            blk = slice(m * self.d_base, (m + 1) * self.d_base)
-            out[blk] = p.payload.linear(v[blk])
-        return out + self.consensus(v)
+        return self._per_worker("linear", v) + self.consensus(v)
 
     def linear_t(self, v: Vector) -> Vector:
-        out = np.empty_like(v)
-        for m, p in enumerate(self.base):
-            blk = slice(m * self.d_base, (m + 1) * self.d_base)
-            out[blk] = p.payload.linear_t(v[blk])
         # lam*(I - averaging projector) is symmetric
-        return out + self.consensus(v)
+        return self._per_worker("linear_t", v) + self.consensus(v)
 
 
 def wealth_base(n: int) -> Vector:
@@ -191,9 +186,9 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("need theta > 0")
-    if sigma_w < 0:
+    if not sigma_w >= 0:
         raise ValueError("need sigma_w >= 0")
     rng = rng_stream(seed, 0)
     w = wealth_base(n)
@@ -276,7 +271,7 @@ def gen_mixing_vi(base: list[VIProblem], lam: float) -> VIProblem:
     operator is Phi(Z) + lam*(Z - Z_avg); its pieces keep Lipschitz
     constants max_m L_m and lam respectively.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("need lam > 0")
     if not base:
         raise ValueError("need at least one base problem")

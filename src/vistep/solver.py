@@ -19,7 +19,7 @@ iterate in the monotone regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .estimators import (
     FRESH,
     PAST,
     AssumptionConstants,
+    CostLedger,
     EstimatorKind,
     EstimatorState,
     constants_for_problem,
@@ -40,7 +41,7 @@ from .problems import BilinearGame, VIProblem, initial_point
 
 REGIMES = ("mono", "sm")
 
-COST_COLUMNS = ("full_calls", "comp_calls", "coords", "bits", "comms", "local_steps")
+COST_COLUMNS = tuple(f.name for f in fields(CostLedger))
 
 
 class DivergenceError(ArithmeticError):
@@ -161,7 +162,7 @@ def iterate_once(
 ) -> tuple[Vector, Vector]:
     """One full iteration; returns (z^{k+1}, z^{k+1/2}).  Moves state.w."""
     z_bar = tau * z + (1.0 - tau) * state.w
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z, p.prox, gamma, est_rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z, gamma, est_rng)
     z_next = prox_eval(p.prox, gamma, z_bar - gamma * g_half)
     snapshot_update(state, z_next, tau, coin_rng, p)
     return z_next, z_half
@@ -222,7 +223,6 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
     z_star = p.known_solution
     with_gap = _gap_supported(p)
     half_sum = np.zeros(p.d)
-    half_count = 0
     last_half: Vector | None = None
 
     def record(row: int) -> None:
@@ -232,9 +232,9 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
             dist_sq[row] = float(np.sum((z - z_star) ** 2))
             lyap[row] = lyapunov_value(z, state.w, state.sigma_sq, z_star, tau, gamma, T)
         on_schedule = row % config.gap_every == 0 or row == K
-        if with_gap and half_count > 0 and on_schedule:
+        if with_gap and row > 0 and on_schedule:
             gap_last[row] = duality_gap_bilinear(p.payload, last_half)
-            gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / half_count)
+            gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / row)
 
     record(0)
     for k in range(1, rows):
@@ -242,25 +242,19 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
         if not np.isfinite(z).all():
             raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}")
         half_sum += z_half
-        half_count += 1
         last_half = z_half
         record(k)
 
     return RunTrace(
         k=np.arange(rows, dtype=np.int64),
-        full_calls=cost["full_calls"],
-        comp_calls=cost["comp_calls"],
-        coords=cost["coords"],
-        bits=cost["bits"],
-        comms=cost["comms"],
-        local_steps=cost["local_steps"],
+        **cost,
         dist_sq=dist_sq,
         lyapunov=lyap,
         gap_last=gap_last,
         gap_avg=gap_avg,
         z_final=z,
         w_final=state.w.copy(),
-        z_avg=half_sum / half_count if half_count else None,
+        z_avg=half_sum / K if K else None,
         gamma=gamma,
         tau=tau,
         T=T,

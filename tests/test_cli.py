@@ -1,5 +1,6 @@
 """Config parsing, trace files, and the command line entry points."""
 
+import re
 import subprocess
 import sys
 
@@ -100,6 +101,11 @@ def test_parse_errors_carry_line_numbers():
     for line, message in below_least.items():
         with pytest.raises(ConfigError, match=f"line 2: {message}"):
             parse_config_text(f"problem.kind = pvb\n{line}\n")
+    for key in ("run.sigma", "problem.theta", "run.gamma", "run.tau_split"):
+        for value in ("nan", "inf", "-inf", "NaN", "Infinity"):
+            with pytest.raises(ConfigError, match=f"line 2: {key} must be finite, got '{value}'"):
+                parse_config_text(f"problem.kind = pvb\n{key} = {value}\n")
+    assert parse_config_text("run.gamma = auto\n").get("run", "gamma") is None
 
 
 def test_require_reports_missing_keys():
@@ -182,6 +188,12 @@ def test_read_trace_rejects_malformed_files(tmp_path):
     short_row.write_text(",".join(TRACE_COLUMNS) + "\n1,2,3\n")
     with pytest.raises(ValueError, match="malformed row"):
         read_trace(str(short_row))
+    bad_cell = tmp_path / "c.csv"
+    good_row = ",".join(["1"] * len(TRACE_COLUMNS))
+    bad_row = ",".join(["1"] * (len(TRACE_COLUMNS) - 1) + ["0.2766abc"])
+    bad_cell.write_text(",".join(TRACE_COLUMNS) + f"\n{good_row}\n{bad_row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"trace file {bad_cell} has a bad {TRACE_COLUMNS[-1]} cell in data row 2: '0.2766abc'")):
+        read_trace(str(bad_cell))
     empty = tmp_path / "e.csv"
     empty.write_text("# vistep trace\n# config-begin\n# config-end\n")
     with pytest.raises(ValueError, match="no data rows"):

@@ -34,6 +34,7 @@ from vistep import (
     quantize,
     qvr,
     random_feasible,
+    restricted_gap_ball,
     rng_stream,
     run_solver,
     snapshot_update,
@@ -41,7 +42,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
-from vistep.estimators import SNAPSHOT_KINDS, STRATEGIES, half_atoms, sample_half_batch
+from vistep.estimators import SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
 
 
 def pvb3():
@@ -167,6 +168,25 @@ def test_estimator_kind_validation():
     assert importance((0.5, 0.3, 0.2)).weights == (0.5, 0.3, 0.2)
 
 
+def test_range_checks_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        EstimatorKind("noisy", sigma=nan)
+    with pytest.raises(ValueError, match="weights must be positive"):
+        EstimatorKind("is", weights=(0.5, nan))
+    with pytest.raises(ValueError, match="theta"):
+        gen_policeman_burglar(2, theta=nan)
+    with pytest.raises(ValueError, match="sigma_w"):
+        gen_policeman_burglar(2, sigma_w=nan)
+    with pytest.raises(ValueError, match="lam"):
+        gen_mixing_vi([gen_quadratic_vi(2, 0.5, 1.0)], nan)
+    p = gen_quadratic_vi(4, 0.5, 2.0, seed=1)
+    with pytest.raises(ValueError, match="gamma"):
+        prox_eval(p.prox, nan, np.zeros(p.d))
+    with pytest.raises(ValueError, match="radius"):
+        restricted_gap_ball(p, np.zeros(p.d), nan)
+
+
 def test_init_estimator_guards():
     p = pvb3()
     with pytest.raises(TypeError):
@@ -230,7 +250,7 @@ def test_fulldet_pair_is_plain_extra_step():
     p = pvb3()
     state, z_bar, rng = setup_pair(fulldet(), p)
     gamma = 0.05
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, gamma, rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, eval_full(p, z_bar))
     np.testing.assert_array_equal(z_half, prox_eval(p.prox, gamma, z_bar - gamma * g_k))
     np.testing.assert_array_equal(g_half, eval_full(p, z_half))
@@ -245,7 +265,7 @@ def test_noisy_pair_twin_reproduction():
     random_feasible(p, twin)
     random_feasible(p, twin)
     gamma = 0.05
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, gamma, rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     want_gk = eval_full(p, z_bar) + (sigma / np.sqrt(p.d)) * twin.normal(p.d)
     np.testing.assert_array_equal(g_k, want_gk)
     want_half = prox_eval(p.prox, gamma, z_bar - gamma * want_gk)
@@ -259,23 +279,22 @@ def test_past_reuses_stored_half_step_value():
     state, z_bar, rng = setup_pair(past(), p)
     gamma = 0.05
     f_w0 = eval_full(p, state.w)
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, gamma, rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, f_w0)
     np.testing.assert_array_equal(g_half, eval_full(p, z_half))
     assert state.sigma_sq == pytest.approx(float(np.sum((g_half - g_k) ** 2)), rel=1e-15)
-    np.testing.assert_array_equal(state.pending_half, g_half)
+    np.testing.assert_array_equal(state.past_g, g_half)
     snapshot_update(state, z_half, 0.0, rng_stream(9, 1), p)
     np.testing.assert_array_equal(state.past_g, g_half)
-    assert state.pending_half is None
     # the committed value is what the next iteration anchors on
-    g_k2, _, _ = est_pair(state, p, z_bar, z_bar, p.prox, gamma, rng)
+    g_k2, _, _ = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k2, g_half)
 
 
 def test_past_commits_even_without_refresh():
     p = pvb3()
     state, z_bar, rng = setup_pair(past(), p)
-    _, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, 0.05, rng)
+    _, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
     # tau close to 1 plus a coin seed that keeps w in place
     coin = rng_stream(0, 1)
     assert coin.uniform() >= 1e-6  # the draw the update will see
@@ -291,7 +310,7 @@ def test_vr_anchors_at_snapshot_and_corrects_one_component():
     random_feasible(p, twin)
     random_feasible(p, twin)
     gamma = 0.05
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, gamma, rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, state.fw)
     m = twin.integer(p.M)
     want = (eval_component(p, m, z_half) - eval_component(p, m, state.w)) + state.fw
@@ -304,7 +323,7 @@ def test_coord_touches_one_coordinate():
     twin = rng_stream(2, 0)
     random_feasible(p, twin)
     random_feasible(p, twin)
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, 0.05, rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
     i = twin.integer(p.d)
     fz = eval_full(p, z_half)
     want = state.fw.copy()
@@ -320,7 +339,7 @@ def test_is_scales_by_inverse_probability():
     twin = rng_stream(2, 0)
     random_feasible(p, twin)
     random_feasible(p, twin)
-    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, 0.05, rng)
+    g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
     u = twin.uniform()
     m = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), 2)
     scale = 1.0 / (p.M * weights[m])
@@ -334,8 +353,8 @@ def test_quant_identity_matches_vr_on_single_component():
     z_bar = z0 + 0.1
     sa = init_estimator(vr(), p, z0, rng_stream(5, 0))
     sb = init_estimator(quant(Quantizer("identity")), p, z0, rng_stream(5, 0))
-    ga = est_pair(sa, p, z_bar, z_bar, p.prox, 0.05, rng_stream(5, 0))
-    gb = est_pair(sb, p, z_bar, z_bar, p.prox, 0.05, rng_stream(5, 0))
+    ga = est_pair(sa, p, z_bar, z_bar, 0.05, rng_stream(5, 0))
+    gb = est_pair(sb, p, z_bar, z_bar, 0.05, rng_stream(5, 0))
     for a, b in zip(ga, gb):
         np.testing.assert_array_equal(a, b)
 
@@ -352,7 +371,7 @@ def test_local_branches_between_phi_and_consensus():
     for trial in range(20):
         twin = rng_stream(100 + trial, 0)
         use = rng_stream(100 + trial, 0)
-        g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, p.prox, 0.05, use)
+        g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, use)
         if twin.uniform() < t:
             want = (mix.phi(z_half) - mix.phi(state.w)) / t + state.fw
             seen.add("phi")
@@ -514,7 +533,7 @@ def test_ledger_refresh_count_follows_the_coin():
 def test_constants_direct_oracle():
     c = assumption_constants(noisy(1.0), L=2.0)
     assert (c.A, c.D1, c.D3, c.rho) == (12.0, 6.0, 1.0, 1.0)
-    assert (c.B, c.C, c.E, c.D2, c.T, c.tau_star) == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert (c.B, c.C, c.E, c.D2, c.tau_star) == (0.0, 0.0, 0.0, 0.0, 0.0)
     c0 = assumption_constants(fulldet(), L=2.0, D=1.0)
     assert (c0.A, c0.D1, c0.D3) == (12.0, 3.0, 0.0)
 
@@ -523,7 +542,6 @@ def test_constants_past():
     c = assumption_constants(past(1.0), L=2.0)
     assert c.rho == pytest.approx(1.0 / 3.0)
     assert (c.B, c.C, c.D1, c.D2, c.D3) == (3.0, 8.0, 6.0, 12.0, 1.0)
-    assert c.T == pytest.approx(36.0, rel=1e-12)
     assert c.tau_star == 0.0
     cd = assumption_constants(past(), L=2.0, D=0.5)
     assert (cd.D1, cd.D2, cd.D3) == (0.0, 1.0, 0.0)
@@ -811,7 +829,7 @@ def test_sample_half_batch_local_branches():
 
 def test_snapshot_kind_list_matches_cache_usage():
     p = pvb3()
-    for name in SNAPSHOT_KINDS:
+    for name in (name for name, strat in STRATEGIES.items() if strat.anchor == SNAPSHOT):
         if name == "local":
             continue
         kind = {

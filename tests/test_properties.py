@@ -97,7 +97,7 @@ def schema_values(key):
         return values if default is None else st.just(default) | values
     if rule is not None:
         return st.sampled_from(rule)
-    floats = st.floats(allow_nan=False)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
     if typ == "float_or_auto":
         return st.none() | floats
     if typ == "float":

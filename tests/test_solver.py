@@ -79,9 +79,12 @@ def test_step_size_snapshot_kinds():
 
 
 def test_step_size_degenerate_and_errors():
-    c = assumption_constants(vr(), L=0.0)
+    c = assumption_constants(vr(), L=0.0, M=1)
     gamma, _ = step_size_bound(vr(), "mono", c)
     assert gamma == np.inf
+    # the table's tau* is optimal_tau's, which needs M for vr
+    with pytest.raises(ValueError, match="tau rule needs problem data"):
+        assumption_constants(vr(), L=0.0)
     with pytest.raises(ValueError):
         step_size_bound(fulldet(), "sm", assumption_constants(fulldet(), L=1.0))
     with pytest.raises(ValueError):
@@ -284,7 +287,7 @@ def test_past_tracks_sigma_memory_in_lyapunov():
     est = rng_stream(2, 0)
     z = initial_point(p, 2)
     state = init_estimator(past(), p, z, est)
-    g_k, g_half, z_half = est_pair(state, p, z, z, p.prox, trace.gamma, est)
+    g_k, g_half, z_half = est_pair(state, p, z, z, trace.gamma, est)
     sigma_sq = float(np.sum((g_half - g_k) ** 2))
     z_new = z - trace.gamma * g_half
     # tau = 0 for this strategy, so the snapshot refreshes to the new iterate
