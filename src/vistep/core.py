@@ -115,20 +115,14 @@ class RngStream:
             return float(self._gen.random())
         return self._gen.random(size)
 
-    def integer(self, n: int) -> int:
-        """Uniform draw from {0, ..., n-1} via one uniform."""
-        if n < 1:
-            raise ValueError("need n >= 1")
-        # min() guards the measure-zero u*n == n rounding edge
-        return min(int(self.uniform() * n), n - 1)
-
     def integers(self, n: int, size=None):
-        """size draws of integer(n); one plain int when size is None."""
-        if size is None:
-            return self.integer(n)
+        """size draws from {0, ..., n-1}, one uniform each; a plain int when size is None."""
         if n < 1:
             raise ValueError("need n >= 1")
         u = self._gen.random(size)
+        if size is None:
+            # min() guards the measure-zero u*n == n rounding edge
+            return min(int(u * n), n - 1)
         return np.minimum((u * n).astype(np.int64), n - 1)
 
     def normal(self, size=None):
@@ -145,27 +139,18 @@ class RngStream:
             return float(z[0])
         return z.reshape(size)
 
-    def subset(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from {0..n-1}, uniform over subsets.
+    def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
+        """rows independent k-subsets of {0..n-1}, one per row; one subset
+        when rows is None.
 
         Argsort of n fresh uniforms, first k positions: every permutation is
-        equally likely, hence every k-subset is.  Batched callers can apply
-        the same rule rowwise and get the identical per-draw mapping.
+        equally likely, hence every k-subset is, and a block of rows maps
+        each row's uniforms the way a single draw maps its own.
         """
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        u = self._gen.random(n)
-        return np.argsort(u, kind="stable")[:k]
-
-    def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
-        """rows independent k-subsets, one per row; same rule as subset().
-        One subset() draw when rows is None."""
-        if rows is None:
-            return self.subset(n, k)
-        if not 1 <= k <= n:
-            raise ValueError("need 1 <= k <= n")
-        u = self._gen.random((rows, n))
-        return np.argsort(u, axis=1, kind="stable")[:, :k]
+        u = self._gen.random(n if rows is None else (rows, n))
+        return np.argsort(u, axis=-1, kind="stable")[..., :k]
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> RngStream:

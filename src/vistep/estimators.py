@@ -58,7 +58,7 @@ def quantize(q: Quantizer, x: Vector, rng: RngStream | None = None, kept=None) -
     if x.shape[-1] != q.d:
         raise ValueError(f"vector length {x.shape[-1]} does not match quantizer dimension {q.d}")
     if kept is None:
-        kept = rng.subset(q.d, q.k)
+        kept = rng.subsets(q.d, q.k)
     at = kept if x.ndim == 1 else (np.arange(len(x))[:, None], kept)
     out = np.zeros(x.shape)
     out[at] = x[at] * (q.d / q.k)
@@ -215,7 +215,7 @@ class Strategy:
     draw: Callable  # (kind, p, rng, n) -> n outcomes
     diff: Callable  # (kind, p, s, z, w, fw, costs) -> source s's billed difference at z (F(z) without a snapshot)
     correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
-    constants: Callable  # (kind, L, D, d=, M=, L_m=, D_m=, lam=) -> the nonzero contract constants
+    constants: Callable  # (kind, L, D, d=, M=, L_m=, lam=) -> the nonzero contract constants
     tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
     refresh: Callable | None = None  # (kind, p, w, costs) -> billed F(w); None without a snapshot
     atoms: Callable | None = None  # (kind, p) -> (probabilities, outcomes), if the outcomes are finite
@@ -309,17 +309,15 @@ def _coordinate_constants(kind, L, D, d=None, **_):
     return _variance_constants(d, L, D)
 
 
-def _importance_constants(kind, L, D, M=None, L_m=None, D_m=None, **_):
+def _importance_constants(kind, L, D, M=None, L_m=None, **_):
     if L_m is None or M is None:
         raise ValueError(f"{kind.name} constants need per-component L_m and M")
     Lt = np.asarray(L_m, dtype=float) / M
-    Dt = (np.asarray(D_m, dtype=float) if D_m is not None else np.zeros(M)) / M
     pw = np.asarray(kind.weights, dtype=float)
     if len(pw) != len(Lt):
         raise ValueError(f"{kind.name} weights and L_m lengths differ")
     S = float(np.sum(Lt * Lt / pw))
-    SD = float(np.sum(Dt * Dt / pw))
-    return dict(A=S, D1=SD, E=2.0 * (S + L * L), D3=2.0 * (SD + D * D))
+    return dict(A=S, E=2.0 * (S + L * L), D3=2.0 * (D * D))
 
 
 def _split_constants(kind, L, D, lam=None, **_):
@@ -335,10 +333,9 @@ def _finite_sum_tau(kind, M=None, **_):
 
 
 def _common_bound(p):
-    """One bound over every component and the full operator."""
+    """One Lipschitz bound over every component and the full operator, and p.D."""
     L = max(float(p.L), float(np.max(p.L_m)) if p.L_m is not None else 0.0)
-    D = max(float(p.D), float(np.max(p.D_m)) if p.D_m is not None else 0.0)
-    return L, D
+    return L, float(p.D)
 
 
 _NOISY = Strategy(
@@ -534,14 +531,13 @@ def assumption_constants(
     d: int | None = None,
     M: int | None = None,
     L_m=None,
-    D_m=None,
     lam: float | None = None,
 ) -> AssumptionConstants:
     """The exact constants table of the strategy.
 
     L and D are the full-operator bounded-Lipschitz constants (for vr/qvr,
     the common bound over every component and the full operator).  For the
-    is strategy the per-component L_m/D_m refer to components of the
+    is strategy the per-component L_m refer to components of the
     (1/M)-averaged sum and are rescaled internally by 1/M so that the sum
     of the rescaled components is the full operator.  For local, L is the
     stacked worker operator's constant and lam the consensus strength.
@@ -550,15 +546,15 @@ def assumption_constants(
     """
     strat = kind.strategy
     c = dict(A=0.0, B=0.0, C=0.0, E=0.0, D1=0.0, D2=0.0, D3=0.0, rho=1.0)
-    c.update(strat.constants(kind, L, D, d=d, M=M, L_m=L_m, D_m=D_m, lam=lam))
+    c.update(strat.constants(kind, L, D, d=d, M=M, L_m=L_m, lam=lam))
     return AssumptionConstants(**c, tau_star=optimal_tau(kind, M=M, d=d, L=L, lam=lam))
 
 
 def importance_weights(L_m) -> np.ndarray:
     """Optimal component probabilities p_m proportional to L_m."""
     L_m = np.asarray(L_m, dtype=float)
-    if L_m.ndim != 1 or L_m.size == 0 or np.any(L_m <= 0):
-        raise ValueError("need a nonempty list of positive constants")
+    if L_m.ndim != 1 or L_m.size == 0 or not np.all((L_m > 0) & np.isfinite(L_m)):
+        raise ValueError("need a nonempty list of positive finite constants")
     return L_m / L_m.sum()
 
 
@@ -566,7 +562,7 @@ def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConsta
     """Constants table with L/D taken from the problem, per-kind convention."""
     L, D = kind.strategy.bound(p)
     lam = p.payload.lam if isinstance(p.payload, MixingVI) else None
-    return assumption_constants(kind, L, D, d=p.d, M=p.M, L_m=p.L_m, D_m=p.D_m, lam=lam)
+    return assumption_constants(kind, L, D, d=p.d, M=p.M, L_m=p.L_m, lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Progress metrics and the verification suite.
 
 Gaps: for bilinear games on simplex products the restricted merit value
-max_u <F(u), z - u> has separable best responses and a closed form; a
-brute-force vertex enumeration and a ball-restricted variant double-check
-it on small instances.
+max_u <F(u), z - u> has separable best responses and a closed form,
+problems.duality_gap_bilinear, which the solver records; a brute-force
+vertex enumeration and a ball-restricted variant here double-check it on
+small instances.
 
 Verifiers: every estimation strategy promises unbiasedness of g^{k+1/2}
 and a second-moment contract with its table constants.  For strategies
 with finitely many outcomes both are checked exactly by enumerating the
 outcome atoms; otherwise by Monte Carlo with a slack that scales like
-1/sqrt(n).  Oracle-noise terms enter the checks analytically, never by
-sampling the noise.
+1/sqrt(n).  The noisy oracle strategies (noisy, past) have no atoms, so
+their unbiasedness rows average Monte Carlo draws that include the noise;
+in their second-moment rows the noise terms enter analytically.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .estimators import (
     sample_half_batch,
 )
 from .problems import BilinearGame, VIProblem, eval_full, random_feasible
+from .solver import iterate_once
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,6 @@ def _row(lemma: str, variant: str, lhs: float, rhs: float, n: int, tol: float) -
     else:
         slack = 0.0 if lhs <= 0 else math.inf
     return CheckRow(lemma, variant, float(lhs), float(rhs), float(slack), int(n), bool(lhs <= rhs * (1.0 + tol) + 1e-300))
-
-
-def duality_gap_bilinear(game: BilinearGame, z: Vector) -> float:
-    """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
-    of both players' best-response improvements, zero exactly at saddles."""
-    h = game.half
-    x, y = z[:h], z[h:]
-    return float(np.max(game.avg @ x) - np.min(game.avg.T @ y))
 
 
 def _simplex_vertices(blocks) -> list[np.ndarray]:
@@ -258,8 +253,6 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
     only a pointwise statement for a noise-free oracle, so that row is
     emitted when sigma = 0.  The solver's own iteration runs at tau = 0.
     """
-    from .solver import iterate_once  # solver imports this module's gap
-
     c = constants_for_problem(kind, p)
     s2 = kind.sigma**2
     gamma = 1.0 / (3.0 * p.L)

@@ -23,9 +23,9 @@ class VIProblem:
 
     ``payload`` carries the operator data (one of the classes below); the
     surrounding fields are the constants the solver and verifiers need.
-    ``L_m``/``D_m`` are per-component constants for finite sums.  ``meta``
-    records the generator name and parameters so an instance can be
-    rebuilt deterministically from a text snapshot.
+    ``L_m`` holds the per-component Lipschitz constants of finite sums.
+    ``meta`` records the generator name and parameters so an instance can
+    be rebuilt deterministically from a text snapshot.
     """
 
     d: int
@@ -37,7 +37,6 @@ class VIProblem:
     mu_F: float = 0.0
     mu_h: float = 0.0
     L_m: np.ndarray | None = None
-    D_m: np.ndarray | None = None
     known_solution: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
@@ -71,6 +70,14 @@ class BilinearGame:
     def linear_t(self, v: Vector) -> Vector:
         u, w = v[: self.half], v[self.half :]
         return np.concatenate([-(self.avg.T @ w), self.avg @ u])
+
+
+def duality_gap_bilinear(game: BilinearGame, z: Vector) -> float:
+    """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
+    of both players' best-response improvements, zero exactly at saddles."""
+    h = game.half
+    x, y = z[:h], z[h:]
+    return float(np.max(game.avg @ x) - np.min(game.avg.T @ y))
 
 
 @dataclass
@@ -207,7 +214,6 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
         payload=payload,
         L=L,
         L_m=L_m,
-        D_m=np.zeros(n),
         meta={"kind": "pvb", "n": n, "theta": theta, "sigma_w": sigma_w, "seed": seed},
     )
 
@@ -258,7 +264,6 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
         L=L,
         mu_F=mu,
         L_m=np.array([L]),
-        D_m=np.zeros(1),
         known_solution=z_star.copy(),
         meta={"kind": "quadratic", "d": d, "mu": mu, "L": L, "seed": seed},
     )
@@ -299,7 +304,6 @@ def gen_mixing_vi(base: list[VIProblem], lam: float) -> VIProblem:
         L=L,
         mu_F=mu_F,
         L_m=np.array([L]),
-        D_m=np.zeros(1),
         known_solution=known,
         meta={"kind": "mixing", "workers": workers, "d": d_base, "lambda": lam},
     )

@@ -36,8 +36,7 @@ from .estimators import (
     init_estimator,
     snapshot_update,
 )
-from .metrics import duality_gap_bilinear
-from .problems import BilinearGame, VIProblem, initial_point
+from .problems import BilinearGame, VIProblem, duality_gap_bilinear, initial_point
 
 REGIMES = ("mono", "sm")
 
@@ -131,7 +130,7 @@ def step_size_bound(
         raise ValueError("need 0 <= tau < 1")
     sm = regime == "sm"
     mu = mu_F + mu_h
-    if sm and mu <= 0:
+    if sm and not mu > 0:
         raise ValueError("strongly monotone regime needs mu_F + mu_h > 0")
     c = constants
     anchor = kind.strategy.anchor

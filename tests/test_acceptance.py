@@ -228,8 +228,8 @@ def test_criterion_09_projection_oracle(capsys):
     rng = rng_stream(123, 0)
     worst = 0.0
     for _ in range(1000):
-        d = rng.integer(6) + 1
-        scale = 10.0 ** (rng.integer(3) - 1)
+        d = rng.integers(6) + 1
+        scale = 10.0 ** (rng.integers(3) - 1)
         v = scale * rng.normal(d)
         got = project_simplex(v)
         want = simplex_projection_oracle(v)

@@ -18,8 +18,8 @@ def test_project_simplex_known_values():
 def test_project_simplex_matches_support_enumeration():
     rng = rng_stream(11, 0)
     for _ in range(400):
-        d = rng.integer(6) + 1
-        scale = 10.0 ** (rng.integer(3) - 1)
+        d = rng.integers(6) + 1
+        scale = 10.0 ** (rng.integers(3) - 1)
         v = scale * rng.normal(d)
         got = project_simplex(v)
         want = simplex_projection_oracle(v)
@@ -146,7 +146,7 @@ def test_integer_twin_mapping():
     s = RngStream(5, 0)
     twin = RngStream(5, 0)
     for _ in range(50):
-        i = s.integer(7)
+        i = s.integers(7)
         u = twin.uniform()
         assert i == min(int(u * 7), 6)
 
@@ -154,7 +154,7 @@ def test_integer_twin_mapping():
 def test_integers_batch_equals_scalar_loop():
     got = RngStream(21, 2).integers(5, size=40)
     s = RngStream(21, 2)
-    want = np.array([s.integer(5) for _ in range(40)])
+    want = np.array([s.integers(5) for _ in range(40)])
     np.testing.assert_array_equal(got, want)
 
 
@@ -184,7 +184,7 @@ def test_normal_moments():
 def test_scalar_draw_types():
     s = RngStream(0, 0)
     assert isinstance(s.uniform(), float)
-    assert isinstance(s.integer(3), int)
+    assert isinstance(s.integers(3), int)
     assert isinstance(s.normal(), float)
 
 
@@ -192,7 +192,7 @@ def test_subset_uniform_over_pairs():
     s = RngStream(19, 0)
     counts = {}
     for _ in range(12000):
-        pair = frozenset(s.subset(4, 2).tolist())
+        pair = frozenset(s.subsets(4, 2).tolist())
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 6
     # 6 equally likely pairs, expectation 2000, four standard errors
@@ -203,7 +203,7 @@ def test_subset_uniform_over_pairs():
 def test_subset_members_distinct_and_in_range():
     s = RngStream(20, 0)
     for _ in range(100):
-        idx = s.subset(9, 4)
+        idx = s.subsets(9, 4)
         assert len(set(idx.tolist())) == 4
         assert idx.min() >= 0
         assert idx.max() < 9
@@ -212,15 +212,15 @@ def test_subset_members_distinct_and_in_range():
 def test_subsets_batch_equals_scalar_rows():
     got = RngStream(23, 0).subsets(6, 2, rows=25)
     s = RngStream(23, 0)
-    want = np.stack([s.subset(6, 2) for _ in range(25)])
+    want = np.stack([s.subsets(6, 2) for _ in range(25)])
     np.testing.assert_array_equal(got, want)
 
 
 def test_rng_errors():
     s = RngStream(1, 0)
     with pytest.raises(ValueError):
-        s.integer(0)
+        s.integers(0)
     with pytest.raises(ValueError):
-        s.subset(3, 4)
+        s.subsets(3, 4)
     with pytest.raises(ValueError):
-        s.subset(3, 0)
+        s.subsets(3, 0)

@@ -42,7 +42,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
-from vistep.estimators import SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
+from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
 
 
 def pvb3():
@@ -88,7 +88,7 @@ def test_randk_structure_and_twin_subset():
     rng = rng_stream(4, 0)
     twin = rng_stream(4, 0)
     out = quantize(q, x, rng)
-    idx = twin.subset(6, 2)
+    idx = twin.subsets(6, 2)
     want = np.zeros(6)
     want[idx] = x[idx] * 3.0
     np.testing.assert_array_equal(out, want)
@@ -185,6 +185,9 @@ def test_range_checks_reject_nan():
         prox_eval(p.prox, nan, np.zeros(p.d))
     with pytest.raises(ValueError, match="radius"):
         restricted_gap_ball(p, np.zeros(p.d), nan)
+    for L_m in ([1.0, nan], [1.0, float("inf")]):
+        with pytest.raises(ValueError, match="positive finite"):
+            importance_weights(L_m)
 
 
 def test_init_estimator_guards():
@@ -312,7 +315,7 @@ def test_vr_anchors_at_snapshot_and_corrects_one_component():
     gamma = 0.05
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, state.fw)
-    m = twin.integer(p.M)
+    m = twin.integers(p.M)
     want = (eval_component(p, m, z_half) - eval_component(p, m, state.w)) + state.fw
     np.testing.assert_array_equal(g_half, want)
 
@@ -324,7 +327,7 @@ def test_coord_touches_one_coordinate():
     random_feasible(p, twin)
     random_feasible(p, twin)
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
-    i = twin.integer(p.d)
+    i = twin.integers(p.d)
     fz = eval_full(p, z_half)
     want = state.fw.copy()
     want[i] += p.d * (fz[i] - state.fw[i])
@@ -743,6 +746,39 @@ def test_sample_half_batch_vr_twin():
     diffs = np.stack([eval_component(p, m, z_half) - eval_component(p, m, w) for m in range(p.M)])
     idx = twin.integers(p.M, n)
     np.testing.assert_array_equal(batch, diffs[idx] + fw)
+
+
+def test_solver_draw_equals_batch_of_one():
+    # a one-row batch takes the uniforms of one solver draw, so this pins the
+    # single-draw paths (scalar sources, 1-d corrections) the verifiers never run
+    game = pvb3()
+    kinds = {
+        "fulldet": fulldet(),
+        "noisy": noisy(0.5),
+        "past": past(0.5),
+        "vr": vr(),
+        "coord": coord(),
+        "quant": quant(randk(3, game.d)),
+        "qvr": qvr(randk(3, game.d)),
+        "is": importance((0.5, 0.3, 0.2)),
+        "local": local(0.6),
+    }
+    assert kinds.keys() == STRATEGIES.keys()
+    for name, kind in kinds.items():
+        p = mixing3() if name == "local" else game
+        anchor = kind.strategy.anchor
+        for seed in range(4):
+            state, z_bar, rng = setup_pair(kind, p, seed)
+            w, fw = state.w, state.fw
+            twin = rng_stream(seed, 0)
+            random_feasible(p, twin)
+            if anchor == PAST:
+                np.testing.assert_array_equal(state.past_g, sample_half_batch(kind, p, w, w, fw, twin, 1)[0])
+            random_feasible(p, twin)
+            g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
+            if anchor == FRESH:
+                np.testing.assert_array_equal(g_k, sample_half_batch(kind, p, z_bar, w, fw, twin, 1)[0])
+            np.testing.assert_array_equal(g_half, sample_half_batch(kind, p, z_half, w, fw, twin, 1)[0])
 
 
 def test_sample_half_batch_rows_are_atoms():

@@ -87,6 +87,8 @@ def test_step_size_degenerate_and_errors():
         assumption_constants(vr(), L=0.0)
     with pytest.raises(ValueError):
         step_size_bound(fulldet(), "sm", assumption_constants(fulldet(), L=1.0))
+    with pytest.raises(ValueError, match="mu_F"):
+        step_size_bound(fulldet(), "sm", assumption_constants(fulldet(), L=2.0), mu_F=math.nan)
     with pytest.raises(ValueError):
         step_size_bound(fulldet(), "fast", assumption_constants(fulldet(), L=1.0))
     with pytest.raises(ValueError):
