@@ -7,6 +7,7 @@ projection, independent of the prox scale).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,12 @@ class ProxSpec:
 FREE = ProxSpec()
 
 
+@functools.cache
+def _ranks(n: int) -> np.ndarray:
+    """The rank vector 1, 2, ..., n, built once per length and never written."""
+    return np.arange(1.0, n + 1.0)
+
+
 def project_simplex(v: Vector) -> Vector:
     """Euclidean projection of ``v`` onto the unit probability simplex.
 
@@ -57,18 +64,19 @@ def project_simplex(v: Vector) -> Vector:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-d vector")
+    n = v.size
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
+    css = u.cumsum()
+    css -= 1.0
     if not math.isfinite(css[-1]):
         raise ValueError("cannot project a vector whose entries are not finite or whose sum overflows")
-    j = np.arange(1, v.size + 1)
-    support = np.nonzero(u * j > css)[0]
-    if support.size == 0:
+    support = u * _ranks(n) > css
+    rho = n - 1 - int(support[::-1].argmax())
+    if not support[rho]:
         # |u_1| >= 2^53 rounds u_1 - 1 to u_1; the projection is shift invariant
         return project_simplex(v - u[0])
-    rho = support[-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    out = v - css[rho] / (rho + 1.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def prox_eval(spec: ProxSpec, gamma: float, v: Vector) -> Vector:

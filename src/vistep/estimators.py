@@ -555,7 +555,11 @@ def importance_weights(L_m) -> np.ndarray:
     L_m = np.asarray(L_m, dtype=float)
     if L_m.ndim != 1 or L_m.size == 0 or not np.all((L_m > 0) & np.isfinite(L_m)):
         raise ValueError("need a nonempty list of positive finite constants")
-    return L_m / L_m.sum()
+    with np.errstate(over="ignore"):
+        total = L_m.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"the constants {L_m.tolist()} sum past the float range")
+    return L_m / total
 
 
 def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConstants:

@@ -44,10 +44,16 @@ class VIProblem:
 @dataclass
 class BilinearGame:
     """Matrix game payload: z = (x, y) on a product of two simplices with
-    F(x, y) = (A^T y, -A x) for the averaged matrix A = mean_k A^(k)."""
+    F(x, y) = (A^T y, -A x) for the averaged matrix A = mean_k A^(k).
+
+    Every component is a scalar multiple of one matrix,
+    A^(k) = scales[k] * base, so only ``base`` and the M ``scales`` are
+    stored, never the (M, n^2, n^2) stack of components.
+    """
 
     n: int
-    mats: np.ndarray  # (M, n^2, n^2) component matrices
+    base: np.ndarray  # (n^2, n^2)
+    scales: np.ndarray  # (M,)
     avg: np.ndarray
 
     @property
@@ -62,7 +68,7 @@ class BilinearGame:
         return self._apply(self.avg, z)
 
     def component(self, m: int, z: Vector) -> Vector:
-        return self._apply(self.mats[m], z)
+        return self.scales[m] * self._apply(self.base, z)
 
     # the operator is linear; these drive the spectral-norm estimator
     linear = full
@@ -201,12 +207,20 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     w = wealth_base(n)
     shape = 1.0 - np.exp(-theta * _pairwise_distances(n))
     base = w[:, None] * shape
-    xi = sigma_w * np.atleast_1d(rng.uniform(n))
-    mats = (1.0 + xi)[:, None, None] * base[None, :, :]
-    payload = BilinearGame(n=n, mats=mats, avg=mats.mean(axis=0))
+    scales = 1.0 + sigma_w * np.atleast_1d(rng.uniform(n))
+    # one component at a time in a reused buffer: the running sum is the
+    # same sequence of additions as a mean over a stacked leading axis
+    avg = np.zeros_like(base)
+    buf = np.empty_like(base)
+    L_m = np.empty(n)
+    for k, s in enumerate(scales):
+        np.multiply(s, base, out=buf)
+        avg += buf
+        L_m[k] = _matrix_spectral_norm(buf, tol=1e-12)
+    avg /= n
+    payload = BilinearGame(n=n, base=base, scales=scales, avg=avg)
 
-    L = _matrix_spectral_norm(payload.avg, tol=1e-12)
-    L_m = np.array([_matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)])
+    L = _matrix_spectral_norm(avg, tol=1e-12)
     return VIProblem(
         d=2 * n * n,
         prox=ProxSpec((n * n, n * n)),

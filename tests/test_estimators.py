@@ -190,6 +190,13 @@ def test_range_checks_reject_nan():
             importance_weights(L_m)
 
 
+def test_importance_weights_name_an_overflowing_sum():
+    # each constant is finite, but their sum is not
+    with pytest.raises(ValueError, match=r"\[1e\+308, 1e\+308\] sum past the float range"):
+        importance_weights([1e308, 1e308])
+    np.testing.assert_array_equal(importance_weights([1e307, 3e307]), [0.25, 0.75])
+
+
 def test_init_estimator_guards():
     p = pvb3()
     with pytest.raises(TypeError):

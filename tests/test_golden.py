@@ -101,25 +101,25 @@ DIGESTS = {
     "game-fulldet": "79258b0e10c14cecc2478adcdc251bc675f3b3ab8da2a9528eaa23a74935098c",
     "game-noisy": "b2a7d8d9733c4202141a984bd02e33c0851b01f1c73afa46fe8c2317707f9785",
     "game-past": "9db9bf9aa5065c6e0258ac9296bb58369fa7b62d5233ecfb973599b626c2fd1f",
-    "game-vr": "5c94571acd347f91f05b59281297ae20c573f21384f567c395344708eb4e2b89",
+    "game-vr": "0227b0d96deaf45f4fd27598705cf816ca1b5a66eb395a0c41abbfba8052f22e",
     "game-coord": "52e6404cfdae6bd135352a89460efc594896e60dfe591421369c27de669b4442",
     "game-quant-identity": "fe9059b4c0fa417b9cb812c91637ca893976f0ea4ffba02f9b1d49e77a27846e",
     "game-quant-randk": "9b421efad3126456c2709f963c9c57faa4d26343f19156e486cbe01fb2da21fd",
-    "game-qvr-identity": "898b587c9e76739135ead2ecd62650eea94a2a20d51b946098e2d846927f4148",
-    "game-qvr-randk": "fc42a7b9bcb507526ec6620d6068881c178cabca8563790ccde9eb47db5b0985",
-    "game-is-lipschitz": "ec83077285e3e3513094338629c7161592fec27231ab21537ae62440b00ccf71",
+    "game-qvr-identity": "59018ce14862c71ff6994df7cad8cd2a72ca0b1bec9ab5d18ccee9df7741415d",
+    "game-qvr-randk": "fc962f3a3aad79cbc8e511fa0f1690c638deca39421110631010830c72264eea",
+    "game-is-lipschitz": "1c6d82ab23d58a15f80786cf4e2689fe37a2019dd39903d0be889303fea38af1",
     "quad-fulldet": "c5daa182ff65e43ba7e7ab88501d17a25dc943d71043e0cc3b9090f214c6586c",
     "quad-vr": "5a74182cdaa4deea40111c58086aa5c4c532150d392e01d9098e52ff293080aa",
     "quad-coord": "d570a216826ca783a130e17d30207a55fd5648bb27a7d2eed58b4f659078b9ff",
     "quad-quant": "edfb246301156eda578e9e1bea45128318afcd5f68f1fc78ee631e53738f964b",
     "mix-local": "03f0eb3462dbffa64974d0ad78bb0ed53d2454f28ba5adf7adcb687a410bef21",
     "mix-fulldet": "77e5eb651374ca3b830d2530396cdf356d76c375cb79cf7073f20bfe5fa6cb11",
-    "verify-game": "098b208ac3b8723fea1943c6e3b56177be22d86c9ed80eef456782185a91025d",
+    "verify-game": "ea41540d195d7fa47f145b9769297f0a0c395f5e4d113dec41a3d4f7f713ed2b",
     "verify-mixing": "0ce8477aebb7ea4f877ffc97a7fba95f17649676805f2d8bd6e0dd3d7fc0cff9",
-    "verify-game-mc": "03ed0c1763f0726672bfafba5ef93dabee4b2936c3cd8560bd8f3f05264dbf37",
+    "verify-game-mc": "8537838cb6055ccde340766319a10cb1fa41f2af9a73f7f6b76854fbc9fa1b24",
     "verify-mixing-mc": "dfc887ef94ff183b607f348701b35e166040c47a41b2b5d4736c7383d6c7880f",
-    "sweep-game": "b4c615bcb8eb792b9ff2f24f24cfb8ffa7e0df80c0162913fb12fb48aa6430ee",
-    "report-game": "eb24341bff85643f5a2cfde4e8675f58526af28e4f346b531d75551dc5b7716c",
+    "sweep-game": "a82c746bf8fde83ea9374d870e76f07f1278fdb9662ba3c34a044f4081872cdc",
+    "report-game": "acde734d154ed824e20727dafdcdc876e5332092fb1ee3360f1142b1815fd6ca",
     "report-quad": "52d89603c809de23e549a9b3460f38a9d794ba8a5172be9274f994b0e9371432",
     "gen-pvb": "ec704a4b3b8c63eb8aa41901fbc731c64b31f673b6e74bdaf2ede08453d24dcf",
     "gen-quad": "10b3f8017462cf08a379fd69dd28fb99f7229c87d087ff7a0887b39a187b1e1e",

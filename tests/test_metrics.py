@@ -42,7 +42,7 @@ from vistep.metrics import MC_SAMPLES
 def two_by_two(mat):
     """Wrap a 2x2 payoff matrix as a game on the product of two simplices."""
     mat = np.asarray(mat, dtype=float)
-    game = BilinearGame(n=2, mats=mat[None], avg=mat)
+    game = BilinearGame(n=2, base=mat, scales=np.ones(1), avg=mat)
     return VIProblem(
         d=4,
         prox=ProxSpec(blocks=(2, 2)),

@@ -1,5 +1,7 @@
 """Problem generators: matrix games, quadratic operators, mixing stacks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from vistep import (
     rng_stream,
     wealth_base,
 )
+from vistep.problems import _matrix_spectral_norm
 
 
 def test_wealth_base_matches_scalar_loop():
@@ -51,7 +54,9 @@ def test_policeman_burglar_shapes_and_meta():
     assert p.d == 18
     assert p.M == 3
     assert p.prox.blocks == (9, 9)
-    assert p.payload.mats.shape == (3, 9, 9)
+    assert p.payload.base.shape == (9, 9)
+    assert p.payload.scales.shape == (3,)
+    assert not hasattr(p.payload, "mats")
     assert p.meta["kind"] == "pvb"
     assert p.known_solution is None
     assert p.L_m.shape == (3,)
@@ -64,19 +69,53 @@ def test_policeman_burglar_matrix_formula():
     p = gen_policeman_burglar(n, theta=theta, sigma_w=sigma_w, seed=seed)
     xi = sigma_w * rng_stream(seed, 0).uniform(n)
     w = wealth_base(n)
+    np.testing.assert_array_equal(p.payload.scales, 1.0 + xi)
     for k in range(n):
         for i in range(n * n):
             for j in range(n * n):
                 want = (1.0 + xi[k]) * w[i] * (1.0 - np.exp(-theta * cell_distance(i, j, n)))
-                assert p.payload.mats[k, i, j] == pytest.approx(want, abs=1e-12)
+                assert p.payload.scales[k] * p.payload.base[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_policeman_burglar_matrix_structure():
     p = gen_policeman_burglar(3, seed=2)
-    for k in range(3):
-        assert np.all(np.diag(p.payload.mats[k]) == 0.0)
-        assert np.all(p.payload.mats[k] >= 0.0)
-    np.testing.assert_allclose(p.payload.avg, p.payload.mats.mean(axis=0), atol=1e-15)
+    assert np.all(np.diag(p.payload.base) == 0.0)
+    assert np.all(p.payload.base >= 0.0)
+    assert np.all(p.payload.scales >= 1.0)
+    assert np.all(np.diag(p.payload.avg) == 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_policeman_burglar_matches_the_component_stack(n):
+    # the (M, n^2, n^2) stack the payload no longer stores, rebuilt here
+    p = gen_policeman_burglar(n, seed=n)
+    game = p.payload
+    mats = game.scales[:, None, None] * game.base[None, :, :]
+    np.testing.assert_array_equal(game.avg, mats.mean(axis=0))
+    assert p.L == _matrix_spectral_norm(mats.mean(axis=0), tol=1e-12)
+    np.testing.assert_array_equal(p.L_m, [_matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)])
+    rng = rng_stream(n, 1)
+    for _ in range(3):
+        z = random_feasible(p, rng)
+        for m in range(n):
+            want = game._apply(mats[m], z)
+            got = eval_component(p, m, z)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_policeman_burglar_generation_holds_no_component_stack():
+    # n = 20: one n^2 x n^2 array is 1.28 MB and the stack of all M = 20
+    # components would be 25.6 MB; set-up needs a handful of the former
+    n = 20
+    one_matrix = (n * n) ** 2 * 8
+    gen_policeman_burglar(2)  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        gen_policeman_burglar(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * one_matrix
 
 
 def test_policeman_burglar_operator_is_skew_average_of_components():
@@ -93,10 +132,9 @@ def test_policeman_burglar_operator_is_skew_average_of_components():
 
 def test_policeman_burglar_zero_shock_makes_components_equal():
     p = gen_policeman_burglar(3, sigma_w=0.0, seed=4)
-    for k in range(3):
-        np.testing.assert_array_equal(p.payload.mats[k], p.payload.mats[0])
+    np.testing.assert_array_equal(p.payload.scales, np.ones(3))
     # averaging three identical matrices only rounds at the last bit
-    np.testing.assert_allclose(p.payload.avg, p.payload.mats[0], rtol=1e-12)
+    np.testing.assert_allclose(p.payload.avg, p.payload.base, rtol=1e-12)
     np.testing.assert_allclose(p.L_m, p.L, rtol=1e-9)
 
 
@@ -106,7 +144,7 @@ def test_policeman_burglar_lipschitz_constant():
     assert p.L == pytest.approx(np.linalg.norm(p.payload.avg, 2), rel=1e-9)
     assert estimate_lipschitz(p) == pytest.approx(p.L, rel=1e-6)
     for k in range(3):
-        assert p.L_m[k] == pytest.approx(np.linalg.norm(p.payload.mats[k], 2), rel=1e-9)
+        assert p.L_m[k] == pytest.approx(p.payload.scales[k] * np.linalg.norm(p.payload.base, 2), rel=1e-9)
 
 
 def test_policeman_burglar_argument_errors():

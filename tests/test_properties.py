@@ -1,8 +1,10 @@
 """Property tests: the prox operators, the cost ledgers and the config
 round trip, on generated inputs."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -55,6 +57,37 @@ def test_projection_feasible_and_idempotent(v):
     x = project_simplex(v)
     assert_on_simplices(x, [len(v)])
     np.testing.assert_allclose(project_simplex(x), x, rtol=0.0, atol=TOL)
+
+
+def project_simplex_sort_rule(v):
+    """The sort rule as first written (``np.cumsum``, an integer rank vector,
+    ``np.nonzero`` over the whole support): ``project_simplex`` must give
+    its bits exactly."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    if not math.isfinite(css[-1]):
+        raise ValueError("sum overflows")
+    j = np.arange(1, v.size + 1)
+    support = np.nonzero(u * j > css)[0]
+    if support.size == 0:
+        return project_simplex_sort_rule(v - u[0])
+    rho = support[-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+# entries at and past 2^53, where u_1 - 1 rounds back to u_1 and the
+# projection takes its shift fallback
+huge = st.floats(min_value=2.0**53, max_value=2.0**56)
+scaled_entries = st.one_of(entries.map(lambda x: 1e-6 * x), entries, huge, huge.map(lambda x: -x))
+
+
+@PROPERTY
+@example(np.array([4e16, 4e16 + 8.0, 0.0]))
+@given(st.integers(1, 30).flatmap(lambda n: arrays(np.float64, n, elements=scaled_entries)))
+def test_projection_bits_match_the_sort_rule(v):
+    np.testing.assert_array_equal(project_simplex(v), project_simplex_sort_rule(v))
 
 
 @PROPERTY
