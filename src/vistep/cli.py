@@ -188,18 +188,16 @@ def _quantizer(cfg: Config, p: VIProblem, name: str) -> Quantizer:
 def _weights(cfg: Config, p: VIProblem, name: str) -> tuple[float, ...]:
     if cfg.get("run", "weights") != "lipschitz":
         return (1.0 / p.M,) * p.M
-    if p.L_m is None:
-        raise ConfigError("problem has no per-component constants for lipschitz weights")
     return tuple(float(x) for x in importance_weights(p.L_m))
 
 
 def _tau_split(cfg: Config, p: VIProblem, name: str) -> float:
-    split = cfg.get("run", "tau_split")
-    if split is not None:
-        return float(split)
     mix = p.payload
     if not hasattr(mix, "l_phi"):
         raise ConfigError(f"{name} estimator requires a mixing problem")
+    split = cfg.get("run", "tau_split")
+    if split is not None:
+        return float(split)
     # the branch split that minimizes A is the strategy's own tau rule
     return optimal_tau(EstimatorKind(name, tau_split=0.5), L=mix.l_phi, lam=mix.lam)
 
@@ -285,7 +283,7 @@ def read_trace(path: str) -> TraceFile:
             continue
         if ln.strip():
             body.append(ln)
-    if not body:
+    if len(body) < 2:  # a header alone has no rows after it
         raise ValueError(f"trace file {path} has no data rows")
     header = body[0].split(",")
     if tuple(header) != TRACE_COLUMNS:
@@ -294,7 +292,7 @@ def read_trace(path: str) -> TraceFile:
     for ln, parts in zip(body[1:], rows):
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"trace file {path} has a malformed row: {ln!r}")
-    cells = dict(zip(TRACE_COLUMNS, zip(*rows)))  # empty when there are no rows
+    cells = dict(zip(TRACE_COLUMNS, zip(*rows)))
     columns = {name: np.array(_parse_cells(path, name, cells, int), dtype=np.int64) for name in _INT_COLUMNS}
     columns.update({name: np.array(_parse_cells(path, name, cells, float)) for name in _FLOAT_COLUMNS})
     return TraceFile(config_text="\n".join(cfg_lines), columns=columns)
@@ -303,7 +301,7 @@ def read_trace(path: str) -> TraceFile:
 def _parse_cells(path: str, name: str, cells: dict, typ) -> list:
     """Column ``name`` of the trace's cells as typ; a cell that does not
     parse is named by its file, data row and column."""
-    col = cells.get(name, ())
+    col = cells[name]
     try:
         return [typ(t) for t in col]
     except ValueError:
@@ -320,8 +318,7 @@ def cmd_gen(cfg: Config) -> int:
     blocks = "free" if p.prox.free else ",".join(str(b) for b in p.prox.blocks)
     lines = [f"kind = {p.meta.get('kind', '?')}", f"d = {p.d}", f"M = {p.M}", f"blocks = {blocks}"]
     lines += [f"L = {_fmt_float(p.L)}", f"mu_F = {_fmt_float(p.mu_F)}"]
-    if p.L_m is not None:
-        lines.append(f"L_m = {' '.join(_fmt_float(x) for x in p.L_m)}")
+    lines.append(f"L_m = {' '.join(_fmt_float(x) for x in p.L_m)}")
     _write_text(None, lines)
     return 0
 

@@ -79,15 +79,12 @@ def project_simplex(v: Vector) -> Vector:
     return np.maximum(out, 0.0, out=out)
 
 
-def prox_eval(spec: ProxSpec, gamma: float, v: Vector) -> Vector:
-    """prox_{gamma*h}(v) for the indicator-style h encoded by ``spec``.
+def prox_eval(spec: ProxSpec, v: Vector) -> Vector:
+    """prox_{gamma*h}(v) for the indicator-style h encoded by ``spec``; the
+    same map for every gamma > 0, since h is an indicator.
 
-    Free specs return v unchanged; simplex specs project blockwise.  The
-    result does not depend on gamma (indicator functions scale trivially),
-    but gamma must still be a valid step size.
+    Free specs return v unchanged; simplex specs project blockwise.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
     v = np.asarray(v, dtype=float)
     if spec.free:
         return v.copy()

@@ -219,7 +219,7 @@ class Strategy:
     tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
     refresh: Callable | None = None  # (kind, p, w, costs) -> billed F(w); None without a snapshot
     atoms: Callable | None = None  # (kind, p) -> (probabilities, outcomes), if the outcomes are finite
-    bound: Callable = lambda p: (p.L, p.D)  # p -> the (L, D) the constants are taken at
+    bound: Callable = lambda p: p.L  # p -> the Lipschitz constant L the constants are taken at
     reads: tuple[str, ...] = ()  # the EstimatorKind parameters it reads
 
 
@@ -333,9 +333,8 @@ def _finite_sum_tau(kind, M=None, **_):
 
 
 def _common_bound(p):
-    """One Lipschitz bound over every component and the full operator, and p.D."""
-    L = max(float(p.L), float(np.max(p.L_m)) if p.L_m is not None else 0.0)
-    return L, float(p.D)
+    """One Lipschitz bound over every component and the full operator."""
+    return max(float(p.L), float(np.max(p.L_m)) if p.L_m is not None else 0.0)
 
 
 _NOISY = Strategy(
@@ -402,7 +401,7 @@ STRATEGIES: dict[str, Strategy] = {
         correct=lambda kind, p, o, diff, fw: diff / _per_draw((kind.tau_split, 1.0 - kind.tau_split), o[0]) + fw,
         atoms=lambda kind, p: (np.array([kind.tau_split, 1.0 - kind.tau_split]), (np.arange(2), None)),
         tau=lambda kind, L=None, lam=None, **_: None if L is None or lam is None else L / (L + lam),
-        bound=lambda p: (p.payload.l_phi, p.D),
+        bound=lambda p: p.payload.l_phi,
     ),
 }
 KINDS = tuple(STRATEGIES)
@@ -455,6 +454,8 @@ def est_pair(
     E[g^{k+1/2} | z^{k+1/2}] equals F(z^{k+1/2}).  Updates the cost ledger
     as a side effect; the past strategy stores g^{k+1/2} as the next
     iteration's g^k."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
     anchor = state.kind.strategy.anchor
     if anchor == FRESH:
         g_k = _sample(state, p, z_k, rng)
@@ -462,7 +463,7 @@ def est_pair(
         g_k = state.past_g if anchor == PAST else state.fw
         if g_k is None:
             raise RuntimeError("estimator used before initialization")
-    z_half = prox_eval(p.prox, gamma, z_bar - gamma * g_k)
+    z_half = prox_eval(p.prox, z_bar - gamma * g_k)
     g_half = _sample(state, p, z_half, rng)
     if anchor == PAST:
         state.sigma_sq = float(np.sum((g_half - g_k) ** 2))
@@ -563,10 +564,10 @@ def importance_weights(L_m) -> np.ndarray:
 
 
 def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConstants:
-    """Constants table with L/D taken from the problem, per-kind convention."""
-    L, D = kind.strategy.bound(p)
+    """Constants table with L taken from the problem, per-kind convention."""
+    check_problem(kind, p)
     lam = p.payload.lam if isinstance(p.payload, MixingVI) else None
-    return assumption_constants(kind, L, D, d=p.d, M=p.M, L_m=p.L_m, lam=lam)
+    return assumption_constants(kind, kind.strategy.bound(p), d=p.d, M=p.M, L_m=p.L_m, lam=lam)
 
 
 # ---------------------------------------------------------------------------

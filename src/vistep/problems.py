@@ -2,7 +2,7 @@
 quadratic operators, and federated-mixing compositions.
 
 Every instance exposes a full operator oracle, per-component oracles for
-finite sums, and the constants (L, D, mu, per-component L_m) that the step
+finite sums, and the constants (L, mu, per-component L_m) that the step
 size rules and the verification suite consume.
 """
 
@@ -24,8 +24,8 @@ class VIProblem:
     ``payload`` carries the operator data (one of the classes below); the
     surrounding fields are the constants the solver and verifiers need.
     ``L_m`` holds the per-component Lipschitz constants of finite sums.
-    ``meta`` records the generator name and parameters so an instance can
-    be rebuilt deterministically from a text snapshot.
+    ``meta`` records the generator and its parameters; ``vistep gen``
+    prints its ``kind``.
     """
 
     d: int
@@ -33,7 +33,6 @@ class VIProblem:
     M: int
     payload: object
     L: float
-    D: float = 0.0
     mu_F: float = 0.0
     mu_h: float = 0.0
     L_m: np.ndarray | None = None
@@ -74,8 +73,8 @@ class BilinearGame:
     linear = full
 
     def linear_t(self, v: Vector) -> Vector:
-        u, w = v[: self.half], v[self.half :]
-        return np.concatenate([-(self.avg.T @ w), self.avg @ u])
+        # F is skew, so its adjoint is -F
+        return -self.full(v)
 
 
 def duality_gap_bilinear(game: BilinearGame, z: Vector) -> float:
@@ -387,14 +386,10 @@ def initial_point(p: VIProblem, seed: int) -> Vector:
         center = p.known_solution if p.known_solution is not None else np.zeros(p.d)
         e = rng_stream(seed, 2).normal(p.d)
         return center + e / np.linalg.norm(e)
-    z0 = np.empty(p.d)
-    start = 0
-    for b in p.prox.blocks:
-        z0[start : start + b] = 1.0 / b
-        start += b
-    return z0
+    # the projection of 0 onto a length-b simplex is exactly 1/b everywhere
+    return prox_eval(p.prox, np.zeros(p.d))
 
 
 def random_feasible(p: VIProblem, rng) -> Vector:
     """A generic feasible point: a projected standard normal draw."""
-    return prox_eval(p.prox, 1.0, rng.normal(p.d))
+    return prox_eval(p.prox, rng.normal(p.d))

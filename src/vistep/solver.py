@@ -162,7 +162,7 @@ def iterate_once(
     """One full iteration; returns (z^{k+1}, z^{k+1/2}).  Moves state.w."""
     z_bar = tau * z + (1.0 - tau) * state.w
     g_k, g_half, z_half = est_pair(state, p, z_bar, z, gamma, est_rng)
-    z_next = prox_eval(p.prox, gamma, z_bar - gamma * g_half)
+    z_next = prox_eval(p.prox, z_bar - gamma * g_half)
     snapshot_update(state, z_next, tau, coin_rng, p)
     return z_next, z_half
 

@@ -196,8 +196,11 @@ def test_read_trace_rejects_malformed_files(tmp_path):
         read_trace(str(bad_cell))
     empty = tmp_path / "e.csv"
     empty.write_text("# vistep trace\n# config-begin\n# config-end\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_trace(str(empty))
+    header_only = tmp_path / "ho.csv"
+    header_only.write_text("# vistep trace\n# config-begin\n# config-end\n" + ",".join(TRACE_COLUMNS) + "\n")
+    for path in (empty, header_only):
+        with pytest.raises(ValueError, match=re.escape(f"trace file {path} has no data rows")):
+            read_trace(str(path))
 
 
 def test_sweep_command(tmp_path):
@@ -267,6 +270,17 @@ def test_main_exit_codes(tmp_path, capsys):
     no_points.write_text("problem.kind = pvb\nproblem.n = 2\nverify.estimators = vr\nverify.n_points = 0\n")
     assert main(["verify", "-c", str(no_points)]) == 1
     assert "line 4: verify.n_points must be at least 1" in capsys.readouterr().err
+    split_on_game = tmp_path / "split_on_game.cfg"
+    for split in ("auto", "0.5"):
+        split_on_game.write_text(
+            f"problem.kind = pvb\nproblem.n = 2\nrun.estimator = local\nrun.K = 3\nrun.tau_split = {split}\n"
+        )
+        assert main(["run", "-c", str(split_on_game), "-o", str(tmp_path / "s.csv")]) == 1
+        assert "config error: local estimator requires a mixing problem" in capsys.readouterr().err
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("problem.kind = pvb\nproblem.n = 2\nverify.estimators = bogus\n")
+    assert main(["verify", "-c", str(unknown)]) == 1
+    assert "config error: unknown estimator 'bogus'" in capsys.readouterr().err
     diverging = tmp_path / "diverging.cfg"
     diverging.write_text(
         "problem.kind = quadratic\nproblem.d = 10\nproblem.mu = 0.1\nproblem.L = 1.0\n"

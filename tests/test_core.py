@@ -93,7 +93,7 @@ def test_prox_spec_validation():
 
 def test_prox_eval_free_returns_a_copy():
     v = np.array([1.0, -2.0, 3.0])
-    out = prox_eval(FREE, 0.7, v)
+    out = prox_eval(FREE, v)
     np.testing.assert_array_equal(out, v)
     out[0] = 99.0
     assert v[0] == 1.0
@@ -102,25 +102,14 @@ def test_prox_eval_free_returns_a_copy():
 def test_prox_eval_blockwise_matches_per_block_projection():
     spec = ProxSpec((2, 3))
     v = rng_stream(15, 0).normal(5)
-    out = prox_eval(spec, 1.0, v)
+    out = prox_eval(spec, v)
     np.testing.assert_array_equal(out[:2], project_simplex(v[:2]))
     np.testing.assert_array_equal(out[2:], project_simplex(v[2:]))
 
 
-def test_prox_eval_gamma_independent():
-    # indicator-function prox: the projection does not depend on the scale
-    spec = ProxSpec((4,))
-    v = rng_stream(16, 0).normal(4)
-    np.testing.assert_array_equal(prox_eval(spec, 0.01, v), prox_eval(spec, 50.0, v))
-    w = rng_stream(16, 1).normal(4)
-    np.testing.assert_array_equal(prox_eval(FREE, 0.01, w), prox_eval(FREE, 50.0, w))
-
-
 def test_prox_eval_errors():
     with pytest.raises(ValueError):
-        prox_eval(FREE, 0.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        prox_eval(ProxSpec((2, 2)), 1.0, np.zeros(5))
+        prox_eval(ProxSpec((2, 2)), np.zeros(5))
 
 
 def test_stream_reproducible_and_distinct():

@@ -181,8 +181,10 @@ def test_range_checks_reject_nan():
     with pytest.raises(ValueError, match="lam"):
         gen_mixing_vi([gen_quadratic_vi(2, 0.5, 1.0)], nan)
     p = gen_quadratic_vi(4, 0.5, 2.0, seed=1)
-    with pytest.raises(ValueError, match="gamma"):
-        prox_eval(p.prox, nan, np.zeros(p.d))
+    state = init_estimator(vr(), p, np.zeros(p.d), rng_stream(0, 0))
+    for gamma in (nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            est_pair(state, p, np.zeros(p.d), np.zeros(p.d), gamma, rng_stream(0, 0))
     with pytest.raises(ValueError, match="radius"):
         restricted_gap_ball(p, np.zeros(p.d), nan)
     for L_m in ([1.0, nan], [1.0, float("inf")]):
@@ -205,22 +207,30 @@ def test_init_estimator_guards():
         init_estimator(importance((0.5, 0.5)), p, initial_point(p, 0), rng_stream(0, 0))
 
 
+def _fails_alike_everywhere(kind, p, error, message):
+    """The solver and both verifiers (exact and Monte Carlo) raise the same
+    error type with the same message."""
+    with pytest.raises(error, match=message):
+        run_solver(p, SolverConfig(kind, K=5))
+    for n_samples in (0, 100):
+        with pytest.raises(error, match=message):
+            verify_unbiasedness(kind, p, n_points=2, n_samples=n_samples)
+        with pytest.raises(error, match=message):
+            verify_assumption2(kind, p, n_points=2, n_samples=n_samples)
+
+
 def test_quantizer_dimension_mismatch_fails_fast_everywhere():
-    # a randk quantizer built for d=6 on a d=12 problem: the solver and both
-    # verifiers (exact and Monte Carlo) raise the same error naming both sizes
-    p = gen_quadratic_vi(12, 0.1, 1.0)
+    # a randk quantizer built for d=6 on a d=12 problem: the error names both sizes
     kind = quant(Quantizer("randk", k=2, d=6))
     message = "quantizer dimension 6 does not match problem dimension 12"
-    with pytest.raises(ValueError, match=message):
-        run_solver(p, SolverConfig(kind, K=5))
-    with pytest.raises(ValueError, match=message):
-        verify_unbiasedness(kind, p, n_points=2)
-    with pytest.raises(ValueError, match=message):
-        verify_unbiasedness(kind, p, n_points=2, n_samples=100)
-    with pytest.raises(ValueError, match=message):
-        verify_assumption2(kind, p, n_points=2)
-    with pytest.raises(ValueError, match=message):
-        verify_assumption2(kind, p, n_points=2, n_samples=100)
+    _fails_alike_everywhere(kind, gen_quadratic_vi(12, 0.1, 1.0), ValueError, message)
+
+
+def test_strategy_that_does_not_fit_the_game_fails_alike_everywhere():
+    # a Phi/consensus split without a mixing problem, and weights of the wrong length
+    p = pvb3()
+    _fails_alike_everywhere(local(0.5), p, TypeError, "local estimator requires a mixing problem")
+    _fails_alike_everywhere(importance((0.5, 0.5)), p, ValueError, "is weights have length 2, problem has M=3")
 
 
 def test_solver_and_verifier_share_the_correction(monkeypatch):
@@ -262,7 +272,7 @@ def test_fulldet_pair_is_plain_extra_step():
     gamma = 0.05
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, eval_full(p, z_bar))
-    np.testing.assert_array_equal(z_half, prox_eval(p.prox, gamma, z_bar - gamma * g_k))
+    np.testing.assert_array_equal(z_half, prox_eval(p.prox, z_bar - gamma * g_k))
     np.testing.assert_array_equal(g_half, eval_full(p, z_half))
 
 
@@ -278,7 +288,7 @@ def test_noisy_pair_twin_reproduction():
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     want_gk = eval_full(p, z_bar) + (sigma / np.sqrt(p.d)) * twin.normal(p.d)
     np.testing.assert_array_equal(g_k, want_gk)
-    want_half = prox_eval(p.prox, gamma, z_bar - gamma * want_gk)
+    want_half = prox_eval(p.prox, z_bar - gamma * want_gk)
     np.testing.assert_array_equal(z_half, want_half)
     want_ghalf = eval_full(p, z_half) + (sigma / np.sqrt(p.d)) * twin.normal(p.d)
     np.testing.assert_array_equal(g_half, want_ghalf)

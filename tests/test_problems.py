@@ -7,6 +7,7 @@ import pytest
 
 from vistep import (
     FREE,
+    ProxSpec,
     VIProblem,
     cell_distance,
     estimate_lipschitz,
@@ -278,10 +279,24 @@ def test_estimate_lipschitz_on_quadratic_and_errors():
         estimate_lipschitz(q)
 
 
+def test_linear_t_is_the_adjoint_of_linear_for_every_payload():
+    base = [gen_quadratic_vi(4, 0.5, 2.0, seed=s) for s in (1, 2, 3)]
+    problems = (gen_policeman_burglar(3, seed=1), gen_quadratic_vi(6, 0.5, 2.0, seed=2), gen_mixing_vi(base, 1.3))
+    rng = rng_stream(21, 0)
+    for p in problems:
+        for _ in range(3):
+            u, v = rng.normal(p.d), rng.normal(p.d)
+            lu = p.payload.linear(u)
+            lhs, rhs = float(np.dot(lu, v)), float(np.dot(u, p.payload.linear_t(v)))
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(lu) * np.linalg.norm(v)
+
+
 def test_initial_point_conventions():
     game = gen_policeman_burglar(3, seed=0)
     z0 = initial_point(game, 5)
-    np.testing.assert_allclose(z0, np.full(18, 1.0 / 9.0), atol=1e-15)
+    np.testing.assert_array_equal(z0, np.full(18, 1.0 / 9.0))
+    uneven = VIProblem(d=5, prox=ProxSpec((2, 3)), M=1, payload=None, L=1.0)
+    np.testing.assert_array_equal(initial_point(uneven, 5), [1.0 / 2.0] * 2 + [1.0 / 3.0] * 3)
 
     quad = gen_quadratic_vi(7, 0.5, 2.0, seed=0)
     z0 = initial_point(quad, 5)

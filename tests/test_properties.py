@@ -95,9 +95,9 @@ def test_projection_bits_match_the_sort_rule(v):
 def test_prox_feasible_idempotent_and_nonexpansive(case):
     blocks, (a, b) = case
     spec = ProxSpec(tuple(blocks))
-    pa, pb = prox_eval(spec, 0.5, a), prox_eval(spec, 0.5, b)
+    pa, pb = prox_eval(spec, a), prox_eval(spec, b)
     assert_on_simplices(pa, blocks)
-    np.testing.assert_allclose(prox_eval(spec, 2.0, pa), pa, rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(prox_eval(spec, pa), pa, rtol=0.0, atol=TOL)
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + TOL
 
 
