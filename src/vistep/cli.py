@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import KINDS, STRATEGIES, EstimatorKind, Quantizer, importance_weights, optimal_tau
+from .estimators import KINDS, STRATEGIES, EstimatorKind, Quantizer, check_problem, importance_weights, optimal_tau
 from .metrics import VerificationReport, verify_assumption2, verify_unbiasedness
 from .problems import VIProblem, gen_mixing_vi, gen_policeman_burglar, gen_quadratic_vi
 from .solver import COST_COLUMNS, RunTrace, SolverConfig, run_solver
@@ -192,14 +192,16 @@ def _weights(cfg: Config, p: VIProblem, name: str) -> tuple[float, ...]:
 
 
 def _tau_split(cfg: Config, p: VIProblem, name: str) -> float:
-    mix = p.payload
-    if not hasattr(mix, "l_phi"):
-        raise ConfigError(f"{name} estimator requires a mixing problem")
+    kind = EstimatorKind(name, tau_split=0.5)
+    try:
+        check_problem(kind, p)
+    except TypeError as e:
+        raise ConfigError(str(e)) from None
     split = cfg.get("run", "tau_split")
     if split is not None:
         return float(split)
     # the branch split that minimizes A is the strategy's own tau rule
-    return optimal_tau(EstimatorKind(name, tau_split=0.5), L=mix.l_phi, lam=mix.lam)
+    return optimal_tau(kind, L=p.payload.l_phi, lam=p.payload.lam)
 
 
 # EstimatorKind parameter -> its value from the run.* keys; a strategy reads

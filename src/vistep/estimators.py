@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,17 +182,34 @@ def _payload_bits(kind: EstimatorKind, d: int) -> int:
     return q.k * _coord_bits(d)
 
 
+class Snapshot(NamedTuple):
+    """What a refresh keeps at the anchor w: the billed F(w), and each
+    difference source's value at w (``at_w[s]`` for source s; None when
+    the one source is F itself, whose value at w is fw)."""
+
+    fw: Vector
+    at_w: Sequence[Vector] | None = None
+
+
 @dataclass
 class EstimatorState:
-    """Mutable per-run state: snapshot anchor w, the cached F(w), the past
-    strategy's stored half-step value and sigma memory, and the ledger."""
+    """Mutable per-run state: snapshot anchor w and what the last refresh
+    kept there, the past strategy's stored half-step value and sigma
+    memory, and the ledger."""
 
     kind: EstimatorKind
     w: Vector
-    fw: Vector | None = None
+    snap: Snapshot | None = None
     past_g: Vector | None = None
+    # the last half point's oracle value before noise, for the strategies
+    # without a snapshot (their difference is F itself); None for the others
+    f_half: Vector | None = None
     sigma_sq: float = 0.0
     costs: CostLedger = field(default_factory=CostLedger)
+
+    @property
+    def fw(self) -> Vector | None:
+        return None if self.snap is None else self.snap.fw
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +230,11 @@ class Strategy:
 
     anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
     draw: Callable  # (kind, p, rng, n) -> n outcomes
-    diff: Callable  # (kind, p, s, z, w, fw, costs) -> source s's billed difference at z (F(z) without a snapshot)
+    diff: Callable  # (kind, p, s, z, snap, costs) -> source s's billed difference at z (F(z) without a snapshot)
     correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
     constants: Callable  # (kind, L, D, d=, M=, L_m=, lam=) -> the nonzero contract constants
     tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
-    refresh: Callable | None = None  # (kind, p, w, costs) -> billed F(w); None without a snapshot
+    refresh: Callable | None = None  # (kind, p, w, costs) -> the Snapshot at w, billed; None without one
     atoms: Callable | None = None  # (kind, p) -> (probabilities, outcomes), if the outcomes are finite
     bound: Callable = lambda p: p.L  # p -> the Lipschitz constant L the constants are taken at
     reads: tuple[str, ...] = ()  # the EstimatorKind parameters it reads
@@ -234,25 +251,36 @@ def _charged(value, costs: CostLedger, bits=0, full_calls=0, comp_calls=0, coord
     return value
 
 
+# Bills follow the paper's cost model, not the work done: a refresh of the
+# game's components bills M component calls for one product with the shared
+# base, and a difference bills F_s(w) although it reads it from the snapshot.
+
+
 def _component_mean(kind, p, w, costs):
-    mean = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
-    return _charged(mean, costs, _dense_bits(p.d), comp_calls=p.M)
+    stack = p.payload.components(w)
+    return _charged(Snapshot(np.mean(stack, axis=0), stack), costs, _dense_bits(p.d), comp_calls=p.M)
 
 
-def _full_value(kind, p, w, costs, comms=0):
-    return _charged(eval_full(p, w), costs, _dense_bits(p.d), full_calls=1, comms=comms)
+def _full_value(kind, p, w, costs):
+    return _charged(Snapshot(eval_full(p, w)), costs, _dense_bits(p.d), full_calls=1)
 
 
-def _component_diff(kind, p, s, z, w, fw, costs):
-    diff = eval_component(p, s, z) - eval_component(p, s, w)
+def _branch_values(kind, p, w, costs):
+    """Phi(w) and the consensus term at w, kept apart; F(w) is their sum."""
+    at_w = (p.payload.phi(w), p.payload.consensus(w))
+    return _charged(Snapshot(at_w[0] + at_w[1], at_w), costs, _dense_bits(p.d), full_calls=1, comms=1)
+
+
+def _component_diff(kind, p, s, z, snap, costs):
+    diff = eval_component(p, s, z) - snap.at_w[s]
     return _charged(diff, costs, _payload_bits(kind, p.d), comp_calls=2)
 
 
-def _branch_diff(kind, p, s, z, w, fw, costs):
+def _branch_diff(kind, p, s, z, snap, costs):
     """Phi's difference (s = 0, a local step) or consensus's (a broadcast)."""
     if s == 0:
-        return _charged(p.payload.phi(z) - p.payload.phi(w), costs, local_steps=1)
-    return _charged(p.payload.consensus(z) - p.payload.consensus(w), costs, _dense_bits(p.d), comms=1)
+        return _charged(p.payload.phi(z) - snap.at_w[0], costs, local_steps=1)
+    return _charged(p.payload.consensus(z) - snap.at_w[1], costs, _dense_bits(p.d), comms=1)
 
 
 def _per_draw(values, s):
@@ -342,7 +370,7 @@ _NOISY = Strategy(
     draw=lambda kind, p, rng, n: (
         _zeros(n), rng.normal((p.d,) if n is None else (n, p.d)) if kind.sigma > 0 else None
     ),
-    diff=lambda kind, p, s, z, w, fw, costs: _charged(eval_full(p, z), costs, _dense_bits(p.d), full_calls=1),
+    diff=lambda kind, p, s, z, snap, costs: _charged(eval_full(p, z), costs, _dense_bits(p.d), full_calls=1),
     # a batch's F(z) rows arrive as a broadcast view of one row; return a real array
     correct=lambda kind, p, o, diff, fw: np.ascontiguousarray(diff) if o[1] is None
     else diff + (kind.sigma / math.sqrt(p.d)) * o[1],
@@ -350,8 +378,8 @@ _NOISY = Strategy(
 _QUANT = Strategy(
     SNAPSHOT, reads=("quantizer",), refresh=_full_value, atoms=lambda kind, p: _kept_atoms(kind, 1),
     draw=lambda kind, p, rng, n: _with_kept(kind, rng, _zeros(n), n),
-    diff=lambda kind, p, s, z, w, fw, costs: _charged(
-        eval_full(p, z) - fw, costs, _payload_bits(kind, p.d), full_calls=1
+    diff=lambda kind, p, s, z, snap, costs: _charged(
+        eval_full(p, z) - snap.fw, costs, _payload_bits(kind, p.d), full_calls=1
     ),
     correct=lambda kind, p, o, diff, fw: quantize(kind.quantizer, diff, kept=o[1]) + fw,
     constants=lambda kind, L, D, **_: _variance_constants(kind.quantizer.omega, L, D),
@@ -373,7 +401,9 @@ STRATEGIES: dict[str, Strategy] = {
         SNAPSHOT, refresh=_full_value, constants=_coordinate_constants,
         tau=lambda kind, d=None, **_: _finite_sum_tau(kind, d),
         draw=lambda kind, p, rng, n: (_zeros(n), rng.integers(p.d, n)),
-        diff=lambda kind, p, s, z, w, fw, costs: _charged(eval_full(p, z) - fw, costs, _coord_bits(p.d), coords=1),
+        diff=lambda kind, p, s, z, snap, costs: _charged(
+            eval_full(p, z) - snap.fw, costs, _coord_bits(p.d), coords=1
+        ),
         correct=_one_coordinate,
         atoms=lambda kind, p: (np.full(p.d, 1.0 / p.d), (_zeros(p.d), np.arange(p.d))),
     ),
@@ -394,8 +424,7 @@ STRATEGIES: dict[str, Strategy] = {
         atoms=lambda kind, p: (np.array(kind.weights), (np.arange(p.M), None)),
     ),
     "local": Strategy(
-        SNAPSHOT, reads=("tau_split",), diff=_branch_diff, constants=_split_constants,
-        refresh=lambda kind, p, w, costs: _full_value(kind, p, w, costs, comms=1),
+        SNAPSHOT, reads=("tau_split",), refresh=_branch_values, diff=_branch_diff, constants=_split_constants,
         # source 0 is the Phi branch (probability tau_split), 1 the consensus branch
         draw=lambda kind, p, rng, n: ((rng.uniform(n) >= kind.tau_split) * 1, None),
         correct=lambda kind, p, o, diff, fw: diff / _per_draw((kind.tau_split, 1.0 - kind.tau_split), o[0]) + fw,
@@ -426,19 +455,19 @@ def init_estimator(kind: EstimatorKind, p: VIProblem, z0: Vector, rng: RngStream
     state = EstimatorState(kind=kind, w=np.asarray(z0, dtype=float).copy())
     strat = kind.strategy
     if strat.anchor == PAST:
-        state.past_g = _sample(state, p, state.w, rng)
+        state.past_g = _sample(state, p, state.w, rng)[1]
     elif strat.refresh is not None:
-        state.fw = strat.refresh(kind, p, state.w, state.costs)
+        state.snap = strat.refresh(kind, p, state.w, state.costs)
     return state
 
 
-def _sample(state: EstimatorState, p: VIProblem, z: Vector, rng: RngStream) -> Vector:
-    """One billed draw of the strategy's estimate at z."""
+def _sample(state: EstimatorState, p: VIProblem, z: Vector, rng: RngStream) -> tuple[Vector, Vector]:
+    """One billed draw at z: (the drawn source's difference, the estimate)."""
     kind = state.kind
     strat = kind.strategy
     outcome = strat.draw(kind, p, rng, None)
-    diff = strat.diff(kind, p, int(outcome[0]), z, state.w, state.fw, state.costs)
-    return strat.correct(kind, p, outcome, diff, state.fw)
+    diff = strat.diff(kind, p, int(outcome[0]), z, state.snap, state.costs)
+    return diff, strat.correct(kind, p, outcome, diff, state.fw)
 
 
 def est_pair(
@@ -453,18 +482,22 @@ def est_pair(
     z^{k+1/2} = prox(z_bar - gamma*g^k), with the problem's prox, and
     E[g^{k+1/2} | z^{k+1/2}] equals F(z^{k+1/2}).  Updates the cost ledger
     as a side effect; the past strategy stores g^{k+1/2} as the next
-    iteration's g^k."""
+    iteration's g^k, and a strategy without a snapshot keeps
+    F(z^{k+1/2}) in state.f_half."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    anchor = state.kind.strategy.anchor
+    strat = state.kind.strategy
+    anchor = strat.anchor
     if anchor == FRESH:
-        g_k = _sample(state, p, z_k, rng)
+        g_k = _sample(state, p, z_k, rng)[1]
     else:
         g_k = state.past_g if anchor == PAST else state.fw
         if g_k is None:
             raise RuntimeError("estimator used before initialization")
     z_half = prox_eval(p.prox, z_bar - gamma * g_k)
-    g_half = _sample(state, p, z_half, rng)
+    diff, g_half = _sample(state, p, z_half, rng)
+    if strat.refresh is None:
+        state.f_half = diff
     if anchor == PAST:
         state.sigma_sq = float(np.sum((g_half - g_k) ** 2))
         state.past_g = g_half
@@ -473,7 +506,7 @@ def est_pair(
 
 def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngStream, p: VIProblem) -> bool:
     """End-of-iteration update: with probability 1 - tau (one uniform draw)
-    move w to z_next and refresh the F(w) cache.  Returns whether w moved."""
+    move w to z_next and take a new snapshot.  Returns whether w moved."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("need 0 <= tau < 1")
     refreshed = rng.uniform() < 1.0 - tau
@@ -481,7 +514,7 @@ def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngS
     if refreshed:
         state.w = np.asarray(z_next, dtype=float).copy()
         if refresh is not None:
-            state.fw = refresh(state.kind, p, state.w, state.costs)
+            state.snap = refresh(state.kind, p, state.w, state.costs)
     return refreshed
 
 
@@ -572,19 +605,20 @@ def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConsta
 
 # ---------------------------------------------------------------------------
 # The verification suite's views of g^{k+1/2}: the strategy's own draw and
-# correction over every outcome atom (exact) or a batch of draws (Monte Carlo).
+# correction over every outcome atom (exact) or a batch of draws (Monte Carlo),
+# given the snapshot the strategy's refresh made at w (None without one).
 
 
-def _batch(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, w: Vector, fw) -> np.ndarray:
+def _batch(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, snap: Snapshot | None) -> np.ndarray:
     """g^{k+1/2} for each of a batch of outcomes."""
     strat = kind.strategy
     sources, index = np.unique(outcomes[0], return_inverse=True)
-    diffs = [strat.diff(kind, p, int(s), z_half, w, fw, CostLedger()) for s in sources]
+    diffs = [strat.diff(kind, p, int(s), z_half, snap, CostLedger()) for s in sources]
     rows = np.broadcast_to(diffs[0], (len(index), p.d)) if len(diffs) == 1 else np.stack(diffs)[index]
-    return strat.correct(kind, p, outcomes, rows, fw)
+    return strat.correct(kind, p, outcomes, rows, None if snap is None else snap.fw)
 
 
-def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, w: Vector, fw: Vector | None):
+def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, snap: Snapshot | None):
     """All possible g^{k+1/2} values with their probabilities, for kinds
     whose randomness is finite and enumerable: (probs, values), one value
     row per atom."""
@@ -593,15 +627,14 @@ def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, w: Vector, fw:
     if atoms is None:
         raise ValueError(f"estimator kind {kind.name!r} is not enumerable")
     probs, outcomes = atoms(kind, p)
-    return probs, _batch(kind, p, outcomes, z_half, w, fw)
+    return probs, _batch(kind, p, outcomes, z_half, snap)
 
 
 def sample_half_batch(
     kind: EstimatorKind,
     p: VIProblem,
     z_half: Vector,
-    w: Vector,
-    fw: Vector | None,
+    snap: Snapshot | None,
     rng: RngStream,
     n: int,
 ):
@@ -613,4 +646,4 @@ def sample_half_batch(
     batch is distribution-equal, not stream-equal, to n solver draws.
     """
     check_problem(kind, p)
-    return _batch(kind, p, kind.strategy.draw(kind, p, rng, n), z_half, w, fw)
+    return _batch(kind, p, kind.strategy.draw(kind, p, rng, n), z_half, snap)

@@ -177,7 +177,7 @@ def _draws(kind: EstimatorKind, p: VIProblem, n_samples: int, sampler=None) -> i
 
 
 def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int | None, seed: int, sampler=None):
-    """Random state pairs (z^{k+1/2}, w) with F(w) as the strategy caches it
+    """Random state pairs (z^{k+1/2}, w) with the strategy's refresh at w
     (None without a snapshot), the target F(z^{k+1/2}) and the outcome set
     of g^{k+1/2}: (probs, values) over every atom when draws = 0, (None,
     values) of that many Monte Carlo draws, or (None, None) when draws is
@@ -188,15 +188,15 @@ def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int |
     refresh = kind.strategy.refresh
     for _ in range(n_points):
         z_half, w = random_feasible(p, points), random_feasible(p, points)
-        fw = None if refresh is None else refresh(kind, p, w, CostLedger())
+        snap = None if refresh is None else refresh(kind, p, w, CostLedger())
         probs = values = None
         if draws == 0:
-            probs, values = half_atoms(kind, p, z_half, w, fw)
+            probs, values = half_atoms(kind, p, z_half, snap)
         elif sampler is not None:
-            values = sampler(p, z_half, w, fw, rng, draws)
+            values = sampler(p, z_half, snap, rng, draws)
         elif draws is not None:
-            values = sample_half_batch(kind, p, z_half, w, fw, rng, draws)
-        yield z_half, w, fw, eval_full(p, z_half), probs, values
+            values = sample_half_batch(kind, p, z_half, snap, rng, draws)
+        yield z_half, w, snap, eval_full(p, z_half), probs, values
 
 
 def _sq_dists(values: np.ndarray, ref: Vector) -> np.ndarray:
@@ -225,13 +225,13 @@ def verify_unbiasedness(
     n_samples = 0 enumerates the outcome atoms where the strategy has them
     (exact, tolerance at float precision) and otherwise averages
     MC_SAMPLES Monte Carlo draws; n_samples >= 2 averages that many draws.
-    Monte Carlo means are held to four standard errors.  ``sampler``
-    replaces the draw routine, which lets a deliberately broken estimator
-    serve as a negative control.
+    Monte Carlo means are held to four standard errors.  ``sampler(p,
+    z_half, snap, rng, n)`` replaces the draw routine, which lets a
+    deliberately broken estimator serve as a negative control.
     """
     draws = _draws(kind, p, n_samples, sampler)
     worst = {}
-    for z_half, w, fw, target, probs, values in _outcome_sets(kind, p, n_points, draws, seed, sampler):
+    for z_half, w, snap, target, probs, values in _outcome_sets(kind, p, n_points, draws, seed, sampler):
         scale = 1.0 + float(np.linalg.norm(target))
         if probs is not None:
             lhs = float(np.linalg.norm(np.einsum("i,ij->j", probs, values) - target))
@@ -265,7 +265,7 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
     for _ in range(n_points + 2):
         w_k = z
         z, z_half = iterate_once(state, p, z, 0.0, gamma, rng, coin)
-        f_curr = eval_full(p, z_half)
+        f_curr = state.f_half  # F(z^{k+1/2}), from the iteration's own oracle call
         if f_prev is not None:
             sigma_sq = float(np.sum((f_prev - f_curr) ** 2))
             diff_lhs = sigma_sq + 2.0 * s2
@@ -302,7 +302,7 @@ def verify_assumption2(
     c = constants_for_problem(kind, p)
     s2 = kind.sigma**2
     worst = {}
-    for z_half, w, fw, target, probs, values in _outcome_sets(
+    for z_half, w, snap, target, probs, values in _outcome_sets(
         kind, p, n_points, None if anchor == FRESH else draws, seed
     ):
         gap_sq = float(np.sum((z_half - w) ** 2))
@@ -310,7 +310,7 @@ def verify_assumption2(
             # tau = 0 for these, so the anchor w is the current iterate
             diff_lhs, res_lhs, n, tol = float(np.sum((target - eval_full(p, w)) ** 2)) + 2.0 * s2, s2, 0, 1e-9
         else:
-            diff_sq, res_sq, n = _sq_dists(values, fw), _sq_dists(values, target), len(values)
+            diff_sq, res_sq, n = _sq_dists(values, snap.fw), _sq_dists(values, target), len(values)
             if probs is None:
                 diff_lhs, res_lhs, tol = float(np.mean(diff_sq)), float(np.mean(res_sq)), 5.0 / math.sqrt(n)
             else:

@@ -69,6 +69,10 @@ class BilinearGame:
     def component(self, m: int, z: Vector) -> Vector:
         return self.scales[m] * self._apply(self.base, z)
 
+    def components(self, z: Vector) -> np.ndarray:
+        """Every F_m(z) as an (M, d) stack, from one product with base."""
+        return self.scales[:, None] * self._apply(self.base, z)
+
     # the operator is linear; these drive the spectral-norm estimator
     linear = full
 
@@ -77,12 +81,15 @@ class BilinearGame:
         return -self.full(v)
 
 
-def duality_gap_bilinear(game: BilinearGame, z: Vector) -> float:
+def duality_gap_bilinear(game: BilinearGame, z: Vector, fz: Vector | None = None) -> float:
     """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
-    of both players' best-response improvements, zero exactly at saddles."""
+    of both players' best-response improvements, zero exactly at saddles.
+
+    Read off F(z) = (A^T y, -A x), which is formed unless given as ``fz``."""
+    if fz is None:
+        fz = game.full(z)
     h = game.half
-    x, y = z[:h], z[h:]
-    return float(np.max(game.avg @ x) - np.min(game.avg.T @ y))
+    return float(-np.min(fz[h:]) - np.min(fz[:h]))
 
 
 @dataclass
@@ -97,6 +104,9 @@ class QuadraticOperator:
 
     def component(self, m: int, z: Vector) -> Vector:
         return self.full(z)
+
+    def components(self, z: Vector) -> np.ndarray:
+        return self.full(z)[None]
 
     def linear(self, v: Vector) -> Vector:
         return self.mat @ v
@@ -151,6 +161,9 @@ class MixingVI:
 
     def component(self, m: int, Z: Vector) -> Vector:
         return self.full(Z)
+
+    def components(self, Z: Vector) -> np.ndarray:
+        return self.full(Z)[None]
 
     def linear(self, v: Vector) -> Vector:
         return self._per_worker("linear", v) + self.consensus(v)

@@ -232,7 +232,8 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
             lyap[row] = lyapunov_value(z, state.w, state.sigma_sq, z_star, tau, gamma, T)
         on_schedule = row % config.gap_every == 0 or row == K
         if with_gap and row > 0 and on_schedule:
-            gap_last[row] = duality_gap_bilinear(p.payload, last_half)
+            # strategies without a snapshot have just formed F at the last half point
+            gap_last[row] = duality_gap_bilinear(p.payload, last_half, state.f_half)
             gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / row)
 
     record(0)

@@ -141,8 +141,8 @@ def test_criterion_04_unbiasedness_monte_carlo(capsys):
     if not report.all_pass:
         failures.append("local")
 
-    def shrunk(problem, z_half, w, fw, rng, n):
-        return 0.5 * sample_half_batch(vr(), problem, z_half, w, fw, rng, n)
+    def shrunk(problem, z_half, snap, rng, n):
+        return 0.5 * sample_half_batch(vr(), problem, z_half, snap, rng, n)
 
     control = verify_unbiasedness(vr(), p, n_points=5, n_samples=10**5, sampler=shrunk)
     ok = not failures and not control.all_pass

@@ -1,8 +1,12 @@
 """Config parsing, trace files, and the command line entry points."""
 
+import dataclasses
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +159,16 @@ def test_build_estimator_rules():
         build_estimator(parse_config_text(base + "run.estimator = local\n"), p)
 
 
+def test_local_needs_a_mixing_payload_not_just_an_l_phi():
+    # the CLI asks the estimators' own check, so a look-alike payload is refused
+    p = build_problem(parse_config_text("problem.kind = pvb\nproblem.n = 2\n"))
+    look_alike = dataclasses.replace(p, payload=SimpleNamespace(l_phi=1.0, lam=1.0))
+    for split in ("auto", "0.5"):
+        cfg = parse_config_text(f"run.estimator = local\nrun.tau_split = {split}\n")
+        with pytest.raises(ConfigError, match="^local estimator requires a mixing problem$"):
+            build_estimator(cfg, look_alike)
+
+
 def test_run_writes_reproducible_traces(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(PVB_RUN)
@@ -299,6 +313,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "L_m = " in text
 
 
+def _src_first_env() -> dict:
+    """This environment with the checkout's src first on PYTHONPATH, so a
+    child interpreter imports vistep without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not rest else os.pathsep.join((src, rest))}
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("problem.kind = pvb\nproblem.n = 2\n")
@@ -306,6 +328,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "vistep.cli", "gen", "-c", str(cfg)],
         capture_output=True,
         text=True,
+        env=_src_first_env(),
     )
     assert proc.returncode == 0
     assert "kind = pvb" in proc.stdout
@@ -317,6 +340,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", "import sys, vistep, vistep.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_src_first_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vistep import (
+    CostLedger,
     EstimatorKind,
     Quantizer,
     SolverConfig,
@@ -59,6 +60,11 @@ def randk(k, d):
 
 def costs_tuple(c):
     return (c.full_calls, c.comp_calls, c.coords, c.bits, c.comms, c.local_steps)
+
+
+def snapshot_at(kind, p, w):
+    """The strategy's refresh at w, unbilled, as the verifiers take it."""
+    return kind.strategy.refresh(kind, p, w, CostLedger())
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,7 @@ def test_local_branch_expectation_recovers_operator():
     z0 = rng.normal(p.d)
     state = init_estimator(local(0.6), p, z0, rng)
     z_half = rng.normal(p.d)
-    atoms = half_atoms(local(0.6), p, z_half, state.w, state.fw)
+    atoms = half_atoms(local(0.6), p, z_half, state.snap)
     mean = sum(prob * val for prob, val in zip(*atoms))
     np.testing.assert_allclose(mean, eval_full(p, z_half), atol=1e-12)
 
@@ -705,10 +711,7 @@ def test_half_atoms_probabilities_and_mean():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     for kind in enumerable_kinds(p):
-        fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
-        if kind.name in ("coord", "quant"):
-            fw = eval_full(p, w)
-        atoms = half_atoms(kind, p, z_half, w, fw)
+        atoms = half_atoms(kind, p, z_half, snapshot_at(kind, p, w))
         assert sum(prob for prob, _ in zip(*atoms)) == pytest.approx(1.0, abs=1e-12)
         mean = sum(prob * val for prob, val in zip(*atoms))
         scale = 1.0 + np.linalg.norm(eval_full(p, z_half))
@@ -719,9 +722,9 @@ def test_half_atoms_rejects_gaussian_kinds():
     p = pvb3()
     z = initial_point(p, 0)
     with pytest.raises(ValueError):
-        half_atoms(noisy(1.0), p, z, z, None)
+        half_atoms(noisy(1.0), p, z, None)
     with pytest.raises(ValueError):
-        half_atoms(past(), p, z, z, None)
+        half_atoms(past(), p, z, None)
 
 
 def test_uniform_importance_equals_vr_atoms():
@@ -729,9 +732,9 @@ def test_uniform_importance_equals_vr_atoms():
     rng = rng_stream(22, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
-    a_vr = half_atoms(vr(), p, z_half, w, fw)
-    a_is = half_atoms(importance((1.0 / 3.0,) * 3), p, z_half, w, fw)
+    snap = snapshot_at(vr(), p, w)
+    a_vr = half_atoms(vr(), p, z_half, snap)
+    a_is = half_atoms(importance((1.0 / 3.0,) * 3), p, z_half, snap)
     for (pa, va), (pb, vb) in zip(zip(*a_vr), zip(*a_is)):
         assert pa == pytest.approx(pb, abs=1e-15)
         np.testing.assert_allclose(va, vb, atol=1e-12)
@@ -744,9 +747,8 @@ def test_lipschitz_importance_is_degenerate_on_proportional_components():
     rng = rng_stream(23, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     weights = tuple(importance_weights(p.L_m))
-    atoms = half_atoms(importance(weights), p, z_half, w, fw)
+    atoms = half_atoms(importance(weights), p, z_half, snapshot_at(importance(weights), p, w))
     vals = atoms[1]
     assert np.max(np.abs(vals - vals[0])) <= 1e-9
 
@@ -758,7 +760,7 @@ def test_sample_half_batch_vr_twin():
     w = random_feasible(p, rng)
     fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     n = 200
-    batch = sample_half_batch(vr(), p, z_half, w, fw, rng_stream(25, 0), n)
+    batch = sample_half_batch(vr(), p, z_half, snapshot_at(vr(), p, w), rng_stream(25, 0), n)
     twin = rng_stream(25, 0)
     diffs = np.stack([eval_component(p, m, z_half) - eval_component(p, m, w) for m in range(p.M)])
     idx = twin.integers(p.M, n)
@@ -786,16 +788,16 @@ def test_solver_draw_equals_batch_of_one():
         anchor = kind.strategy.anchor
         for seed in range(4):
             state, z_bar, rng = setup_pair(kind, p, seed)
-            w, fw = state.w, state.fw
+            w, snap = state.w, state.snap
             twin = rng_stream(seed, 0)
             random_feasible(p, twin)
             if anchor == PAST:
-                np.testing.assert_array_equal(state.past_g, sample_half_batch(kind, p, w, w, fw, twin, 1)[0])
+                np.testing.assert_array_equal(state.past_g, sample_half_batch(kind, p, w, snap, twin, 1)[0])
             random_feasible(p, twin)
             g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
             if anchor == FRESH:
-                np.testing.assert_array_equal(g_k, sample_half_batch(kind, p, z_bar, w, fw, twin, 1)[0])
-            np.testing.assert_array_equal(g_half, sample_half_batch(kind, p, z_half, w, fw, twin, 1)[0])
+                np.testing.assert_array_equal(g_k, sample_half_batch(kind, p, z_bar, snap, twin, 1)[0])
+            np.testing.assert_array_equal(g_half, sample_half_batch(kind, p, z_half, snap, twin, 1)[0])
 
 
 def test_sample_half_batch_rows_are_atoms():
@@ -804,11 +806,9 @@ def test_sample_half_batch_rows_are_atoms():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     for kind in (vr(), coord(), importance((0.5, 0.3, 0.2)), quant(randk(2, 18))):
-        fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
-        if kind.name in ("coord", "quant"):
-            fw = eval_full(p, w)
-        atoms = half_atoms(kind, p, z_half, w, fw)[1]
-        batch = sample_half_batch(kind, p, z_half, w, fw, rng_stream(27, 0), 40)
+        snap = snapshot_at(kind, p, w)
+        atoms = half_atoms(kind, p, z_half, snap)[1]
+        batch = sample_half_batch(kind, p, z_half, snap, rng_stream(27, 0), 40)
         for row in batch:
             dist = np.min(np.max(np.abs(atoms - row), axis=1))
             assert dist <= 1e-12
@@ -819,10 +819,10 @@ def test_sample_half_batch_component_frequencies():
     rng = rng_stream(28, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
+    snap = snapshot_at(vr(), p, w)
     n = 9000
-    batch = sample_half_batch(vr(), p, z_half, w, fw, rng_stream(29, 0), n)
-    atoms = half_atoms(vr(), p, z_half, w, fw)[1]
+    batch = sample_half_batch(vr(), p, z_half, snap, rng_stream(29, 0), n)
+    atoms = half_atoms(vr(), p, z_half, snap)[1]
     labels = np.array([int(np.argmin(np.max(np.abs(atoms - row), axis=1))) for row in batch])
     counts = np.bincount(labels, minlength=3)
     # uniform over 3 components, four standard errors around 3000
@@ -835,7 +835,8 @@ def test_sample_half_batch_randk_touches_k_coordinates():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     fw = eval_full(p, w)
-    batch = sample_half_batch(quant(randk(4, 18)), p, z_half, w, fw, rng_stream(31, 0), 50)
+    kind = quant(randk(4, 18))
+    batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(31, 0), 50)
     twin = rng_stream(31, 0)
     subs = twin.subsets(18, 4, 50)
     diff = eval_full(p, z_half) - fw
@@ -852,7 +853,7 @@ def test_sample_half_batch_gaussian_kinds_match_moments():
     w = random_feasible(p, rng)
     n = 20000
     for kind in (noisy(0.8), past(0.8)):
-        batch = sample_half_batch(kind, p, z_half, w, None, rng_stream(33, 0), n)
+        batch = sample_half_batch(kind, p, z_half, None, rng_stream(33, 0), n)
         target = eval_full(p, z_half)
         err = np.linalg.norm(batch.mean(axis=0) - target)
         se = np.sqrt(np.sum(batch.var(axis=0)) / n)
@@ -870,7 +871,7 @@ def test_sample_half_batch_local_branches():
     w = rng.normal(p.d)
     fw = eval_full(p, w)
     n = 10000
-    batch = sample_half_batch(local(t), p, z_half, w, fw, rng_stream(35, 0), n)
+    batch = sample_half_batch(local(t), p, z_half, snapshot_at(local(t), p, w), rng_stream(35, 0), n)
     phi_row = (mix.phi(z_half) - mix.phi(w)) / t + fw
     con_row = (mix.consensus(z_half) - mix.consensus(w)) / (1.0 - t) + fw
     is_phi = np.all(batch == phi_row, axis=1)

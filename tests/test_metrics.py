@@ -91,6 +91,21 @@ def test_bruteforce_matches_closed_form():
             assert sorted(block) == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=0)
 
 
+def test_gap_read_off_f_equals_the_two_matvec_formula():
+    # -min(-A x) is max(A x) exactly, so reading the gap off F(z), formed
+    # here or passed in, keeps the bits of max(A x) - min(A^T y)
+    for n, seed in ((2, 0), (3, 1), (5, 4)):
+        p = gen_policeman_burglar(n, seed=seed)
+        game = p.payload
+        rng = rng_stream(seed, 11)
+        for _ in range(20):
+            z = random_feasible(p, rng)
+            x, y = z[: game.half], z[game.half :]
+            want = float(np.max(game.avg @ x) - np.min(game.avg.T @ y)).hex()
+            assert duality_gap_bilinear(game, z).hex() == want
+            assert duality_gap_bilinear(game, z, eval_full(p, z)).hex() == want
+
+
 def test_gap_nonnegative_and_convex():
     p = gen_policeman_burglar(2, seed=3)
     game = p.payload
@@ -193,8 +208,8 @@ def test_unbiasedness_monte_carlo_and_negative_control():
     p = pvb3()
     assert verify_unbiasedness(noisy(0.7), p, n_points=3, n_samples=4000).all_pass
 
-    def shrunk(problem, z_half, w, fw, rng, n):
-        return 0.5 * sample_half_batch(vr(), problem, z_half, w, fw, rng, n)
+    def shrunk(problem, z_half, snap, rng, n):
+        return 0.5 * sample_half_batch(vr(), problem, z_half, snap, rng, n)
 
     report = verify_unbiasedness(vr(), p, n_points=3, n_samples=4000, sampler=shrunk)
     assert not report.all_pass
@@ -209,9 +224,10 @@ def test_exact_rows_equal_the_per_atom_loop_sums():
     for kind in (coord(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("randk", k=3, d=p.d))):
         points = rng_stream(0, 5)
         z_half, w = random_feasible(p, points), random_feasible(p, points)
-        fw = kind.strategy.refresh(kind, p, w, CostLedger())
+        snap = kind.strategy.refresh(kind, p, w, CostLedger())
+        fw = snap.fw
         target = eval_full(p, z_half)
-        probs, values = half_atoms(kind, p, z_half, w, fw)
+        probs, values = half_atoms(kind, p, z_half, snap)
         atoms = list(zip(probs.tolist(), values))
         mean = sum(prob * val for prob, val in atoms)
         diff = sum(prob * float(np.sum((val - fw) ** 2)) for prob, val in atoms)
@@ -225,8 +241,8 @@ def test_zero_samples_enumerates_or_draws_the_default():
     assert [r.n for r in verify_unbiasedness(vr(), p, n_points=2).rows] == [p.M]
     assert [r.n for r in verify_unbiasedness(noisy(0.7), p, n_points=2).rows] == [MC_SAMPLES]
 
-    def plain(problem, z_half, w, fw, rng, n):
-        return sample_half_batch(vr(), problem, z_half, w, fw, rng, n)
+    def plain(problem, z_half, snap, rng, n):
+        return sample_half_batch(vr(), problem, z_half, snap, rng, n)
 
     # a sampler replaces the draw, so its outcomes are drawn, not enumerated
     report = verify_unbiasedness(vr(), p, n_points=2, sampler=plain)

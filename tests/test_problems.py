@@ -119,6 +119,22 @@ def test_policeman_burglar_generation_holds_no_component_stack():
     assert peak <= 8 * one_matrix
 
 
+def test_components_rows_are_the_component_calls():
+    quad = gen_quadratic_vi(6, 0.5, 2.0, seed=1)
+    problems = (
+        gen_policeman_burglar(3, seed=1),
+        gen_policeman_burglar(4, seed=2),
+        quad,
+        gen_mixing_vi([quad, gen_quadratic_vi(6, 0.5, 2.0, seed=2)], 1.0),
+    )
+    for p in problems:
+        z = random_feasible(p, rng_stream(4, 0))
+        stack = p.payload.components(z)
+        assert stack.shape == (p.M, p.d)
+        for m in range(p.M):
+            assert stack[m].tobytes() == eval_component(p, m, z).tobytes()
+
+
 def test_policeman_burglar_operator_is_skew_average_of_components():
     p = gen_policeman_burglar(3, seed=3)
     rng = rng_stream(9, 0)

@@ -1,5 +1,6 @@
 """The extra-step loop: step-size rules, iteration algebra, run traces."""
 
+import collections
 import math
 
 import numpy as np
@@ -17,15 +18,19 @@ from vistep import (
     est_pair,
     eval_full,
     fulldet,
+    gen_mixing_vi,
     gen_policeman_burglar,
     gen_quadratic_vi,
+    importance,
     init_estimator,
     initial_point,
     iterate_once,
+    local,
     lyapunov_value,
     noisy,
     past,
     quant,
+    qvr,
     Quantizer,
     rng_stream,
     run_solver,
@@ -264,6 +269,65 @@ def test_full_call_accounting_past_vs_fulldet():
     tf = run_solver(p, SolverConfig(kind=fulldet(), K=K, seed=0, tau=0.0))
     np.testing.assert_array_equal(tp.full_calls, np.arange(K + 1) + 1)
     np.testing.assert_array_equal(tf.full_calls, 2 * np.arange(K + 1))
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix that counts the matrix products it takes part in, under
+    its tag; a product of the game's operator or components is two (one
+    per player)."""
+
+    def __array_finalize__(self, obj):
+        self.tag = getattr(obj, "tag", None)
+        self.counts = getattr(obj, "counts", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.counts[self.tag] += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counted_game():
+    p = gen_policeman_burglar(3, seed=1)
+    counts = collections.Counter()
+    for tag in ("base", "avg"):
+        mat = getattr(p.payload, tag).view(_CountedMatrix)
+        mat.tag, mat.counts = tag, counts
+        setattr(p.payload, tag, mat)
+    return p, counts
+
+
+def test_each_operator_product_is_formed_once():
+    K = 30
+    # vr, is, qvr: one component product per step and one base product per
+    # refresh; each gap row forms F at the half point and at the average
+    for kind in (vr(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("identity"))):
+        p, counts = _counted_game()
+        trace = run_solver(p, SolverConfig(kind, K=K, seed=3))
+        refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
+        assert refreshes >= 2, kind.name
+        assert counts == {"base": 2 * (K + refreshes), "avg": 2 * 2 * K}, kind.name
+    # without a snapshot the gap reuses F at the half point and adds F at the average
+    for kind, oracle_calls in ((fulldet(), 2 * K), (noisy(0.5), 2 * K), (past(0.5), K + 1)):
+        p, counts = _counted_game()
+        trace = run_solver(p, SolverConfig(kind, K=K, seed=3))
+        assert trace.full_calls[-1] == oracle_calls
+        assert counts == {"avg": 2 * (oracle_calls + K)}, kind.name
+    # local: one Phi or consensus per step; a refresh forms each once
+    base = [gen_quadratic_vi(8, 0.5, 2.0, seed=3) for _ in range(3)]
+    p = gen_mixing_vi(base, 1.0)
+    calls = collections.Counter()
+    for name in ("phi", "consensus"):
+
+        def counted(Z, name=name, method=getattr(p.payload, name)):
+            calls[name] += 1
+            return method(Z)
+
+        setattr(p.payload, name, counted)
+    trace = run_solver(p, SolverConfig(local(0.6), K=K, seed=3))
+    refreshes, phi_steps = trace.full_calls[-1], trace.local_steps[-1]
+    assert 0 < phi_steps < K and refreshes >= 2
+    assert calls == {"phi": phi_steps + refreshes, "consensus": (K - phi_steps) + refreshes}
 
 
 def test_strongly_monotone_run_contracts():
