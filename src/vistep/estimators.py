@@ -58,6 +58,8 @@ def quantize(q: Quantizer, x: Vector, rng: RngStream | None = None, kept=None) -
     if x.shape[-1] != q.d:
         raise ValueError(f"vector length {x.shape[-1]} does not match quantizer dimension {q.d}")
     if kept is None:
+        if rng is None:
+            raise ValueError("a randk quantizer needs rng or kept")
         kept = rng.subsets(q.d, q.k)
     at = kept if x.ndim == 1 else (np.arange(len(x))[:, None], kept)
     out = np.zeros(x.shape)
@@ -230,7 +232,9 @@ class Strategy:
 
     anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
     draw: Callable  # (kind, p, rng, n) -> n outcomes
-    diff: Callable  # (kind, p, s, z, snap, costs) -> source s's billed difference at z (F(z) without a snapshot)
+    # (kind, p, s, z, snap, costs) -> source s's billed difference at z (F(z) without a snapshot); for an
+    # index array s of distinct sources, one row per source, or one vector when the strategy has one source
+    diff: Callable
     correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
     constants: Callable  # (kind, L, D, d=, M=, L_m=, lam=) -> the nonzero contract constants
     tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
@@ -278,6 +282,8 @@ def _component_diff(kind, p, s, z, snap, costs):
 
 def _branch_diff(kind, p, s, z, snap, costs):
     """Phi's difference (s = 0, a local step) or consensus's (a broadcast)."""
+    if isinstance(s, np.ndarray):
+        return np.stack([_branch_diff(kind, p, int(t), z, snap, costs) for t in s])
     if s == 0:
         return _charged(p.payload.phi(z) - snap.at_w[0], costs, local_steps=1)
     return _charged(p.payload.consensus(z) - snap.at_w[1], costs, _dense_bits(p.d), comms=1)
@@ -613,8 +619,8 @@ def _batch(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, snap: Sn
     """g^{k+1/2} for each of a batch of outcomes."""
     strat = kind.strategy
     sources, index = np.unique(outcomes[0], return_inverse=True)
-    diffs = [strat.diff(kind, p, int(s), z_half, snap, CostLedger()) for s in sources]
-    rows = np.broadcast_to(diffs[0], (len(index), p.d)) if len(diffs) == 1 else np.stack(diffs)[index]
+    diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap, CostLedger()))
+    rows = np.broadcast_to(diffs[0], (len(index), p.d)) if len(diffs) == 1 else diffs[index]
     return strat.correct(kind, p, outcomes, rows, None if snap is None else snap.fw)
 
 

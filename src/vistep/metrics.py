@@ -1,14 +1,8 @@
-"""Progress metrics and the verification suite.
+"""The verification suite for the estimator contracts.
 
-Gaps: for bilinear games on simplex products the restricted merit value
-max_u <F(u), z - u> has separable best responses and a closed form,
-problems.duality_gap_bilinear, which the solver records; a brute-force
-vertex enumeration and a ball-restricted variant here double-check it on
-small instances.
-
-Verifiers: every estimation strategy promises unbiasedness of g^{k+1/2}
-and a second-moment contract with its table constants.  For strategies
-with finitely many outcomes both are checked exactly by enumerating the
+Every estimation strategy promises unbiasedness of g^{k+1/2} and a
+second-moment contract with its table constants.  For strategies with
+finitely many outcomes both are checked exactly by enumerating the
 outcome atoms; otherwise by Monte Carlo with a slack that scales like
 1/sqrt(n).  The noisy oracle strategies (noisy, past) have no atoms, so
 their unbiasedness rows average Monte Carlo draws that include the noise;
@@ -19,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -35,17 +28,8 @@ from .estimators import (
     init_estimator,
     sample_half_batch,
 )
-from .problems import BilinearGame, VIProblem, eval_full, random_feasible
+from .problems import VIProblem, eval_full, random_feasible
 from .solver import iterate_once
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Restricted merit value max_u <F(u), z - u> with the maximizing u."""
-
-    value: float
-    maximizer: Vector
-    n_candidates: int
 
 
 @dataclass(frozen=True)
@@ -81,84 +65,6 @@ def _row(lemma: str, variant: str, lhs: float, rhs: float, n: int, tol: float) -
         slack = 0.0 if lhs <= 0 else math.inf
     return CheckRow(lemma, variant, float(lhs), float(rhs), float(slack), int(n), bool(lhs <= rhs * (1.0 + tol) + 1e-300))
 
-
-def _simplex_vertices(blocks) -> list[np.ndarray]:
-    """Every vertex of the simplex product: one unit vector per block."""
-    return [np.concatenate(units) for units in product(*(np.eye(b) for b in blocks))]
-
-
-def restricted_gap_bruteforce(p: VIProblem, z: Vector) -> GapReport:
-    """max_u <F(u), z - u> over the feasible set by vertex enumeration.
-
-    Valid because <F(u), z - u> is linear in u for a bilinear skew
-    operator, so the maximum sits at a vertex of the simplex product.
-    """
-    if not isinstance(p.payload, BilinearGame):
-        raise TypeError("brute-force gap needs a bilinear payload")
-    if p.prox.free:
-        raise ValueError("brute-force gap needs a bounded feasible set")
-    best = -math.inf
-    best_u = None
-    verts = _simplex_vertices(p.prox.blocks)
-    for u in verts:
-        val = float(np.dot(eval_full(p, u), z - u))
-        if val > best:
-            best = val
-            best_u = u
-    return GapReport(value=best, maximizer=best_u, n_candidates=len(verts))
-
-
-def restricted_gap_ball(p: VIProblem, z: Vector, radius: float, center: Vector | None = None) -> GapReport:
-    """max_u <F(u), z - u> over the ball |u - center| <= radius, for affine
-    F(u) = M(u - z0): a concave quadratic, solved through the eigenbasis of
-    the symmetric part (interior stationary point, else the boundary
-    multiplier from a scalar root find)."""
-    payload = p.payload
-    if not hasattr(payload, "linear") or not hasattr(payload, "linear_t"):
-        raise TypeError("ball gap needs an affine operator")
-    if not radius > 0:
-        raise ValueError("need radius > 0")
-    c = np.zeros(p.d) if center is None else np.asarray(center, dtype=float)
-    mat = np.stack([payload.linear(e) for e in np.eye(p.d)], axis=1)
-    S = (mat + mat.T) / 2.0
-    # q(c + v) = q(c) + g.v - v.S v  with  g = grad q at c
-    g = payload.linear_t(z - c) - eval_full(p, c)
-    lam_s, Q = np.linalg.eigh(S)
-    gh = Q.T @ g
-
-    def vnorm_sq(lam: float) -> float:
-        return float(np.sum((gh / (2.0 * lam_s + 2.0 * lam)) ** 2))
-
-    interior = np.all(lam_s > 0) and vnorm_sq(0.0) <= radius * radius
-    if np.all(gh == 0.0):
-        v = np.zeros(p.d)
-    elif interior:
-        v = Q @ (gh / (2.0 * lam_s))
-    else:
-        hi = float(np.linalg.norm(g)) / (2.0 * radius)
-        lo = max(0.0, -float(lam_s.min())) + 1e-300
-        if vnorm_sq(lo) <= radius * radius:
-            v = Q @ (gh / (2.0 * lam_s + 2.0 * lo))
-        else:
-            # scipy.optimize is slow to import and only this root find needs it
-            from scipy.optimize import brentq
-
-            while vnorm_sq(hi) > radius * radius:
-                hi *= 2.0
-            lam = brentq(lambda t: vnorm_sq(t) - radius * radius, lo, max(hi, lo * 2), xtol=1e-14, rtol=8.9e-16)
-            v = Q @ (gh / (2.0 * lam_s + 2.0 * lam))
-    u = c + v
-    return GapReport(value=float(np.dot(eval_full(p, u), z - u)), maximizer=u, n_candidates=0)
-
-
-def distance_to_solution(p: VIProblem, z: Vector) -> float:
-    if p.known_solution is None:
-        raise ValueError("problem has no known solution")
-    return float(np.linalg.norm(np.asarray(z, dtype=float) - p.known_solution))
-
-
-# ---------------------------------------------------------------------------
-# Verification of the estimator contracts.
 
 MC_SAMPLES = 4000  # Monte Carlo draws when n_samples = 0 and the outcomes cannot be enumerated
 _BLOCK_ROWS = 256  # outcome rows per block of squared distances

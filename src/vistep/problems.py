@@ -73,13 +73,6 @@ class BilinearGame:
         """Every F_m(z) as an (M, d) stack, from one product with base."""
         return self.scales[:, None] * self._apply(self.base, z)
 
-    # the operator is linear; these drive the spectral-norm estimator
-    linear = full
-
-    def linear_t(self, v: Vector) -> Vector:
-        # F is skew, so its adjoint is -F
-        return -self.full(v)
-
 
 def duality_gap_bilinear(game: BilinearGame, z: Vector, fz: Vector | None = None) -> float:
     """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
@@ -108,12 +101,6 @@ class QuadraticOperator:
     def components(self, z: Vector) -> np.ndarray:
         return self.full(z)[None]
 
-    def linear(self, v: Vector) -> Vector:
-        return self.mat @ v
-
-    def linear_t(self, v: Vector) -> Vector:
-        return self.mat.T @ v
-
 
 @dataclass
 class MixingVI:
@@ -141,16 +128,13 @@ class MixingVI:
     def _blocks(self, Z: Vector) -> np.ndarray:
         return Z.reshape(self.workers, self.d_base)
 
-    def _per_worker(self, method: str, Z: Vector) -> Vector:
-        """Each worker's payload ``method`` applied to its own block of Z."""
+    def phi(self, Z: Vector) -> Vector:
+        """Each worker's operator applied to its own block of Z."""
         out = np.empty_like(Z)
         for m, p in enumerate(self.base):
             blk = slice(m * self.d_base, (m + 1) * self.d_base)
-            out[blk] = getattr(p.payload, method)(Z[blk])
+            out[blk] = p.payload.full(Z[blk])
         return out
-
-    def phi(self, Z: Vector) -> Vector:
-        return self._per_worker("full", Z)
 
     def consensus(self, Z: Vector) -> Vector:
         blocks = self._blocks(Z)
@@ -164,13 +148,6 @@ class MixingVI:
 
     def components(self, Z: Vector) -> np.ndarray:
         return self.full(Z)[None]
-
-    def linear(self, v: Vector) -> Vector:
-        return self._per_worker("linear", v) + self.consensus(v)
-
-    def linear_t(self, v: Vector) -> Vector:
-        # lam*(I - averaging projector) is symmetric
-        return self._per_worker("linear_t", v) + self.consensus(v)
 
 
 def wealth_base(n: int) -> Vector:
@@ -343,28 +320,34 @@ def eval_full(p: VIProblem, z: Vector) -> Vector:
     return p.payload.full(z)
 
 
-def eval_component(p: VIProblem, m: int, z: Vector) -> Vector:
-    """Exact F_m(z), 0-based; the component average reproduces eval_full."""
-    if not 0 <= m < p.M:
+def eval_component(p: VIProblem, m: int | np.ndarray, z: Vector) -> Vector:
+    """Exact F_m(z), 0-based; the component average reproduces eval_full.
+    For an index array m, one row F_m(z) per index, all read off one
+    ``components`` stack."""
+    stacked = isinstance(m, np.ndarray)
+    in_range = (0 <= m.min() and m.max() < p.M) if stacked else 0 <= m < p.M
+    if not in_range:
         raise IndexError(f"component {m} out of range for M={p.M}")
     z = np.asarray(z, dtype=float)
     if z.size != p.d:
         raise ValueError(f"vector length {z.size} does not match problem dimension {p.d}")
-    return p.payload.component(m, z)
+    return p.payload.components(z)[m] if stacked else p.payload.component(m, z)
 
 
-def _power_norm(matvec, rmatvec, dim: int, tol: float, max_iter: int = 20000) -> float:
-    """Largest singular value of the linear map via power iteration on A^T A."""
+def _matrix_spectral_norm(mat: np.ndarray, tol: float) -> float:
+    """Largest singular value of mat via power iteration on mat^T mat, with
+    a fixed internal seed, stopped when the estimate moves by at most tol
+    relatively."""
     rng = rng_stream(0x5EED, 7)
-    q = rng.normal(dim)
+    q = rng.normal(mat.shape[1])
     q /= np.linalg.norm(q)
     val = 0.0
-    for it in range(max_iter):
-        aq = matvec(q)
+    for it in range(20000):
+        aq = mat @ q
         new = float(np.linalg.norm(aq))
         if new == 0.0:
             return 0.0
-        bq = rmatvec(aq)
+        bq = mat.T @ aq
         nb = float(np.linalg.norm(bq))
         if nb == 0.0:
             return new
@@ -373,23 +356,6 @@ def _power_norm(matvec, rmatvec, dim: int, tol: float, max_iter: int = 20000) ->
             return new
         val = new
     return val
-
-
-def _matrix_spectral_norm(mat: np.ndarray, tol: float) -> float:
-    return _power_norm(lambda v: mat @ v, lambda v: mat.T @ v, mat.shape[1], tol)
-
-
-def estimate_lipschitz(p: VIProblem, tol: float = 1e-9) -> float:
-    """Spectral norm of the linear part of an affine operator.
-
-    Power iteration on A^T A with a fixed internal seed, stopped when the
-    singular-value estimate moves by at most tol relatively.  Raises for
-    payloads that do not expose their linear part.
-    """
-    payload = p.payload
-    if not hasattr(payload, "linear") or not hasattr(payload, "linear_t"):
-        raise TypeError("operator does not expose an affine linear part")
-    return _power_norm(payload.linear, payload.linear_t, p.d, tol)
 
 
 def initial_point(p: VIProblem, seed: int) -> Vector:

@@ -63,6 +63,10 @@ class SolverConfig:
     gap_every: int = 1
 
     def __post_init__(self):
+        for name in ("K", "seed", "gap_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.K < 0:
             raise ValueError("need K >= 0")
         if self.regime not in REGIMES:

@@ -1,8 +1,15 @@
-"""Shared brute-force oracles for the test suite."""
+"""Shared brute-force oracles for the test suite: the simplex projection
+by support enumeration, and two restricted merit values that cross-check
+problems.duality_gap_bilinear."""
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+
+from vistep import BilinearGame, VIProblem, eval_full
 
 
 def simplex_projection_oracle(v):
@@ -30,3 +37,77 @@ def simplex_projection_oracle(v):
                 best_dist = dist
                 best = x
     return best
+
+
+@dataclass(frozen=True)
+class GapReport:
+    """Restricted merit value max_u <F(u), z - u> with the maximizing u."""
+
+    value: float
+    maximizer: np.ndarray
+    n_candidates: int
+
+
+def _simplex_vertices(blocks) -> list[np.ndarray]:
+    """Every vertex of the simplex product: one unit vector per block."""
+    return [np.concatenate(units) for units in itertools.product(*(np.eye(b) for b in blocks))]
+
+
+def restricted_gap_bruteforce(p: VIProblem, z) -> GapReport:
+    """max_u <F(u), z - u> over the feasible set by vertex enumeration.
+
+    Valid because <F(u), z - u> is linear in u for a bilinear skew
+    operator, so the maximum sits at a vertex of the simplex product.
+    """
+    if not isinstance(p.payload, BilinearGame):
+        raise TypeError("brute-force gap needs a bilinear payload")
+    if p.prox.free:
+        raise ValueError("brute-force gap needs a bounded feasible set")
+    best = -math.inf
+    best_u = None
+    verts = _simplex_vertices(p.prox.blocks)
+    for u in verts:
+        val = float(np.dot(eval_full(p, u), z - u))
+        if val > best:
+            best = val
+            best_u = u
+    return GapReport(value=best, maximizer=best_u, n_candidates=len(verts))
+
+
+def restricted_gap_ball(p: VIProblem, z, radius: float, center=None) -> GapReport:
+    """max_u <F(u), z - u> over the ball |u - center| <= radius, for affine
+    F(u) = mat (u - z0): a concave quadratic, solved through the eigenbasis
+    of the symmetric part (interior stationary point, else the boundary
+    multiplier from a scalar root find)."""
+    mat = getattr(p.payload, "mat", None)
+    if mat is None:
+        raise TypeError("ball gap needs an affine operator with its matrix")
+    if not radius > 0:
+        raise ValueError("need radius > 0")
+    c = np.zeros(p.d) if center is None else np.asarray(center, dtype=float)
+    S = (mat + mat.T) / 2.0
+    # q(c + v) = q(c) + g.v - v.S v  with  g = grad q at c
+    g = mat.T @ (z - c) - eval_full(p, c)
+    lam_s, Q = np.linalg.eigh(S)
+    gh = Q.T @ g
+
+    def vnorm_sq(lam: float) -> float:
+        return float(np.sum((gh / (2.0 * lam_s + 2.0 * lam)) ** 2))
+
+    interior = np.all(lam_s > 0) and vnorm_sq(0.0) <= radius * radius
+    if np.all(gh == 0.0):
+        v = np.zeros(p.d)
+    elif interior:
+        v = Q @ (gh / (2.0 * lam_s))
+    else:
+        hi = float(np.linalg.norm(g)) / (2.0 * radius)
+        lo = max(0.0, -float(lam_s.min())) + 1e-300
+        if vnorm_sq(lo) <= radius * radius:
+            v = Q @ (gh / (2.0 * lam_s + 2.0 * lo))
+        else:
+            while vnorm_sq(hi) > radius * radius:
+                hi *= 2.0
+            lam = brentq(lambda t: vnorm_sq(t) - radius * radius, lo, max(hi, lo * 2), xtol=1e-14, rtol=8.9e-16)
+            v = Q @ (gh / (2.0 * lam_s + 2.0 * lam))
+    u = c + v
+    return GapReport(value=float(np.dot(eval_full(p, u), z - u)), maximizer=u, n_candidates=0)

@@ -335,7 +335,7 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the two brentq root finds need it, and they import it when they run
+    # only the quadratic generator's brentq root find needs it, and it imports it when it runs
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, vistep, vistep.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True,

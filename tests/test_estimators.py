@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import restricted_gap_ball
 
 from vistep import (
     CostLedger,
@@ -35,7 +36,6 @@ from vistep import (
     quantize,
     qvr,
     random_feasible,
-    restricted_gap_ball,
     rng_stream,
     run_solver,
     snapshot_update,
@@ -137,6 +137,8 @@ def test_quantizer_validation():
         Quantizer("randk", k=5, d=4)
     with pytest.raises(ValueError):
         quantize(randk(2, 6), np.zeros(5), rng_stream(0, 0))
+    with pytest.raises(ValueError, match="needs rng or kept"):
+        quantize(randk(2, 6), np.zeros(6))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The package's modules import one another one way only.
+"""The package's modules import one another one way only, and every
+public name has a caller outside the tests.
 
 Every ``from .x import`` in ``src/vistep``, including those inside
 functions, is an edge of the import graph; a cycle would make a module's
-import order matter and hide a dependency in a function body.
+import order matter and hide a dependency in a function body.  A public
+name that only tests call is a test helper and belongs under ``tests/``.
 """
 
 import ast
 from pathlib import Path
+
+import vistep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vistep"
 
@@ -57,3 +61,27 @@ def test_import_graph_has_no_cycle():
     graph = import_graph()
     assert {"core", "problems", "estimators", "solver", "metrics", "cli"} <= graph.keys()
     assert find_cycle(graph) is None, find_cycle(graph)
+
+
+def library_references() -> set[str]:
+    """Every name the library outside ``__init__.py``, the demos and the
+    benchmark refer to: loaded names, attributes and imported names.  A
+    definition is not a reference to itself."""
+    root = SRC.parent.parent
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    unused = sorted(set(vistep.__all__) - {"__version__"} - library_references())
+    assert unused == [], f"public names only the tests use: {unused}"

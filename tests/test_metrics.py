@@ -1,7 +1,8 @@
-"""Gap functions, distances, and the estimator verification suite."""
+"""Gap functions and the estimator verification suite."""
 
 import numpy as np
 import pytest
+from conftest import restricted_gap_ball, restricted_gap_bruteforce
 
 from vistep import (
     BilinearGame,
@@ -13,7 +14,6 @@ from vistep import (
     VIProblem,
     VerificationReport,
     coord,
-    distance_to_solution,
     duality_gap_bilinear,
     eval_full,
     fulldet,
@@ -28,8 +28,6 @@ from vistep import (
     quant,
     qvr,
     random_feasible,
-    restricted_gap_ball,
-    restricted_gap_bruteforce,
     rng_stream,
     verify_assumption2,
     verify_unbiasedness,
@@ -163,14 +161,6 @@ def test_gap_argument_errors():
     p = VIProblem(d=3, prox=FREE, M=1, payload=NoLinear(), L=1.0, L_m=np.ones(1))
     with pytest.raises(TypeError):
         restricted_gap_ball(p, np.zeros(3), 1.0)
-
-
-def test_distance_to_solution():
-    p = gen_quadratic_vi(6, 0.5, 2.0, seed=2)
-    z = p.known_solution + np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-    assert distance_to_solution(p, z) == pytest.approx(5.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        distance_to_solution(gen_policeman_burglar(2, seed=0), np.zeros(8))
 
 
 def test_verification_report_merging():

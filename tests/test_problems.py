@@ -9,8 +9,6 @@ from vistep import (
     FREE,
     ProxSpec,
     VIProblem,
-    cell_distance,
-    estimate_lipschitz,
     eval_component,
     eval_full,
     gen_mixing_vi,
@@ -19,9 +17,8 @@ from vistep import (
     initial_point,
     random_feasible,
     rng_stream,
-    wealth_base,
 )
-from vistep.problems import _matrix_spectral_norm
+from vistep.problems import _matrix_spectral_norm, cell_distance, wealth_base
 
 
 def test_wealth_base_matches_scalar_loop():
@@ -133,6 +130,8 @@ def test_components_rows_are_the_component_calls():
         assert stack.shape == (p.M, p.d)
         for m in range(p.M):
             assert stack[m].tobytes() == eval_component(p, m, z).tobytes()
+        picked = np.arange(p.M)[::-1]
+        assert eval_component(p, picked, z).tobytes() == stack[picked].tobytes()
 
 
 def test_policeman_burglar_operator_is_skew_average_of_components():
@@ -159,7 +158,6 @@ def test_policeman_burglar_lipschitz_constant():
     p = gen_policeman_burglar(3, seed=1)
     # the game operator [[0, A^T], [-A, 0]] has spectral norm |A|_2
     assert p.L == pytest.approx(np.linalg.norm(p.payload.avg, 2), rel=1e-9)
-    assert estimate_lipschitz(p) == pytest.approx(p.L, rel=1e-6)
     for k in range(3):
         assert p.L_m[k] == pytest.approx(p.payload.scales[k] * np.linalg.norm(p.payload.base, 2), rel=1e-9)
 
@@ -280,31 +278,11 @@ def test_eval_dimension_and_index_errors():
         eval_component(p, 2, np.zeros(8))
     with pytest.raises(IndexError):
         eval_component(p, -1, np.zeros(8))
-
-
-def test_estimate_lipschitz_on_quadratic_and_errors():
-    p = gen_quadratic_vi(9, 0.5, 4.0, seed=1)
-    assert estimate_lipschitz(p) == pytest.approx(4.0, rel=1e-6)
-
-    class NoLinearPart:
-        def full(self, z):
-            return z
-
-    q = VIProblem(d=2, prox=FREE, M=1, payload=NoLinearPart(), L=1.0)
-    with pytest.raises(TypeError):
-        estimate_lipschitz(q)
-
-
-def test_linear_t_is_the_adjoint_of_linear_for_every_payload():
-    base = [gen_quadratic_vi(4, 0.5, 2.0, seed=s) for s in (1, 2, 3)]
-    problems = (gen_policeman_burglar(3, seed=1), gen_quadratic_vi(6, 0.5, 2.0, seed=2), gen_mixing_vi(base, 1.3))
-    rng = rng_stream(21, 0)
-    for p in problems:
-        for _ in range(3):
-            u, v = rng.normal(p.d), rng.normal(p.d)
-            lu = p.payload.linear(u)
-            lhs, rhs = float(np.dot(lu, v)), float(np.dot(u, p.payload.linear_t(v)))
-            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(lu) * np.linalg.norm(v)
+    for bad in ([0, 2], [-1, 1]):
+        with pytest.raises(IndexError):
+            eval_component(p, np.array(bad), np.zeros(8))
+    with pytest.raises(ValueError):
+        eval_component(p, np.array([0, 1]), np.zeros(3))
 
 
 def test_initial_point_conventions():

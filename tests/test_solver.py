@@ -35,6 +35,7 @@ from vistep import (
     rng_stream,
     run_solver,
     step_size_bound,
+    verify_unbiasedness,
     vr,
 )
 
@@ -211,6 +212,11 @@ def test_solver_config_validation():
         SolverConfig(kind=fulldet(), K=1, tau=1.0)
     with pytest.raises(ValueError):
         SolverConfig(kind=fulldet(), K=1, gap_every=0)
+    for field, value in (("K", 1e3), ("seed", 1.5), ("gap_every", 2.0), ("K", "10")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(kind=fulldet(), **{"K": 1, field: value})
+    config = SolverConfig(kind=fulldet(), K=np.int64(3), seed=np.int32(1), gap_every=np.uint8(2))
+    assert run_solver(gen_policeman_burglar(2, seed=0), config).k.size == 4
 
 
 def test_run_solver_defaults_follow_the_rules():
@@ -287,8 +293,8 @@ class _CountedMatrix(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
-def _counted_game():
-    p = gen_policeman_burglar(3, seed=1)
+def _counted_game(n=3):
+    p = gen_policeman_burglar(n, seed=1)
     counts = collections.Counter()
     for tag in ("base", "avg"):
         mat = getattr(p.payload, tag).view(_CountedMatrix)
@@ -328,6 +334,15 @@ def test_each_operator_product_is_formed_once():
     refreshes, phi_steps = trace.full_calls[-1], trace.local_steps[-1]
     assert 0 < phi_steps < K and refreshes >= 2
     assert calls == {"phi": phi_steps + refreshes, "consensus": (K - phi_steps) + refreshes}
+
+
+def test_exact_verification_forms_one_component_stack_per_point():
+    # one base product for the refresh at w and one for every component at
+    # z^{k+1/2}; the target F(z^{k+1/2}) is formed with avg
+    for n in (5, 30):
+        p, counts = _counted_game(n)
+        assert verify_unbiasedness(vr(), p, n_points=1).all_pass
+        assert counts["base"] == 2 * 2, n
 
 
 def test_strongly_monotone_run_contracts():
