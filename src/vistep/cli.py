@@ -128,6 +128,8 @@ def parse_config_text(text: str) -> Config:
         section, key = lhs.split(".", 1)
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {lhs}")
+        if (section, key) in entries:
+            raise ConfigError(f"line {lineno}: duplicate key {lhs}")
         typ, rule, default = _SCHEMA[(section, key)]
         where = f"line {lineno}: {lhs}"
         if typ == "float_or_auto" and value == "auto":

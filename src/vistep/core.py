@@ -17,6 +17,15 @@ import numpy as np
 Vector = np.ndarray
 
 
+def _check_integers(**values) -> None:
+    """Raise a ValueError naming the first value that is not a Python or
+    numpy integer; float sizes and seeds would otherwise be truncated or
+    fail deep inside numpy."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProxSpec:
     """Constraint structure consumed by :func:`prox_eval`.
@@ -30,6 +39,7 @@ class ProxSpec:
 
     def __post_init__(self):
         if self.blocks is not None:
+            _check_integers(**{f"blocks[{i}]": b for i, b in enumerate(self.blocks)})
             blocks = tuple(int(b) for b in self.blocks)
             if len(blocks) == 0 or any(b < 1 for b in blocks):
                 raise ValueError("simplex block lengths must be positive integers")
@@ -130,19 +140,16 @@ class RngStream:
             return min(int(u * n), n - 1)
         return np.minimum((u * n).astype(np.int64), n - 1)
 
-    def normal(self, size=None):
-        """Standard normal draws via Box-Muller on uniform pairs."""
-        count = 1 if size is None else int(np.prod(size))
+    def normal(self, size):
+        """Standard normal draws of the given shape via Box-Muller on uniform pairs."""
+        count = int(np.prod(size))
         half = (count + 1) // 2
         u1 = self._gen.random(half)
         u2 = self._gen.random(half)
         # 1 - u1 lies in (0, 1], so the log never sees zero
         r = np.sqrt(-2.0 * np.log1p(-u1))
         theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
-        if size is None:
-            return float(z[0])
-        return z.reshape(size)
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count].reshape(size)
 
     def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
         """rows independent k-subsets of {0..n-1}, one per row; one subset

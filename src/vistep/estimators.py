@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import RngStream, Vector, prox_eval
+from .core import RngStream, Vector, _check_integers, prox_eval
 from .problems import MixingVI, VIProblem, eval_component, eval_full
 
 
@@ -38,6 +38,7 @@ class Quantizer:
     def __post_init__(self):
         if self.kind not in ("identity", "randk"):
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
+        _check_integers(k=self.k, d=self.d)
         if self.kind == "randk" and not 1 <= self.k <= self.d:
             raise ValueError("randk needs 1 <= k <= d")
 
@@ -48,19 +49,15 @@ class Quantizer:
         return self.d / self.k
 
 
-def quantize(q: Quantizer, x: Vector, rng: RngStream | None = None, kept=None) -> Vector:
-    """Q(x).  randk keeps the coordinates ``kept`` (drawn from ``rng`` when
-    not given); x may also hold one vector per row, with one row of k
-    indices in ``kept`` each."""
+def quantize(q: Quantizer, x: Vector, kept) -> Vector:
+    """Q(x).  randk keeps the coordinates ``kept`` (None for identity); x
+    may also hold one vector per row, with one row of k indices in ``kept``
+    each."""
     x = np.asarray(x, dtype=float)
     if q.kind == "identity":
         return x.copy()
     if x.shape[-1] != q.d:
         raise ValueError(f"vector length {x.shape[-1]} does not match quantizer dimension {q.d}")
-    if kept is None:
-        if rng is None:
-            raise ValueError("a randk quantizer needs rng or kept")
-        kept = rng.subsets(q.d, q.k)
     at = kept if x.ndim == 1 else (np.arange(len(x))[:, None], kept)
     out = np.zeros(x.shape)
     out[at] = x[at] * (q.d / q.k)
@@ -236,7 +233,7 @@ class Strategy:
     # index array s of distinct sources, one row per source, or one vector when the strategy has one source
     diff: Callable
     correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
-    constants: Callable  # (kind, L, D, d=, M=, L_m=, lam=) -> the nonzero contract constants
+    constants: Callable  # (kind, L, d=, M=, L_m=, lam=) -> the nonzero contract constants
     tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
     refresh: Callable | None = None  # (kind, p, w, costs) -> the Snapshot at w, billed; None without one
     atoms: Callable | None = None  # (kind, p) -> (probabilities, outcomes), if the outcomes are finite
@@ -322,44 +319,36 @@ def _one_coordinate(kind, p, o, diff, fw):
     return g
 
 
-def _oracle_constants(kind, L, D, **_):
+def _oracle_constants(kind, L, **_):
     s = kind.sigma
-    return dict(A=3.0 * L * L, D1=3.0 * D * D + 6.0 * s * s, D3=s * s)
+    return dict(A=3.0 * L * L, D1=6.0 * s * s, D3=s * s)
 
 
-def _past_constants(kind, L, D, **_):
+def _past_constants(kind, L, **_):
     s = kind.sigma
-    return dict(rho=1.0 / 3.0, B=3.0, C=2.0 * L * L, D1=6.0 * s * s, D2=4.0 * D * D + 12.0 * s * s, D3=s * s)
+    return dict(rho=1.0 / 3.0, B=3.0, C=2.0 * L * L, D1=6.0 * s * s, D2=12.0 * s * s, D3=s * s)
 
 
-def _variance_constants(omega, L, D):
+def _variance_constants(omega, L):
     """A correction whose second moment is omega times the exact difference's."""
-    return dict(A=omega * L * L, D1=omega * D * D, E=2.0 * (omega + 1) * L * L, D3=2.0 * (omega + 1) * D * D)
+    return dict(A=omega * L * L, E=2.0 * (omega + 1) * L * L)
 
 
-def _coordinate_constants(kind, L, D, d=None, **_):
-    if d is None:
-        raise ValueError(f"{kind.name} constants need the dimension d")
-    return _variance_constants(d, L, D)
-
-
-def _importance_constants(kind, L, D, M=None, L_m=None, **_):
-    if L_m is None or M is None:
-        raise ValueError(f"{kind.name} constants need per-component L_m and M")
+def _importance_constants(kind, L, M, L_m, **_):
+    if L_m is None:
+        raise ValueError(f"{kind.name} constants need per-component L_m")
     Lt = np.asarray(L_m, dtype=float) / M
     pw = np.asarray(kind.weights, dtype=float)
     if len(pw) != len(Lt):
         raise ValueError(f"{kind.name} weights and L_m lengths differ")
     S = float(np.sum(Lt * Lt / pw))
-    return dict(A=S, E=2.0 * (S + L * L), D3=2.0 * (D * D))
+    return dict(A=S, E=2.0 * (S + L * L))
 
 
-def _split_constants(kind, L, D, lam=None, **_):
-    if lam is None:
-        raise ValueError(f"{kind.name} constants need the consensus strength lam")
+def _split_constants(kind, L, lam, **_):
     t = kind.tau_split
     A = L * L / t + lam * lam / (1.0 - t)
-    return dict(A=A, E=2.0 * (A + (L + lam) * (L + lam)), D3=2.0 * D * D)
+    return dict(A=A, E=2.0 * (A + (L + lam) * (L + lam)))
 
 
 def _finite_sum_tau(kind, M=None, **_):
@@ -388,7 +377,7 @@ _QUANT = Strategy(
         eval_full(p, z) - snap.fw, costs, _payload_bits(kind, p.d), full_calls=1
     ),
     correct=lambda kind, p, o, diff, fw: quantize(kind.quantizer, diff, kept=o[1]) + fw,
-    constants=lambda kind, L, D, **_: _variance_constants(kind.quantizer.omega, L, D),
+    constants=lambda kind, L, **_: _variance_constants(kind.quantizer.omega, L),
     tau=lambda kind, **_: kind.quantizer.omega / (kind.quantizer.omega + 1.0),
 )
 
@@ -401,10 +390,10 @@ STRATEGIES: dict[str, Strategy] = {
         draw=lambda kind, p, rng, n: (rng.integers(p.M, n), None),
         correct=lambda kind, p, o, diff, fw: diff + fw,
         atoms=lambda kind, p: (np.full(p.M, 1.0 / p.M), (np.arange(p.M), None)),
-        constants=lambda kind, L, D, **_: _variance_constants(1, L, D),
+        constants=lambda kind, L, **_: _variance_constants(1, L),
     ),
     "coord": Strategy(
-        SNAPSHOT, refresh=_full_value, constants=_coordinate_constants,
+        SNAPSHOT, refresh=_full_value, constants=lambda kind, L, d, **_: _variance_constants(d, L),
         tau=lambda kind, d=None, **_: _finite_sum_tau(kind, d),
         draw=lambda kind, p, rng, n: (_zeros(n), rng.integers(p.d, n)),
         diff=lambda kind, p, s, z, snap, costs: _charged(
@@ -567,7 +556,6 @@ def optimal_tau(
 def assumption_constants(
     kind: EstimatorKind,
     L: float,
-    D: float = 0.0,
     d: int | None = None,
     M: int | None = None,
     L_m=None,
@@ -575,19 +563,19 @@ def assumption_constants(
 ) -> AssumptionConstants:
     """The exact constants table of the strategy.
 
-    L and D are the full-operator bounded-Lipschitz constants (for vr/qvr,
-    the common bound over every component and the full operator).  For the
-    is strategy the per-component L_m refer to components of the
+    L is the full operator's Lipschitz constant (for vr/qvr, the common
+    bound over every component and the full operator).  For the is
+    strategy the per-component L_m refer to components of the
     (1/M)-averaged sum and are rescaled internally by 1/M so that the sum
     of the rescaled components is the full operator.  For local, L is the
     stacked worker operator's constant and lam the consensus strength.
-    Raises, like optimal_tau, when the tau* rule lacks its data (vr
-    without M).
+    Raises, like optimal_tau, when the tau* rule lacks its data (vr or is
+    without M, coord without d, local without lam), and for is without L_m.
     """
-    strat = kind.strategy
+    tau_star = optimal_tau(kind, M=M, d=d, L=L, lam=lam)
     c = dict(A=0.0, B=0.0, C=0.0, E=0.0, D1=0.0, D2=0.0, D3=0.0, rho=1.0)
-    c.update(strat.constants(kind, L, D, d=d, M=M, L_m=L_m, lam=lam))
-    return AssumptionConstants(**c, tau_star=optimal_tau(kind, M=M, d=d, L=L, lam=lam))
+    c.update(kind.strategy.constants(kind, L, d=d, M=M, L_m=L_m, lam=lam))
+    return AssumptionConstants(**c, tau_star=tau_star)
 
 
 def importance_weights(L_m) -> np.ndarray:

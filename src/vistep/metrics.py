@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vector, rng_stream
+from .core import Vector, _check_integers, rng_stream
 from .estimators import (
     FRESH,
     PAST,
@@ -70,11 +70,14 @@ MC_SAMPLES = 4000  # Monte Carlo draws when n_samples = 0 and the outcomes canno
 _BLOCK_ROWS = 256  # outcome rows per block of squared distances
 
 
-def _draws(kind: EstimatorKind, p: VIProblem, n_samples: int, sampler=None) -> int:
+def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, seed: int, sampler=None) -> int:
     """Validate a verifier call; return 0 to enumerate the outcome atoms
     (n_samples = 0, the strategy has atoms and no sampler replaces its
     draw), else the number of Monte Carlo draws (n_samples, or MC_SAMPLES)."""
     check_problem(kind, p)
+    _check_integers(n_points=n_points, n_samples=n_samples, seed=seed)
+    if n_points < 1:
+        raise ValueError("need n_points >= 1")
     if n_samples == 1 or n_samples < 0:
         raise ValueError(f"need n_samples = 0 or n_samples >= 2, got {n_samples}")
     if n_samples == 0 and (sampler is not None or kind.strategy.atoms is None):
@@ -88,8 +91,6 @@ def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int |
     of g^{k+1/2}: (probs, values) over every atom when draws = 0, (None,
     values) of that many Monte Carlo draws, or (None, None) when draws is
     None."""
-    if n_points < 1:
-        raise ValueError("need n_points >= 1")
     points, rng = rng_stream(seed, 5), rng_stream(seed, 6)
     refresh = kind.strategy.refresh
     for _ in range(n_points):
@@ -135,7 +136,7 @@ def verify_unbiasedness(
     z_half, snap, rng, n)`` replaces the draw routine, which lets a
     deliberately broken estimator serve as a negative control.
     """
-    draws = _draws(kind, p, n_samples, sampler)
+    draws = _draws(kind, p, n_points, n_samples, seed, sampler)
     worst = {}
     for z_half, w, snap, target, probs, values in _outcome_sets(kind, p, n_points, draws, seed, sampler):
         scale = 1.0 + float(np.linalg.norm(target))
@@ -201,7 +202,7 @@ def verify_assumption2(
     are checked analytically and the stored-half-step one along a
     trajectory, so neither uses an outcome set.
     """
-    draws = _draws(kind, p, n_samples)
+    draws = _draws(kind, p, n_points, n_samples, seed)
     anchor = kind.strategy.anchor
     if anchor == PAST:
         return VerificationReport(_second_moment_rows_past(kind, p, n_points, seed))

@@ -8,12 +8,11 @@ size rules and the verification suite consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FREE, ProxSpec, Vector, prox_eval, rng_stream
+from .core import FREE, ProxSpec, Vector, _check_integers, prox_eval, rng_stream
 
 
 @dataclass
@@ -50,7 +49,6 @@ class BilinearGame:
     stored, never the (M, n^2, n^2) stack of components.
     """
 
-    n: int
     base: np.ndarray  # (n^2, n^2)
     scales: np.ndarray  # (M,)
     avg: np.ndarray
@@ -162,13 +160,6 @@ def wealth_base(n: int) -> Vector:
     return 1.0 - (2.0 / n) * np.minimum(np.abs(row - half), np.abs(col - half))
 
 
-def cell_distance(i: int, j: int, n: int) -> float:
-    """Euclidean distance between cells i and j of the flattened n x n grid."""
-    if not (0 <= i < n * n and 0 <= j < n * n):
-        raise IndexError(f"cell index out of range for side {n}")
-    return math.hypot(i // n - j // n, i % n - j % n)
-
-
 def _pairwise_distances(n: int) -> np.ndarray:
     i = np.arange(n * n)
     rows = i // n
@@ -186,12 +177,13 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     component.  The play is min over x, max over y of (1/n) sum_k y^T A^(k) x,
     so the monotone operator is F(x, y) = (A^T y, -A x) for the averaged A.
     """
+    _check_integers(n=n, seed=seed)
     if n < 1:
         raise ValueError("need n >= 1")
-    if not theta > 0:
-        raise ValueError("need theta > 0")
-    if not sigma_w >= 0:
-        raise ValueError("need sigma_w >= 0")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"need a finite theta > 0, got {theta!r}")
+    if not 0 <= sigma_w < np.inf:
+        raise ValueError(f"need a finite sigma_w >= 0, got {sigma_w!r}")
     rng = rng_stream(seed, 0)
     w = wealth_base(n)
     shape = 1.0 - np.exp(-theta * _pairwise_distances(n))
@@ -207,7 +199,7 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
         avg += buf
         L_m[k] = _matrix_spectral_norm(buf, tol=1e-12)
     avg /= n
-    payload = BilinearGame(n=n, base=base, scales=scales, avg=avg)
+    payload = BilinearGame(base=base, scales=scales, avg=avg)
 
     L = _matrix_spectral_norm(avg, tol=1e-12)
     return VIProblem(
@@ -229,10 +221,11 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
     symmetric part is mu*I + alpha*P >= mu*I, so the strong monotonicity
     constant is mu by construction.
     """
+    _check_integers(d=d, seed=seed)
     if d < 1:
         raise ValueError("need d >= 1")
-    if not 0 < mu <= L:
-        raise ValueError("need 0 < mu <= L")
+    if not 0 < mu <= L < np.inf:
+        raise ValueError(f"need 0 < mu <= L < inf, got mu = {mu!r}, L = {L!r}")
     rng = rng_stream(seed, 0)
     R = rng.normal((d, d))
     S = (R - R.T) / 2.0
@@ -279,8 +272,8 @@ def gen_mixing_vi(base: list[VIProblem], lam: float) -> VIProblem:
     operator is Phi(Z) + lam*(Z - Z_avg); its pieces keep Lipschitz
     constants max_m L_m and lam respectively.
     """
-    if not lam > 0:
-        raise ValueError("need lam > 0")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"need a finite lam > 0, got {lam!r}")
     if not base:
         raise ValueError("need at least one base problem")
     d_base = base[0].d

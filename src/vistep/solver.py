@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import RngStream, Vector, prox_eval, rng_stream
+from .core import RngStream, Vector, _check_integers, prox_eval, rng_stream
 from .estimators import (
     FRESH,
     PAST,
@@ -63,10 +63,7 @@ class SolverConfig:
     gap_every: int = 1
 
     def __post_init__(self):
-        for name in ("K", "seed", "gap_every"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(K=self.K, seed=self.seed, gap_every=self.gap_every)
         if self.K < 0:
             raise ValueError("need K >= 0")
         if self.regime not in REGIMES:
@@ -97,7 +94,6 @@ class RunTrace:
     gap_last: np.ndarray
     gap_avg: np.ndarray
     z_final: Vector
-    w_final: Vector
     z_avg: Vector | None
     gamma: float
     tau: float
@@ -190,8 +186,8 @@ def _gap_supported(p: VIProblem) -> bool:
     return isinstance(p.payload, BilinearGame) and not p.prox.free
 
 
-def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> RunTrace:
-    """Run K iterations from z^0 = w^0 and record the trace.
+def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
+    """Run K iterations from z^0 = w^0 = initial_point(p, seed) and record the trace.
 
     Streams: seed/0 feeds the estimator, seed/1 the snapshot coin, seed/2
     the initial point, so strategies consuming different numbers of draws
@@ -207,12 +203,7 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
 
     est_rng = rng_stream(config.seed, 0)
     coin_rng = rng_stream(config.seed, 1)
-    if z0 is None:
-        z = initial_point(p, config.seed)
-    else:
-        z = np.asarray(z0, dtype=float).copy()
-        if z.size != p.d:
-            raise ValueError(f"z0 length {z.size} does not match problem dimension {p.d}")
+    z = initial_point(p, config.seed)
     state = init_estimator(kind, p, z, est_rng)
 
     K = config.K
@@ -257,7 +248,6 @@ def run_solver(p: VIProblem, config: SolverConfig, z0: Vector | None = None) -> 
         gap_last=gap_last,
         gap_avg=gap_avg,
         z_final=z,
-        w_final=state.w.copy(),
         z_avg=half_sum / K if K else None,
         gamma=gamma,
         tau=tau,

@@ -1,5 +1,6 @@
 """Shared brute-force oracles for the test suite: the simplex projection
-by support enumeration, and two restricted merit values that cross-check
+by support enumeration, the scalar grid distance behind the game's
+matrices, and two restricted merit values that cross-check
 problems.duality_gap_bilinear."""
 
 import itertools
@@ -37,6 +38,13 @@ def simplex_projection_oracle(v):
                 best_dist = dist
                 best = x
     return best
+
+
+def cell_distance(i: int, j: int, n: int) -> float:
+    """Euclidean distance between cells i and j of the flattened n x n grid."""
+    if not (0 <= i < n * n and 0 <= j < n * n):
+        raise IndexError(f"cell index out of range for side {n}")
+    return math.hypot(i // n - j // n, i % n - j % n)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,18 @@ def test_parse_errors_carry_line_numbers():
     assert parse_config_text("run.gamma = auto\n").get("run", "gamma") is None
 
 
+def test_repeated_key_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^line 2: duplicate key problem.n$"):
+        parse_config_text("problem.n = 3\nproblem.n = 4\n")
+    with pytest.raises(ConfigError, match="line 4: duplicate key run.gamma"):
+        parse_config_text("run.gamma = auto\n# comment\n\nrun.gamma = 0.1\n")
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("problem.kind = pvb\nproblem.n = 2\nrun.estimator = vr\nrun.K = 3\nrun.K = 4\n")
+    assert main(["run", "-c", str(twice), "-o", str(tmp_path / "t.csv")]) == 1
+    assert "config error: line 5: duplicate key run.K" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_require_reports_missing_keys():
     cfg = parse_config_text("problem.kind = pvb\n")
     with pytest.raises(ConfigError, match="problem.n"):

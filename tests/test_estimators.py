@@ -74,7 +74,7 @@ def snapshot_at(kind, p, w):
 def test_identity_quantizer_copies():
     x = np.array([1.0, -2.0, 3.0])
     q = Quantizer("identity")
-    out = quantize(q, x, rng_stream(0, 0))
+    out = quantize(q, x, None)
     np.testing.assert_array_equal(out, x)
     out[0] = 9.0
     assert x[0] == 1.0
@@ -84,7 +84,7 @@ def test_identity_quantizer_copies():
 def test_randk_full_keepset_is_identity():
     q = randk(5, 5)
     x = rng_stream(1, 0).normal(5)
-    np.testing.assert_array_equal(quantize(q, x, rng_stream(2, 0)), x)
+    np.testing.assert_array_equal(quantize(q, x, rng_stream(2, 0).subsets(5, 5)), x)
     assert q.omega == 1.0
 
 
@@ -93,7 +93,7 @@ def test_randk_structure_and_twin_subset():
     x = rng_stream(3, 0).normal(6)
     rng = rng_stream(4, 0)
     twin = rng_stream(4, 0)
-    out = quantize(q, x, rng)
+    out = quantize(q, x, rng.subsets(6, 2))
     idx = twin.subsets(6, 2)
     want = np.zeros(6)
     want[idx] = x[idx] * 3.0
@@ -106,7 +106,7 @@ def test_randk_unbiased_monte_carlo():
     x = rng_stream(5, 0).normal(6)
     rng = rng_stream(6, 0)
     n = 6000
-    batch = np.stack([quantize(q, x, rng) for _ in range(n)])
+    batch = np.stack([quantize(q, x, rng.subsets(6, 2)) for _ in range(n)])
     err = np.linalg.norm(batch.mean(axis=0) - x)
     se = np.sqrt(np.sum(batch.var(axis=0)) / n)
     assert err <= 4.0 * se
@@ -136,9 +136,15 @@ def test_quantizer_validation():
     with pytest.raises(ValueError):
         Quantizer("randk", k=5, d=4)
     with pytest.raises(ValueError):
-        quantize(randk(2, 6), np.zeros(5), rng_stream(0, 0))
-    with pytest.raises(ValueError, match="needs rng or kept"):
-        quantize(randk(2, 6), np.zeros(6))
+        quantize(randk(2, 6), np.zeros(5), rng_stream(0, 0).subsets(6, 2))
+
+
+def test_quantizer_rejects_non_integer_sizes():
+    with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+        Quantizer("randk", k=2.0, d=10)
+    with pytest.raises(ValueError, match="d must be an integer, got 10.0"):
+        Quantizer("randk", k=2, d=10.0)
+    assert Quantizer("randk", k=np.int64(2), d=10).omega == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +568,8 @@ def test_constants_direct_oracle():
     c = assumption_constants(noisy(1.0), L=2.0)
     assert (c.A, c.D1, c.D3, c.rho) == (12.0, 6.0, 1.0, 1.0)
     assert (c.B, c.C, c.E, c.D2, c.tau_star) == (0.0, 0.0, 0.0, 0.0, 0.0)
-    c0 = assumption_constants(fulldet(), L=2.0, D=1.0)
-    assert (c0.A, c0.D1, c0.D3) == (12.0, 3.0, 0.0)
+    c0 = assumption_constants(fulldet(), L=2.0)
+    assert (c0.A, c0.D1, c0.D3) == (12.0, 0.0, 0.0)
 
 
 def test_constants_past():
@@ -571,15 +577,15 @@ def test_constants_past():
     assert c.rho == pytest.approx(1.0 / 3.0)
     assert (c.B, c.C, c.D1, c.D2, c.D3) == (3.0, 8.0, 6.0, 12.0, 1.0)
     assert c.tau_star == 0.0
-    cd = assumption_constants(past(), L=2.0, D=0.5)
-    assert (cd.D1, cd.D2, cd.D3) == (0.0, 1.0, 0.0)
+    cd = assumption_constants(past(), L=2.0)
+    assert (cd.D1, cd.D2, cd.D3) == (0.0, 0.0, 0.0)
 
 
 def test_constants_vr_and_identity_quant_agree():
-    c = assumption_constants(vr(), L=3.0, D=0.5, M=4)
-    assert (c.A, c.D1, c.E, c.D3) == (9.0, 0.25, 36.0, 1.0)
+    c = assumption_constants(vr(), L=3.0, M=4)
+    assert (c.A, c.D1, c.E, c.D3) == (9.0, 0.0, 36.0, 0.0)
     assert c.tau_star == 0.8
-    q = assumption_constants(quant(Quantizer("identity")), L=3.0, D=0.5)
+    q = assumption_constants(quant(Quantizer("identity")), L=3.0)
     assert (q.A, q.B, q.C, q.E, q.D1, q.D2, q.D3, q.rho) == (
         c.A,
         c.B,
@@ -601,7 +607,7 @@ def test_constants_coord():
 
 
 def test_constants_randk_quant():
-    c = assumption_constants(quant(randk(2, 8)), L=1.5, D=0.0)
+    c = assumption_constants(quant(randk(2, 8)), L=1.5)
     assert c.A == pytest.approx(4.0 * 2.25)
     assert c.E == pytest.approx(2.0 * 5.0 * 2.25)
     assert c.tau_star == 0.8
@@ -638,10 +644,10 @@ def test_importance_weights_minimize_effective_constant():
 
 
 def test_constants_local():
-    c = assumption_constants(local(2.0 / 3.0), L=2.0, D=0.5, lam=1.0)
+    c = assumption_constants(local(2.0 / 3.0), L=2.0, lam=1.0)
     assert c.A == pytest.approx(9.0, rel=1e-12)
     assert c.E == pytest.approx(36.0, rel=1e-12)
-    assert c.D3 == pytest.approx(0.5)
+    assert c.D3 == 0.0
     assert c.tau_star == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
         assumption_constants(local(0.5), L=2.0)

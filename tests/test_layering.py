@@ -1,13 +1,16 @@
 """The package's modules import one another one way only, and every
-public name has a caller outside the tests.
+public name, and every optional parameter of a public function, has a
+caller outside the tests.
 
 Every ``from .x import`` in ``src/vistep``, including those inside
 functions, is an edge of the import graph; a cycle would make a module's
 import order matter and hide a dependency in a function body.  A public
-name that only tests call is a test helper and belongs under ``tests/``.
+name that only tests call is a test helper and belongs under ``tests/``;
+so does an option that only tests pass.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import vistep
@@ -63,25 +66,84 @@ def test_import_graph_has_no_cycle():
     assert find_cycle(graph) is None, find_cycle(graph)
 
 
+def library_nodes():
+    """Every AST node of the library outside ``__init__.py``, the demos and
+    the benchmark."""
+    root = SRC.parent.parent
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    paths += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def library_references() -> set[str]:
     """Every name the library outside ``__init__.py``, the demos and the
     benchmark refer to: loaded names, attributes and imported names.  A
     definition is not a reference to itself."""
-    root = SRC.parent.parent
-    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    paths += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+    for node in library_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
     return names
 
 
 def test_every_public_name_is_used_outside_the_tests():
     unused = sorted(set(vistep.__all__) - {"__version__"} - library_references())
     assert unused == [], f"public names only the tests use: {unused}"
+
+
+def passed_arguments() -> dict[str, set]:
+    """For each called name (``f(...)`` or ``x.f(...)``), the positions and
+    keywords some library call passes.  Positions from a ``*args`` on and
+    keywords in a ``**kwargs`` are unknown, so they do not count."""
+    passed = {}
+    for node in library_nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        got = passed.setdefault(name, set())
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            got.add(i)
+        got.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+# parameters that stay without a library caller, each for the reason given
+EXEMPT_PARAMETERS = {
+    # the negative control: tests substitute a deliberately broken estimator
+    ("verify_unbiasedness", "sampler"),
+    # mirrors EstimatorKind("past", sigma=...), which is how the CLI and the
+    # benchmark build a noisy past strategy
+    ("past", "sigma"),
+}
+
+
+def unpassed_parameters() -> list[str]:
+    """``f(param)`` for each parameter with a default of a public function
+    that no library call passes, by position or by keyword."""
+    passed = passed_arguments()
+    unpassed = []
+    for name in vistep.__all__:
+        func = getattr(vistep, name)
+        if not inspect.isfunction(func):
+            continue
+        got = passed.get(name, set())
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is param.empty or (name, param.name) in EXEMPT_PARAMETERS:
+                continue
+            by_position = param.kind is param.POSITIONAL_OR_KEYWORD and i in got
+            if not (by_position or param.name in got):
+                unpassed.append(f"{name}({param.name})")
+    return unpassed
+
+
+def test_every_public_parameter_is_passed_outside_the_tests():
+    unpassed = unpassed_parameters()
+    assert unpassed == [], f"parameters only the tests pass: {unpassed}"

@@ -40,7 +40,7 @@ from vistep.metrics import MC_SAMPLES
 def two_by_two(mat):
     """Wrap a 2x2 payoff matrix as a game on the product of two simplices."""
     mat = np.asarray(mat, dtype=float)
-    game = BilinearGame(n=2, base=mat, scales=np.ones(1), avg=mat)
+    game = BilinearGame(base=mat, scales=np.ones(1), avg=mat)
     return VIProblem(
         d=4,
         prox=ProxSpec(blocks=(2, 2)),
@@ -249,6 +249,18 @@ def test_both_verifiers_reject_one_or_negative_samples():
                 verify_unbiasedness(kind, p, n_points=2, n_samples=n_samples)
             with pytest.raises(ValueError, match="n_samples"):
                 verify_assumption2(kind, p, n_points=2, n_samples=n_samples)
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("seed", 1.5), ("n_points", 2.5), ("n_samples", 2.5)],
+)
+def test_both_verifiers_reject_non_integer_counts_and_seeds(argument, value):
+    p = pvb3()
+    for verify in (verify_unbiasedness, verify_assumption2):
+        for kind in (vr(), past()):
+            with pytest.raises(ValueError, match=f"{argument} must be an integer, got {value}"):
+                verify(kind, p, **{"n_points": 2, argument: value})
 
 
 def test_assumption2_exact_modes():

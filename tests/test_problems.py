@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import cell_distance
 
 from vistep import (
     FREE,
@@ -18,7 +19,7 @@ from vistep import (
     random_feasible,
     rng_stream,
 )
-from vistep.problems import _matrix_spectral_norm, cell_distance, wealth_base
+from vistep.problems import _matrix_spectral_norm, wealth_base
 
 
 def test_wealth_base_matches_scalar_loop():
@@ -169,6 +170,37 @@ def test_policeman_burglar_argument_errors():
         gen_policeman_burglar(2, theta=0.0)
     with pytest.raises(ValueError):
         gen_policeman_burglar(2, sigma_w=-1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gen_policeman_burglar(3, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: gen_policeman_burglar(2.5), "n must be an integer, got 2.5"),
+        (lambda: gen_quadratic_vi(5, 0.1, 1.0, seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda: gen_quadratic_vi(10.0, 0.1, 1.0), "d must be an integer, got 10.0"),
+    ],
+    ids=["pvb-seed", "pvb-n", "quadratic-seed", "quadratic-d"],
+)
+def test_generators_reject_non_integer_sizes_and_seeds(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gen_policeman_burglar(3, theta=np.inf), "finite theta > 0, got inf"),
+        (lambda: gen_policeman_burglar(3, sigma_w=np.inf), "finite sigma_w >= 0, got inf"),
+        (lambda: gen_quadratic_vi(5, np.inf, np.inf), "got mu = inf, L = inf"),
+        (lambda: gen_quadratic_vi(5, 0.1, np.inf), "got mu = 0.1, L = inf"),
+        (lambda: gen_mixing_vi([gen_quadratic_vi(4, 0.5, 2.0)], np.inf), "finite lam > 0, got inf"),
+    ],
+    ids=["pvb-theta", "pvb-sigma_w", "quadratic-mu-L", "quadratic-L", "mixing-lam"],
+)
+def test_generators_reject_non_finite_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_quadratic_constants_are_exact():

@@ -150,7 +150,6 @@ def test_run_solver_matches_manual_loop():
         z, z_half = iterate_once(state, p, z, 0.5, 0.02, est, coin)
         acc += z_half
     np.testing.assert_array_equal(trace.z_final, z)
-    np.testing.assert_array_equal(trace.w_final, state.w)
     np.testing.assert_array_equal(trace.z_avg, acc / 5.0)
 
 
@@ -167,7 +166,7 @@ def test_identity_quant_trace_equals_single_component_vr():
 def test_feasibility_of_final_iterates():
     p = gen_policeman_burglar(3, seed=1)
     trace = run_solver(p, SolverConfig(kind=coord(), K=30, seed=1))
-    for z in (trace.z_final, trace.w_final, trace.z_avg):
+    for z in (trace.z_final, trace.z_avg):
         assert abs(z[:9].sum() - 1.0) <= 1e-10
         assert abs(z[9:].sum() - 1.0) <= 1e-10
         assert z.min() >= -1e-15
@@ -188,7 +187,7 @@ def test_huge_step_on_the_simplex_stays_feasible():
     # still lands on the simplex product, so nothing diverges
     p = gen_policeman_burglar(3)
     trace = run_solver(p, SolverConfig(kind=fulldet(), K=10, gamma=1e200))
-    for z in (trace.z_final, trace.w_final, trace.z_avg):
+    for z in (trace.z_final, trace.z_avg):
         assert z[:9].sum() == 1.0 and z[9:].sum() == 1.0
         assert z.min() >= 0.0
 
@@ -227,15 +226,6 @@ def test_run_solver_defaults_follow_the_rules():
     want, want_T = step_size_bound(vr(), "mono", consts, p.mu_F, p.mu_h, 0.75)
     assert trace.gamma == pytest.approx(want, rel=1e-15)
     assert trace.T == want_T
-
-
-def test_run_solver_z0_override():
-    p = gen_quadratic_vi(5, 0.5, 2.0, seed=3)
-    z0 = p.known_solution + np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-    trace = run_solver(p, SolverConfig(kind=fulldet(), K=2, seed=0, regime="sm"), z0=z0)
-    assert trace.dist_sq[0] == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        run_solver(p, SolverConfig(kind=fulldet(), K=2), z0=np.zeros(4))
 
 
 def test_gap_schedule_and_nan_pattern():
