@@ -119,6 +119,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        _check_integers(seed=seed, stream_id=stream_id)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

@@ -56,6 +56,8 @@ def quantize(q: Quantizer, x: Vector, kept) -> Vector:
     x = np.asarray(x, dtype=float)
     if q.kind == "identity":
         return x.copy()
+    if kept is None:
+        raise ValueError("a randk quantizer needs the kept coordinates")
     if x.shape[-1] != q.d:
         raise ValueError(f"vector length {x.shape[-1]} does not match quantizer dimension {q.d}")
     at = kept if x.ndim == 1 else (np.arange(len(x))[:, None], kept)
@@ -213,8 +215,8 @@ class EstimatorState:
 
 # ---------------------------------------------------------------------------
 # The strategy table.  An outcome is a pair (s, r): s picks the difference
-# source (a component, the Phi/consensus branch, or 0) and r holds the rest
-# of the draw (oracle noise, a coordinate, randk's kept coordinates) or is
+# source (a component, a coordinate, the Phi/consensus branch, or 0) and r
+# holds the rest of the draw (oracle noise, randk's kept coordinates) or is
 # None.  Each entry is an array with one element or row per draw, or a
 # scalar or vector for the single draw of a solver step (n = None).
 
@@ -230,7 +232,8 @@ class Strategy:
     anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
     draw: Callable  # (kind, p, rng, n) -> n outcomes
     # (kind, p, s, z, snap, costs) -> source s's billed difference at z (F(z) without a snapshot); for an
-    # index array s of distinct sources, one row per source, or one vector when the strategy has one source
+    # index array s of distinct sources, one row per source (coord's rows hold the one coordinate), or one
+    # vector when the strategy has one source
     diff: Callable
     correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
     constants: Callable  # (kind, L, d=, M=, L_m=, lam=) -> the nonzero contract constants
@@ -277,6 +280,14 @@ def _component_diff(kind, p, s, z, snap, costs):
     return _charged(diff, costs, _payload_bits(kind, p.d), comp_calls=2)
 
 
+def _coordinate_diff(kind, p, s, z, snap, costs):
+    """Coordinate s's difference F_s(z) - F_s(w), from the payload's
+    coordinate oracle: O(d) work for the one coordinate billed.  For an
+    index array s, a one-entry row per coordinate."""
+    diff = p.payload.coordinate(s, z) - snap.fw[s]
+    return _charged(diff[:, None] if isinstance(s, np.ndarray) else diff, costs, _coord_bits(p.d), coords=1)
+
+
 def _branch_diff(kind, p, s, z, snap, costs):
     """Phi's difference (s = 0, a local step) or consensus's (a broadcast)."""
     if isinstance(s, np.ndarray):
@@ -312,10 +323,11 @@ def _kept_atoms(kind, sources: int):
 
 
 def _one_coordinate(kind, p, o, diff, fw):
-    g = np.empty(diff.shape)
+    """F(w) with the drawn coordinate moved by d times its difference."""
+    g = np.empty(np.shape(diff)[:-1] + fw.shape)
     g[...] = fw
-    at = o[1] if diff.ndim == 1 else (np.arange(len(diff)), o[1])
-    g[at] += p.d * diff[at]
+    at = o[0] if g.ndim == 1 else (np.arange(len(g)), o[0])
+    g[at] += p.d * np.reshape(diff, np.shape(o[0]))
     return g
 
 
@@ -395,12 +407,10 @@ STRATEGIES: dict[str, Strategy] = {
     "coord": Strategy(
         SNAPSHOT, refresh=_full_value, constants=lambda kind, L, d, **_: _variance_constants(d, L),
         tau=lambda kind, d=None, **_: _finite_sum_tau(kind, d),
-        draw=lambda kind, p, rng, n: (_zeros(n), rng.integers(p.d, n)),
-        diff=lambda kind, p, s, z, snap, costs: _charged(
-            eval_full(p, z) - snap.fw, costs, _coord_bits(p.d), coords=1
-        ),
+        draw=lambda kind, p, rng, n: (rng.integers(p.d, n), None),
+        diff=_coordinate_diff,
         correct=_one_coordinate,
-        atoms=lambda kind, p: (np.full(p.d, 1.0 / p.d), (_zeros(p.d), np.arange(p.d))),
+        atoms=lambda kind, p: (np.full(p.d, 1.0 / p.d), (np.arange(p.d), None)),
     ),
     "quant": _QUANT,
     "qvr": replace(
@@ -602,26 +612,39 @@ def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConsta
 # correction over every outcome atom (exact) or a batch of draws (Monte Carlo),
 # given the snapshot the strategy's refresh made at w (None without one).
 
+_BLOCK_VALUES = 2**16  # floats per block of value rows (512 KB), so that a block stays in cache
 
-def _batch(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, snap: Snapshot | None) -> np.ndarray:
-    """g^{k+1/2} for each of a batch of outcomes."""
+
+def _block_rows(d: int) -> int:
+    """Value rows of length d per block of atoms or of squared distances."""
+    return max(1, _BLOCK_VALUES // d)
+
+
+def _batches(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, snap: Snapshot | None, rows: int):
+    """g^{k+1/2} for each of a batch of outcomes, ``rows`` outcomes per
+    block; each distinct source's difference is formed once."""
     strat = kind.strategy
     sources, index = np.unique(outcomes[0], return_inverse=True)
     diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap, CostLedger()))
-    rows = np.broadcast_to(diffs[0], (len(index), p.d)) if len(diffs) == 1 else diffs[index]
-    return strat.correct(kind, p, outcomes, rows, None if snap is None else snap.fw)
+    fw = None if snap is None else snap.fw
+    for start in range(0, len(index), rows):
+        part = slice(start, start + rows)
+        at = index[part]
+        block = np.broadcast_to(diffs[0], (len(at), diffs.shape[1])) if len(diffs) == 1 else diffs[at]
+        yield strat.correct(kind, p, tuple(o if o is None else o[part] for o in outcomes), block, fw)
 
 
 def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, snap: Snapshot | None):
     """All possible g^{k+1/2} values with their probabilities, for kinds
-    whose randomness is finite and enumerable: (probs, values), one value
-    row per atom."""
+    whose randomness is finite and enumerable: (probs, blocks), where
+    blocks yields the value rows, one per atom, _block_rows(d) atoms at a
+    time."""
     check_problem(kind, p)
     atoms = kind.strategy.atoms
     if atoms is None:
         raise ValueError(f"estimator kind {kind.name!r} is not enumerable")
     probs, outcomes = atoms(kind, p)
-    return probs, _batch(kind, p, outcomes, z_half, snap)
+    return probs, _batches(kind, p, outcomes, z_half, snap, _block_rows(p.d))
 
 
 def sample_half_batch(
@@ -640,4 +663,5 @@ def sample_half_batch(
     batch is distribution-equal, not stream-equal, to n solver draws.
     """
     check_problem(kind, p)
-    return _batch(kind, p, kind.strategy.draw(kind, p, rng, n), z_half, snap)
+    (values,) = _batches(kind, p, kind.strategy.draw(kind, p, rng, n), z_half, snap, n)
+    return values

@@ -22,6 +22,7 @@ from .estimators import (
     PAST,
     CostLedger,
     EstimatorKind,
+    _block_rows,
     check_problem,
     constants_for_problem,
     half_atoms,
@@ -67,7 +68,6 @@ def _row(lemma: str, variant: str, lhs: float, rhs: float, n: int, tol: float) -
 
 
 MC_SAMPLES = 4000  # Monte Carlo draws when n_samples = 0 and the outcomes cannot be enumerated
-_BLOCK_ROWS = 256  # outcome rows per block of squared distances
 
 
 def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, seed: int, sampler=None) -> int:
@@ -88,29 +88,29 @@ def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, see
 def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int | None, seed: int, sampler=None):
     """Random state pairs (z^{k+1/2}, w) with the strategy's refresh at w
     (None without a snapshot), the target F(z^{k+1/2}) and the outcome set
-    of g^{k+1/2}: (probs, values) over every atom when draws = 0, (None,
-    values) of that many Monte Carlo draws, or (None, None) when draws is
-    None."""
+    of g^{k+1/2} as (probs, blocks of value rows): every atom, a block of
+    _block_rows(d) at a time, when draws = 0; (None, one block) of that
+    many Monte Carlo draws; or (None, None) when draws is None."""
     points, rng = rng_stream(seed, 5), rng_stream(seed, 6)
     refresh = kind.strategy.refresh
     for _ in range(n_points):
         z_half, w = random_feasible(p, points), random_feasible(p, points)
         snap = None if refresh is None else refresh(kind, p, w, CostLedger())
-        probs = values = None
+        probs = blocks = None
         if draws == 0:
-            probs, values = half_atoms(kind, p, z_half, snap)
+            probs, blocks = half_atoms(kind, p, z_half, snap)
         elif sampler is not None:
-            values = sampler(p, z_half, snap, rng, draws)
+            blocks = (sampler(p, z_half, snap, rng, draws),)
         elif draws is not None:
-            values = sample_half_batch(kind, p, z_half, snap, rng, draws)
-        yield z_half, w, snap, eval_full(p, z_half), probs, values
+            blocks = (sample_half_batch(kind, p, z_half, snap, rng, draws),)
+        yield z_half, w, snap, eval_full(p, z_half), probs, blocks
 
 
 def _sq_dists(values: np.ndarray, ref: Vector) -> np.ndarray:
     """|v - ref|^2 for each row v, a block of rows at a time, so no second
     array of the values' size is made."""
-    blocks = range(0, len(values), _BLOCK_ROWS)
-    return np.concatenate([np.sum((values[i : i + _BLOCK_ROWS] - ref) ** 2, axis=1) for i in blocks])
+    rows = _block_rows(len(ref))
+    return np.concatenate([np.sum((values[i : i + rows] - ref) ** 2, axis=1) for i in range(0, len(values), rows)])
 
 
 def _keep_worst(worst: dict, row: CheckRow) -> None:
@@ -138,16 +138,25 @@ def verify_unbiasedness(
     """
     draws = _draws(kind, p, n_points, n_samples, seed, sampler)
     worst = {}
-    for z_half, w, snap, target, probs, values in _outcome_sets(kind, p, n_points, draws, seed, sampler):
+    for z_half, w, snap, target, probs, blocks in _outcome_sets(kind, p, n_points, draws, seed, sampler):
         scale = 1.0 + float(np.linalg.norm(target))
         if probs is not None:
-            lhs = float(np.linalg.norm(np.einsum("i,ij->j", probs, values) - target))
+            mean, n = np.zeros(p.d), 0
+            for values in blocks:
+                # the running sum enters as a first row of weight 1, so the
+                # additions keep the order of one pass over every atom
+                weights = np.concatenate([[1.0], probs[n : n + len(values)]])
+                mean = np.einsum("i,ij->j", weights, np.vstack([mean, values]))
+                n += len(values)
+            lhs = float(np.linalg.norm(mean - target))
             rhs = 1e-9 * scale
         else:
+            (values,) = blocks
+            n = len(values)
             lhs = float(np.linalg.norm(values.mean(axis=0) - target))
-            trace_cov = float(np.sum(values.var(axis=0))) / len(values)
+            trace_cov = float(np.sum(values.var(axis=0))) / n
             rhs = 4.0 * math.sqrt(trace_cov) + 1e-12 * scale
-        _keep_worst(worst, _row("unbiased", kind.name, lhs, rhs, len(values), 0.0))
+        _keep_worst(worst, _row("unbiased", kind.name, lhs, rhs, n, 0.0))
     return VerificationReport(list(worst.values()))
 
 
@@ -209,15 +218,17 @@ def verify_assumption2(
     c = constants_for_problem(kind, p)
     s2 = kind.sigma**2
     worst = {}
-    for z_half, w, snap, target, probs, values in _outcome_sets(
+    for z_half, w, snap, target, probs, blocks in _outcome_sets(
         kind, p, n_points, None if anchor == FRESH else draws, seed
     ):
         gap_sq = float(np.sum((z_half - w) ** 2))
-        if values is None:
+        if blocks is None:
             # tau = 0 for these, so the anchor w is the current iterate
             diff_lhs, res_lhs, n, tol = float(np.sum((target - eval_full(p, w)) ** 2)) + 2.0 * s2, s2, 0, 1e-9
         else:
-            diff_sq, res_sq, n = _sq_dists(values, snap.fw), _sq_dists(values, target), len(values)
+            sq = [(_sq_dists(values, snap.fw), _sq_dists(values, target)) for values in blocks]
+            diff_sq, res_sq = (np.concatenate(parts) for parts in zip(*sq))
+            n = len(diff_sq)
             if probs is None:
                 diff_lhs, res_lhs, tol = float(np.mean(diff_sq)), float(np.mean(res_sq)), 5.0 / math.sqrt(n)
             else:

@@ -2,8 +2,9 @@
 quadratic operators, and federated-mixing compositions.
 
 Every instance exposes a full operator oracle, per-component oracles for
-finite sums, and the constants (L, mu, per-component L_m) that the step
-size rules and the verification suite consume.
+finite sums, a single-coordinate oracle, and the constants (L, mu,
+per-component L_m) that the step size rules and the verification suite
+consume.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ class BilinearGame:
         """Every F_m(z) as an (M, d) stack, from one product with base."""
         return self.scales[:, None] * self._apply(self.base, z)
 
+    def coordinate(self, j: int | np.ndarray, z: Vector):
+        """F(z)[j]: for an index, O(d) work, a column of avg against y for
+        a coordinate of x or a row of avg against x for a coordinate of y;
+        for an index array, read off one full product (no rows gathered)."""
+        if np.ndim(j):
+            return self.full(z)[j]
+        h = self.half
+        return float(self.avg[:, j] @ z[h:]) if j < h else -float(self.avg[j - h] @ z[:h])
+
 
 def duality_gap_bilinear(game: BilinearGame, z: Vector, fz: Vector | None = None) -> float:
     """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
@@ -98,6 +108,13 @@ class QuadraticOperator:
 
     def components(self, z: Vector) -> np.ndarray:
         return self.full(z)[None]
+
+    def coordinate(self, j: int | np.ndarray, z: Vector):
+        """F(z)[j]: one row of mat for an index; for an index array, read
+        off one full product (no rows gathered)."""
+        if np.ndim(j):
+            return self.full(z)[j]
+        return self.mat[j] @ (z - self.center)
 
 
 @dataclass
@@ -147,6 +164,16 @@ class MixingVI:
     def components(self, Z: Vector) -> np.ndarray:
         return self.full(Z)[None]
 
+    def coordinate(self, j: int | np.ndarray, Z: Vector):
+        """F(Z)[j]: for an index, the owning worker's coordinate plus the
+        consensus term, which reads the same coordinate of every worker;
+        for an index array, read off one full product."""
+        if np.ndim(j):
+            return self.full(Z)[j]
+        m, i = divmod(j, self.d_base)
+        own = self.base[m].payload.coordinate(i, Z[m * self.d_base : (m + 1) * self.d_base])
+        return own + self.lam * (Z[j] - Z[i :: self.d_base].mean())
+
 
 def wealth_base(n: int) -> Vector:
     """Pyramid wealth profile on the flattened n x n grid:
@@ -160,13 +187,7 @@ def wealth_base(n: int) -> Vector:
     return 1.0 - (2.0 / n) * np.minimum(np.abs(row - half), np.abs(col - half))
 
 
-def _pairwise_distances(n: int) -> np.ndarray:
-    i = np.arange(n * n)
-    rows = i // n
-    cols = i % n
-    dr = rows[:, None] - rows[None, :]
-    dc = cols[:, None] - cols[None, :]
-    return np.sqrt(dr * dr + dc * dc)
+_AVG_ROWS = 32  # rows of the averaged matrix summed per block, small enough to stay in cache
 
 
 def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed: int = 0) -> VIProblem:
@@ -185,23 +206,28 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     if not 0 <= sigma_w < np.inf:
         raise ValueError(f"need a finite sigma_w >= 0, got {sigma_w!r}")
     rng = rng_stream(seed, 0)
-    w = wealth_base(n)
-    shape = 1.0 - np.exp(-theta * _pairwise_distances(n))
-    base = w[:, None] * shape
+    # 1 - exp(-theta * d(i, j)) depends only on the cells' row and column
+    # offsets, so it is read off an n x n table of offset pairs
+    offsets = np.arange(n)
+    table = 1.0 - np.exp(-theta * np.sqrt(offsets[:, None] ** 2 + offsets[None, :] ** 2))
+    apart = np.abs(offsets[:, None] - offsets[None, :])
+    shape = table[apart[:, None, :, None], apart[None, :, None, :]].reshape(n * n, n * n)
+    base = wealth_base(n)[:, None] * shape
     scales = 1.0 + sigma_w * np.atleast_1d(rng.uniform(n))
-    # one component at a time in a reused buffer: the running sum is the
-    # same sequence of additions as a mean over a stacked leading axis
+    # a block of rows at a time, every component in turn: each entry's
+    # running sum is the same sequence of additions as a mean over a
+    # stacked leading axis
     avg = np.zeros_like(base)
-    buf = np.empty_like(base)
-    L_m = np.empty(n)
-    for k, s in enumerate(scales):
-        np.multiply(s, base, out=buf)
-        avg += buf
-        L_m[k] = _matrix_spectral_norm(buf, tol=1e-12)
+    for start in range(0, n * n, _AVG_ROWS):
+        rows = slice(start, start + _AVG_ROWS)
+        for s in scales:
+            avg[rows] += s * base[rows]
     avg /= n
     payload = BilinearGame(base=base, scales=scales, avg=avg)
 
     L = _matrix_spectral_norm(avg, tol=1e-12)
+    # every component is scales[k] * base, so one power iteration serves all
+    L_m = scales * _matrix_spectral_norm(base, tol=1e-12)
     return VIProblem(
         d=2 * n * n,
         prox=ProxSpec((n * n, n * n)),
@@ -354,6 +380,7 @@ def _matrix_spectral_norm(mat: np.ndarray, tol: float) -> float:
 def initial_point(p: VIProblem, seed: int) -> Vector:
     """Canonical z^0: simplex block centers for constrained problems,
     known solution (or origin) plus a unit-norm seeded offset otherwise."""
+    _check_integers(seed=seed)
     if p.prox.free:
         center = p.known_solution if p.known_solution is not None else np.zeros(p.d)
         e = rng_stream(seed, 2).normal(p.d)

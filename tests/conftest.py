@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from vistep import BilinearGame, VIProblem, eval_full
+from vistep.estimators import half_atoms
 
 
 def simplex_projection_oracle(v):
@@ -38,6 +39,12 @@ def simplex_projection_oracle(v):
                 best_dist = dist
                 best = x
     return best
+
+
+def all_atoms(kind, p, z_half, snap):
+    """half_atoms with its blocks of value rows joined into one array."""
+    probs, blocks = half_atoms(kind, p, z_half, snap)
+    return probs, np.concatenate(list(blocks))
 
 
 def cell_distance(i: int, j: int, n: int) -> float:

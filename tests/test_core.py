@@ -220,3 +220,9 @@ def test_rng_errors():
         s.subsets(3, 4)
     with pytest.raises(ValueError):
         s.subsets(3, 0)
+    # a float seed or stream id would be truncated to another stream
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        rng_stream(1.5)
+    with pytest.raises(ValueError, match="stream_id must be an integer, got 0.5"):
+        rng_stream(1, 0.5)
+    assert rng_stream(np.int64(1), np.int64(2)).uniform() == rng_stream(1, 2).uniform()

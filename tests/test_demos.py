@@ -21,7 +21,7 @@ DIGESTS = {
     "local_mixing.py": "f60b6b8a1300053e12b91bc36cc243d457f2d0f55b3cd40fbdb09263257f1466",
     "policeman_burglar.py": "d80819187d1c8fbbd8db6a41c1f4e2f0290611af5c11ec0c7e4d4e3cdd8b5758",
     "strongly_monotone_rates.py": "00e6b9ded314c34b769344e97c78da3f9a535f9442712829577e6f809a76f618",
-    "verify_constants.py": "2ac10be2ccd12b05ff02b671cbda62587537b1d35fdfea350abf1771235c1b2f",
+    "verify_constants.py": "83368dd386478981974d7f0107e098ea9d9aeb8c922330a83154e72734a4e0c2",
 }
 
 

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import restricted_gap_ball
+from conftest import all_atoms, restricted_gap_ball
 
 from vistep import (
     CostLedger,
@@ -43,6 +43,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
+from vistep import estimators
 from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
 
 
@@ -137,6 +138,9 @@ def test_quantizer_validation():
         Quantizer("randk", k=5, d=4)
     with pytest.raises(ValueError):
         quantize(randk(2, 6), np.zeros(5), rng_stream(0, 0).subsets(6, 2))
+    # without its kept coordinates randk would scale the whole vector by d/k
+    with pytest.raises(ValueError, match="kept coordinates"):
+        quantize(randk(2, 4), np.ones(4), None)
 
 
 def test_quantizer_rejects_non_integer_sizes():
@@ -422,7 +426,7 @@ def test_local_branch_expectation_recovers_operator():
     z0 = rng.normal(p.d)
     state = init_estimator(local(0.6), p, z0, rng)
     z_half = rng.normal(p.d)
-    atoms = half_atoms(local(0.6), p, z_half, state.snap)
+    atoms = all_atoms(local(0.6), p, z_half, state.snap)
     mean = sum(prob * val for prob, val in zip(*atoms))
     np.testing.assert_allclose(mean, eval_full(p, z_half), atol=1e-12)
 
@@ -713,13 +717,19 @@ def enumerable_kinds(p):
     ]
 
 
-def test_half_atoms_probabilities_and_mean():
+def test_half_atoms_probabilities_and_mean(monkeypatch):
     p = pvb3()
     rng = rng_stream(21, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     for kind in enumerable_kinds(p):
-        atoms = half_atoms(kind, p, z_half, snapshot_at(kind, p, w))
+        atoms = all_atoms(kind, p, z_half, snapshot_at(kind, p, w))
+        assert len(atoms[0]) <= estimators._block_rows(p.d)  # one block
+        # the rows do not depend on how many atoms a block holds
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_BLOCK_VALUES", 2 * p.d)
+            two_per_block = all_atoms(kind, p, z_half, snapshot_at(kind, p, w))
+        assert atoms[1].tobytes() == two_per_block[1].tobytes(), kind.name
         assert sum(prob for prob, _ in zip(*atoms)) == pytest.approx(1.0, abs=1e-12)
         mean = sum(prob * val for prob, val in zip(*atoms))
         scale = 1.0 + np.linalg.norm(eval_full(p, z_half))
@@ -741,8 +751,8 @@ def test_uniform_importance_equals_vr_atoms():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     snap = snapshot_at(vr(), p, w)
-    a_vr = half_atoms(vr(), p, z_half, snap)
-    a_is = half_atoms(importance((1.0 / 3.0,) * 3), p, z_half, snap)
+    a_vr = all_atoms(vr(), p, z_half, snap)
+    a_is = all_atoms(importance((1.0 / 3.0,) * 3), p, z_half, snap)
     for (pa, va), (pb, vb) in zip(zip(*a_vr), zip(*a_is)):
         assert pa == pytest.approx(pb, abs=1e-15)
         np.testing.assert_allclose(va, vb, atol=1e-12)
@@ -756,7 +766,7 @@ def test_lipschitz_importance_is_degenerate_on_proportional_components():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     weights = tuple(importance_weights(p.L_m))
-    atoms = half_atoms(importance(weights), p, z_half, snapshot_at(importance(weights), p, w))
+    atoms = all_atoms(importance(weights), p, z_half, snapshot_at(importance(weights), p, w))
     vals = atoms[1]
     assert np.max(np.abs(vals - vals[0])) <= 1e-9
 
@@ -815,7 +825,7 @@ def test_sample_half_batch_rows_are_atoms():
     w = random_feasible(p, rng)
     for kind in (vr(), coord(), importance((0.5, 0.3, 0.2)), quant(randk(2, 18))):
         snap = snapshot_at(kind, p, w)
-        atoms = half_atoms(kind, p, z_half, snap)[1]
+        atoms = all_atoms(kind, p, z_half, snap)[1]
         batch = sample_half_batch(kind, p, z_half, snap, rng_stream(27, 0), 40)
         for row in batch:
             dist = np.min(np.max(np.abs(atoms - row), axis=1))
@@ -830,7 +840,7 @@ def test_sample_half_batch_component_frequencies():
     snap = snapshot_at(vr(), p, w)
     n = 9000
     batch = sample_half_batch(vr(), p, z_half, snap, rng_stream(29, 0), n)
-    atoms = half_atoms(vr(), p, z_half, snap)[1]
+    atoms = all_atoms(vr(), p, z_half, snap)[1]
     labels = np.array([int(np.argmin(np.max(np.abs(atoms - row), axis=1))) for row in batch])
     counts = np.bincount(labels, minlength=3)
     # uniform over 3 components, four standard errors around 3000

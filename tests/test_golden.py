@@ -102,26 +102,26 @@ DIGESTS = {
     "game-noisy": "b2a7d8d9733c4202141a984bd02e33c0851b01f1c73afa46fe8c2317707f9785",
     "game-past": "9db9bf9aa5065c6e0258ac9296bb58369fa7b62d5233ecfb973599b626c2fd1f",
     "game-vr": "0227b0d96deaf45f4fd27598705cf816ca1b5a66eb395a0c41abbfba8052f22e",
-    "game-coord": "52e6404cfdae6bd135352a89460efc594896e60dfe591421369c27de669b4442",
+    "game-coord": "ec839b459a2f9e5b2831f159b694fb72c00d74cdeb96b9e4446f947cb5401f40",
     "game-quant-identity": "fe9059b4c0fa417b9cb812c91637ca893976f0ea4ffba02f9b1d49e77a27846e",
     "game-quant-randk": "9b421efad3126456c2709f963c9c57faa4d26343f19156e486cbe01fb2da21fd",
     "game-qvr-identity": "59018ce14862c71ff6994df7cad8cd2a72ca0b1bec9ab5d18ccee9df7741415d",
     "game-qvr-randk": "fc962f3a3aad79cbc8e511fa0f1690c638deca39421110631010830c72264eea",
-    "game-is-lipschitz": "1c6d82ab23d58a15f80786cf4e2689fe37a2019dd39903d0be889303fea38af1",
+    "game-is-lipschitz": "69093b7c95710ff850294f308d2b563c5a704b4b7b12abead16940df2706b71b",
     "quad-fulldet": "c5daa182ff65e43ba7e7ab88501d17a25dc943d71043e0cc3b9090f214c6586c",
     "quad-vr": "5a74182cdaa4deea40111c58086aa5c4c532150d392e01d9098e52ff293080aa",
-    "quad-coord": "d570a216826ca783a130e17d30207a55fd5648bb27a7d2eed58b4f659078b9ff",
+    "quad-coord": "d3b6f2d5a56ebd624353165b09b87ad6f68bde62450fe4e3e280645df4852d80",
     "quad-quant": "edfb246301156eda578e9e1bea45128318afcd5f68f1fc78ee631e53738f964b",
     "mix-local": "03f0eb3462dbffa64974d0ad78bb0ed53d2454f28ba5adf7adcb687a410bef21",
     "mix-fulldet": "77e5eb651374ca3b830d2530396cdf356d76c375cb79cf7073f20bfe5fa6cb11",
-    "verify-game": "ea41540d195d7fa47f145b9769297f0a0c395f5e4d113dec41a3d4f7f713ed2b",
+    "verify-game": "ce27577718ccb2e87cd27e61951686eb5a95147ebb3e353e0b462f4d2392fb65",
     "verify-mixing": "0ce8477aebb7ea4f877ffc97a7fba95f17649676805f2d8bd6e0dd3d7fc0cff9",
-    "verify-game-mc": "8537838cb6055ccde340766319a10cb1fa41f2af9a73f7f6b76854fbc9fa1b24",
+    "verify-game-mc": "480eb2198722da5203dbb57ce0b0f7041738beca0caa0a526b2e6ada089d1bc0",
     "verify-mixing-mc": "dfc887ef94ff183b607f348701b35e166040c47a41b2b5d4736c7383d6c7880f",
-    "sweep-game": "a82c746bf8fde83ea9374d870e76f07f1278fdb9662ba3c34a044f4081872cdc",
+    "sweep-game": "8769cb626756d475d74843b79e75cc9ad06ae1ba56a825646249eb32b11b0176",
     "report-game": "acde734d154ed824e20727dafdcdc876e5332092fb1ee3360f1142b1815fd6ca",
     "report-quad": "52d89603c809de23e549a9b3460f38a9d794ba8a5172be9274f994b0e9371432",
-    "gen-pvb": "ec704a4b3b8c63eb8aa41901fbc731c64b31f673b6e74bdaf2ede08453d24dcf",
+    "gen-pvb": "1941019300a9fd2a368275ed173d3374257eb6c90be1c6257912229395adfb1b",
     "gen-quad": "10b3f8017462cf08a379fd69dd28fb99f7229c87d087ff7a0887b39a187b1e1e",
     "gen-mixing": "bfbae955fa610a8ad23406b3462e08516f2825bcb504b6179d52ee32a4c51a1a",
 }

@@ -1,8 +1,10 @@
 """Gap functions and the estimator verification suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import restricted_gap_ball, restricted_gap_bruteforce
+from conftest import all_atoms, restricted_gap_ball, restricted_gap_bruteforce
 
 from vistep import (
     BilinearGame,
@@ -33,7 +35,8 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
-from vistep.estimators import half_atoms, sample_half_batch
+from vistep import estimators
+from vistep.estimators import sample_half_batch
 from vistep.metrics import MC_SAMPLES
 
 
@@ -207,23 +210,47 @@ def test_unbiasedness_monte_carlo_and_negative_control():
         verify_unbiasedness(noisy(0.7), p, n_samples=1)
 
 
-def test_exact_rows_equal_the_per_atom_loop_sums():
-    # the verifiers reduce over the atoms as arrays (qvr's 2448 atoms span
-    # several row blocks); the per-atom Python sums are the reference, bit for bit
+def test_exact_rows_equal_the_per_atom_loop_sums(monkeypatch):
+    # the verifiers reduce over the atoms as arrays, a block of rows at a
+    # time; with two atoms per block every kind's atoms span several blocks
+    # (qvr's 2448 span 1224), and the per-atom Python sums are the
+    # reference, bit for bit
     p = pvb3()
+    monkeypatch.setattr(estimators, "_BLOCK_VALUES", 2 * p.d)
     for kind in (coord(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("randk", k=3, d=p.d))):
         points = rng_stream(0, 5)
         z_half, w = random_feasible(p, points), random_feasible(p, points)
         snap = kind.strategy.refresh(kind, p, w, CostLedger())
         fw = snap.fw
         target = eval_full(p, z_half)
-        probs, values = half_atoms(kind, p, z_half, snap)
+        probs, values = all_atoms(kind, p, z_half, snap)
+        assert len(probs) > estimators._block_rows(p.d)
         atoms = list(zip(probs.tolist(), values))
         mean = sum(prob * val for prob, val in atoms)
         diff = sum(prob * float(np.sum((val - fw) ** 2)) for prob, val in atoms)
         res = sum(prob * float(np.sum((val - target) ** 2)) for prob, val in atoms)
         assert [r.lhs for r in verify_unbiasedness(kind, p, n_points=1).rows] == [np.linalg.norm(mean - target)]
         assert [r.lhs for r in verify_assumption2(kind, p, n_points=1).rows] == [diff, res]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: gen_policeman_burglar(20, seed=1), lambda: gen_quadratic_vi(800, 0.1, 1.0)], ids=["game", "quadratic"]
+)
+def test_coord_exact_verification_holds_no_dense_atom_array(make):
+    # d = 800 (the game at n = 20), and the d atoms as dense rows, or the
+    # d rows of the operator gathered for the coordinate reads, would be
+    # one d x d array of 5.12 MB; blocks of atoms need a fraction of it
+    p = make()
+    one_matrix = p.d * p.d * 8
+    verify_assumption2(coord(), pvb3(), n_points=1)  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        assert verify_unbiasedness(coord(), p, n_points=1).all_pass
+        assert verify_assumption2(coord(), p, n_points=1).all_pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_matrix
 
 
 def test_zero_samples_enumerates_or_draws_the_default():

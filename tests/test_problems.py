@@ -19,6 +19,7 @@ from vistep import (
     random_feasible,
     rng_stream,
 )
+from vistep import problems
 from vistep.problems import _matrix_spectral_norm, wealth_base
 
 
@@ -92,7 +93,11 @@ def test_policeman_burglar_matches_the_component_stack(n):
     mats = game.scales[:, None, None] * game.base[None, :, :]
     np.testing.assert_array_equal(game.avg, mats.mean(axis=0))
     assert p.L == _matrix_spectral_norm(mats.mean(axis=0), tol=1e-12)
-    np.testing.assert_array_equal(p.L_m, [_matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)])
+    # one power iteration on base gives every component's norm; running it
+    # on each component instead agrees to the routine's own tolerance
+    np.testing.assert_array_equal(p.L_m, game.scales * _matrix_spectral_norm(game.base, tol=1e-12))
+    per_component = [_matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)]
+    np.testing.assert_allclose(p.L_m, per_component, rtol=1e-12, atol=0)
     rng = rng_stream(n, 1)
     for _ in range(3):
         z = random_feasible(p, rng)
@@ -100,6 +105,41 @@ def test_policeman_burglar_matches_the_component_stack(n):
             want = game._apply(mats[m], z)
             got = eval_component(p, m, z)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_policeman_burglar_runs_two_power_iterations(monkeypatch):
+    # one for the averaged matrix and one for base, whatever M is
+    calls = []
+
+    def counted(mat, tol):
+        calls.append(mat.shape)
+        return _matrix_spectral_norm(mat, tol)
+
+    monkeypatch.setattr(problems, "_matrix_spectral_norm", counted)
+    p = gen_policeman_burglar(6, seed=1)
+    assert len(calls) <= 2
+    assert p.L_m.shape == (6,)
+
+
+def test_coordinate_oracle_reads_one_entry_of_the_operator():
+    quad = gen_quadratic_vi(20, 0.5, 2.0, seed=1)
+    problems_with_coord = (
+        gen_policeman_burglar(3, seed=1),
+        gen_policeman_burglar(4, seed=2),
+        quad,
+        gen_mixing_vi([quad, gen_quadratic_vi(20, 0.5, 2.0, seed=2), gen_quadratic_vi(20, 0.5, 2.0, seed=3)], 1.5),
+    )
+    rng = rng_stream(6, 0)
+    for p in problems_with_coord:
+        for _ in range(3):
+            z = random_feasible(p, rng)
+            full = eval_full(p, z)
+            # relative to the size of F(z): the entries of a free problem may cancel to near zero
+            tol = 1e-14 * np.max(np.abs(full))
+            one_at_a_time = np.array([p.payload.coordinate(j, z) for j in range(p.d)])
+            assert np.max(np.abs(one_at_a_time - full)) <= tol, p.meta["kind"]
+            picked = rng.integers(p.d, 2 * p.d)  # an index array with repeats, in any order
+            assert np.max(np.abs(p.payload.coordinate(picked, z) - full[picked])) <= tol, p.meta["kind"]
 
 
 def test_policeman_burglar_generation_holds_no_component_stack():
@@ -333,6 +373,13 @@ def test_initial_point_conventions():
     unsolved = gen_mixing_vi([gen_quadratic_vi(3, 0.5, 2.0, seed=s) for s in (1, 2)], 1.0)
     z0 = initial_point(unsolved, 5)
     assert np.linalg.norm(z0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_initial_point_rejects_a_float_seed():
+    # the seed would be truncated on free problems and ignored on simplices
+    for p in (gen_quadratic_vi(4, 0.5, 2.0, seed=0), gen_policeman_burglar(2, seed=0)):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            initial_point(p, 1.5)
 
 
 def test_random_feasible_respects_prox():

@@ -270,7 +270,8 @@ def test_full_call_accounting_past_vs_fulldet():
 class _CountedMatrix(np.ndarray):
     """A matrix that counts the matrix products it takes part in, under
     its tag; a product of the game's operator or components is two (one
-    per player)."""
+    per player).  A product with one of its rows or columns counts under
+    "<tag> line"."""
 
     def __array_finalize__(self, obj):
         self.tag = getattr(obj, "tag", None)
@@ -278,7 +279,7 @@ class _CountedMatrix(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            self.counts[self.tag] += 1
+            self.counts[self.tag if self.ndim == 2 else f"{self.tag} line"] += 1
         plain = [x.view(np.ndarray) if isinstance(x, _CountedMatrix) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -309,6 +310,13 @@ def test_each_operator_product_is_formed_once():
         trace = run_solver(p, SolverConfig(kind, K=K, seed=3))
         assert trace.full_calls[-1] == oracle_calls
         assert counts == {"avg": 2 * (oracle_calls + K)}, kind.name
+    # coord reads one row or column of avg per step; whole products only
+    # for the refreshes and for the gap rows of a sparse schedule
+    p, counts = _counted_game()
+    trace = run_solver(p, SolverConfig(coord(), K=K, seed=3, gap_every=10))
+    refreshes, gap_rows = trace.full_calls[-1], K // 10
+    assert refreshes >= 2 and trace.coords[-1] == K
+    assert counts == {"avg": 2 * (refreshes + 2 * gap_rows), "avg line": K}
     # local: one Phi or consensus per step; a refresh forms each once
     base = [gen_quadratic_vi(8, 0.5, 2.0, seed=3) for _ in range(3)]
     p = gen_mixing_vi(base, 1.0)
