@@ -20,9 +20,9 @@ Vector = np.ndarray
 def _check_integers(**values) -> None:
     """Raise a ValueError naming the first value that is not a Python or
     numpy integer; float sizes and seeds would otherwise be truncated or
-    fail deep inside numpy."""
+    fail deep inside numpy.  bool is an int subclass, but not a size."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -217,6 +217,8 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
     z_star = p.known_solution
     with_gap = _gap_supported(p)
     half_sum = np.zeros(p.d)
+    # a gap on every row of a game reads gap_avg off the F values already formed
+    f_sum = np.zeros(p.d) if with_gap and config.gap_every == 1 else None
     last_half: Vector | None = None
 
     def record(row: int) -> None:
@@ -228,8 +230,14 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
         on_schedule = row % config.gap_every == 0 or row == K
         if with_gap and row > 0 and on_schedule:
             # strategies without a snapshot have just formed F at the last half point
-            gap_last[row] = duality_gap_bilinear(p.payload, last_half, state.f_half)
-            gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / row)
+            f_last = p.payload.full(last_half) if state.f_half is None else state.f_half
+            gap_last[row] = duality_gap_bilinear(p.payload, last_half, f_last)
+            if f_sum is not None:
+                # F is linear on a game: F(mean of the half points) = mean of their F values
+                np.add(f_sum, f_last, out=f_sum)
+                gap_avg[row] = duality_gap_bilinear(p.payload, None, f_sum / row)
+            else:
+                gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / row)
 
     record(0)
     for k in range(1, rows):

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from conftest import simplex_projection_oracle
 
-from vistep import FREE, ProxSpec, RngStream, project_simplex, prox_eval, rng_stream
+from vistep import (
+    FREE,
+    ProxSpec,
+    RngStream,
+    SolverConfig,
+    fulldet,
+    gen_policeman_burglar,
+    project_simplex,
+    prox_eval,
+    rng_stream,
+)
 
 
 def test_project_simplex_known_values():
@@ -226,3 +236,20 @@ def test_rng_errors():
     with pytest.raises(ValueError, match="stream_id must be an integer, got 0.5"):
         rng_stream(1, 0.5)
     assert rng_stream(np.int64(1), np.int64(2)).uniform() == rng_stream(1, 2).uniform()
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, False, np.False_])
+def test_bools_are_not_integers(flag):
+    # bool is an int subclass; numpy would fail on it later without naming the argument
+    with pytest.raises(ValueError, match=f"K must be an integer, got {flag!r}"):
+        SolverConfig(fulldet(), K=flag)
+    with pytest.raises(ValueError, match="gap_every must be an integer"):
+        SolverConfig(fulldet(), K=1, gap_every=flag)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        gen_policeman_burglar(flag)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rng_stream(flag)
+    with pytest.raises(ValueError, match="stream_id must be an integer"):
+        rng_stream(1, flag)
+    with pytest.raises(ValueError, match=r"blocks\[1\] must be an integer"):
+        ProxSpec((2, flag))

@@ -26,6 +26,9 @@ run.randk_k = 4
 run.weights = {weights}
 """
 
+# the CLI default: a gap on every row, read off the F values the run has formed
+GAME_EVERY_ROW = GAME.replace("run.gap_every = 10\n", "run.gap_every = 1\n")
+
 QUADRATIC = """\
 problem.kind = quadratic
 problem.d = 20
@@ -63,6 +66,8 @@ RUNS = {
     "game-qvr-identity": (GAME, "qvr", "identity", "uniform"),
     "game-qvr-randk": (GAME, "qvr", "randk", "uniform"),
     "game-is-lipschitz": (GAME, "is", "identity", "lipschitz"),
+    "game-vr-every-row": (GAME_EVERY_ROW, "vr", "identity", "uniform"),
+    "game-past-every-row": (GAME_EVERY_ROW, "past", "identity", "uniform"),
     "quad-fulldet": (QUADRATIC, "fulldet", None, None),
     "quad-vr": (QUADRATIC, "vr", None, None),
     "quad-coord": (QUADRATIC, "coord", None, None),
@@ -108,6 +113,8 @@ DIGESTS = {
     "game-qvr-identity": "59018ce14862c71ff6994df7cad8cd2a72ca0b1bec9ab5d18ccee9df7741415d",
     "game-qvr-randk": "fc962f3a3aad79cbc8e511fa0f1690c638deca39421110631010830c72264eea",
     "game-is-lipschitz": "69093b7c95710ff850294f308d2b563c5a704b4b7b12abead16940df2706b71b",
+    "game-vr-every-row": "6460affc2c9de774504de24b26f78c6d942b4850ab814e5a60f45c3160bc1d4f",
+    "game-past-every-row": "3c1e92b9566d9b6dd8c07726183ca2cad7df6380573175152be1546e6041e9bb",
     "quad-fulldet": "c5daa182ff65e43ba7e7ab88501d17a25dc943d71043e0cc3b9090f214c6586c",
     "quad-vr": "5a74182cdaa4deea40111c58086aa5c4c532150d392e01d9098e52ff293080aa",
     "quad-coord": "d3b6f2d5a56ebd624353165b09b87ad6f68bde62450fe4e3e280645df4852d80",
@@ -158,6 +165,16 @@ def test_verify_report_digest(tmp_path, label):
 def test_sweep_table_digest(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP, encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out)]) == 0
+    assert sha256_of(out) == DIGESTS["sweep-game"]
+
+
+@pytest.mark.parametrize("gap_every", [1, 7])
+def test_sweep_table_ignores_the_gap_schedule(tmp_path, gap_every):
+    # the table prints only the last row, whose gap is formed from F at the average on any schedule
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP.replace("run.gap_every = 10\n", f"run.gap_every = {gap_every}\n"), encoding="utf-8")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "-c", str(cfg), "-o", str(out)]) == 0
     assert sha256_of(out) == DIGESTS["sweep-game"]

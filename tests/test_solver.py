@@ -15,6 +15,7 @@ from vistep import (
     assumption_constants,
     constants_for_problem,
     coord,
+    duality_gap_bilinear,
     est_pair,
     eval_full,
     fulldet,
@@ -22,6 +23,7 @@ from vistep import (
     gen_policeman_burglar,
     gen_quadratic_vi,
     importance,
+    importance_weights,
     init_estimator,
     initial_point,
     iterate_once,
@@ -38,6 +40,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
+from vistep.solver import COST_COLUMNS
 
 
 def test_step_size_direct_oracle():
@@ -296,27 +299,32 @@ def _counted_game(n=3):
 
 def test_each_operator_product_is_formed_once():
     K = 30
-    # vr, is, qvr: one component product per step and one base product per
-    # refresh; each gap row forms F at the half point and at the average
-    for kind in (vr(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("identity"))):
+    for gap_every in (10, 1):
+        gap_rows = K // gap_every
+        # a sparse schedule forms F at the average on each gap row; a
+        # gap-every-row run reads it off the F values it has already formed
+        avg_products = gap_rows if gap_every > 1 else 0
+        # vr, is, qvr: one component product per step and one base product per
+        # refresh; each gap row forms F at the half point
+        for kind in (vr(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("identity"))):
+            p, counts = _counted_game()
+            trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
+            refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
+            assert refreshes >= 2, kind.name
+            assert counts == {"base": 2 * (K + refreshes), "avg": 2 * (gap_rows + avg_products)}, kind.name
+        # without a snapshot the gap reuses F at the half point
+        for kind, oracle_calls in ((fulldet(), 2 * K), (noisy(0.5), 2 * K), (past(0.5), K + 1)):
+            p, counts = _counted_game()
+            trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
+            assert trace.full_calls[-1] == oracle_calls
+            assert counts == {"avg": 2 * (oracle_calls + avg_products)}, kind.name
+        # coord reads one row or column of avg per step; whole products only
+        # for the refreshes and for the gap rows
         p, counts = _counted_game()
-        trace = run_solver(p, SolverConfig(kind, K=K, seed=3))
-        refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
-        assert refreshes >= 2, kind.name
-        assert counts == {"base": 2 * (K + refreshes), "avg": 2 * 2 * K}, kind.name
-    # without a snapshot the gap reuses F at the half point and adds F at the average
-    for kind, oracle_calls in ((fulldet(), 2 * K), (noisy(0.5), 2 * K), (past(0.5), K + 1)):
-        p, counts = _counted_game()
-        trace = run_solver(p, SolverConfig(kind, K=K, seed=3))
-        assert trace.full_calls[-1] == oracle_calls
-        assert counts == {"avg": 2 * (oracle_calls + K)}, kind.name
-    # coord reads one row or column of avg per step; whole products only
-    # for the refreshes and for the gap rows of a sparse schedule
-    p, counts = _counted_game()
-    trace = run_solver(p, SolverConfig(coord(), K=K, seed=3, gap_every=10))
-    refreshes, gap_rows = trace.full_calls[-1], K // 10
-    assert refreshes >= 2 and trace.coords[-1] == K
-    assert counts == {"avg": 2 * (refreshes + 2 * gap_rows), "avg line": K}
+        trace = run_solver(p, SolverConfig(coord(), K=K, seed=3, gap_every=gap_every))
+        refreshes = trace.full_calls[-1]
+        assert refreshes >= 2 and trace.coords[-1] == K
+        assert counts == {"avg": 2 * (refreshes + gap_rows + avg_products), "avg line": K}
     # local: one Phi or consensus per step; a refresh forms each once
     base = [gen_quadratic_vi(8, 0.5, 2.0, seed=3) for _ in range(3)]
     p = gen_mixing_vi(base, 1.0)
@@ -332,6 +340,31 @@ def test_each_operator_product_is_formed_once():
     refreshes, phi_steps = trace.full_calls[-1], trace.local_steps[-1]
     assert 0 < phi_steps < K and refreshes >= 2
     assert calls == {"phi": phi_steps + refreshes, "consensus": (K - phi_steps) + refreshes}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
+    # the direct computation: F formed at the last half point and at the
+    # average of the half points, on every row
+    p = gen_policeman_burglar(n, seed=2)
+    K = 300
+    randk = Quantizer("randk", k=4, d=p.d)
+    weights = importance_weights(p.L_m)
+    for kind in (fulldet(), noisy(0.05), past(), vr(), importance(weights), coord(), quant(randk), qvr(randk)):
+        trace = run_solver(p, SolverConfig(kind, K=K, seed=4))
+        est, coin = rng_stream(4, 0), rng_stream(4, 1)
+        z = initial_point(p, 4)
+        state = init_estimator(kind, p, z, est)
+        half_sum = np.zeros(p.d)
+        for k in range(1, K + 1):
+            z, z_half = iterate_once(state, p, z, trace.tau, trace.gamma, est, coin)
+            half_sum += z_half
+            assert trace.gap_last[k] == duality_gap_bilinear(p.payload, z_half), kind.name
+            assert abs(trace.gap_avg[k] - duality_gap_bilinear(p.payload, half_sum / k)) <= 1e-13, kind.name
+            for name in COST_COLUMNS:
+                assert getattr(trace, name)[k] == getattr(state.costs, name), (kind.name, name)
+        np.testing.assert_array_equal(trace.z_final, z)
+        np.testing.assert_array_equal(trace.z_avg, half_sum / K)
 
 
 def test_exact_verification_forms_one_component_stack_per_point():
