@@ -17,6 +17,15 @@ import numpy as np
 Vector = np.ndarray
 
 
+_BLOCK_VALUES = 2**16  # floats per block of rows (512 KB), so that a block stays in cache
+
+
+def _block_rows(d: int) -> int:
+    """Rows of length d per cache block: of a matrix, of atoms or of
+    squared distances."""
+    return max(1, _BLOCK_VALUES // d)
+
+
 def _check_integers(**values) -> None:
     """Raise a ValueError naming the first value that is not a Python or
     numpy integer; float sizes and seeds would otherwise be truncated or

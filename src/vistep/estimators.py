@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import RngStream, Vector, _check_integers, prox_eval
+from .core import RngStream, Vector, _block_rows, _check_integers, prox_eval
 from .problems import MixingVI, VIProblem, eval_component, eval_full
 
 
@@ -611,14 +611,6 @@ def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConsta
 # The verification suite's views of g^{k+1/2}: the strategy's own draw and
 # correction over every outcome atom (exact) or a batch of draws (Monte Carlo),
 # given the snapshot the strategy's refresh made at w (None without one).
-
-_BLOCK_VALUES = 2**16  # floats per block of value rows (512 KB), so that a block stays in cache
-
-
-def _block_rows(d: int) -> int:
-    """Value rows of length d per block of atoms or of squared distances."""
-    return max(1, _BLOCK_VALUES // d)
-
 
 def _batches(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, snap: Snapshot | None, rows: int):
     """g^{k+1/2} for each of a batch of outcomes, ``rows`` outcomes per

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vector, _check_integers, rng_stream
+from .core import Vector, _block_rows, _check_integers, rng_stream
 from .estimators import (
     FRESH,
     PAST,
     CostLedger,
     EstimatorKind,
-    _block_rows,
     check_problem,
     constants_for_problem,
     half_atoms,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FREE, ProxSpec, Vector, _check_integers, prox_eval, rng_stream
+from .core import FREE, ProxSpec, Vector, _block_rows, _check_integers, prox_eval, rng_stream
 
 
 @dataclass
@@ -59,8 +59,24 @@ class BilinearGame:
         return self.avg.shape[0]
 
     def _apply(self, mat: np.ndarray, z: Vector) -> Vector:
-        x, y = z[: self.half], z[self.half :]
-        return np.concatenate([mat.T @ y, -(mat @ x)])
+        """(mat^T y, -mat x), reading mat once: each cache block of rows
+        gives its rows of mat x and adds its share of mat^T y before the
+        next block is loaded.  A matrix that fits in one block keeps the
+        two whole products."""
+        h = self.half
+        x, y = z[:h], z[h:]
+        rows = _block_rows(h)
+        if rows >= h:
+            return np.concatenate([mat.T @ y, -(mat @ x)])
+        out = np.zeros(2 * h)
+        top, bottom = out[:h], out[h:]
+        for start in range(0, h, rows):
+            part = slice(start, start + rows)
+            block = mat[part]
+            np.matmul(block, x, out=bottom[part])
+            top += block.T @ y[part]
+        np.negative(bottom, out=bottom)
+        return out
 
     def full(self, z: Vector) -> Vector:
         return self._apply(self.avg, z)
@@ -79,7 +95,15 @@ class BilinearGame:
         if np.ndim(j):
             return self.full(z)[j]
         h = self.half
+        _check_coordinate(j, 2 * h)
         return float(self.avg[:, j] @ z[h:]) if j < h else -float(self.avg[j - h] @ z[:h])
+
+
+def _check_coordinate(j: int, d: int) -> None:
+    """Raise an IndexError naming j and d unless 0 <= j < d: a negative
+    index would otherwise wrap to another coordinate's oracle."""
+    if not 0 <= j < d:
+        raise IndexError(f"coordinate {j} out of range for d={d}")
 
 
 def duality_gap_bilinear(game: BilinearGame, z: Vector, fz: Vector | None = None) -> float:
@@ -114,6 +138,7 @@ class QuadraticOperator:
         off one full product (no rows gathered)."""
         if np.ndim(j):
             return self.full(z)[j]
+        _check_coordinate(j, len(self.center))
         return self.mat[j] @ (z - self.center)
 
 
@@ -170,6 +195,7 @@ class MixingVI:
         for an index array, read off one full product."""
         if np.ndim(j):
             return self.full(Z)[j]
+        _check_coordinate(j, self.workers * self.d_base)
         m, i = divmod(j, self.d_base)
         own = self.base[m].payload.coordinate(i, Z[m * self.d_base : (m + 1) * self.d_base])
         return own + self.lam * (Z[j] - Z[i :: self.d_base].mean())
@@ -185,9 +211,6 @@ def wealth_base(n: int) -> Vector:
     col = i % n
     half = n / 2.0
     return 1.0 - (2.0 / n) * np.minimum(np.abs(row - half), np.abs(col - half))
-
-
-_AVG_ROWS = 32  # rows of the averaged matrix summed per block, small enough to stay in cache
 
 
 def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed: int = 0) -> VIProblem:
@@ -214,12 +237,13 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     shape = table[apart[:, None, :, None], apart[None, :, None, :]].reshape(n * n, n * n)
     base = wealth_base(n)[:, None] * shape
     scales = 1.0 + sigma_w * np.atleast_1d(rng.uniform(n))
-    # a block of rows at a time, every component in turn: each entry's
-    # running sum is the same sequence of additions as a mean over a
-    # stacked leading axis
+    # a cache block of rows at a time, every component in turn: each
+    # entry's running sum is the same sequence of additions as a mean over
+    # a stacked leading axis, whatever the block height
     avg = np.zeros_like(base)
-    for start in range(0, n * n, _AVG_ROWS):
-        rows = slice(start, start + _AVG_ROWS)
+    block = _block_rows(n * n)
+    for start in range(0, n * n, block):
+        rows = slice(start, start + block)
         for s in scales:
             avg[rows] += s * base[rows]
     avg /= n

@@ -43,7 +43,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
-from vistep import estimators
+from vistep import core, estimators
 from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
 
 
@@ -724,10 +724,12 @@ def test_half_atoms_probabilities_and_mean(monkeypatch):
     w = random_feasible(p, rng)
     for kind in enumerable_kinds(p):
         atoms = all_atoms(kind, p, z_half, snapshot_at(kind, p, w))
-        assert len(atoms[0]) <= estimators._block_rows(p.d)  # one block
-        # the rows do not depend on how many atoms a block holds
+        assert len(atoms[0]) <= core._block_rows(p.d)  # one block
+        # the rows do not depend on how many atoms a block holds; the cache
+        # rule is replaced for the atoms alone, since a shrunk rule would
+        # also block the game's products and move their last bits
         with monkeypatch.context() as m:
-            m.setattr(estimators, "_BLOCK_VALUES", 2 * p.d)
+            m.setattr(estimators, "_block_rows", lambda d: 2)
             two_per_block = all_atoms(kind, p, z_half, snapshot_at(kind, p, w))
         assert atoms[1].tobytes() == two_per_block[1].tobytes(), kind.name
         assert sum(prob for prob, _ in zip(*atoms)) == pytest.approx(1.0, abs=1e-12)

@@ -35,7 +35,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
-from vistep import estimators
+from vistep import core
 from vistep.estimators import sample_half_batch
 from vistep.metrics import MC_SAMPLES
 
@@ -216,7 +216,7 @@ def test_exact_rows_equal_the_per_atom_loop_sums(monkeypatch):
     # (qvr's 2448 span 1224), and the per-atom Python sums are the
     # reference, bit for bit
     p = pvb3()
-    monkeypatch.setattr(estimators, "_BLOCK_VALUES", 2 * p.d)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 2 * p.d)
     for kind in (coord(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("randk", k=3, d=p.d))):
         points = rng_stream(0, 5)
         z_half, w = random_feasible(p, points), random_feasible(p, points)
@@ -224,7 +224,7 @@ def test_exact_rows_equal_the_per_atom_loop_sums(monkeypatch):
         fw = snap.fw
         target = eval_full(p, z_half)
         probs, values = all_atoms(kind, p, z_half, snap)
-        assert len(probs) > estimators._block_rows(p.d)
+        assert len(probs) > core._block_rows(p.d)
         atoms = list(zip(probs.tolist(), values))
         mean = sum(prob * val for prob, val in atoms)
         diff = sum(prob * float(np.sum((val - fw) ** 2)) for prob, val in atoms)

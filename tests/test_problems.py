@@ -19,7 +19,7 @@ from vistep import (
     random_feasible,
     rng_stream,
 )
-from vistep import problems
+from vistep import core, problems
 from vistep.problems import _matrix_spectral_norm, wealth_base
 
 
@@ -107,6 +107,51 @@ def test_policeman_burglar_matches_the_component_stack(n):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_averaged_matrix_bits_do_not_depend_on_the_block_height(monkeypatch):
+    # each entry of avg gets the same sequence of additions however many
+    # rows a block sums at a time
+    want = gen_policeman_burglar(4, seed=4).payload.avg
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 3 * 16)
+    assert gen_policeman_burglar(4, seed=4).payload.avg.tobytes() == want.tobytes()
+
+
+def _two_products(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(mat^T y, -mat x) as two whole passes over mat: the reference for
+    the game's blocked product."""
+    h = mat.shape[0]
+    return np.concatenate([mat.T @ z[h:], -(mat @ z[:h])])
+
+
+@pytest.mark.parametrize(
+    "n, block, blocked",
+    [(3, None, False), (5, None, False), (16, None, False), (17, None, True), (30, None, True), (3, 2, True)],
+)
+def test_blocked_product_matches_two_whole_products(monkeypatch, n, block, blocked):
+    # a matrix that fits in one cache block keeps the two whole products and
+    # their bits; a blocked product sums mat^T y a block at a time, which
+    # moves only the last bits
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_VALUES", block * n * n)
+    p = gen_policeman_burglar(n, seed=n)
+    game = p.payload
+    assert (core._block_rows(game.half) < game.half) == blocked
+    rng = rng_stream(n, 3)
+    picked = rng.integers(p.d, 2 * p.d)
+    for _ in range(2):
+        z = random_feasible(p, rng)
+        full = _two_products(game.avg, z)
+        pairs = (
+            (game.full(z), full),
+            (game.components(z), game.scales[:, None] * _two_products(game.base, z)),
+            (game.coordinate(picked, z), full[picked]),
+        )
+        for got, want in pairs:
+            if blocked:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
 def test_policeman_burglar_runs_two_power_iterations(monkeypatch):
     # one for the averaged matrix and one for base, whatever M is
     calls = []
@@ -140,6 +185,17 @@ def test_coordinate_oracle_reads_one_entry_of_the_operator():
             assert np.max(np.abs(one_at_a_time - full)) <= tol, p.meta["kind"]
             picked = rng.integers(p.d, 2 * p.d)  # an index array with repeats, in any order
             assert np.max(np.abs(p.payload.coordinate(picked, z) - full[picked])) <= tol, p.meta["kind"]
+
+
+def test_coordinate_oracle_rejects_out_of_range_indices():
+    # a negative index would wrap to another coordinate's oracle
+    quad = gen_quadratic_vi(6, 0.5, 2.0, seed=1)
+    mixing = gen_mixing_vi([quad, gen_quadratic_vi(6, 0.5, 2.0, seed=2)], 1.0)
+    for p in (gen_policeman_burglar(3, seed=1), quad, mixing):
+        z = random_feasible(p, rng_stream(1, 0))
+        for j in (-1, p.d):
+            with pytest.raises(IndexError, match=f"coordinate {j} out of range for d={p.d}"):
+                p.payload.coordinate(j, z)
 
 
 def test_policeman_burglar_generation_holds_no_component_stack():

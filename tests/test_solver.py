@@ -1,6 +1,7 @@
 """The extra-step loop: step-size rules, iteration algebra, run traces."""
 
 import collections
+import fractions
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from vistep import (
     verify_unbiasedness,
     vr,
 )
+from vistep import core
 from vistep.solver import COST_COLUMNS
 
 
@@ -273,16 +275,21 @@ def test_full_call_accounting_past_vs_fulldet():
 class _CountedMatrix(np.ndarray):
     """A matrix that counts the matrix products it takes part in, under
     its tag; a product of the game's operator or components is two (one
-    per player).  A product with one of its rows or columns counts under
-    "<tag> line"."""
+    per player).  A product with a block of its rows counts as the block's
+    share of the matrix, so a whole pass counts one however it is blocked.
+    A product with one of its rows or columns counts under "<tag> line"."""
 
     def __array_finalize__(self, obj):
         self.tag = getattr(obj, "tag", None)
         self.counts = getattr(obj, "counts", None)
+        self.whole = getattr(obj, "whole", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            self.counts[self.tag if self.ndim == 2 else f"{self.tag} line"] += 1
+            if self.ndim == 2:
+                self.counts[self.tag] += fractions.Fraction(self.size, self.whole)
+            else:
+                self.counts[f"{self.tag} line"] += 1
         plain = [x.view(np.ndarray) if isinstance(x, _CountedMatrix) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -292,7 +299,7 @@ def _counted_game(n=3):
     counts = collections.Counter()
     for tag in ("base", "avg"):
         mat = getattr(p.payload, tag).view(_CountedMatrix)
-        mat.tag, mat.counts = tag, counts
+        mat.tag, mat.counts, mat.whole = tag, counts, mat.size
         setattr(p.payload, tag, mat)
     return p, counts
 
@@ -365,6 +372,23 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
                 assert getattr(trace, name)[k] == getattr(state.costs, name), (kind.name, name)
         np.testing.assert_array_equal(trace.z_final, z)
         np.testing.assert_array_equal(trace.z_avg, half_sum / K)
+
+
+def test_a_blocked_operator_product_counts_as_one_pass(monkeypatch):
+    # with cache blocks of 2 rows the n = 3 game's 9-row matrices split into
+    # 5 blocks; the products count as many whole passes as unblocked ones
+    kinds = (fulldet(), past(0.5), vr(), coord())
+    unblocked = []
+    for kind in kinds:
+        p, counts = _counted_game()
+        run_solver(p, SolverConfig(kind, K=10, seed=3, gap_every=1))
+        unblocked.append(counts)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 2 * 9)
+    for kind, want in zip(kinds, unblocked):
+        p, counts = _counted_game()
+        assert core._block_rows(p.payload.half) == 2
+        run_solver(p, SolverConfig(kind, K=10, seed=3, gap_every=1))
+        assert counts == want, kind.name
 
 
 def test_exact_verification_forms_one_component_stack_per_point():
