@@ -7,40 +7,34 @@ visible: cheap iterations buy more of them per budget.
 """
 
 from vistep import (
+    EstimatorKind,
     Quantizer,
     SolverConfig,
-    coord,
-    fulldet,
     gen_policeman_burglar,
-    importance,
     importance_weights,
-    past,
-    quant,
-    qvr,
     run_solver,
-    vr,
 )
 
 p = gen_policeman_burglar(3, seed=1)
 K = 3000
 
 strategies = [
-    ("fulldet", fulldet()),
-    ("past", past()),
-    ("vr", vr()),
-    ("is", importance(tuple(float(x) for x in importance_weights(p.L_m)))),
-    ("coord", coord()),
-    ("quant", quant(Quantizer("randk", k=6, d=p.d))),
-    ("qvr", qvr(Quantizer("randk", k=6, d=p.d))),
+    EstimatorKind("fulldet"),
+    EstimatorKind("past"),
+    EstimatorKind("vr"),
+    EstimatorKind("is", weights=importance_weights(p.L_m)),
+    EstimatorKind("coord"),
+    EstimatorKind("quant", quantizer=Quantizer("randk", k=6, d=p.d)),
+    EstimatorKind("qvr", quantizer=Quantizer("randk", k=6, d=p.d)),
 ]
 
 print(f"policeman-burglar 3x3, d = {p.d}, K = {K} iterations each\n")
 header = f"{'strategy':>9} {'tau':>6} {'full':>6} {'comp':>6} {'coords':>7} {'kbits':>8} {'gap(avg)':>10}"
 print(header)
-for name, kind in strategies:
+for kind in strategies:
     trace = run_solver(p, SolverConfig(kind=kind, K=K, seed=0, gap_every=K))
     print(
-        f"{name:>9} {trace.tau:>6.2f} {trace.full_calls[-1]:>6} {trace.comp_calls[-1]:>6} "
+        f"{kind.name:>9} {trace.tau:>6.2f} {trace.full_calls[-1]:>6} {trace.comp_calls[-1]:>6} "
         f"{trace.coords[-1]:>7} {trace.bits[-1] / 1000:>8.0f} {trace.gap_avg[-1]:>10.2e}"
     )
 

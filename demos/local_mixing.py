@@ -10,11 +10,11 @@ ledger shows communication becoming the rare event.
 import numpy as np
 
 from vistep import (
+    EstimatorKind,
     SolverConfig,
     eval_full,
     gen_mixing_vi,
     gen_quadratic_vi,
-    local,
     optimal_tau,
     run_solver,
 )
@@ -24,10 +24,11 @@ p = gen_mixing_vi(workers, lam=1.0)
 mix = p.payload
 t = mix.l_phi / (mix.l_phi + mix.lam)
 print(f"3 workers, local L = {mix.l_phi}, coupling lam = {mix.lam}, split t = {t:.3f}")
-print(f"optimal snapshot probability tau = {optimal_tau(local(t), L=mix.l_phi, lam=mix.lam):.3f}")
+kind = EstimatorKind("local", tau_split=t)
+print(f"optimal snapshot probability tau = {optimal_tau(kind, L=mix.l_phi, lam=mix.lam):.3f}")
 
 K = 20000
-trace = run_solver(p, SolverConfig(kind=local(t), K=K, seed=0, gap_every=K))
+trace = run_solver(p, SolverConfig(kind=kind, K=K, seed=0, gap_every=K))
 comm_branches = K - trace.local_steps[-1]
 print(f"\n{K} iterations:")
 print(f"  local steps          {trace.local_steps[-1]}")

@@ -8,14 +8,14 @@ form and we can watch the averaged iterate drive it to zero.
 
 import numpy as np
 
-from vistep import SolverConfig, duality_gap_bilinear, fulldet, gen_policeman_burglar, run_solver
+from vistep import EstimatorKind, SolverConfig, duality_gap_bilinear, gen_policeman_burglar, run_solver
 
 p = gen_policeman_burglar(5, seed=0)
 print(f"grid 5x5: dimension {p.d}, {p.M} component matrices, L = {p.L:.3f}")
 
 gamma = 1.0 / (3.0 * p.L)
 trace = run_solver(
-    p, SolverConfig(kind=fulldet(), K=5000, seed=0, gamma=gamma, tau=0.0, gap_every=250)
+    p, SolverConfig(kind=EstimatorKind("fulldet"), K=5000, seed=0, gamma=gamma, tau=0.0, gap_every=250)
 )
 
 print(f"\nstep size gamma = 1/(3L) = {gamma:.5f}")

@@ -9,11 +9,10 @@ level the step-size rule predicts.
 import numpy as np
 
 from vistep import (
+    EstimatorKind,
     SolverConfig,
     constants_for_problem,
-    fulldet,
     gen_quadratic_vi,
-    noisy,
     run_solver,
     step_size_bound,
 )
@@ -21,7 +20,7 @@ from vistep import (
 p = gen_quadratic_vi(50, 0.1, 10.0, seed=0)
 print(f"quadratic VI: d = {p.d}, mu = {p.mu_F}, L = {p.L}")
 
-trace = run_solver(p, SolverConfig(kind=fulldet(), K=2000, seed=0, regime="sm"))
+trace = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=2000, seed=0, regime="sm"))
 rate = 1.0 - trace.gamma * p.mu_F / 16.0
 print(f"\ndeterministic oracle, gamma = {trace.gamma:.5f}, envelope rate {rate:.6f}")
 print(f"{'k':>6} {'V_k':>12} {'envelope':>12}")
@@ -29,7 +28,7 @@ for k in (0, 250, 500, 1000, 2000):
     env = trace.lyapunov[0] * rate ** max(k - 1, 0)
     print(f"{k:>6} {trace.lyapunov[k]:>12.3e} {env:>12.3e}")
 
-kind = noisy(1.0)
+kind = EstimatorKind("noisy", sigma=1.0)
 consts = constants_for_problem(kind, p)
 gamma, _ = step_size_bound(kind, "sm", consts, p.mu_F)
 floor = gamma**2 * 2.0 * consts.D1 / (gamma * p.mu_F / 16.0)

@@ -7,29 +7,23 @@ ratio, at most 1); the gaussian-noise ones by Monte Carlo.
 """
 
 from vistep import (
+    EstimatorKind,
     Quantizer,
-    coord,
     gen_policeman_burglar,
-    importance,
     importance_weights,
-    noisy,
-    past,
-    quant,
-    qvr,
     verify_assumption2,
     verify_unbiasedness,
-    vr,
 )
 
 p = gen_policeman_burglar(3, seed=1)
 strategies = [
-    vr(),
-    importance(tuple(float(x) for x in importance_weights(p.L_m))),
-    coord(),
-    quant(Quantizer("randk", k=6, d=p.d)),
-    qvr(Quantizer("randk", k=6, d=p.d)),
-    noisy(0.5),
-    past(),
+    EstimatorKind("vr"),
+    EstimatorKind("is", weights=importance_weights(p.L_m)),
+    EstimatorKind("coord"),
+    EstimatorKind("quant", quantizer=Quantizer("randk", k=6, d=p.d)),
+    EstimatorKind("qvr", quantizer=Quantizer("randk", k=6, d=p.d)),
+    EstimatorKind("noisy", sigma=0.5),
+    EstimatorKind("past"),
 ]
 
 print(f"{'check':>24} {'strategy':>9} {'lhs':>11} {'rhs':>11} {'slack':>7} {'n':>6} pass")

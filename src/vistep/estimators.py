@@ -88,12 +88,14 @@ class EstimatorKind:
             raise ValueError(f"unknown estimator kind {self.name!r}")
         reads = self.strategy.reads
         for name, default in _PARAMETER_DEFAULTS.items():
-            if name not in reads and getattr(self, name) != default:
+            # `is not None` for the None defaults: an array's != is elementwise
+            value = getattr(self, name)
+            if name not in reads and (value is not None if default is None else value != default):
                 raise ValueError(f"{self.name} does not read {name}")
         if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
-        if "quantizer" in reads and self.quantizer is None:
-            raise ValueError(f"{self.name} requires a quantizer")
+        if "quantizer" in reads and not isinstance(self.quantizer, Quantizer):
+            raise ValueError(f"{self.name} requires a Quantizer as its quantizer, got {self.quantizer!r}")
         if "weights" in reads:
             if self.weights is None or len(self.weights) == 0:
                 raise ValueError(f"{self.name} requires component weights")
@@ -117,42 +119,6 @@ class EstimatorKind:
 
 
 _PARAMETER_DEFAULTS = {f.name: f.default for f in fields(EstimatorKind) if f.name != "name"}
-
-
-def fulldet() -> EstimatorKind:
-    return EstimatorKind("fulldet")
-
-
-def noisy(sigma: float) -> EstimatorKind:
-    return EstimatorKind("noisy", sigma=sigma)
-
-
-def past(sigma: float = 0.0) -> EstimatorKind:
-    return EstimatorKind("past", sigma=sigma)
-
-
-def vr() -> EstimatorKind:
-    return EstimatorKind("vr")
-
-
-def coord() -> EstimatorKind:
-    return EstimatorKind("coord")
-
-
-def quant(quantizer: Quantizer) -> EstimatorKind:
-    return EstimatorKind("quant", quantizer=quantizer)
-
-
-def qvr(quantizer: Quantizer) -> EstimatorKind:
-    return EstimatorKind("qvr", quantizer=quantizer)
-
-
-def importance(weights) -> EstimatorKind:
-    return EstimatorKind("is", weights=tuple(float(w) for w in weights))
-
-
-def local(tau_split: float) -> EstimatorKind:
-    return EstimatorKind("local", tau_split=tau_split)
 
 
 @dataclass
@@ -283,9 +249,12 @@ def _component_diff(kind, p, s, z, snap, costs):
 def _coordinate_diff(kind, p, s, z, snap, costs):
     """Coordinate s's difference F_s(z) - F_s(w), from the payload's
     coordinate oracle: O(d) work for the one coordinate billed.  For an
-    index array s, a one-entry row per coordinate."""
-    diff = p.payload.coordinate(s, z) - snap.fw[s]
-    return _charged(diff[:, None] if isinstance(s, np.ndarray) else diff, costs, _coord_bits(p.d), coords=1)
+    index array s, a one-entry row per coordinate, read off one F(z)."""
+    if isinstance(s, np.ndarray):
+        diff = (eval_full(p, z)[s] - snap.fw[s])[:, None]
+    else:
+        diff = p.payload.coordinate(s, z) - snap.fw[s]
+    return _charged(diff, costs, _coord_bits(p.d), coords=1)
 
 
 def _branch_diff(kind, p, s, z, snap, costs):

@@ -69,22 +69,22 @@ def _row(lemma: str, variant: str, lhs: float, rhs: float, n: int, tol: float) -
 MC_SAMPLES = 4000  # Monte Carlo draws when n_samples = 0 and the outcomes cannot be enumerated
 
 
-def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, seed: int, sampler=None) -> int:
+def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, seed: int) -> int:
     """Validate a verifier call; return 0 to enumerate the outcome atoms
-    (n_samples = 0, the strategy has atoms and no sampler replaces its
-    draw), else the number of Monte Carlo draws (n_samples, or MC_SAMPLES)."""
+    (n_samples = 0 and the strategy has atoms), else the number of Monte
+    Carlo draws (n_samples, or MC_SAMPLES)."""
     check_problem(kind, p)
     _check_integers(n_points=n_points, n_samples=n_samples, seed=seed)
     if n_points < 1:
         raise ValueError("need n_points >= 1")
     if n_samples == 1 or n_samples < 0:
         raise ValueError(f"need n_samples = 0 or n_samples >= 2, got {n_samples}")
-    if n_samples == 0 and (sampler is not None or kind.strategy.atoms is None):
+    if n_samples == 0 and kind.strategy.atoms is None:
         return MC_SAMPLES
     return n_samples
 
 
-def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int | None, seed: int, sampler=None):
+def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int | None, seed: int):
     """Random state pairs (z^{k+1/2}, w) with the strategy's refresh at w
     (None without a snapshot), the target F(z^{k+1/2}) and the outcome set
     of g^{k+1/2} as (probs, blocks of value rows): every atom, a block of
@@ -98,8 +98,6 @@ def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int |
         probs = blocks = None
         if draws == 0:
             probs, blocks = half_atoms(kind, p, z_half, snap)
-        elif sampler is not None:
-            blocks = (sampler(p, z_half, snap, rng, draws),)
         elif draws is not None:
             blocks = (sample_half_batch(kind, p, z_half, snap, rng, draws),)
         yield z_half, w, snap, eval_full(p, z_half), probs, blocks
@@ -124,20 +122,17 @@ def verify_unbiasedness(
     n_points: int = 5,
     n_samples: int = 0,
     seed: int = 0,
-    sampler=None,
 ) -> VerificationReport:
     """Check E[g^{k+1/2}] = F(z^{k+1/2}) at random state pairs.
 
     n_samples = 0 enumerates the outcome atoms where the strategy has them
     (exact, tolerance at float precision) and otherwise averages
     MC_SAMPLES Monte Carlo draws; n_samples >= 2 averages that many draws.
-    Monte Carlo means are held to four standard errors.  ``sampler(p,
-    z_half, snap, rng, n)`` replaces the draw routine, which lets a
-    deliberately broken estimator serve as a negative control.
+    Monte Carlo means are held to four standard errors.
     """
-    draws = _draws(kind, p, n_points, n_samples, seed, sampler)
+    draws = _draws(kind, p, n_points, n_samples, seed)
     worst = {}
-    for z_half, w, snap, target, probs, blocks in _outcome_sets(kind, p, n_points, draws, seed, sampler):
+    for z_half, w, snap, target, probs, blocks in _outcome_sets(kind, p, n_points, draws, seed):
         scale = 1.0 + float(np.linalg.norm(target))
         if probs is not None:
             mean, n = np.zeros(p.d), 0

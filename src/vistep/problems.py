@@ -88,12 +88,9 @@ class BilinearGame:
         """Every F_m(z) as an (M, d) stack, from one product with base."""
         return self.scales[:, None] * self._apply(self.base, z)
 
-    def coordinate(self, j: int | np.ndarray, z: Vector):
-        """F(z)[j]: for an index, O(d) work, a column of avg against y for
-        a coordinate of x or a row of avg against x for a coordinate of y;
-        for an index array, read off one full product (no rows gathered)."""
-        if np.ndim(j):
-            return self.full(z)[j]
+    def coordinate(self, j: int, z: Vector) -> float:
+        """F(z)[j] in O(d) work: a column of avg against y for a coordinate
+        of x, or a row of avg against x for a coordinate of y."""
         h = self.half
         _check_coordinate(j, 2 * h)
         return float(self.avg[:, j] @ z[h:]) if j < h else -float(self.avg[j - h] @ z[:h])
@@ -133,11 +130,8 @@ class QuadraticOperator:
     def components(self, z: Vector) -> np.ndarray:
         return self.full(z)[None]
 
-    def coordinate(self, j: int | np.ndarray, z: Vector):
-        """F(z)[j]: one row of mat for an index; for an index array, read
-        off one full product (no rows gathered)."""
-        if np.ndim(j):
-            return self.full(z)[j]
+    def coordinate(self, j: int, z: Vector) -> float:
+        """F(z)[j], from one row of mat."""
         _check_coordinate(j, len(self.center))
         return self.mat[j] @ (z - self.center)
 
@@ -189,12 +183,9 @@ class MixingVI:
     def components(self, Z: Vector) -> np.ndarray:
         return self.full(Z)[None]
 
-    def coordinate(self, j: int | np.ndarray, Z: Vector):
-        """F(Z)[j]: for an index, the owning worker's coordinate plus the
-        consensus term, which reads the same coordinate of every worker;
-        for an index array, read off one full product."""
-        if np.ndim(j):
-            return self.full(Z)[j]
+    def coordinate(self, j: int, Z: Vector) -> float:
+        """F(Z)[j]: the owning worker's coordinate plus the consensus term,
+        which reads the same coordinate of every worker."""
         _check_coordinate(j, self.workers * self.d_base)
         m, i = divmod(j, self.d_base)
         own = self.base[m].payload.coordinate(i, Z[m * self.d_base : (m + 1) * self.d_base])

@@ -5,6 +5,7 @@ capture) and then asserts, so `pytest -v` gives a per-criterion verdict
 in both the test ids and the printed summary.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -12,34 +13,26 @@ import pytest
 from conftest import simplex_projection_oracle
 
 from vistep import (
+    EstimatorKind,
     Quantizer,
     SolverConfig,
     constants_for_problem,
-    coord,
-    fulldet,
     gen_mixing_vi,
     gen_policeman_burglar,
     gen_quadratic_vi,
-    importance,
     importance_weights,
     init_estimator,
     initial_point,
     iterate_once,
-    local,
-    noisy,
-    past,
     project_simplex,
-    quant,
-    qvr,
     rng_stream,
     run_solver,
     step_size_bound,
     verify_assumption2,
     verify_unbiasedness,
-    vr,
 )
 from vistep.cli import main
-from vistep.estimators import sample_half_batch
+from vistep.estimators import STRATEGIES
 
 
 def _verdict(capsys, num, ok, detail):
@@ -61,7 +54,7 @@ def mixing3():
 def test_criterion_01_strongly_monotone_linear_rate(capsys):
     p = gen_quadratic_vi(50, 0.1, 10.0, seed=0)
     t0 = time.perf_counter()
-    trace = run_solver(p, SolverConfig(kind=fulldet(), K=2000, seed=0, regime="sm"))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=2000, seed=0, regime="sm"))
     elapsed = time.perf_counter() - t0
     assert trace.gamma == pytest.approx(1.0 / 60.0, rel=1e-15)
     rate = 1.0 - trace.gamma * p.mu_F / 16.0
@@ -77,7 +70,7 @@ def test_criterion_02_monotone_averaged_gap(capsys):
     gamma = 1.0 / (3.0 * p.L)
     t0 = time.perf_counter()
     trace = run_solver(
-        p, SolverConfig(kind=fulldet(), K=10**4, seed=0, gamma=gamma, tau=0.0, gap_every=100)
+        p, SolverConfig(kind=EstimatorKind("fulldet"), K=10**4, seed=0, gamma=gamma, tau=0.0, gap_every=100)
     )
     elapsed = time.perf_counter() - t0
     diam_sq = 4.0  # product of two unit simplices
@@ -112,39 +105,42 @@ def test_criterion_03_exact_reductions(capsys):
             out.append(z.copy())
         return np.array(out)
 
-    base = trajectory(fulldet())
-    single = trajectory(vr())
-    ident = trajectory(quant(Quantizer("identity")))
+    base = trajectory(EstimatorKind("fulldet"))
+    single = trajectory(EstimatorKind("vr"))
+    ident = trajectory(EstimatorKind("quant", quantizer=Quantizer("identity")))
     dev_vr = float(np.max(np.abs(single - base)))
     dev_q = float(np.max(np.abs(ident - single)))
     ok = dev_vr <= 1e-12 and dev_q <= 1e-12
     _verdict(capsys, 3, ok, f"max coordinate deviation {dev_vr:.1e} (single-component), {dev_q:.1e} (identity quantizer)")
 
 
-def test_criterion_04_unbiasedness_monte_carlo(capsys):
+def test_criterion_04_unbiasedness_monte_carlo(capsys, monkeypatch):
     p = pvb3()
     kinds = [
-        noisy(0.7),
-        past(0.5),
-        vr(),
-        coord(),
-        quant(Quantizer("randk", k=5, d=18)),
-        qvr(Quantizer("randk", k=5, d=18)),
-        importance((0.5, 0.3, 0.2)),
+        EstimatorKind("noisy", sigma=0.7),
+        EstimatorKind("past", sigma=0.5),
+        EstimatorKind("vr"),
+        EstimatorKind("coord"),
+        EstimatorKind("quant", quantizer=Quantizer("randk", k=5, d=18)),
+        EstimatorKind("qvr", quantizer=Quantizer("randk", k=5, d=18)),
+        EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
     ]
     failures = []
     for kind in kinds:
         report = verify_unbiasedness(kind, p, n_points=5, n_samples=10**5)
         if not report.all_pass:
             failures.append(kind.name)
-    report = verify_unbiasedness(local(2.0 / 3.0), mixing3(), n_points=5, n_samples=10**5)
+    report = verify_unbiasedness(EstimatorKind("local", tau_split=2.0 / 3.0), mixing3(), n_points=5, n_samples=10**5)
     if not report.all_pass:
         failures.append("local")
 
-    def shrunk(problem, z_half, snap, rng, n):
-        return 0.5 * sample_half_batch(vr(), problem, z_half, snap, rng, n)
+    original = STRATEGIES["vr"].correct
 
-    control = verify_unbiasedness(vr(), p, n_points=5, n_samples=10**5, sampler=shrunk)
+    def halved(kind, p, o, diff, fw):
+        return 0.5 * original(kind, p, o, diff, fw)
+
+    monkeypatch.setitem(STRATEGIES, "vr", dataclasses.replace(STRATEGIES["vr"], correct=halved))
+    control = verify_unbiasedness(EstimatorKind("vr"), p, n_points=5, n_samples=10**5)
     ok = not failures and not control.all_pass
     _verdict(
         capsys,
@@ -157,12 +153,12 @@ def test_criterion_04_unbiasedness_monte_carlo(capsys):
 
 def test_criterion_05_second_moment_exact(capsys):
     worst = 0.0
-    report = verify_assumption2(coord(), pvb3(), n_points=100)
+    report = verify_assumption2(EstimatorKind("coord"), pvb3(), n_points=100)
     ok = report.all_pass
     worst = max(worst, *(r.slack for r in report.rows))
     quad6 = gen_quadratic_vi(6, 0.5, 3.0, seed=2)
     for k in (1, 2, 3):
-        report = verify_assumption2(quant(Quantizer("randk", k=k, d=6)), quad6, n_points=100)
+        report = verify_assumption2(EstimatorKind("quant", quantizer=Quantizer("randk", k=k, d=6)), quad6, n_points=100)
         ok = ok and report.all_pass
         worst = max(worst, *(r.slack for r in report.rows))
     _verdict(capsys, 5, ok, f"coordinate and rand-k enumerations hold exactly, worst lhs/rhs {worst:.3f}")
@@ -171,9 +167,9 @@ def test_criterion_05_second_moment_exact(capsys):
 def test_criterion_06_second_moment_monte_carlo(capsys):
     p = pvb3()
     kinds = [
-        vr(),
-        importance(tuple(float(x) for x in importance_weights(p.L_m))),
-        qvr(Quantizer("randk", k=6, d=18)),
+        EstimatorKind("vr"),
+        EstimatorKind("is", weights=importance_weights(p.L_m)),
+        EstimatorKind("qvr", quantizer=Quantizer("randk", k=6, d=18)),
     ]
     worst = 0.0
     ok = True
@@ -186,7 +182,7 @@ def test_criterion_06_second_moment_monte_carlo(capsys):
 
 def test_criterion_07_stochastic_noise_floor(capsys):
     p = gen_quadratic_vi(50, 0.1, 10.0, seed=0)
-    kind = noisy(1.0)
+    kind = EstimatorKind("noisy", sigma=1.0)
     consts = constants_for_problem(kind, p)
     gamma, _ = step_size_bound(kind, "sm", consts, p.mu_F)
     assert gamma == pytest.approx(1.0 / 60.0, rel=1e-15)
@@ -202,10 +198,10 @@ def test_criterion_08_single_call_budget_parity(capsys):
     p = gen_policeman_burglar(5, seed=0)
     gamma = 1.0 / (3.0 * p.L)
     tf = run_solver(
-        p, SolverConfig(kind=fulldet(), K=5000, seed=0, gamma=gamma, tau=0.0, gap_every=5000)
+        p, SolverConfig(kind=EstimatorKind("fulldet"), K=5000, seed=0, gamma=gamma, tau=0.0, gap_every=5000)
     )
     tp = run_solver(
-        p, SolverConfig(kind=past(), K=9999, seed=0, gamma=gamma, tau=0.0, gap_every=9999)
+        p, SolverConfig(kind=EstimatorKind("past"), K=9999, seed=0, gamma=gamma, tau=0.0, gap_every=9999)
     )
     counts = np.array_equal(tf.full_calls, 2 * np.arange(5001)) and np.array_equal(
         tp.full_calls, np.arange(10000) + 1
@@ -243,7 +239,7 @@ def test_criterion_10_local_branch_accounting(capsys):
     mix = p.payload
     t = mix.l_phi / (mix.l_phi + mix.lam)
     K = 10**5
-    trace = run_solver(p, SolverConfig(kind=local(t), K=K, seed=0, gap_every=K))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("local", tau_split=t), K=K, seed=0, gap_every=K))
     assert trace.tau == pytest.approx(t, rel=1e-15)
     frac = (K - trace.local_steps[-1]) / K
     band = 4.0 * np.sqrt(t * (1.0 - t) / K)

@@ -5,11 +5,11 @@ import pytest
 from conftest import simplex_projection_oracle
 
 from vistep import (
+    EstimatorKind,
     FREE,
     ProxSpec,
     RngStream,
     SolverConfig,
-    fulldet,
     gen_policeman_burglar,
     project_simplex,
     prox_eval,
@@ -242,9 +242,9 @@ def test_rng_errors():
 def test_bools_are_not_integers(flag):
     # bool is an int subclass; numpy would fail on it later without naming the argument
     with pytest.raises(ValueError, match=f"K must be an integer, got {flag!r}"):
-        SolverConfig(fulldet(), K=flag)
+        SolverConfig(EstimatorKind("fulldet"), K=flag)
     with pytest.raises(ValueError, match="gap_every must be an integer"):
-        SolverConfig(fulldet(), K=1, gap_every=flag)
+        SolverConfig(EstimatorKind("fulldet"), K=1, gap_every=flag)
     with pytest.raises(ValueError, match="n must be an integer"):
         gen_policeman_burglar(flag)
     with pytest.raises(ValueError, match="seed must be an integer"):

@@ -14,34 +14,25 @@ from vistep import (
     SolverConfig,
     assumption_constants,
     constants_for_problem,
-    coord,
     est_pair,
     eval_component,
     eval_full,
-    fulldet,
     gen_mixing_vi,
     gen_policeman_burglar,
     gen_quadratic_vi,
-    importance,
     importance_weights,
     init_estimator,
     initial_point,
     iterate_once,
-    local,
-    noisy,
     optimal_tau,
-    past,
     prox_eval,
-    quant,
     quantize,
-    qvr,
     random_feasible,
     rng_stream,
     run_solver,
     snapshot_update,
     verify_assumption2,
     verify_unbiasedness,
-    vr,
 )
 from vistep import core, estimators
 from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
@@ -183,7 +174,14 @@ def test_estimator_kind_validation():
         EstimatorKind("vr", quantizer=Quantizer("identity"))
     with pytest.raises(ValueError, match="does not read tau_split"):
         EstimatorKind("coord", tau_split=0.5)
-    assert importance((0.5, 0.3, 0.2)).weights == (0.5, 0.3, 0.2)
+    with pytest.raises(ValueError, match="vr does not read weights"):
+        EstimatorKind("vr", weights=np.array([0.5, 0.5]))
+    # a quantizer that is not a Quantizer fails here, not inside the solver
+    with pytest.raises(ValueError, match="quant requires a Quantizer as its quantizer, got 'randk'"):
+        EstimatorKind("quant", quantizer="randk")
+    # an unread parameter equal to its default is accepted
+    assert EstimatorKind("vr", sigma=0).sigma == 0
+    assert EstimatorKind("is", weights=(0.5, 0.3, 0.2)).weights == (0.5, 0.3, 0.2)
 
 
 def test_range_checks_reject_nan():
@@ -199,7 +197,7 @@ def test_range_checks_reject_nan():
     with pytest.raises(ValueError, match="lam"):
         gen_mixing_vi([gen_quadratic_vi(2, 0.5, 1.0)], nan)
     p = gen_quadratic_vi(4, 0.5, 2.0, seed=1)
-    state = init_estimator(vr(), p, np.zeros(p.d), rng_stream(0, 0))
+    state = init_estimator(EstimatorKind("vr"), p, np.zeros(p.d), rng_stream(0, 0))
     for gamma in (nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="gamma must be positive"):
             est_pair(state, p, np.zeros(p.d), np.zeros(p.d), gamma, rng_stream(0, 0))
@@ -220,9 +218,9 @@ def test_importance_weights_name_an_overflowing_sum():
 def test_init_estimator_guards():
     p = pvb3()
     with pytest.raises(TypeError):
-        init_estimator(local(0.5), p, initial_point(p, 0), rng_stream(0, 0))
+        init_estimator(EstimatorKind("local", tau_split=0.5), p, initial_point(p, 0), rng_stream(0, 0))
     with pytest.raises(ValueError):
-        init_estimator(importance((0.5, 0.5)), p, initial_point(p, 0), rng_stream(0, 0))
+        init_estimator(EstimatorKind("is", weights=(0.5, 0.5)), p, initial_point(p, 0), rng_stream(0, 0))
 
 
 def _fails_alike_everywhere(kind, p, error, message):
@@ -239,7 +237,7 @@ def _fails_alike_everywhere(kind, p, error, message):
 
 def test_quantizer_dimension_mismatch_fails_fast_everywhere():
     # a randk quantizer built for d=6 on a d=12 problem: the error names both sizes
-    kind = quant(Quantizer("randk", k=2, d=6))
+    kind = EstimatorKind("quant", quantizer=Quantizer("randk", k=2, d=6))
     message = "quantizer dimension 6 does not match problem dimension 12"
     _fails_alike_everywhere(kind, gen_quadratic_vi(12, 0.1, 1.0), ValueError, message)
 
@@ -247,8 +245,12 @@ def test_quantizer_dimension_mismatch_fails_fast_everywhere():
 def test_strategy_that_does_not_fit_the_game_fails_alike_everywhere():
     # a Phi/consensus split without a mixing problem, and weights of the wrong length
     p = pvb3()
-    _fails_alike_everywhere(local(0.5), p, TypeError, "local estimator requires a mixing problem")
-    _fails_alike_everywhere(importance((0.5, 0.5)), p, ValueError, "is weights have length 2, problem has M=3")
+    _fails_alike_everywhere(
+        EstimatorKind("local", tau_split=0.5), p, TypeError, "local estimator requires a mixing problem"
+    )
+    _fails_alike_everywhere(
+        EstimatorKind("is", weights=(0.5, 0.5)), p, ValueError, "is weights have length 2, problem has M=3"
+    )
 
 
 def test_solver_and_verifier_share_the_correction(monkeypatch):
@@ -256,9 +258,9 @@ def test_solver_and_verifier_share_the_correction(monkeypatch):
     # trajectory moves and the exact unbiasedness check fails, because both
     # run the strategy's one correction
     p = pvb3()
-    config = SolverConfig(coord(), K=30, seed=4)
+    config = SolverConfig(EstimatorKind("coord"), K=30, seed=4)
     before = run_solver(p, config)
-    assert verify_unbiasedness(coord(), p, n_points=2).all_pass
+    assert verify_unbiasedness(EstimatorKind("coord"), p, n_points=2).all_pass
 
     original = STRATEGIES["coord"].correct
 
@@ -269,7 +271,7 @@ def test_solver_and_verifier_share_the_correction(monkeypatch):
     monkeypatch.setitem(STRATEGIES, "coord", broken)
     after = run_solver(p, config)
     assert not np.array_equal(after.z_final, before.z_final)
-    assert not verify_unbiasedness(coord(), p, n_points=2).all_pass
+    assert not verify_unbiasedness(EstimatorKind("coord"), p, n_points=2).all_pass
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def setup_pair(kind, p, seed=2):
 
 def test_fulldet_pair_is_plain_extra_step():
     p = pvb3()
-    state, z_bar, rng = setup_pair(fulldet(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("fulldet"), p)
     gamma = 0.05
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, eval_full(p, z_bar))
@@ -297,7 +299,7 @@ def test_fulldet_pair_is_plain_extra_step():
 def test_noisy_pair_twin_reproduction():
     p = pvb3()
     sigma = 0.5
-    state, z_bar, rng = setup_pair(noisy(sigma), p, seed=3)
+    state, z_bar, rng = setup_pair(EstimatorKind("noisy", sigma=sigma), p, seed=3)
     twin = rng_stream(3, 0)
     # replay the stream consumed during setup: two feasible draws
     random_feasible(p, twin)
@@ -314,7 +316,7 @@ def test_noisy_pair_twin_reproduction():
 
 def test_past_reuses_stored_half_step_value():
     p = pvb3()
-    state, z_bar, rng = setup_pair(past(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("past"), p)
     gamma = 0.05
     f_w0 = eval_full(p, state.w)
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
@@ -331,7 +333,7 @@ def test_past_reuses_stored_half_step_value():
 
 def test_past_commits_even_without_refresh():
     p = pvb3()
-    state, z_bar, rng = setup_pair(past(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("past"), p)
     _, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
     # tau close to 1 plus a coin seed that keeps w in place
     coin = rng_stream(0, 1)
@@ -343,7 +345,7 @@ def test_past_commits_even_without_refresh():
 
 def test_vr_anchors_at_snapshot_and_corrects_one_component():
     p = pvb3()
-    state, z_bar, rng = setup_pair(vr(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("vr"), p)
     twin = rng_stream(2, 0)
     random_feasible(p, twin)
     random_feasible(p, twin)
@@ -357,7 +359,7 @@ def test_vr_anchors_at_snapshot_and_corrects_one_component():
 
 def test_coord_touches_one_coordinate():
     p = pvb3()
-    state, z_bar, rng = setup_pair(coord(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("coord"), p)
     twin = rng_stream(2, 0)
     random_feasible(p, twin)
     random_feasible(p, twin)
@@ -373,7 +375,7 @@ def test_coord_touches_one_coordinate():
 def test_is_scales_by_inverse_probability():
     p = pvb3()
     weights = (0.5, 0.3, 0.2)
-    state, z_bar, rng = setup_pair(importance(weights), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("is", weights=weights), p)
     twin = rng_stream(2, 0)
     random_feasible(p, twin)
     random_feasible(p, twin)
@@ -389,8 +391,8 @@ def test_quant_identity_matches_vr_on_single_component():
     p = gen_quadratic_vi(10, 0.5, 2.0, seed=4)
     z0 = initial_point(p, 4)
     z_bar = z0 + 0.1
-    sa = init_estimator(vr(), p, z0, rng_stream(5, 0))
-    sb = init_estimator(quant(Quantizer("identity")), p, z0, rng_stream(5, 0))
+    sa = init_estimator(EstimatorKind("vr"), p, z0, rng_stream(5, 0))
+    sb = init_estimator(EstimatorKind("quant", quantizer=Quantizer("identity")), p, z0, rng_stream(5, 0))
     ga = est_pair(sa, p, z_bar, z_bar, 0.05, rng_stream(5, 0))
     gb = est_pair(sb, p, z_bar, z_bar, 0.05, rng_stream(5, 0))
     for a, b in zip(ga, gb):
@@ -403,7 +405,7 @@ def test_local_branches_between_phi_and_consensus():
     t = 0.6
     rng = rng_stream(6, 0)
     z0 = rng.normal(p.d)
-    state = init_estimator(local(t), p, z0, rng)
+    state = init_estimator(EstimatorKind("local", tau_split=t), p, z0, rng)
     z_bar = rng.normal(p.d)
     seen = set()
     for trial in range(20):
@@ -424,9 +426,9 @@ def test_local_branch_expectation_recovers_operator():
     p = mixing3()
     rng = rng_stream(7, 0)
     z0 = rng.normal(p.d)
-    state = init_estimator(local(0.6), p, z0, rng)
+    state = init_estimator(EstimatorKind("local", tau_split=0.6), p, z0, rng)
     z_half = rng.normal(p.d)
-    atoms = all_atoms(local(0.6), p, z_half, state.snap)
+    atoms = all_atoms(EstimatorKind("local", tau_split=0.6), p, z_half, state.snap)
     mean = sum(prob * val for prob, val in zip(*atoms))
     np.testing.assert_allclose(mean, eval_full(p, z_half), atol=1e-12)
 
@@ -437,7 +439,7 @@ def test_local_branch_expectation_recovers_operator():
 
 def test_snapshot_update_always_refreshes_at_zero_tau():
     p = pvb3()
-    state, z_bar, rng = setup_pair(vr(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("vr"), p)
     z_next = random_feasible(p, rng)
     assert snapshot_update(state, z_next, 0.0, rng_stream(1, 1), p)
     np.testing.assert_array_equal(state.w, z_next)
@@ -448,7 +450,7 @@ def test_snapshot_update_always_refreshes_at_zero_tau():
 def test_snapshot_update_coin_frequency_and_twin():
     p = pvb3()
     tau = 0.7
-    state, z_bar, rng = setup_pair(vr(), p)
+    state, z_bar, rng = setup_pair(EstimatorKind("vr"), p)
     coin = rng_stream(11, 1)
     twin = rng_stream(11, 1)
     z_next = random_feasible(p, rng)
@@ -464,7 +466,7 @@ def test_snapshot_update_coin_frequency_and_twin():
 
 def test_snapshot_update_rejects_bad_tau():
     p = pvb3()
-    state, _, rng = setup_pair(vr(), p)
+    state, _, rng = setup_pair(EstimatorKind("vr"), p)
     with pytest.raises(ValueError):
         snapshot_update(state, state.w, 1.0, rng, p)
     with pytest.raises(ValueError):
@@ -490,13 +492,13 @@ def run_ledger(kind, p, iters=4, tau=0.0, seed=2):
 def test_ledger_direct_oracle_kinds():
     p = pvb3()
     dense = 64 * 18
-    init, total = run_ledger(fulldet(), p)
+    init, total = run_ledger(EstimatorKind("fulldet"), p)
     assert init == (0, 0, 0, 0, 0, 0)
     assert total == (8, 0, 0, 8 * dense, 0, 0)
-    init, total = run_ledger(noisy(1.0), p)
+    init, total = run_ledger(EstimatorKind("noisy", sigma=1.0), p)
     assert init == (0, 0, 0, 0, 0, 0)
     assert total == (8, 0, 0, 8 * dense, 0, 0)
-    init, total = run_ledger(past(), p)
+    init, total = run_ledger(EstimatorKind("past"), p)
     assert init == (1, 0, 0, dense, 0, 0)
     assert total == (5, 0, 0, 5 * dense, 0, 0)
 
@@ -506,26 +508,26 @@ def test_ledger_snapshot_kinds_at_zero_tau():
     dense = 64 * 18
     coord_payload = 64 + 5  # 64-bit value plus ceil(log2 18) index bits
 
-    init, total = run_ledger(vr(), p)
+    init, total = run_ledger(EstimatorKind("vr"), p)
     assert init == (0, 3, 0, dense, 0, 0)
     assert total == (0, 23, 0, dense + 4 * 2 * dense, 0, 0)
 
-    init, total = run_ledger(importance((0.5, 0.3, 0.2)), p)
+    init, total = run_ledger(EstimatorKind("is", weights=(0.5, 0.3, 0.2)), p)
     assert init == (0, 3, 0, dense, 0, 0)
     assert total == (0, 23, 0, dense + 4 * 2 * dense, 0, 0)
 
-    init, total = run_ledger(coord(), p)
+    init, total = run_ledger(EstimatorKind("coord"), p)
     assert init == (1, 0, 0, dense, 0, 0)
     assert total == (5, 0, 4, dense + 4 * (coord_payload + dense), 0, 0)
 
-    init, total = run_ledger(quant(randk(4, 18)), p)
+    init, total = run_ledger(EstimatorKind("quant", quantizer=randk(4, 18)), p)
     assert init == (1, 0, 0, dense, 0, 0)
     assert total == (9, 0, 0, dense + 4 * (4 * coord_payload + dense), 0, 0)
 
-    init, total = run_ledger(quant(Quantizer("identity")), p)
+    init, total = run_ledger(EstimatorKind("quant", quantizer=Quantizer("identity")), p)
     assert total == (9, 0, 0, dense + 4 * 2 * dense, 0, 0)
 
-    init, total = run_ledger(qvr(randk(4, 18)), p)
+    init, total = run_ledger(EstimatorKind("qvr", quantizer=randk(4, 18)), p)
     assert init == (0, 3, 0, dense, 0, 0)
     assert total == (0, 23, 0, dense + 4 * (4 * coord_payload + dense), 0, 0)
 
@@ -534,7 +536,7 @@ def test_ledger_local_with_twin_branches():
     p = mixing3()
     dense = 64 * p.d
     iters = 6
-    init, total = run_ledger(local(0.6), p, iters=iters, seed=5)
+    init, total = run_ledger(EstimatorKind("local", tau_split=0.6), p, iters=iters, seed=5)
     assert init == (1, 0, 0, dense, 1, 0)
     twin = rng_stream(5, 0)
     phi_branches = sum(twin.uniform() < 0.6 for _ in range(iters))
@@ -556,7 +558,7 @@ def test_ledger_refresh_count_follows_the_coin():
     p = pvb3()
     tau = 0.8
     iters = 30
-    _, total = run_ledger(vr(), p, iters=iters, tau=tau, seed=9)
+    _, total = run_ledger(EstimatorKind("vr"), p, iters=iters, tau=tau, seed=9)
     twin = rng_stream(9, 1)
     refreshes = sum(twin.uniform() < 1.0 - tau for _ in range(iters))
     dense = 64 * 18
@@ -569,27 +571,27 @@ def test_ledger_refresh_count_follows_the_coin():
 
 
 def test_constants_direct_oracle():
-    c = assumption_constants(noisy(1.0), L=2.0)
+    c = assumption_constants(EstimatorKind("noisy", sigma=1.0), L=2.0)
     assert (c.A, c.D1, c.D3, c.rho) == (12.0, 6.0, 1.0, 1.0)
     assert (c.B, c.C, c.E, c.D2, c.tau_star) == (0.0, 0.0, 0.0, 0.0, 0.0)
-    c0 = assumption_constants(fulldet(), L=2.0)
+    c0 = assumption_constants(EstimatorKind("fulldet"), L=2.0)
     assert (c0.A, c0.D1, c0.D3) == (12.0, 0.0, 0.0)
 
 
 def test_constants_past():
-    c = assumption_constants(past(1.0), L=2.0)
+    c = assumption_constants(EstimatorKind("past", sigma=1.0), L=2.0)
     assert c.rho == pytest.approx(1.0 / 3.0)
     assert (c.B, c.C, c.D1, c.D2, c.D3) == (3.0, 8.0, 6.0, 12.0, 1.0)
     assert c.tau_star == 0.0
-    cd = assumption_constants(past(), L=2.0)
+    cd = assumption_constants(EstimatorKind("past"), L=2.0)
     assert (cd.D1, cd.D2, cd.D3) == (0.0, 0.0, 0.0)
 
 
 def test_constants_vr_and_identity_quant_agree():
-    c = assumption_constants(vr(), L=3.0, M=4)
+    c = assumption_constants(EstimatorKind("vr"), L=3.0, M=4)
     assert (c.A, c.D1, c.E, c.D3) == (9.0, 0.0, 36.0, 0.0)
     assert c.tau_star == 0.8
-    q = assumption_constants(quant(Quantizer("identity")), L=3.0)
+    q = assumption_constants(EstimatorKind("quant", quantizer=Quantizer("identity")), L=3.0)
     assert (q.A, q.B, q.C, q.E, q.D1, q.D2, q.D3, q.rho) == (
         c.A,
         c.B,
@@ -603,22 +605,22 @@ def test_constants_vr_and_identity_quant_agree():
 
 
 def test_constants_coord():
-    c = assumption_constants(coord(), L=1.0, d=4)
+    c = assumption_constants(EstimatorKind("coord"), L=1.0, d=4)
     assert (c.A, c.E, c.D1, c.D3) == (4.0, 10.0, 0.0, 0.0)
     assert c.tau_star == 0.8
     with pytest.raises(ValueError):
-        assumption_constants(coord(), L=1.0)
+        assumption_constants(EstimatorKind("coord"), L=1.0)
 
 
 def test_constants_randk_quant():
-    c = assumption_constants(quant(randk(2, 8)), L=1.5)
+    c = assumption_constants(EstimatorKind("quant", quantizer=randk(2, 8)), L=1.5)
     assert c.A == pytest.approx(4.0 * 2.25)
     assert c.E == pytest.approx(2.0 * 5.0 * 2.25)
     assert c.tau_star == 0.8
 
 
 def test_constants_importance():
-    kind = importance((0.5, 0.5))
+    kind = EstimatorKind("is", weights=(0.5, 0.5))
     c = assumption_constants(kind, L=4.0, M=2, L_m=[2.0, 6.0])
     assert c.A == pytest.approx(20.0)
     assert c.E == pytest.approx(2.0 * (20.0 + 16.0))
@@ -648,56 +650,56 @@ def test_importance_weights_minimize_effective_constant():
 
 
 def test_constants_local():
-    c = assumption_constants(local(2.0 / 3.0), L=2.0, lam=1.0)
+    c = assumption_constants(EstimatorKind("local", tau_split=2.0 / 3.0), L=2.0, lam=1.0)
     assert c.A == pytest.approx(9.0, rel=1e-12)
     assert c.E == pytest.approx(36.0, rel=1e-12)
     assert c.D3 == 0.0
     assert c.tau_star == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
-        assumption_constants(local(0.5), L=2.0)
+        assumption_constants(EstimatorKind("local", tau_split=0.5), L=2.0)
 
 
 def test_local_split_at_tau_star_hits_squared_sum():
     # L^2/t + lam^2/(1-t) is minimized at t = L/(L+lam) with value (L+lam)^2
     for L, lam in ((2.0, 1.0), (5.0, 0.5), (1.0, 3.0)):
         t = L / (L + lam)
-        c = assumption_constants(local(t), L=L, lam=lam)
+        c = assumption_constants(EstimatorKind("local", tau_split=t), L=L, lam=lam)
         assert c.A == pytest.approx((L + lam) ** 2, rel=1e-12)
-        c_off = assumption_constants(local(0.5 * t), L=L, lam=lam)
+        c_off = assumption_constants(EstimatorKind("local", tau_split=0.5 * t), L=L, lam=lam)
         assert c_off.A >= c.A
 
 
 def test_optimal_tau_rules():
-    assert optimal_tau(fulldet()) == 0.0
-    assert optimal_tau(past()) == 0.0
-    assert optimal_tau(vr(), M=4) == 0.8
-    assert optimal_tau(coord(), d=9) == 0.9
-    assert optimal_tau(quant(randk(1, 3))) == 0.75
-    assert optimal_tau(local(0.5), L=2.0, lam=1.0) == pytest.approx(2.0 / 3.0)
+    assert optimal_tau(EstimatorKind("fulldet")) == 0.0
+    assert optimal_tau(EstimatorKind("past")) == 0.0
+    assert optimal_tau(EstimatorKind("vr"), M=4) == 0.8
+    assert optimal_tau(EstimatorKind("coord"), d=9) == 0.9
+    assert optimal_tau(EstimatorKind("quant", quantizer=randk(1, 3))) == 0.75
+    assert optimal_tau(EstimatorKind("local", tau_split=0.5), L=2.0, lam=1.0) == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
-        optimal_tau(vr())
+        optimal_tau(EstimatorKind("vr"))
     with pytest.raises(ValueError):
-        optimal_tau(coord())
+        optimal_tau(EstimatorKind("coord"))
     with pytest.raises(ValueError):
-        optimal_tau(local(0.5))
+        optimal_tau(EstimatorKind("local", tau_split=0.5))
 
 
 def test_constants_for_problem_conventions():
     p = pvb3()
-    c_vr = constants_for_problem(vr(), p)
+    c_vr = constants_for_problem(EstimatorKind("vr"), p)
     L_common = max(p.L, float(p.L_m.max()))
     assert c_vr.A == pytest.approx(L_common**2, rel=1e-12)
 
-    c_coord = constants_for_problem(coord(), p)
+    c_coord = constants_for_problem(EstimatorKind("coord"), p)
     assert c_coord.A == pytest.approx(18.0 * p.L**2, rel=1e-12)
 
     w = np.full(3, 1.0 / 3.0)
-    c_is = constants_for_problem(importance(tuple(w)), p)
+    c_is = constants_for_problem(EstimatorKind("is", weights=w), p)
     want = float(np.sum((p.L_m / 3.0) ** 2 / w))
     assert c_is.A == pytest.approx(want, rel=1e-12)
 
     m = mixing3()
-    c_loc = constants_for_problem(local(0.5), m)
+    c_loc = constants_for_problem(EstimatorKind("local", tau_split=0.5), m)
     mix = m.payload
     assert c_loc.A == pytest.approx(mix.l_phi**2 / 0.5 + mix.lam**2 / 0.5, rel=1e-12)
 
@@ -708,12 +710,12 @@ def test_constants_for_problem_conventions():
 
 def enumerable_kinds(p):
     return [
-        vr(),
-        coord(),
-        importance((0.5, 0.3, 0.2)),
-        quant(randk(3, p.d)),
-        quant(Quantizer("identity")),
-        qvr(randk(3, p.d)),
+        EstimatorKind("vr"),
+        EstimatorKind("coord"),
+        EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+        EstimatorKind("quant", quantizer=randk(3, p.d)),
+        EstimatorKind("quant", quantizer=Quantizer("identity")),
+        EstimatorKind("qvr", quantizer=randk(3, p.d)),
     ]
 
 
@@ -742,9 +744,9 @@ def test_half_atoms_rejects_gaussian_kinds():
     p = pvb3()
     z = initial_point(p, 0)
     with pytest.raises(ValueError):
-        half_atoms(noisy(1.0), p, z, None)
+        half_atoms(EstimatorKind("noisy", sigma=1.0), p, z, None)
     with pytest.raises(ValueError):
-        half_atoms(past(), p, z, None)
+        half_atoms(EstimatorKind("past"), p, z, None)
 
 
 def test_uniform_importance_equals_vr_atoms():
@@ -752,9 +754,9 @@ def test_uniform_importance_equals_vr_atoms():
     rng = rng_stream(22, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    snap = snapshot_at(vr(), p, w)
-    a_vr = all_atoms(vr(), p, z_half, snap)
-    a_is = all_atoms(importance((1.0 / 3.0,) * 3), p, z_half, snap)
+    snap = snapshot_at(EstimatorKind("vr"), p, w)
+    a_vr = all_atoms(EstimatorKind("vr"), p, z_half, snap)
+    a_is = all_atoms(EstimatorKind("is", weights=(1.0 / 3.0,) * 3), p, z_half, snap)
     for (pa, va), (pb, vb) in zip(zip(*a_vr), zip(*a_is)):
         assert pa == pytest.approx(pb, abs=1e-15)
         np.testing.assert_allclose(va, vb, atol=1e-12)
@@ -767,8 +769,8 @@ def test_lipschitz_importance_is_degenerate_on_proportional_components():
     rng = rng_stream(23, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    weights = tuple(importance_weights(p.L_m))
-    atoms = all_atoms(importance(weights), p, z_half, snapshot_at(importance(weights), p, w))
+    kind = EstimatorKind("is", weights=importance_weights(p.L_m))
+    atoms = all_atoms(kind, p, z_half, snapshot_at(kind, p, w))
     vals = atoms[1]
     assert np.max(np.abs(vals - vals[0])) <= 1e-9
 
@@ -780,7 +782,8 @@ def test_sample_half_batch_vr_twin():
     w = random_feasible(p, rng)
     fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     n = 200
-    batch = sample_half_batch(vr(), p, z_half, snapshot_at(vr(), p, w), rng_stream(25, 0), n)
+    kind = EstimatorKind("vr")
+    batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(25, 0), n)
     twin = rng_stream(25, 0)
     diffs = np.stack([eval_component(p, m, z_half) - eval_component(p, m, w) for m in range(p.M)])
     idx = twin.integers(p.M, n)
@@ -792,15 +795,15 @@ def test_solver_draw_equals_batch_of_one():
     # single-draw paths (scalar sources, 1-d corrections) the verifiers never run
     game = pvb3()
     kinds = {
-        "fulldet": fulldet(),
-        "noisy": noisy(0.5),
-        "past": past(0.5),
-        "vr": vr(),
-        "coord": coord(),
-        "quant": quant(randk(3, game.d)),
-        "qvr": qvr(randk(3, game.d)),
-        "is": importance((0.5, 0.3, 0.2)),
-        "local": local(0.6),
+        "fulldet": EstimatorKind("fulldet"),
+        "noisy": EstimatorKind("noisy", sigma=0.5),
+        "past": EstimatorKind("past", sigma=0.5),
+        "vr": EstimatorKind("vr"),
+        "coord": EstimatorKind("coord"),
+        "quant": EstimatorKind("quant", quantizer=randk(3, game.d)),
+        "qvr": EstimatorKind("qvr", quantizer=randk(3, game.d)),
+        "is": EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+        "local": EstimatorKind("local", tau_split=0.6),
     }
     assert kinds.keys() == STRATEGIES.keys()
     for name, kind in kinds.items():
@@ -825,7 +828,12 @@ def test_sample_half_batch_rows_are_atoms():
     rng = rng_stream(26, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    for kind in (vr(), coord(), importance((0.5, 0.3, 0.2)), quant(randk(2, 18))):
+    for kind in (
+        EstimatorKind("vr"),
+        EstimatorKind("coord"),
+        EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+        EstimatorKind("quant", quantizer=randk(2, 18)),
+    ):
         snap = snapshot_at(kind, p, w)
         atoms = all_atoms(kind, p, z_half, snap)[1]
         batch = sample_half_batch(kind, p, z_half, snap, rng_stream(27, 0), 40)
@@ -839,10 +847,10 @@ def test_sample_half_batch_component_frequencies():
     rng = rng_stream(28, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    snap = snapshot_at(vr(), p, w)
+    snap = snapshot_at(EstimatorKind("vr"), p, w)
     n = 9000
-    batch = sample_half_batch(vr(), p, z_half, snap, rng_stream(29, 0), n)
-    atoms = all_atoms(vr(), p, z_half, snap)[1]
+    batch = sample_half_batch(EstimatorKind("vr"), p, z_half, snap, rng_stream(29, 0), n)
+    atoms = all_atoms(EstimatorKind("vr"), p, z_half, snap)[1]
     labels = np.array([int(np.argmin(np.max(np.abs(atoms - row), axis=1))) for row in batch])
     counts = np.bincount(labels, minlength=3)
     # uniform over 3 components, four standard errors around 3000
@@ -855,7 +863,7 @@ def test_sample_half_batch_randk_touches_k_coordinates():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     fw = eval_full(p, w)
-    kind = quant(randk(4, 18))
+    kind = EstimatorKind("quant", quantizer=randk(4, 18))
     batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(31, 0), 50)
     twin = rng_stream(31, 0)
     subs = twin.subsets(18, 4, 50)
@@ -872,7 +880,7 @@ def test_sample_half_batch_gaussian_kinds_match_moments():
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
     n = 20000
-    for kind in (noisy(0.8), past(0.8)):
+    for kind in (EstimatorKind("noisy", sigma=0.8), EstimatorKind("past", sigma=0.8)):
         batch = sample_half_batch(kind, p, z_half, None, rng_stream(33, 0), n)
         target = eval_full(p, z_half)
         err = np.linalg.norm(batch.mean(axis=0) - target)
@@ -891,7 +899,8 @@ def test_sample_half_batch_local_branches():
     w = rng.normal(p.d)
     fw = eval_full(p, w)
     n = 10000
-    batch = sample_half_batch(local(t), p, z_half, snapshot_at(local(t), p, w), rng_stream(35, 0), n)
+    kind = EstimatorKind("local", tau_split=t)
+    batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(35, 0), n)
     phi_row = (mix.phi(z_half) - mix.phi(w)) / t + fw
     con_row = (mix.consensus(z_half) - mix.consensus(w)) / (1.0 - t) + fw
     is_phi = np.all(batch == phi_row, axis=1)
@@ -907,11 +916,11 @@ def test_snapshot_kind_list_matches_cache_usage():
         if name == "local":
             continue
         kind = {
-            "vr": vr(),
-            "coord": coord(),
-            "quant": quant(Quantizer("identity")),
-            "qvr": qvr(Quantizer("identity")),
-            "is": importance((1.0 / 3.0,) * 3),
+            "vr": EstimatorKind("vr"),
+            "coord": EstimatorKind("coord"),
+            "quant": EstimatorKind("quant", quantizer=Quantizer("identity")),
+            "qvr": EstimatorKind("qvr", quantizer=Quantizer("identity")),
+            "is": EstimatorKind("is", weights=(1.0 / 3.0,) * 3),
         }[name]
         state = init_estimator(kind, p, initial_point(p, 0), rng_stream(0, 0))
         assert state.fw is not None

@@ -1,6 +1,6 @@
 """The package's modules import one another one way only, and every
 public name, and every optional parameter of a public function, has a
-caller outside the tests.
+caller outside the tests; no public name is a strategy's own constructor.
 
 Every ``from .x import`` in ``src/vistep``, including those inside
 functions, is an edge of the import graph; a cycle would make a module's
@@ -14,6 +14,7 @@ import inspect
 from pathlib import Path
 
 import vistep
+from vistep.estimators import STRATEGIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vistep"
 
@@ -96,6 +97,12 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == [], f"public names only the tests use: {unused}"
 
 
+def test_no_public_name_spells_a_strategy():
+    # a strategy is built as EstimatorKind(name, **params), never by a
+    # constructor of its own
+    assert sorted(set(vistep.__all__) & set(STRATEGIES)) == []
+
+
 def passed_arguments() -> dict[str, set]:
     """For each called name (``f(...)`` or ``x.f(...)``), the positions and
     keywords some library call passes.  Positions from a ``*args`` on and
@@ -115,16 +122,6 @@ def passed_arguments() -> dict[str, set]:
     return passed
 
 
-# parameters that stay without a library caller, each for the reason given
-EXEMPT_PARAMETERS = {
-    # the negative control: tests substitute a deliberately broken estimator
-    ("verify_unbiasedness", "sampler"),
-    # mirrors EstimatorKind("past", sigma=...), which is how the CLI and the
-    # benchmark build a noisy past strategy
-    ("past", "sigma"),
-}
-
-
 def unpassed_parameters() -> list[str]:
     """``f(param)`` for each parameter with a default of a public function
     that no library call passes, by position or by keyword."""
@@ -136,7 +133,7 @@ def unpassed_parameters() -> list[str]:
             continue
         got = passed.get(name, set())
         for i, param in enumerate(inspect.signature(func).parameters.values()):
-            if param.default is param.empty or (name, param.name) in EXEMPT_PARAMETERS:
+            if param.default is param.empty:
                 continue
             by_position = param.kind is param.POSITIONAL_OR_KEYWORD and i in got
             if not (by_position or param.name in got):

@@ -1,5 +1,6 @@
 """Gap functions and the estimator verification suite."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,33 +11,25 @@ from vistep import (
     BilinearGame,
     CheckRow,
     CostLedger,
+    EstimatorKind,
     FREE,
     ProxSpec,
     Quantizer,
     VIProblem,
     VerificationReport,
-    coord,
     duality_gap_bilinear,
     eval_full,
-    fulldet,
     gen_mixing_vi,
     gen_policeman_burglar,
     gen_quadratic_vi,
-    importance,
     importance_weights,
-    local,
-    noisy,
-    past,
-    quant,
-    qvr,
     random_feasible,
     rng_stream,
     verify_assumption2,
     verify_unbiasedness,
-    vr,
 )
 from vistep import core
-from vistep.estimators import sample_half_batch
+from vistep.estimators import STRATEGIES
 from vistep.metrics import MC_SAMPLES
 
 
@@ -180,12 +173,12 @@ def test_verification_report_merging():
 def test_unbiasedness_exact_enumerable_kinds():
     p = pvb3()
     kinds = [
-        fulldet(),
-        vr(),
-        coord(),
-        quant(Quantizer("randk", k=5, d=18)),
-        qvr(Quantizer("randk", k=5, d=18)),
-        importance((0.5, 0.3, 0.2)),
+        EstimatorKind("fulldet"),
+        EstimatorKind("vr"),
+        EstimatorKind("coord"),
+        EstimatorKind("quant", quantizer=Quantizer("randk", k=5, d=18)),
+        EstimatorKind("qvr", quantizer=Quantizer("randk", k=5, d=18)),
+        EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
     ]
     for kind in kinds:
         report = verify_unbiasedness(kind, p, n_points=4)
@@ -193,21 +186,25 @@ def test_unbiasedness_exact_enumerable_kinds():
         assert len(report.rows) == 1
         assert report.rows[0].lemma == "unbiased"
         assert report.rows[0].variant == kind.name
-    report = verify_unbiasedness(local(2.0 / 3.0), mixing3(), n_points=4)
+    report = verify_unbiasedness(EstimatorKind("local", tau_split=2.0 / 3.0), mixing3(), n_points=4)
     assert report.all_pass
 
 
-def test_unbiasedness_monte_carlo_and_negative_control():
+def test_unbiasedness_monte_carlo_and_negative_control(monkeypatch):
     p = pvb3()
-    assert verify_unbiasedness(noisy(0.7), p, n_points=3, n_samples=4000).all_pass
+    assert verify_unbiasedness(EstimatorKind("noisy", sigma=0.7), p, n_points=3, n_samples=4000).all_pass
 
-    def shrunk(problem, z_half, snap, rng, n):
-        return 0.5 * sample_half_batch(vr(), problem, z_half, snap, rng, n)
+    # the negative control: a vr row whose estimate is halved
+    original = STRATEGIES["vr"].correct
 
-    report = verify_unbiasedness(vr(), p, n_points=3, n_samples=4000, sampler=shrunk)
+    def halved(kind, p, o, diff, fw):
+        return 0.5 * original(kind, p, o, diff, fw)
+
+    monkeypatch.setitem(STRATEGIES, "vr", dataclasses.replace(STRATEGIES["vr"], correct=halved))
+    report = verify_unbiasedness(EstimatorKind("vr"), p, n_points=3, n_samples=4000)
     assert not report.all_pass
     with pytest.raises(ValueError):
-        verify_unbiasedness(noisy(0.7), p, n_samples=1)
+        verify_unbiasedness(EstimatorKind("noisy", sigma=0.7), p, n_samples=1)
 
 
 def test_exact_rows_equal_the_per_atom_loop_sums(monkeypatch):
@@ -217,7 +214,11 @@ def test_exact_rows_equal_the_per_atom_loop_sums(monkeypatch):
     # reference, bit for bit
     p = pvb3()
     monkeypatch.setattr(core, "_BLOCK_VALUES", 2 * p.d)
-    for kind in (coord(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("randk", k=3, d=p.d))):
+    for kind in (
+        EstimatorKind("coord"),
+        EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+        EstimatorKind("qvr", quantizer=Quantizer("randk", k=3, d=p.d)),
+    ):
         points = rng_stream(0, 5)
         z_half, w = random_feasible(p, points), random_feasible(p, points)
         snap = kind.strategy.refresh(kind, p, w, CostLedger())
@@ -242,11 +243,11 @@ def test_coord_exact_verification_holds_no_dense_atom_array(make):
     # one d x d array of 5.12 MB; blocks of atoms need a fraction of it
     p = make()
     one_matrix = p.d * p.d * 8
-    verify_assumption2(coord(), pvb3(), n_points=1)  # imports and first-call caches out of the count
+    verify_assumption2(EstimatorKind("coord"), pvb3(), n_points=1)  # imports and first-call caches out of the count
     tracemalloc.start()
     try:
-        assert verify_unbiasedness(coord(), p, n_points=1).all_pass
-        assert verify_assumption2(coord(), p, n_points=1).all_pass
+        assert verify_unbiasedness(EstimatorKind("coord"), p, n_points=1).all_pass
+        assert verify_assumption2(EstimatorKind("coord"), p, n_points=1).all_pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -255,23 +256,20 @@ def test_coord_exact_verification_holds_no_dense_atom_array(make):
 
 def test_zero_samples_enumerates_or_draws_the_default():
     p = pvb3()
-    assert [r.n for r in verify_unbiasedness(vr(), p, n_points=2).rows] == [p.M]
-    assert [r.n for r in verify_unbiasedness(noisy(0.7), p, n_points=2).rows] == [MC_SAMPLES]
-
-    def plain(problem, z_half, snap, rng, n):
-        return sample_half_batch(vr(), problem, z_half, snap, rng, n)
-
-    # a sampler replaces the draw, so its outcomes are drawn, not enumerated
-    report = verify_unbiasedness(vr(), p, n_points=2, sampler=plain)
-    assert report.all_pass
-    assert [r.n for r in report.rows] == [MC_SAMPLES]
+    assert [r.n for r in verify_unbiasedness(EstimatorKind("vr"), p, n_points=2).rows] == [p.M]
+    assert [r.n for r in verify_unbiasedness(EstimatorKind("noisy", sigma=0.7), p, n_points=2).rows] == [MC_SAMPLES]
 
 
 def test_both_verifiers_reject_one_or_negative_samples():
     # one draw would hold the Monte Carlo moment rows to a 500% tolerance
     p = pvb3()
     for n_samples in (1, -2):
-        for kind in (vr(), coord(), noisy(0.7), past()):
+        for kind in (
+            EstimatorKind("vr"),
+            EstimatorKind("coord"),
+            EstimatorKind("noisy", sigma=0.7),
+            EstimatorKind("past"),
+        ):
             with pytest.raises(ValueError, match="n_samples"):
                 verify_unbiasedness(kind, p, n_points=2, n_samples=n_samples)
             with pytest.raises(ValueError, match="n_samples"):
@@ -285,36 +283,36 @@ def test_both_verifiers_reject_one_or_negative_samples():
 def test_both_verifiers_reject_non_integer_counts_and_seeds(argument, value):
     p = pvb3()
     for verify in (verify_unbiasedness, verify_assumption2):
-        for kind in (vr(), past()):
+        for kind in (EstimatorKind("vr"), EstimatorKind("past")):
             with pytest.raises(ValueError, match=f"{argument} must be an integer, got {value}"):
                 verify(kind, p, **{"n_points": 2, argument: value})
 
 
 def test_assumption2_exact_modes():
-    report = verify_assumption2(coord(), pvb3(), n_points=50)
+    report = verify_assumption2(EstimatorKind("coord"), pvb3(), n_points=50)
     assert report.all_pass
     assert [r.lemma for r in report.rows] == ["diff-second-moment", "residual-second-moment"]
     quad6 = gen_quadratic_vi(6, 0.5, 3.0, seed=2)
     for k in (1, 2, 3):
-        kind = quant(Quantizer("randk", k=k, d=6))
+        kind = EstimatorKind("quant", quantizer=Quantizer("randk", k=k, d=6))
         assert verify_assumption2(kind, quad6, n_points=50).all_pass
 
 
 def test_assumption2_monte_carlo_mode():
-    report = verify_assumption2(vr(), pvb3(), n_points=2, n_samples=2000)
+    report = verify_assumption2(EstimatorKind("vr"), pvb3(), n_points=2, n_samples=2000)
     assert report.all_pass
     assert all(r.n == 2000 for r in report.rows)
 
 
 def test_assumption2_stored_half_step_rows():
     p = pvb3()
-    quiet = verify_assumption2(past(), p, n_points=6)
+    quiet = verify_assumption2(EstimatorKind("past"), p, n_points=6)
     assert quiet.all_pass
     assert [r.lemma for r in quiet.rows] == [
         "diff-second-moment",
         "sigma-recursion",
         "residual-second-moment",
     ]
-    loud = verify_assumption2(past(0.3), p, n_points=6)
+    loud = verify_assumption2(EstimatorKind("past", sigma=0.3), p, n_points=6)
     assert loud.all_pass
     assert [r.lemma for r in loud.rows] == ["diff-second-moment", "residual-second-moment"]

@@ -9,21 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vistep import (
+    EstimatorKind,
     ProxSpec,
     Quantizer,
     SolverConfig,
-    coord,
-    fulldet,
     gen_policeman_burglar,
-    importance,
-    noisy,
-    past,
     project_simplex,
     prox_eval,
-    quant,
-    qvr,
     run_solver,
-    vr,
 )
 from vistep.cli import _SCHEMA, Config, parse_config_text
 from vistep.estimators import KINDS
@@ -103,14 +96,14 @@ def test_prox_feasible_idempotent_and_nonexpansive(case):
 
 GAME = gen_policeman_burglar(2, seed=3)
 KIND_CHOICES = (
-    fulldet(),
-    noisy(0.1),
-    past(0.1),
-    vr(),
-    coord(),
-    quant(Quantizer("randk", k=3, d=GAME.d)),
-    qvr(Quantizer("randk", k=3, d=GAME.d)),
-    importance((0.3, 0.7)),
+    EstimatorKind("fulldet"),
+    EstimatorKind("noisy", sigma=0.1),
+    EstimatorKind("past", sigma=0.1),
+    EstimatorKind("vr"),
+    EstimatorKind("coord"),
+    EstimatorKind("quant", quantizer=Quantizer("randk", k=3, d=GAME.d)),
+    EstimatorKind("qvr", quantizer=Quantizer("randk", k=3, d=GAME.d)),
+    EstimatorKind("is", weights=(0.3, 0.7)),
 )
 
 

@@ -10,107 +10,100 @@ import pytest
 from vistep import (
     FREE,
     DivergenceError,
+    EstimatorKind,
     QuadraticOperator,
     SolverConfig,
     VIProblem,
     assumption_constants,
     constants_for_problem,
-    coord,
     duality_gap_bilinear,
     est_pair,
     eval_full,
-    fulldet,
     gen_mixing_vi,
     gen_policeman_burglar,
     gen_quadratic_vi,
-    importance,
     importance_weights,
     init_estimator,
     initial_point,
     iterate_once,
-    local,
     lyapunov_value,
-    noisy,
-    past,
-    quant,
-    qvr,
     Quantizer,
     rng_stream,
     run_solver,
     step_size_bound,
     verify_unbiasedness,
-    vr,
 )
 from vistep import core
 from vistep.solver import COST_COLUMNS
 
 
 def test_step_size_direct_oracle():
-    c = assumption_constants(fulldet(), L=2.0)
-    gamma, T = step_size_bound(fulldet(), "sm", c, mu_F=0.5)
+    c = assumption_constants(EstimatorKind("fulldet"), L=2.0)
+    gamma, T = step_size_bound(EstimatorKind("fulldet"), "sm", c, mu_F=0.5)
     assert gamma == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert T == 0.0
-    gamma, T = step_size_bound(fulldet(), "mono", c)
+    gamma, T = step_size_bound(EstimatorKind("fulldet"), "mono", c)
     assert gamma == pytest.approx(1.0 / 6.0, rel=1e-12)
     # the noisy strategy shares the rule; sigma moves D1, not gamma
-    cn = assumption_constants(noisy(3.0), L=2.0)
-    gamma, _ = step_size_bound(noisy(3.0), "mono", cn)
+    cn = assumption_constants(EstimatorKind("noisy", sigma=3.0), L=2.0)
+    gamma, _ = step_size_bound(EstimatorKind("noisy", sigma=3.0), "mono", cn)
     assert gamma == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 def test_step_size_mu_cap_binds():
-    c = assumption_constants(fulldet(), L=2.0)
-    gamma, _ = step_size_bound(fulldet(), "sm", c, mu_F=30.0)
+    c = assumption_constants(EstimatorKind("fulldet"), L=2.0)
+    gamma, _ = step_size_bound(EstimatorKind("fulldet"), "sm", c, mu_F=30.0)
     assert gamma == pytest.approx(1.0 / 120.0, rel=1e-12)
     # mu_h counts toward the cap the same way
-    gamma2, _ = step_size_bound(fulldet(), "sm", c, mu_F=10.0, mu_h=20.0)
+    gamma2, _ = step_size_bound(EstimatorKind("fulldet"), "sm", c, mu_F=10.0, mu_h=20.0)
     assert gamma2 == gamma
 
 
 def test_step_size_past():
-    c = assumption_constants(past(), L=2.0)
-    gamma, T = step_size_bound(past(), "sm", c, mu_F=0.5)
+    c = assumption_constants(EstimatorKind("past"), L=2.0)
+    gamma, T = step_size_bound(EstimatorKind("past"), "sm", c, mu_F=0.5)
     assert gamma == pytest.approx(1.0 / (24.0 * math.sqrt(2.0)), rel=1e-12)
     assert T == pytest.approx(36.0, rel=1e-12)
-    gamma, T = step_size_bound(past(), "mono", c)
+    gamma, T = step_size_bound(EstimatorKind("past"), "mono", c)
     assert gamma == pytest.approx(1.0 / (24.0 * math.sqrt(2.0)), rel=1e-12)
     assert T == pytest.approx(18.0, rel=1e-12)
 
 
 def test_step_size_snapshot_kinds():
-    c = assumption_constants(vr(), L=3.0, M=4)
-    gamma, T = step_size_bound(vr(), "mono", c, tau=0.75)
+    c = assumption_constants(EstimatorKind("vr"), L=3.0, M=4)
+    gamma, T = step_size_bound(EstimatorKind("vr"), "mono", c, tau=0.75)
     assert T == 0.0
     assert gamma == pytest.approx(0.5 / (2.0 * math.sqrt(2.0 * 9.0 + 36.0)), rel=1e-12)
-    gamma, _ = step_size_bound(vr(), "sm", c, mu_F=10.0, tau=0.75)
+    gamma, _ = step_size_bound(EstimatorKind("vr"), "sm", c, mu_F=10.0, tau=0.75)
     assert gamma == pytest.approx(0.25 / 40.0, rel=1e-12)  # the mu cap binds
-    cc = assumption_constants(coord(), L=1.0, d=4)
-    gamma, _ = step_size_bound(coord(), "mono", cc, tau=0.8)
+    cc = assumption_constants(EstimatorKind("coord"), L=1.0, d=4)
+    gamma, _ = step_size_bound(EstimatorKind("coord"), "mono", cc, tau=0.8)
     assert gamma == pytest.approx(math.sqrt(0.2) / (2.0 * math.sqrt(18.0)), rel=1e-12)
 
 
 def test_step_size_degenerate_and_errors():
-    c = assumption_constants(vr(), L=0.0, M=1)
-    gamma, _ = step_size_bound(vr(), "mono", c)
+    c = assumption_constants(EstimatorKind("vr"), L=0.0, M=1)
+    gamma, _ = step_size_bound(EstimatorKind("vr"), "mono", c)
     assert gamma == np.inf
     # the table's tau* is optimal_tau's, which needs M for vr
     with pytest.raises(ValueError, match="tau rule needs problem data"):
-        assumption_constants(vr(), L=0.0)
+        assumption_constants(EstimatorKind("vr"), L=0.0)
+    fulldet = EstimatorKind("fulldet")
     with pytest.raises(ValueError):
-        step_size_bound(fulldet(), "sm", assumption_constants(fulldet(), L=1.0))
+        step_size_bound(fulldet, "sm", assumption_constants(fulldet, L=1.0))
     with pytest.raises(ValueError, match="mu_F"):
-        step_size_bound(fulldet(), "sm", assumption_constants(fulldet(), L=2.0), mu_F=math.nan)
+        step_size_bound(fulldet, "sm", assumption_constants(fulldet, L=2.0), mu_F=math.nan)
     with pytest.raises(ValueError):
-        step_size_bound(fulldet(), "fast", assumption_constants(fulldet(), L=1.0))
+        step_size_bound(fulldet, "fast", assumption_constants(fulldet, L=1.0))
     with pytest.raises(ValueError):
-        step_size_bound(fulldet(), "mono", assumption_constants(fulldet(), L=1.0), tau=1.0)
+        step_size_bound(fulldet, "mono", assumption_constants(fulldet, L=1.0), tau=1.0)
 
 
 def test_iterate_once_is_plain_extragradient_at_zero_tau():
     p = gen_quadratic_vi(8, 0.5, 2.0, seed=1)
     gamma = 1.0 / 12.0
     est = rng_stream(4, 0)
-    state = init_estimator(fulldet(), p, initial_point(p, 4), est)
+    state = init_estimator(EstimatorKind("fulldet"), p, initial_point(p, 4), est)
     z = initial_point(p, 4)
     z_next, z_half = iterate_once(state, p, z, 0.0, gamma, est, rng_stream(4, 1))
     g = eval_full(p, z)
@@ -123,7 +116,7 @@ def test_solution_is_a_fixed_point():
     p = gen_quadratic_vi(6, 0.5, 2.0, seed=2)
     z = p.known_solution.copy()
     est = rng_stream(0, 0)
-    state = init_estimator(fulldet(), p, z, est)
+    state = init_estimator(EstimatorKind("fulldet"), p, z, est)
     for _ in range(5):
         z, z_half = iterate_once(state, p, z, 0.0, 0.05, est, rng_stream(0, 1))
         np.testing.assert_array_equal(z, p.known_solution)
@@ -132,24 +125,24 @@ def test_solution_is_a_fixed_point():
 
 def test_run_solver_deterministic_and_seed_sensitive():
     p = gen_policeman_burglar(2, seed=0)
-    cfg = SolverConfig(kind=vr(), K=20, seed=5)
+    cfg = SolverConfig(kind=EstimatorKind("vr"), K=20, seed=5)
     a = run_solver(p, cfg)
     b = run_solver(p, cfg)
     np.testing.assert_array_equal(a.z_final, b.z_final)
     np.testing.assert_array_equal(a.gap_avg, b.gap_avg)
     np.testing.assert_array_equal(a.bits, b.bits)
-    c = run_solver(p, SolverConfig(kind=vr(), K=20, seed=6))
+    c = run_solver(p, SolverConfig(kind=EstimatorKind("vr"), K=20, seed=6))
     assert np.any(a.z_final != c.z_final)
 
 
 def test_run_solver_matches_manual_loop():
     p = gen_policeman_burglar(2, seed=0)
-    cfg = SolverConfig(kind=vr(), K=5, seed=3, gamma=0.02, tau=0.5)
+    cfg = SolverConfig(kind=EstimatorKind("vr"), K=5, seed=3, gamma=0.02, tau=0.5)
     trace = run_solver(p, cfg)
     est = rng_stream(3, 0)
     coin = rng_stream(3, 1)
     z = initial_point(p, 3)
-    state = init_estimator(vr(), p, z, est)
+    state = init_estimator(EstimatorKind("vr"), p, z, est)
     acc = np.zeros(p.d)
     for _ in range(5):
         z, z_half = iterate_once(state, p, z, 0.5, 0.02, est, coin)
@@ -160,8 +153,8 @@ def test_run_solver_matches_manual_loop():
 
 def test_identity_quant_trace_equals_single_component_vr():
     p = gen_quadratic_vi(10, 0.5, 2.0, seed=4)
-    ca = SolverConfig(kind=vr(), K=50, seed=2, gamma=0.05, tau=0.0)
-    cb = SolverConfig(kind=quant(Quantizer("identity")), K=50, seed=2, gamma=0.05, tau=0.0)
+    ca = SolverConfig(kind=EstimatorKind("vr"), K=50, seed=2, gamma=0.05, tau=0.0)
+    cb = SolverConfig(kind=EstimatorKind("quant", quantizer=Quantizer("identity")), K=50, seed=2, gamma=0.05, tau=0.0)
     a = run_solver(p, ca)
     b = run_solver(p, cb)
     np.testing.assert_array_equal(a.z_final, b.z_final)
@@ -170,7 +163,7 @@ def test_identity_quant_trace_equals_single_component_vr():
 
 def test_feasibility_of_final_iterates():
     p = gen_policeman_burglar(3, seed=1)
-    trace = run_solver(p, SolverConfig(kind=coord(), K=30, seed=1))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("coord"), K=30, seed=1))
     for z in (trace.z_final, trace.z_avg):
         assert abs(z[:9].sum() - 1.0) <= 1e-10
         assert abs(z[9:].sum() - 1.0) <= 1e-10
@@ -183,15 +176,16 @@ def test_divergence_fails_fast_naming_iteration_and_step():
     q = gen_quadratic_vi(10, 0.1, 1.0, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match=r"not finite at k=311 with gamma=5$"):
-            run_solver(q, SolverConfig(kind=fulldet(), K=1000, regime="sm", gamma=5.0))
-        assert np.isfinite(run_solver(q, SolverConfig(kind=fulldet(), K=310, regime="sm", gamma=5.0)).z_final).all()
+            run_solver(q, SolverConfig(kind=EstimatorKind("fulldet"), K=1000, regime="sm", gamma=5.0))
+        last_finite = run_solver(q, SolverConfig(kind=EstimatorKind("fulldet"), K=310, regime="sm", gamma=5.0))
+        assert np.isfinite(last_finite.z_final).all()
 
 
 def test_huge_step_on_the_simplex_stays_feasible():
     # gamma = 1e200 puts the pre-projection points near 1e200: the projection
     # still lands on the simplex product, so nothing diverges
     p = gen_policeman_burglar(3)
-    trace = run_solver(p, SolverConfig(kind=fulldet(), K=10, gamma=1e200))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=10, gamma=1e200))
     for z in (trace.z_final, trace.z_avg):
         assert z[:9].sum() == 1.0 and z[9:].sum() == 1.0
         assert z.min() >= 0.0
@@ -207,35 +201,35 @@ def test_lyapunov_value_arithmetic():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(kind=fulldet(), K=-1)
+        SolverConfig(kind=EstimatorKind("fulldet"), K=-1)
     with pytest.raises(ValueError):
-        SolverConfig(kind=fulldet(), K=1, regime="fast")
+        SolverConfig(kind=EstimatorKind("fulldet"), K=1, regime="fast")
     with pytest.raises(ValueError):
-        SolverConfig(kind=fulldet(), K=1, gamma=0.0)
+        SolverConfig(kind=EstimatorKind("fulldet"), K=1, gamma=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(kind=fulldet(), K=1, tau=1.0)
+        SolverConfig(kind=EstimatorKind("fulldet"), K=1, tau=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(kind=fulldet(), K=1, gap_every=0)
+        SolverConfig(kind=EstimatorKind("fulldet"), K=1, gap_every=0)
     for field, value in (("K", 1e3), ("seed", 1.5), ("gap_every", 2.0), ("K", "10")):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            SolverConfig(kind=fulldet(), **{"K": 1, field: value})
-    config = SolverConfig(kind=fulldet(), K=np.int64(3), seed=np.int32(1), gap_every=np.uint8(2))
+            SolverConfig(kind=EstimatorKind("fulldet"), **{"K": 1, field: value})
+    config = SolverConfig(kind=EstimatorKind("fulldet"), K=np.int64(3), seed=np.int32(1), gap_every=np.uint8(2))
     assert run_solver(gen_policeman_burglar(2, seed=0), config).k.size == 4
 
 
 def test_run_solver_defaults_follow_the_rules():
     p = gen_policeman_burglar(3, seed=1)
-    trace = run_solver(p, SolverConfig(kind=vr(), K=3, seed=0))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("vr"), K=3, seed=0))
     assert trace.tau == pytest.approx(0.75)
-    consts = constants_for_problem(vr(), p)
-    want, want_T = step_size_bound(vr(), "mono", consts, p.mu_F, p.mu_h, 0.75)
+    consts = constants_for_problem(EstimatorKind("vr"), p)
+    want, want_T = step_size_bound(EstimatorKind("vr"), "mono", consts, p.mu_F, p.mu_h, 0.75)
     assert trace.gamma == pytest.approx(want, rel=1e-15)
     assert trace.T == want_T
 
 
 def test_gap_schedule_and_nan_pattern():
     p = gen_policeman_burglar(2, seed=0)
-    trace = run_solver(p, SolverConfig(kind=fulldet(), K=10, seed=0, gap_every=4))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=10, seed=0, gap_every=4))
     finite = np.where(np.isfinite(trace.gap_avg))[0]
     np.testing.assert_array_equal(finite, [4, 8, 10])
     np.testing.assert_array_equal(np.where(np.isfinite(trace.gap_last))[0], [4, 8, 10])
@@ -246,7 +240,7 @@ def test_gap_schedule_and_nan_pattern():
 
 def test_free_problems_have_no_gap_columns():
     p = gen_quadratic_vi(5, 0.5, 2.0, seed=1)
-    trace = run_solver(p, SolverConfig(kind=fulldet(), K=5, seed=0, regime="sm"))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=5, seed=0, regime="sm"))
     assert np.all(np.isnan(trace.gap_avg))
     assert np.all(np.isnan(trace.gap_last))
     assert np.all(np.isfinite(trace.dist_sq))
@@ -255,7 +249,7 @@ def test_free_problems_have_no_gap_columns():
 
 def test_trace_rows_and_cost_monotonicity():
     p = gen_policeman_burglar(2, seed=0)
-    trace = run_solver(p, SolverConfig(kind=coord(), K=12, seed=1))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("coord"), K=12, seed=1))
     np.testing.assert_array_equal(trace.k, np.arange(13))
     for name in ("full_calls", "comp_calls", "coords", "bits", "comms", "local_steps"):
         col = getattr(trace, name)
@@ -266,8 +260,8 @@ def test_trace_rows_and_cost_monotonicity():
 def test_full_call_accounting_past_vs_fulldet():
     p = gen_policeman_burglar(2, seed=0)
     K = 7
-    tp = run_solver(p, SolverConfig(kind=past(), K=K, seed=0, tau=0.0))
-    tf = run_solver(p, SolverConfig(kind=fulldet(), K=K, seed=0, tau=0.0))
+    tp = run_solver(p, SolverConfig(kind=EstimatorKind("past"), K=K, seed=0, tau=0.0))
+    tf = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=K, seed=0, tau=0.0))
     np.testing.assert_array_equal(tp.full_calls, np.arange(K + 1) + 1)
     np.testing.assert_array_equal(tf.full_calls, 2 * np.arange(K + 1))
 
@@ -313,14 +307,22 @@ def test_each_operator_product_is_formed_once():
         avg_products = gap_rows if gap_every > 1 else 0
         # vr, is, qvr: one component product per step and one base product per
         # refresh; each gap row forms F at the half point
-        for kind in (vr(), importance((0.5, 0.3, 0.2)), qvr(Quantizer("identity"))):
+        for kind in (
+            EstimatorKind("vr"),
+            EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+            EstimatorKind("qvr", quantizer=Quantizer("identity")),
+        ):
             p, counts = _counted_game()
             trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
             refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
             assert refreshes >= 2, kind.name
             assert counts == {"base": 2 * (K + refreshes), "avg": 2 * (gap_rows + avg_products)}, kind.name
         # without a snapshot the gap reuses F at the half point
-        for kind, oracle_calls in ((fulldet(), 2 * K), (noisy(0.5), 2 * K), (past(0.5), K + 1)):
+        for kind, oracle_calls in (
+            (EstimatorKind("fulldet"), 2 * K),
+            (EstimatorKind("noisy", sigma=0.5), 2 * K),
+            (EstimatorKind("past", sigma=0.5), K + 1),
+        ):
             p, counts = _counted_game()
             trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
             assert trace.full_calls[-1] == oracle_calls
@@ -328,7 +330,7 @@ def test_each_operator_product_is_formed_once():
         # coord reads one row or column of avg per step; whole products only
         # for the refreshes and for the gap rows
         p, counts = _counted_game()
-        trace = run_solver(p, SolverConfig(coord(), K=K, seed=3, gap_every=gap_every))
+        trace = run_solver(p, SolverConfig(EstimatorKind("coord"), K=K, seed=3, gap_every=gap_every))
         refreshes = trace.full_calls[-1]
         assert refreshes >= 2 and trace.coords[-1] == K
         assert counts == {"avg": 2 * (refreshes + gap_rows + avg_products), "avg line": K}
@@ -343,7 +345,7 @@ def test_each_operator_product_is_formed_once():
             return method(Z)
 
         setattr(p.payload, name, counted)
-    trace = run_solver(p, SolverConfig(local(0.6), K=K, seed=3))
+    trace = run_solver(p, SolverConfig(EstimatorKind("local", tau_split=0.6), K=K, seed=3))
     refreshes, phi_steps = trace.full_calls[-1], trace.local_steps[-1]
     assert 0 < phi_steps < K and refreshes >= 2
     assert calls == {"phi": phi_steps + refreshes, "consensus": (K - phi_steps) + refreshes}
@@ -357,7 +359,16 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
     K = 300
     randk = Quantizer("randk", k=4, d=p.d)
     weights = importance_weights(p.L_m)
-    for kind in (fulldet(), noisy(0.05), past(), vr(), importance(weights), coord(), quant(randk), qvr(randk)):
+    for kind in (
+        EstimatorKind("fulldet"),
+        EstimatorKind("noisy", sigma=0.05),
+        EstimatorKind("past"),
+        EstimatorKind("vr"),
+        EstimatorKind("is", weights=weights),
+        EstimatorKind("coord"),
+        EstimatorKind("quant", quantizer=randk),
+        EstimatorKind("qvr", quantizer=randk),
+    ):
         trace = run_solver(p, SolverConfig(kind, K=K, seed=4))
         est, coin = rng_stream(4, 0), rng_stream(4, 1)
         z = initial_point(p, 4)
@@ -377,7 +388,7 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
 def test_a_blocked_operator_product_counts_as_one_pass(monkeypatch):
     # with cache blocks of 2 rows the n = 3 game's 9-row matrices split into
     # 5 blocks; the products count as many whole passes as unblocked ones
-    kinds = (fulldet(), past(0.5), vr(), coord())
+    kinds = (EstimatorKind("fulldet"), EstimatorKind("past", sigma=0.5), EstimatorKind("vr"), EstimatorKind("coord"))
     unblocked = []
     for kind in kinds:
         p, counts = _counted_game()
@@ -396,13 +407,13 @@ def test_exact_verification_forms_one_component_stack_per_point():
     # z^{k+1/2}; the target F(z^{k+1/2}) is formed with avg
     for n in (5, 30):
         p, counts = _counted_game(n)
-        assert verify_unbiasedness(vr(), p, n_points=1).all_pass
+        assert verify_unbiasedness(EstimatorKind("vr"), p, n_points=1).all_pass
         assert counts["base"] == 2 * 2, n
 
 
 def test_strongly_monotone_run_contracts():
     p = gen_quadratic_vi(12, 0.5, 2.0, seed=5)
-    trace = run_solver(p, SolverConfig(kind=fulldet(), K=200, seed=1, regime="sm"))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("fulldet"), K=200, seed=1, regime="sm"))
     assert trace.dist_sq[-1] <= 1e-2 * trace.dist_sq[0]
     assert trace.lyapunov[-1] < trace.lyapunov[0]
 
@@ -411,18 +422,18 @@ def test_run_solver_requires_finite_step():
     zero_op = QuadraticOperator(mat=np.zeros((3, 3)), center=np.zeros(3))
     p = VIProblem(d=3, prox=FREE, M=1, payload=zero_op, L=0.0, L_m=np.array([0.0]))
     with pytest.raises(ValueError):
-        run_solver(p, SolverConfig(kind=vr(), K=2))
+        run_solver(p, SolverConfig(kind=EstimatorKind("vr"), K=2))
     # an explicit gamma unblocks the degenerate instance
-    trace = run_solver(p, SolverConfig(kind=vr(), K=2, gamma=0.1))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("vr"), K=2, gamma=0.1))
     assert trace.k.size == 3
 
 
 def test_past_tracks_sigma_memory_in_lyapunov():
     p = gen_quadratic_vi(6, 0.5, 2.0, seed=6)
-    trace = run_solver(p, SolverConfig(kind=past(), K=4, seed=2, regime="sm"))
+    trace = run_solver(p, SolverConfig(kind=EstimatorKind("past"), K=4, seed=2, regime="sm"))
     est = rng_stream(2, 0)
     z = initial_point(p, 2)
-    state = init_estimator(past(), p, z, est)
+    state = init_estimator(EstimatorKind("past"), p, z, est)
     g_k, g_half, z_half = est_pair(state, p, z, z, trace.gamma, est)
     sigma_sq = float(np.sum((g_half - g_k) ** 2))
     z_new = z - trace.gamma * g_half
