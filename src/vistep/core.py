@@ -165,14 +165,26 @@ class RngStream:
         """rows independent k-subsets of {0..n-1}, one per row; one subset
         when rows is None.
 
-        Argsort of n fresh uniforms, first k positions: every permutation is
-        equally likely, hence every k-subset is, and a block of rows maps
-        each row's uniforms the way a single draw maps its own.
+        The positions of the k smallest of n fresh uniforms, in increasing
+        order of (uniform, position): the first k entries of their stable
+        argsort.  Every permutation is equally likely, hence every k-subset
+        is.  A block of rows selects each row's k smallest by partial
+        selection and sorts only those; the rare row whose k-th value ties
+        with a value left out is argsorted whole, so every row holds the
+        same indices in the same order as a single draw from its uniforms.
         """
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        u = self._gen.random(n if rows is None else (rows, n))
-        return np.argsort(u, axis=-1, kind="stable")[..., :k]
+        if rows is None:
+            return np.argsort(self._gen.random(n), kind="stable")[:k]
+        u = self._gen.random((rows, n))
+        kept = np.sort(np.argpartition(u, k - 1, axis=-1)[:, :k], axis=-1)
+        values = np.take_along_axis(u, kept, axis=-1)
+        out = np.take_along_axis(kept, np.argsort(values, axis=-1, kind="stable"), axis=-1)
+        tied = np.count_nonzero(u <= values.max(axis=-1, keepdims=True), axis=-1) > k
+        if tied.any():
+            out[tied] = np.argsort(u[tied], axis=-1, kind="stable")[:, :k]
+        return out
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> RngStream:

@@ -11,6 +11,7 @@ all come from that row.  A cost ledger records what the solver consumes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import combinations
@@ -86,14 +87,20 @@ class EstimatorKind:
     def __post_init__(self):
         if self.name not in STRATEGIES:
             raise ValueError(f"unknown estimator kind {self.name!r}")
+        for name in ("sigma", "tau_split"):
+            value = getattr(self, name)
+            # bool is an int subclass, but neither a noise level nor a probability
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.name}: {name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         reads = self.strategy.reads
         for name, default in _PARAMETER_DEFAULTS.items():
             # `is not None` for the None defaults: an array's != is elementwise
             value = getattr(self, name)
             if name not in reads and (value is not None if default is None else value != default):
                 raise ValueError(f"{self.name} does not read {name}")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"{self.name}: sigma must be nonnegative and finite, got {self.sigma!r}")
         if "quantizer" in reads and not isinstance(self.quantizer, Quantizer):
             raise ValueError(f"{self.name} requires a Quantizer as its quantizer, got {self.quantizer!r}")
         if "weights" in reads:

@@ -254,6 +254,53 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     )
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float, rtol: float) -> float:
+    """A root of f between xpre and xcur, where f(xpre) = fpre and
+    f(xcur) = fcur differ in sign: Brent's method (Brent 1973) as a
+    line-for-line port of scipy's ``brentq.c``, which returns the same bits
+    as ``scipy.optimize.brentq(f, xpre, xcur, xtol=xtol, rtol=rtol)``.
+
+    Both end values are passed in because the caller already knows them,
+    and each evaluation of f here costs an SVD.
+    """
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
     """Strongly monotone affine instance F(z) = M(z - z*) on free space.
 
@@ -278,18 +325,16 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
     if L == mu:
         mat = mu * eye
     else:
-        # scipy.optimize is slow to import and only this root find needs it
-        from scipy.optimize import brentq
-
         N = S + P
 
         def excess(a):
             return np.linalg.norm(mu * eye + a * N, 2) - L
 
         hi = 1.0
-        while excess(hi) < 0:
+        while (excess_hi := excess(hi)) < 0:
             hi *= 2.0
-        alpha = brentq(excess, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+        # excess(0) is exactly mu - L: the 2-norm of mu * I is mu
+        alpha = _brentq(excess, 0.0, hi, mu - L, excess_hi, xtol=1e-13, rtol=8.9e-16)
         mat = mu * eye + alpha * N
 
     payload = QuadraticOperator(mat=mat, center=z_star)

@@ -347,12 +347,11 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the quadratic generator's brentq root find needs it, and it imports it when it runs
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vistep, vistep.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=_src_first_env(),
+    # nothing in the package imports scipy, not even the quadratic generator's root find
+    code = (
+        "import sys, vistep, vistep.cli; print('scipy.optimize' in sys.modules); "
+        "vistep.gen_quadratic_vi(20, 0.2, 1.0); print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_first_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

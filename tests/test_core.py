@@ -216,10 +216,34 @@ def test_subset_members_distinct_and_in_range():
 
 
 def test_subsets_batch_equals_scalar_rows():
-    got = RngStream(23, 0).subsets(6, 2, rows=25)
-    s = RngStream(23, 0)
-    want = np.stack([s.subsets(6, 2) for _ in range(25)])
-    np.testing.assert_array_equal(got, want)
+    for n, k, rows in [(6, 2, 25), (500, 50, 64), (50, 5, 500)]:
+        got = RngStream(23, 0).subsets(n, k, rows=rows)
+        s = RngStream(23, 0)
+        want = np.stack([s.subsets(n, k) for _ in range(rows)])
+        np.testing.assert_array_equal(got, want)
+
+
+class _QuarterGrid:
+    """A stand-in generator whose uniforms take only the values 0, 1/4,
+    1/2 and 3/4, so that most rows tie across the k-th smallest value."""
+
+    def __init__(self, seed):
+        self._gen = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        return self._gen.integers(0, 4, size) / 4
+
+
+def test_subsets_batch_keeps_the_stable_argsort_order_on_ties():
+    pick = np.random.default_rng(5)
+    for case in range(200):
+        n = int(pick.integers(1, 40))
+        k = n if case % 10 == 0 else int(pick.integers(1, n + 1))
+        rows = int(pick.integers(1, 30))
+        s = RngStream(0, 0)
+        s._gen = _QuarterGrid(case)
+        u = _QuarterGrid(case).random((rows, n))
+        np.testing.assert_array_equal(s.subsets(n, k, rows), np.argsort(u, axis=-1, kind="stable")[:, :k])
 
 
 def test_rng_errors():

@@ -179,6 +179,21 @@ def test_estimator_kind_validation():
     # a quantizer that is not a Quantizer fails here, not inside the solver
     with pytest.raises(ValueError, match="quant requires a Quantizer as its quantizer, got 'randk'"):
         EstimatorKind("quant", quantizer="randk")
+    # sigma and tau_split are finite real scalars: no arrays, strings or bools
+    for name, params, message in [
+        ("noisy", {"sigma": np.array([0.5])}, r"noisy: sigma must be a real number, got array\(\[0.5\]\)"),
+        ("local", {"tau_split": np.array([0.5])}, "local: tau_split must be a real number"),
+        ("vr", {"sigma": np.array([0.5, 0.5])}, "vr: sigma must be a real number"),
+        ("noisy", {"sigma": "0.5"}, "noisy: sigma must be a real number, got '0.5'"),
+        ("noisy", {"sigma": True}, "noisy: sigma must be a real number, got True"),
+        ("local", {"tau_split": np.bool_(True)}, "local: tau_split must be a real number"),
+        ("noisy", {"sigma": float("inf")}, "noisy: sigma must be nonnegative and finite, got inf"),
+        ("local", {"tau_split": float("inf")}, "local requires 0 < tau_split < 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            EstimatorKind(name, **params)
+    # a numpy scalar is stored as a float, so the kind stays hashable
+    assert hash(EstimatorKind("noisy", sigma=np.float64(0.5))) == hash(EstimatorKind("noisy", sigma=0.5))
     # an unread parameter equal to its default is accepted
     assert EstimatorKind("vr", sigma=0).sigma == 0
     assert EstimatorKind("is", weights=(0.5, 0.3, 0.2)).weights == (0.5, 0.3, 0.2)

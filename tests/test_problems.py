@@ -305,6 +305,42 @@ def test_quadratic_constants_are_exact():
     np.testing.assert_allclose(eval_full(p, p.known_solution), np.zeros(12), atol=1e-14)
 
 
+def test_quadratic_calibration_matches_scipy_brentq_bit_for_bit(monkeypatch):
+    # scipy is a test-side reference only; the generator runs the port
+    from scipy.optimize import brentq
+
+    port, calls = problems._brentq, []
+
+    def spy(f, a, b, fa, fb, xtol, rtol):
+        alpha = port(f, a, b, fa, fb, xtol, rtol)
+        calls.append((f, a, b, fa, fb, xtol, rtol, alpha))
+        return alpha
+
+    monkeypatch.setattr(problems, "_brentq", spy)
+    for d in (2, 3, 5, 10, 40, 50, 100):
+        for seed in range(6):
+            for mu, L in ((0.1, 1.0), (0.5, 2.0), (1e-3, 1.0), (0.9, 1.0)):
+                calls.clear()
+                gen_quadratic_vi(d, mu, L, seed=seed)
+                [(f, a, b, fa, fb, xtol, rtol, alpha)] = calls
+                case = (d, seed, mu, L)
+                # the end values passed in are the ones scipy computes for itself
+                assert (fa, fb) == (f(a), f(b)), case
+                assert alpha == brentq(f, a, b, xtol=xtol, rtol=rtol), case
+
+    # a d = 500 calibration runs the doubling probe's SVDs and the port's, and no
+    # second SVD at either end of the bracket
+    norm, orders = np.linalg.norm, []
+
+    def counted(x, ord=None, **kwargs):
+        orders.append(ord)
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    gen_quadratic_vi(500, 0.1, 1.0, seed=0)
+    assert orders.count(2) == 7
+
+
 def test_quadratic_strong_monotonicity_empirical():
     p = gen_quadratic_vi(10, 0.4, 3.0, seed=6)
     rng = rng_stream(7, 0)
