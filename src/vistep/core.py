@@ -152,14 +152,23 @@ class RngStream:
 
     def normal(self, size):
         """Standard normal draws of the given shape via Box-Muller on uniform pairs."""
-        count = int(np.prod(size))
+        count = int(size) if isinstance(size, (int, np.integer)) else math.prod(size)
         half = (count + 1) // 2
-        u1 = self._gen.random(half)
-        u2 = self._gen.random(half)
-        # 1 - u1 lies in (0, 1], so the log never sees zero
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = 2.0 * np.pi * u2
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count].reshape(size)
+        r = self._gen.random(half)
+        theta = self._gen.random(half)
+        # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in its uniforms'
+        # buffer; 1 - u1 lies in (0, 1], so the log never sees zero
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        # r cos(theta) in the first half, r sin(theta) in the second
+        out = np.empty((2, half))
+        np.cos(theta, out=out[0])
+        np.sin(theta, out=out[1])
+        out *= r
+        return out.reshape(-1)[:count].reshape(size)
 
     def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
         """rows independent k-subsets of {0..n-1}, one per row; one subset

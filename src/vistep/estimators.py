@@ -229,8 +229,8 @@ def _charged(value, costs: CostLedger, bits=0, full_calls=0, comp_calls=0, coord
 
 
 # Bills follow the paper's cost model, not the work done: a refresh of the
-# game's components bills M component calls for one product with the shared
-# base, and a difference bills F_s(w) although it reads it from the snapshot.
+# game's components bills M component calls for one product with the averaged
+# matrix, and a difference bills F_s(w) although it reads it from the snapshot.
 
 
 def _component_mean(kind, p, w, costs):

@@ -45,14 +45,13 @@ class BilinearGame:
     """Matrix game payload: z = (x, y) on a product of two simplices with
     F(x, y) = (A^T y, -A x) for the averaged matrix A = mean_k A^(k).
 
-    Every component is a scalar multiple of one matrix,
-    A^(k) = scales[k] * base, so only ``base`` and the M ``scales`` are
-    stored, never the (M, n^2, n^2) stack of components.
+    Every component is a scalar multiple of A, A^(k) = ratios[k] * A, so
+    only ``avg`` (A) and the M ``ratios`` are stored, never a component
+    matrix or the (M, n^2, n^2) stack of them.
     """
 
-    base: np.ndarray  # (n^2, n^2)
-    scales: np.ndarray  # (M,)
-    avg: np.ndarray
+    avg: np.ndarray  # (n^2, n^2)
+    ratios: np.ndarray  # (M,)
 
     @property
     def half(self) -> int:
@@ -82,11 +81,11 @@ class BilinearGame:
         return self._apply(self.avg, z)
 
     def component(self, m: int, z: Vector) -> Vector:
-        return self.scales[m] * self._apply(self.base, z)
+        return self.ratios[m] * self._apply(self.avg, z)
 
     def components(self, z: Vector) -> np.ndarray:
-        """Every F_m(z) as an (M, d) stack, from one product with base."""
-        return self.scales[:, None] * self._apply(self.base, z)
+        """Every F_m(z) as an (M, d) stack, from one product with avg."""
+        return self.ratios[:, None] * self._apply(self.avg, z)
 
     def coordinate(self, j: int, z: Vector) -> float:
         """F(z)[j] in O(d) work: a column of avg against y for a coordinate
@@ -226,30 +225,20 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     table = 1.0 - np.exp(-theta * np.sqrt(offsets[:, None] ** 2 + offsets[None, :] ** 2))
     apart = np.abs(offsets[:, None] - offsets[None, :])
     shape = table[apart[:, None, :, None], apart[None, :, None, :]].reshape(n * n, n * n)
-    base = wealth_base(n)[:, None] * shape
     scales = 1.0 + sigma_w * np.atleast_1d(rng.uniform(n))
-    # a cache block of rows at a time, every component in turn: each
-    # entry's running sum is the same sequence of additions as a mean over
-    # a stacked leading axis, whatever the block height
-    avg = np.zeros_like(base)
-    block = _block_rows(n * n)
-    for start in range(0, n * n, block):
-        rows = slice(start, start + block)
-        for s in scales:
-            avg[rows] += s * base[rows]
-    avg /= n
-    payload = BilinearGame(base=base, scales=scales, avg=avg)
-
+    # A^(k)_ij = scales[k] * w_i * shape_ij: their mean A takes mean(scales)
+    # in place of scales[k], and A^(k) = (scales[k] / mean(scales)) * A
+    mean = scales.mean()
+    avg = (mean * wealth_base(n))[:, None] * shape
+    payload = BilinearGame(avg=avg, ratios=scales / mean)
     L = _matrix_spectral_norm(avg, tol=1e-12)
-    # every component is scales[k] * base, so one power iteration serves all
-    L_m = scales * _matrix_spectral_norm(base, tol=1e-12)
     return VIProblem(
         d=2 * n * n,
         prox=ProxSpec((n * n, n * n)),
         M=n,
         payload=payload,
         L=L,
-        L_m=L_m,
+        L_m=payload.ratios * L,
         meta={"kind": "pvb", "n": n, "theta": theta, "sigma_w": sigma_w, "seed": seed},
     )
 
@@ -404,7 +393,13 @@ def eval_component(p: VIProblem, m: int | np.ndarray, z: Vector) -> Vector:
     For an index array m, one row F_m(z) per index, all read off one
     ``components`` stack."""
     stacked = isinstance(m, np.ndarray)
-    in_range = (0 <= m.min() and m.max() < p.M) if stacked else 0 <= m < p.M
+    if stacked:
+        if m.size == 0 or m.dtype.kind not in "iu":
+            raise ValueError(f"component indices must be a nonempty integer array, got {m!r}")
+        in_range = 0 <= m.min() and m.max() < p.M
+    else:
+        _check_integers(m=m)
+        in_range = 0 <= m < p.M
     if not in_range:
         raise IndexError(f"component {m} out of range for M={p.M}")
     z = np.asarray(z, dtype=float)

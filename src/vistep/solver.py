@@ -19,6 +19,7 @@ iterate in the monotone regime.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,6 +69,14 @@ class SolverConfig:
             raise ValueError("need K >= 0")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name in ("gamma", "tau"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            # bool is an int subclass, but not a step size or a momentum
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.tau is not None and not 0.0 <= self.tau < 1.0:
@@ -195,9 +204,9 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
     """
     kind = config.kind
     consts = constants_for_problem(kind, p)
-    tau = consts.tau_star if config.tau is None else float(config.tau)
+    tau = consts.tau_star if config.tau is None else config.tau
     gamma_max, T = step_size_bound(kind, config.regime, consts, p.mu_F, p.mu_h, tau)
-    gamma = float(config.gamma) if config.gamma is not None else gamma_max
+    gamma = gamma_max if config.gamma is None else config.gamma
     if not math.isfinite(gamma) or gamma <= 0:
         raise ValueError("no finite step size for this instance; pass gamma explicitly")
 

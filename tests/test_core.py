@@ -182,6 +182,28 @@ def test_box_muller_twin_reproduction():
     np.testing.assert_array_equal(z, want)
 
 
+def _box_muller_reference(stream, size):
+    """The Box-Muller formula written out with whole-array temporaries: the
+    bytes RngStream.normal must keep."""
+    count = int(np.prod(size))
+    half = (count + 1) // 2
+    u1 = stream.uniform(half)
+    u2 = stream.uniform(half)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count].reshape(size)
+
+
+@pytest.mark.parametrize("size", [1, 7, 50, np.int64(33), (1,), (49,), (500,), (3, 5), (401, 3), (4000, 50), [2, 9], 0])
+def test_box_muller_keeps_the_reference_bytes(size):
+    # odd counts drop the last sine; two draws in a row check the stream position
+    stream, twin = RngStream(8, 3), RngStream(8, 3)
+    for _ in range(2):
+        got, want = stream.normal(size), _box_muller_reference(twin, size)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_normal_moments():
     z = RngStream(17, 0).normal(40000)
     assert abs(z.mean()) <= 4.0 / np.sqrt(40000)

@@ -103,32 +103,32 @@ GEN = {
 }
 
 DIGESTS = {
-    "game-fulldet": "79258b0e10c14cecc2478adcdc251bc675f3b3ab8da2a9528eaa23a74935098c",
-    "game-noisy": "b2a7d8d9733c4202141a984bd02e33c0851b01f1c73afa46fe8c2317707f9785",
-    "game-past": "9db9bf9aa5065c6e0258ac9296bb58369fa7b62d5233ecfb973599b626c2fd1f",
-    "game-vr": "0227b0d96deaf45f4fd27598705cf816ca1b5a66eb395a0c41abbfba8052f22e",
-    "game-coord": "ec839b459a2f9e5b2831f159b694fb72c00d74cdeb96b9e4446f947cb5401f40",
-    "game-quant-identity": "fe9059b4c0fa417b9cb812c91637ca893976f0ea4ffba02f9b1d49e77a27846e",
-    "game-quant-randk": "9b421efad3126456c2709f963c9c57faa4d26343f19156e486cbe01fb2da21fd",
-    "game-qvr-identity": "59018ce14862c71ff6994df7cad8cd2a72ca0b1bec9ab5d18ccee9df7741415d",
-    "game-qvr-randk": "fc962f3a3aad79cbc8e511fa0f1690c638deca39421110631010830c72264eea",
-    "game-is-lipschitz": "69093b7c95710ff850294f308d2b563c5a704b4b7b12abead16940df2706b71b",
-    "game-vr-every-row": "6460affc2c9de774504de24b26f78c6d942b4850ab814e5a60f45c3160bc1d4f",
-    "game-past-every-row": "3c1e92b9566d9b6dd8c07726183ca2cad7df6380573175152be1546e6041e9bb",
+    "game-fulldet": "dcbdf409aedc76015033f19a75aa54132356361d29e82b980d1b143310d63096",
+    "game-noisy": "143fe3a7fdae16a224165dda92f187cad37de32c48729f5b3ced257fb044df70",
+    "game-past": "21f0685c5445230f5d9d7679e1a99cc75293ad3cea0e7c5b4ef9aaffd1c37436",
+    "game-vr": "c348673b40828799a57f3b656a77cc7d03fff7f82efb15637f8c02529cd84cae",
+    "game-coord": "8efd13eca41109e69643bad3eefb7632ab534127aa436d8753ca8ed5c1ab3e5f",
+    "game-quant-identity": "21c47bb9240be23a184709692bc34e7f73099e1d08c7378342062415c458a991",
+    "game-quant-randk": "a0e7d3210bb295531cd0ce6aa0d594bf64477f18c3e6d060f61a98303dc20012",
+    "game-qvr-identity": "b40da3799cc58483b7c2f75eae254d86855a27b066f78d4cfc35d0bac68ea185",
+    "game-qvr-randk": "eff852c8a8934d348f9e7d57ea011fd5a7a62c356fd5f8af90d1122aab68ccf7",
+    "game-is-lipschitz": "b803e7ea86d1eacdeb22fbbfd33b0b0c95a075d58e053366649b6e67a6ff776b",
+    "game-vr-every-row": "b36e21a3eb5970526660813e057624a2c78d776af42078268b88aaa43747fe50",
+    "game-past-every-row": "d3d68daf6a78bfd22d2fcd148a5c9b88bec8fcf04113ceba288e79fedf5d5b9f",
     "quad-fulldet": "c5daa182ff65e43ba7e7ab88501d17a25dc943d71043e0cc3b9090f214c6586c",
     "quad-vr": "5a74182cdaa4deea40111c58086aa5c4c532150d392e01d9098e52ff293080aa",
     "quad-coord": "d3b6f2d5a56ebd624353165b09b87ad6f68bde62450fe4e3e280645df4852d80",
     "quad-quant": "edfb246301156eda578e9e1bea45128318afcd5f68f1fc78ee631e53738f964b",
     "mix-local": "03f0eb3462dbffa64974d0ad78bb0ed53d2454f28ba5adf7adcb687a410bef21",
     "mix-fulldet": "77e5eb651374ca3b830d2530396cdf356d76c375cb79cf7073f20bfe5fa6cb11",
-    "verify-game": "ce27577718ccb2e87cd27e61951686eb5a95147ebb3e353e0b462f4d2392fb65",
+    "verify-game": "7da71047ae495144241c96e66e955c8c7135a5826f2ca6931a0df59d5f86de0d",
     "verify-mixing": "0ce8477aebb7ea4f877ffc97a7fba95f17649676805f2d8bd6e0dd3d7fc0cff9",
-    "verify-game-mc": "480eb2198722da5203dbb57ce0b0f7041738beca0caa0a526b2e6ada089d1bc0",
+    "verify-game-mc": "72cab118a96acdc4fea8b691ea7f9ee8be361ad3ef51a4070f25b366547a058a",
     "verify-mixing-mc": "dfc887ef94ff183b607f348701b35e166040c47a41b2b5d4736c7383d6c7880f",
-    "sweep-game": "8769cb626756d475d74843b79e75cc9ad06ae1ba56a825646249eb32b11b0176",
-    "report-game": "acde734d154ed824e20727dafdcdc876e5332092fb1ee3360f1142b1815fd6ca",
+    "sweep-game": "c3db6c64cc296cb9ae1e4cd59137cd17e19fa9e8e6b6897c3ae8e83f8b75a894",
+    "report-game": "249fcf1ba7ebc5f578589093b058911142e1e0bb2f76b461c2d6ec390ac6f68a",
     "report-quad": "52d89603c809de23e549a9b3460f38a9d794ba8a5172be9274f994b0e9371432",
-    "gen-pvb": "1941019300a9fd2a368275ed173d3374257eb6c90be1c6257912229395adfb1b",
+    "gen-pvb": "1c68ba27f4da4197dce5db66903df05d8e2a3000f3e6433cb891f6578de8e5ea",
     "gen-quad": "10b3f8017462cf08a379fd69dd28fb99f7229c87d087ff7a0887b39a187b1e1e",
     "gen-mixing": "bfbae955fa610a8ad23406b3462e08516f2825bcb504b6179d52ee32a4c51a1a",
 }

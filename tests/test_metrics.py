@@ -36,7 +36,7 @@ from vistep.metrics import MC_SAMPLES
 def two_by_two(mat):
     """Wrap a 2x2 payoff matrix as a game on the product of two simplices."""
     mat = np.asarray(mat, dtype=float)
-    game = BilinearGame(base=mat, scales=np.ones(1), avg=mat)
+    game = BilinearGame(avg=mat, ratios=np.ones(1))
     return VIProblem(
         d=4,
         prox=ProxSpec(blocks=(2, 2)),

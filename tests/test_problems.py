@@ -1,5 +1,7 @@
 """Problem generators: matrix games, quadratic operators, mixing stacks."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,16 @@ from vistep import (
 )
 from vistep import core, problems
 from vistep.problems import _matrix_spectral_norm, wealth_base
+
+
+def published_components(n, theta=0.6, sigma_w=3.0, seed=0):
+    """The (M, n^2, n^2) stack A^(k)_ij = (1 + xi_k) w_i (1 - exp(-theta d(i, j)))
+    from the published wealth profile, cell distances and scalar wealth
+    shocks: the component matrices the payload does not store."""
+    xi = sigma_w * rng_stream(seed, 0).uniform(n)
+    cells = range(n * n)
+    loot = np.array([[1.0 - np.exp(-theta * cell_distance(i, j, n)) for j in cells] for i in cells])
+    return (1.0 + xi)[:, None, None] * (wealth_base(n)[:, None] * loot)
 
 
 def test_wealth_base_matches_scalar_loop():
@@ -54,9 +66,10 @@ def test_policeman_burglar_shapes_and_meta():
     assert p.d == 18
     assert p.M == 3
     assert p.prox.blocks == (9, 9)
-    assert p.payload.base.shape == (9, 9)
-    assert p.payload.scales.shape == (3,)
+    assert p.payload.avg.shape == (9, 9)
+    assert p.payload.ratios.shape == (3,)
     assert not hasattr(p.payload, "mats")
+    assert not hasattr(p.payload, "base")
     assert p.meta["kind"] == "pvb"
     assert p.known_solution is None
     assert p.L_m.shape == (3,)
@@ -69,33 +82,38 @@ def test_policeman_burglar_matrix_formula():
     p = gen_policeman_burglar(n, theta=theta, sigma_w=sigma_w, seed=seed)
     xi = sigma_w * rng_stream(seed, 0).uniform(n)
     w = wealth_base(n)
-    np.testing.assert_array_equal(p.payload.scales, 1.0 + xi)
-    for k in range(n):
-        for i in range(n * n):
-            for j in range(n * n):
-                want = (1.0 + xi[k]) * w[i] * (1.0 - np.exp(-theta * cell_distance(i, j, n)))
-                assert p.payload.scales[k] * p.payload.base[i, j] == pytest.approx(want, abs=1e-12)
+    np.testing.assert_array_equal(p.payload.ratios, (1.0 + xi) / np.mean(1.0 + xi))
+    for i in range(n * n):
+        for j in range(n * n):
+            loot = w[i] * (1.0 - np.exp(-theta * cell_distance(i, j, n)))
+            assert p.payload.avg[i, j] == pytest.approx(np.mean(1.0 + xi) * loot, abs=1e-12)
+            for k in range(n):
+                assert p.payload.ratios[k] * p.payload.avg[i, j] == pytest.approx((1.0 + xi[k]) * loot, abs=1e-12)
 
 
 def test_policeman_burglar_matrix_structure():
     p = gen_policeman_burglar(3, seed=2)
-    assert np.all(np.diag(p.payload.base) == 0.0)
-    assert np.all(p.payload.base >= 0.0)
-    assert np.all(p.payload.scales >= 1.0)
     assert np.all(np.diag(p.payload.avg) == 0.0)
+    assert np.all(p.payload.avg >= 0.0)
+    # ratios[k] = (1 + xi_k) / mean(1 + xi) with every shock xi_k in [0, sigma_w = 3]
+    ratios = p.payload.ratios
+    assert np.all((1.0 / 4.0 <= ratios) & (ratios <= 4.0))
+    assert ratios.mean() == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_policeman_burglar_matches_the_component_stack(n):
-    # the (M, n^2, n^2) stack the payload no longer stores, rebuilt here
     p = gen_policeman_burglar(n, seed=n)
     game = p.payload
-    mats = game.scales[:, None, None] * game.base[None, :, :]
-    np.testing.assert_array_equal(game.avg, mats.mean(axis=0))
-    assert p.L == _matrix_spectral_norm(mats.mean(axis=0), tol=1e-12)
-    # one power iteration on base gives every component's norm; running it
-    # on each component instead agrees to the routine's own tolerance
-    np.testing.assert_array_equal(p.L_m, game.scales * _matrix_spectral_norm(game.base, tol=1e-12))
+    mats = published_components(n, seed=n)
+    # A and every A^(k) = ratios[k] * A match the stack to rounding
+    np.testing.assert_allclose(game.avg, mats.mean(axis=0), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(game.ratios[:, None, None] * game.avg, mats, rtol=1e-15, atol=0)
+    assert p.L == _matrix_spectral_norm(game.avg, tol=1e-12)
+    assert p.L == pytest.approx(_matrix_spectral_norm(mats.mean(axis=0), tol=1e-12), rel=1e-12)
+    # one power iteration on A gives every component's norm; running it on
+    # each component instead agrees to the routine's own tolerance
+    np.testing.assert_array_equal(p.L_m, game.ratios * p.L)
     per_component = [_matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)]
     np.testing.assert_allclose(p.L_m, per_component, rtol=1e-12, atol=0)
     rng = rng_stream(n, 1)
@@ -105,14 +123,6 @@ def test_policeman_burglar_matches_the_component_stack(n):
             want = game._apply(mats[m], z)
             got = eval_component(p, m, z)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_averaged_matrix_bits_do_not_depend_on_the_block_height(monkeypatch):
-    # each entry of avg gets the same sequence of additions however many
-    # rows a block sums at a time
-    want = gen_policeman_burglar(4, seed=4).payload.avg
-    monkeypatch.setattr(core, "_BLOCK_VALUES", 3 * 16)
-    assert gen_policeman_burglar(4, seed=4).payload.avg.tobytes() == want.tobytes()
 
 
 def _two_products(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -140,7 +150,7 @@ def test_blocked_product_matches_two_whole_products(monkeypatch, n, block, block
         z = random_feasible(p, rng)
         pairs = (
             (game.full(z), _two_products(game.avg, z)),
-            (game.components(z), game.scales[:, None] * _two_products(game.base, z)),
+            (game.components(z), game.ratios[:, None] * _two_products(game.avg, z)),
         )
         for got, want in pairs:
             if blocked:
@@ -149,8 +159,8 @@ def test_blocked_product_matches_two_whole_products(monkeypatch, n, block, block
                 assert got.tobytes() == want.tobytes()
 
 
-def test_policeman_burglar_runs_two_power_iterations(monkeypatch):
-    # one for the averaged matrix and one for base, whatever M is
+def test_policeman_burglar_runs_one_power_iteration(monkeypatch):
+    # on the averaged matrix, whatever M is: every component is a multiple of it
     calls = []
 
     def counted(mat, tol):
@@ -159,7 +169,7 @@ def test_policeman_burglar_runs_two_power_iterations(monkeypatch):
 
     monkeypatch.setattr(problems, "_matrix_spectral_norm", counted)
     p = gen_policeman_burglar(6, seed=1)
-    assert len(calls) <= 2
+    assert calls == [(36, 36)]
     assert p.L_m.shape == (6,)
 
 
@@ -208,6 +218,34 @@ def test_policeman_burglar_generation_holds_no_component_stack():
     assert peak <= 8 * one_matrix
 
 
+@pytest.mark.parametrize("n", [1, 3, 17])
+def test_game_payload_holds_one_matrix(n):
+    # A and the M ratios, each in its own buffer: 8 n^4 + 8 M bytes; n = 17
+    # takes the blocked product
+    p = gen_policeman_burglar(n, seed=n)
+    game = p.payload
+    arrays = [getattr(game, f.name) for f in dataclasses.fields(game)]
+    assert all(isinstance(a, np.ndarray) and a.base is None for a in arrays)
+    assert sum(a.nbytes for a in arrays) == 8 * n**4 + 8 * p.M
+    assert [a.shape for a in arrays if a.ndim == 2] == [(n * n, n * n)]
+    z = random_feasible(p, rng_stream(n, 5))
+    stack = game.components(z)
+    for m in range(p.M):
+        assert stack[m].tobytes() == game.component(m, z).tobytes()
+
+
+def test_eval_component_rejects_non_integer_and_empty_indices():
+    p = gen_policeman_burglar(3, seed=1)
+    z = random_feasible(p, rng_stream(1, 0))
+    for m in (True, np.bool_(False), 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+            eval_component(p, m, z)
+    for m in (np.array([], dtype=np.int64), np.array([0.0, 1.0]), np.array([True, False, True])):
+        with pytest.raises(ValueError, match="component indices must be a nonempty integer array"):
+            eval_component(p, m, z)
+    assert eval_component(p, np.int64(2), z).tobytes() == eval_component(p, 2, z).tobytes()
+
+
 def test_components_rows_are_the_component_calls():
     quad = gen_quadratic_vi(6, 0.5, 2.0, seed=1)
     problems = (
@@ -240,18 +278,22 @@ def test_policeman_burglar_operator_is_skew_average_of_components():
 
 def test_policeman_burglar_zero_shock_makes_components_equal():
     p = gen_policeman_burglar(3, sigma_w=0.0, seed=4)
-    np.testing.assert_array_equal(p.payload.scales, np.ones(3))
-    # averaging three identical matrices only rounds at the last bit
-    np.testing.assert_allclose(p.payload.avg, p.payload.base, rtol=1e-12)
-    np.testing.assert_allclose(p.L_m, p.L, rtol=1e-9)
+    np.testing.assert_array_equal(p.payload.ratios, np.ones(3))
+    np.testing.assert_allclose(p.payload.avg, published_components(3, sigma_w=0.0, seed=4)[0], rtol=1e-15, atol=0)
+    # every component is A itself, with A's Lipschitz constant
+    np.testing.assert_array_equal(p.L_m, np.full(3, p.L))
+    z = random_feasible(p, rng_stream(4, 1))
+    for m in range(3):
+        assert eval_component(p, m, z).tobytes() == eval_full(p, z).tobytes()
 
 
 def test_policeman_burglar_lipschitz_constant():
     p = gen_policeman_burglar(3, seed=1)
     # the game operator [[0, A^T], [-A, 0]] has spectral norm |A|_2
     assert p.L == pytest.approx(np.linalg.norm(p.payload.avg, 2), rel=1e-9)
+    mats = published_components(3, seed=1)
     for k in range(3):
-        assert p.L_m[k] == pytest.approx(p.payload.scales[k] * np.linalg.norm(p.payload.base, 2), rel=1e-9)
+        assert p.L_m[k] == pytest.approx(np.linalg.norm(mats[k], 2), rel=1e-9)
 
 
 def test_policeman_burglar_argument_errors():

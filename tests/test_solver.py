@@ -3,6 +3,7 @@
 import collections
 import fractions
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ def test_solver_config_validation():
     assert run_solver(gen_policeman_burglar(2, seed=0), config).k.size == 4
 
 
+@pytest.mark.parametrize("name", ["gamma", "tau"])
+@pytest.mark.parametrize(
+    "value, shown",
+    [(math.inf, "inf"), (math.nan, "nan"), (True, "True"), (np.bool_(False), "np.False_"), ("0.1", "'0.1'")],
+    ids=["inf", "nan", "bool", "numpy-bool", "str"],
+)
+def test_solver_config_rejects_a_step_or_momentum_that_is_not_a_finite_real(name, value, shown):
+    # inf once passed as a given gamma that run_solver then asked for; True ran
+    # at gamma = 1; a string failed with a bare TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got {re.escape(shown)}$"):
+        SolverConfig(kind=EstimatorKind("fulldet"), K=1, **{name: value})
+
+
+def test_solver_config_stores_gamma_and_tau_as_floats():
+    config = SolverConfig(kind=EstimatorKind("fulldet"), K=1, gamma=np.float32(0.25), tau=0)
+    assert type(config.gamma) is float and config.gamma == 0.25
+    assert type(config.tau) is float and config.tau == 0.0
+    trace = run_solver(gen_policeman_burglar(2, seed=0), config)
+    assert (trace.gamma, trace.tau) == (0.25, 0.0)
+
+
 def test_run_solver_defaults_follow_the_rules():
     p = gen_policeman_burglar(3, seed=1)
     trace = run_solver(p, SolverConfig(kind=EstimatorKind("vr"), K=3, seed=0))
@@ -289,12 +311,23 @@ class _CountedMatrix(np.ndarray):
 
 
 def _counted_game(n=3):
+    """The n-game with its one matrix counted: under "components" for the
+    products that form F_m, under "avg" for those that form F."""
     p = gen_policeman_burglar(n, seed=1)
-    counts = collections.Counter()
-    for tag in ("base", "avg"):
-        mat = getattr(p.payload, tag).view(_CountedMatrix)
-        mat.tag, mat.counts, mat.whole = tag, counts, mat.size
-        setattr(p.payload, tag, mat)
+    game, counts = p.payload, collections.Counter()
+    mat = game.avg.view(_CountedMatrix)
+    mat.tag, mat.counts, mat.whole = "avg", counts, mat.size
+    game.avg = mat
+    for name in ("component", "components"):
+
+        def tagged(*args, method=getattr(game, name)):
+            mat.tag = "components"
+            try:
+                return method(*args)
+            finally:
+                mat.tag = "avg"
+
+        setattr(game, name, tagged)
     return p, counts
 
 
@@ -305,8 +338,8 @@ def test_each_operator_product_is_formed_once():
         # a sparse schedule forms F at the average on each gap row; a
         # gap-every-row run reads it off the F values it has already formed
         avg_products = gap_rows if gap_every > 1 else 0
-        # vr, is, qvr: one component product per step and one base product per
-        # refresh; each gap row forms F at the half point
+        # vr, is, qvr: one component product per step and one components
+        # product per refresh; each gap row forms F at the half point
         for kind in (
             EstimatorKind("vr"),
             EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
@@ -316,7 +349,7 @@ def test_each_operator_product_is_formed_once():
             trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
             refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
             assert refreshes >= 2, kind.name
-            assert counts == {"base": 2 * (K + refreshes), "avg": 2 * (gap_rows + avg_products)}, kind.name
+            assert counts == {"components": 2 * (K + refreshes), "avg": 2 * (gap_rows + avg_products)}, kind.name
         # without a snapshot the gap reuses F at the half point
         for kind, oracle_calls in (
             (EstimatorKind("fulldet"), 2 * K),
@@ -403,12 +436,12 @@ def test_a_blocked_operator_product_counts_as_one_pass(monkeypatch):
 
 
 def test_exact_verification_forms_one_component_stack_per_point():
-    # one base product for the refresh at w and one for every component at
-    # z^{k+1/2}; the target F(z^{k+1/2}) is formed with avg
+    # one components product for the refresh at w and one for every
+    # component at z^{k+1/2}; the target F(z^{k+1/2}) is formed apart
     for n in (5, 30):
         p, counts = _counted_game(n)
         assert verify_unbiasedness(EstimatorKind("vr"), p, n_points=1).all_pass
-        assert counts["base"] == 2 * 2, n
+        assert counts["components"] == 2 * 2, n
 
 
 def test_strongly_monotone_run_contracts():
