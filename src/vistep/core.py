@@ -21,8 +21,8 @@ _BLOCK_VALUES = 2**16  # floats per block of rows (512 KB), so that a block stay
 
 
 def _block_rows(d: int) -> int:
-    """Rows of length d per cache block: of a matrix, of atoms or of
-    squared distances."""
+    """Rows of length d per cache block: of atoms or of squared
+    distances."""
     return max(1, _BLOCK_VALUES // d)
 
 

@@ -9,11 +9,12 @@ consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FREE, ProxSpec, Vector, _block_rows, _check_integers, prox_eval, rng_stream
+from .core import FREE, ProxSpec, Vector, _check_integers, prox_eval, rng_stream
 
 
 @dataclass
@@ -48,44 +49,47 @@ class BilinearGame:
     Every component is a scalar multiple of A, A^(k) = ratios[k] * A, so
     only ``avg`` (A) and the M ``ratios`` are stored, never a component
     matrix or the (M, n^2, n^2) stack of them.
+
+    ``kernel``, when set, is the pair (a, spectrum) of a matrix
+    A = diag(a) S whose S applies a kernel on the n x n grid:
+    (S x)[cell] = sum over cells c of k(cell - c) x[c], with ``spectrum``
+    the 2-d real FFT of k wrapped on an N x N torus, N >= 2n - 1.  The
+    products are then read off that FFT instead of off ``avg``.
     """
 
     avg: np.ndarray  # (n^2, n^2)
     ratios: np.ndarray  # (M,)
+    kernel: tuple[np.ndarray, np.ndarray] | None = None  # (a (n^2,), spectrum (N, N // 2 + 1))
 
     @property
     def half(self) -> int:
         return self.avg.shape[0]
 
-    def _apply(self, mat: np.ndarray, z: Vector) -> Vector:
-        """(mat^T y, -mat x), reading mat once: each cache block of rows
-        gives its rows of mat x and adds its share of mat^T y before the
-        next block is loaded.  A matrix that fits in one block keeps the
-        two whole products."""
+    def _apply(self, z: Vector) -> Vector:
+        """(A^T y, -A x): two whole products with avg, or with a kernel
+        A^T y = S(a y) and A x = a (S x), both grids convolved by one FFT
+        product on the torus and cropped back to n x n."""
         h = self.half
         x, y = z[:h], z[h:]
-        rows = _block_rows(h)
-        if rows >= h:
-            return np.concatenate([mat.T @ y, -(mat @ x)])
-        out = np.zeros(2 * h)
-        top, bottom = out[:h], out[h:]
-        for start in range(0, h, rows):
-            part = slice(start, start + rows)
-            block = mat[part]
-            np.matmul(block, x, out=bottom[part])
-            top += block.T @ y[part]
-        np.negative(bottom, out=bottom)
+        if self.kernel is None:
+            return np.concatenate([self.avg.T @ y, -(self.avg @ x)])
+        a, spectrum = self.kernel
+        n, size = math.isqrt(h), (spectrum.shape[0],) * 2
+        grids = np.stack([a * y, x]).reshape(2, n, n)
+        wrapped = np.fft.irfft2(np.fft.rfft2(grids, s=size) * spectrum, s=size)
+        out = wrapped[:, :n, :n].reshape(2 * h)
+        out[h:] *= -a
         return out
 
     def full(self, z: Vector) -> Vector:
-        return self._apply(self.avg, z)
+        return self._apply(z)
 
     def component(self, m: int, z: Vector) -> Vector:
-        return self.ratios[m] * self._apply(self.avg, z)
+        return self.ratios[m] * self._apply(z)
 
     def components(self, z: Vector) -> np.ndarray:
-        """Every F_m(z) as an (M, d) stack, from one product with avg."""
-        return self.ratios[:, None] * self._apply(self.avg, z)
+        """Every F_m(z) as an (M, d) stack, from one product with A."""
+        return self.ratios[:, None] * self._apply(z)
 
     def coordinate(self, j: int, z: Vector) -> float:
         """F(z)[j] in O(d) work: a column of avg against y for a coordinate
@@ -203,6 +207,23 @@ def wealth_base(n: int) -> Vector:
     return 1.0 - (2.0 / n) * np.minimum(np.abs(row - half), np.abs(col - half))
 
 
+# a game whose matrix holds more floats (2 MB, n >= 23) applies it through
+# its grid kernel: the FFT product beats two dense products from there on
+_KERNEL_MIN_VALUES = 2**18
+
+
+def _fft_size(m: int) -> int:
+    """The smallest integer >= m with no prime factor above 5."""
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed: int = 0) -> VIProblem:
     """Bilinear matrix game on Delta(n^2) x Delta(n^2).
 
@@ -229,8 +250,18 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     # A^(k)_ij = scales[k] * w_i * shape_ij: their mean A takes mean(scales)
     # in place of scales[k], and A^(k) = (scales[k] / mean(scales)) * A
     mean = scales.mean()
-    avg = (mean * wealth_base(n))[:, None] * shape
-    payload = BilinearGame(avg=avg, ratios=scales / mean)
+    wealth = mean * wealth_base(n)
+    avg = wealth[:, None] * shape
+    kernel = None
+    if avg.size > _KERNEL_MIN_VALUES:
+        # shape applies table[|row offset|, |column offset|] on the grid: the
+        # table wrapped on an N x N torus, zero at offsets of n or more
+        N = _fft_size(2 * n - 1)
+        fold = np.minimum(np.arange(N), N - np.arange(N))
+        padded = np.zeros((N, N))
+        padded[:n, :n] = table
+        kernel = (wealth, np.fft.rfft2(padded[fold[:, None], fold[None, :]]))
+    payload = BilinearGame(avg=avg, ratios=scales / mean, kernel=kernel)
     L = _matrix_spectral_norm(avg, tol=1e-12)
     return VIProblem(
         d=2 * n * n,

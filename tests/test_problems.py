@@ -21,7 +21,7 @@ from vistep import (
     random_feasible,
     rng_stream,
 )
-from vistep import core, problems
+from vistep import problems
 from vistep.problems import _matrix_spectral_norm, wealth_base
 
 
@@ -120,43 +120,71 @@ def test_policeman_burglar_matches_the_component_stack(n):
     for _ in range(3):
         z = random_feasible(p, rng)
         for m in range(n):
-            want = game._apply(mats[m], z)
+            want = _two_products(mats[m], z)
             got = eval_component(p, m, z)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _two_products(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(mat^T y, -mat x) as two whole passes over mat: the reference for
-    the game's blocked product."""
+    """(mat^T y, -mat x) as two whole products with mat: the reference for
+    the game's product."""
     h = mat.shape[0]
     return np.concatenate([mat.T @ z[h:], -(mat @ z[:h])])
 
 
 @pytest.mark.parametrize(
-    "n, block, blocked",
-    [(3, None, False), (5, None, False), (16, None, False), (17, None, True), (30, None, True), (3, 2, True)],
+    "n, min_values, kernel",
+    [
+        (3, None, False),
+        (5, None, False),
+        (16, None, False),
+        (17, None, False),
+        (22, None, False),
+        (23, None, True),
+        (29, None, True),
+        (30, None, True),
+        (3, 0, True),
+    ],
 )
-def test_blocked_product_matches_two_whole_products(monkeypatch, n, block, blocked):
-    # a matrix that fits in one cache block keeps the two whole products and
-    # their bits; a blocked product sums mat^T y a block at a time, which
-    # moves only the last bits
-    if block is not None:
-        monkeypatch.setattr(core, "_BLOCK_VALUES", block * n * n)
+def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, kernel):
+    # a matrix of at most 2^18 floats (n <= 22) takes the two whole products
+    # and keeps their bits; a larger one (23 and 29 are prime) is applied
+    # through its grid kernel by one FFT product, which moves only the last
+    # bits; min_values = 0 gives the n = 3 game a kernel too
+    if min_values is not None:
+        monkeypatch.setattr(problems, "_KERNEL_MIN_VALUES", min_values)
     p = gen_policeman_burglar(n, seed=n)
     game = p.payload
-    assert (core._block_rows(game.half) < game.half) == blocked
+    assert (game.kernel is not None) == kernel
     rng = rng_stream(n, 3)
-    for _ in range(2):
-        z = random_feasible(p, rng)
-        pairs = (
-            (game.full(z), _two_products(game.avg, z)),
-            (game.components(z), game.ratios[:, None] * _two_products(game.avg, z)),
-        )
-        for got, want in pairs:
-            if blocked:
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for z in (random_feasible(p, rng), rng.normal(p.d)):
+        want = _two_products(game.avg, z)
+        pairs = [(game.full(z), want), (game.components(z), game.ratios[:, None] * want)]
+        if kernel:
+            # the coordinate oracle reads avg, so it must agree with the FFT product
+            pairs.append((np.array([game.coordinate(j, z) for j in range(p.d)]), game.full(z)))
+        for got, ref in pairs:
+            if kernel:
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             else:
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_fft_size_is_the_next_integer_with_no_prime_factor_above_5():
+    # 2n - 1 for n = 23, 29, 30, 40, 8 and two primes
+    sizes = {45: 45, 57: 60, 59: 60, 79: 80, 15: 15, 7: 8, 97: 100, 1: 1}
+    assert {m: problems._fft_size(m) for m in sizes} == sizes
+
+
+def test_a_game_without_a_kernel_takes_the_two_whole_products():
+    # a hand-built game has no kernel, however large its matrix
+    h = 600
+    rng = rng_stream(4, 0)
+    game = problems.BilinearGame(avg=rng.normal((h, h)), ratios=np.array([0.5, 1.5]))
+    z = rng.normal(2 * h)
+    want = _two_products(game.avg, z)
+    assert game.full(z).tobytes() == want.tobytes()
+    assert game.components(z).tobytes() == (game.ratios[:, None] * want).tobytes()
 
 
 def test_policeman_burglar_runs_one_power_iteration(monkeypatch):
@@ -218,16 +246,24 @@ def test_policeman_burglar_generation_holds_no_component_stack():
     assert peak <= 8 * one_matrix
 
 
-@pytest.mark.parametrize("n", [1, 3, 17])
+@pytest.mark.parametrize("n", [1, 3, 17, 22, 23])
 def test_game_payload_holds_one_matrix(n):
-    # A and the M ratios, each in its own buffer: 8 n^4 + 8 M bytes; n = 17
-    # takes the blocked product
+    # A and the M ratios, each in its own buffer: 8 n^4 + 8 M bytes; from
+    # n = 23 on, also a kernel: 8 n^2 bytes of wealth and an N x (N // 2 + 1)
+    # complex spectrum
     p = gen_policeman_burglar(n, seed=n)
     game = p.payload
-    arrays = [getattr(game, f.name) for f in dataclasses.fields(game)]
+    arrays = [game.avg, game.ratios, *(game.kernel or ())]
     assert all(isinstance(a, np.ndarray) and a.base is None for a in arrays)
-    assert sum(a.nbytes for a in arrays) == 8 * n**4 + 8 * p.M
-    assert [a.shape for a in arrays if a.ndim == 2] == [(n * n, n * n)]
+    dense = 8 * n**4 + 8 * p.M
+    if game.kernel is None:
+        assert n <= 22
+        assert sum(a.nbytes for a in arrays) == dense
+    else:
+        N = game.kernel[1].shape[0]
+        assert n >= 23 and N == problems._fft_size(2 * n - 1)
+        assert dense < sum(a.nbytes for a in arrays) <= dense + 16 * N * (N // 2 + 1) + 8 * n**2
+    assert [a.shape for a in arrays if a.ndim == 2 and a.dtype == float] == [(n * n, n * n)]
     z = random_feasible(p, rng_stream(n, 5))
     stack = game.components(z)
     for m in range(p.M):

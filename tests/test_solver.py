@@ -1,7 +1,7 @@
 """The extra-step loop: step-size rules, iteration algebra, run traces."""
 
 import collections
-import fractions
+import dataclasses
 import math
 import re
 
@@ -34,7 +34,7 @@ from vistep import (
     step_size_bound,
     verify_unbiasedness,
 )
-from vistep import core
+from vistep import problems
 from vistep.solver import COST_COLUMNS
 
 
@@ -289,43 +289,52 @@ def test_full_call_accounting_past_vs_fulldet():
 
 
 class _CountedMatrix(np.ndarray):
-    """A matrix that counts the matrix products it takes part in, under
-    its tag; a product of the game's operator or components is two (one
-    per player).  A product with a block of its rows counts as the block's
-    share of the matrix, so a whole pass counts one however it is blocked.
-    A product with one of its rows or columns counts under "<tag> line"."""
+    """A matrix that counts the products it takes part in under its tag:
+    a product with one of its rows or columns under "avg line", a whole
+    product under the tag, and none while the tag is None."""
 
     def __array_finalize__(self, obj):
         self.tag = getattr(obj, "tag", None)
         self.counts = getattr(obj, "counts", None)
-        self.whole = getattr(obj, "whole", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            if self.ndim == 2:
-                self.counts[self.tag] += fractions.Fraction(self.size, self.whole)
-            else:
-                self.counts[f"{self.tag} line"] += 1
+        if ufunc is np.matmul and self.tag is not None:
+            self.counts["avg line" if self.ndim == 1 else self.tag] += 1
         plain = [x.view(np.ndarray) if isinstance(x, _CountedMatrix) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
 def _counted_game(n=3):
-    """The n-game with its one matrix counted: under "components" for the
-    products that form F_m, under "avg" for those that form F."""
+    """The n-game with its operator products counted, two per ``_apply``
+    (one per player) whichever path it takes, dense or FFT: under
+    "components" for the products that form F_m, under "avg" for those
+    that form F.  A product with a row or column of avg counts under
+    "avg line", and a whole product with avg outside ``_apply`` under
+    "avg outside", so no product escapes the count."""
     p = gen_policeman_burglar(n, seed=1)
     game, counts = p.payload, collections.Counter()
     mat = game.avg.view(_CountedMatrix)
-    mat.tag, mat.counts, mat.whole = "avg", counts, mat.size
+    mat.tag, mat.counts = "avg outside", counts
     game.avg = mat
+    tag = ["avg"]
+
+    def counted_apply(z, apply=game._apply):
+        counts[tag[0]] += 2
+        mat.tag = None
+        try:
+            return apply(z)
+        finally:
+            mat.tag = "avg outside"
+
+    game._apply = counted_apply
     for name in ("component", "components"):
 
         def tagged(*args, method=getattr(game, name)):
-            mat.tag = "components"
+            tag[0] = "components"
             try:
                 return method(*args)
             finally:
-                mat.tag = "avg"
+                tag[0] = "avg"
 
         setattr(game, name, tagged)
     return p, counts
@@ -418,21 +427,37 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
         np.testing.assert_array_equal(trace.z_avg, half_sum / K)
 
 
-def test_a_blocked_operator_product_counts_as_one_pass(monkeypatch):
-    # with cache blocks of 2 rows the n = 3 game's 9-row matrices split into
-    # 5 blocks; the products count as many whole passes as unblocked ones
+def test_a_kernel_operator_product_counts_as_one_pass(monkeypatch):
+    # with the kernel threshold at 0 the n = 3 game takes the FFT product;
+    # its runs count as many products as the dense game's
     kinds = (EstimatorKind("fulldet"), EstimatorKind("past", sigma=0.5), EstimatorKind("vr"), EstimatorKind("coord"))
-    unblocked = []
+    dense = []
     for kind in kinds:
         p, counts = _counted_game()
+        assert p.payload.kernel is None
         run_solver(p, SolverConfig(kind, K=10, seed=3, gap_every=1))
-        unblocked.append(counts)
-    monkeypatch.setattr(core, "_BLOCK_VALUES", 2 * 9)
-    for kind, want in zip(kinds, unblocked):
+        dense.append(counts)
+    monkeypatch.setattr(problems, "_KERNEL_MIN_VALUES", 0)
+    for kind, want in zip(kinds, dense):
         p, counts = _counted_game()
-        assert core._block_rows(p.payload.half) == 2
+        assert p.payload.kernel is not None
         run_solver(p, SolverConfig(kind, K=10, seed=3, gap_every=1))
         assert counts == want, kind.name
+
+
+def test_kernel_game_runs_follow_the_dense_runs():
+    # n = 23, the smallest game applied through its grid kernel, against
+    # the same payload without it: the FFT product moves only last bits
+    p = gen_policeman_burglar(23, seed=1)
+    assert p.payload.kernel is not None
+    dense = dataclasses.replace(p, payload=dataclasses.replace(p.payload, kernel=None))
+    for kind in (EstimatorKind("fulldet"), EstimatorKind("past", sigma=0.5), EstimatorKind("vr"), EstimatorKind("coord")):
+        cfg = SolverConfig(kind, K=50, seed=2, gap_every=1)
+        got, want = run_solver(p, cfg), run_solver(dense, cfg)
+        for name in COST_COLUMNS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        for name in ("gap_last", "gap_avg", "z_final"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_exact_verification_forms_one_component_stack_per_point():
