@@ -41,45 +41,17 @@ class VIProblem:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
-class BilinearGame:
-    """Matrix game payload: z = (x, y) on a product of two simplices with
-    F(x, y) = (A^T y, -A x) for the averaged matrix A = mean_k A^(k).
+class _GameOracles:
+    """The oracles both forms of the matrix game share: z = (x, y) on a
+    product of two simplices with F(x, y) = (A^T y, -A x) for the averaged
+    matrix A = mean_k A^(k).
 
-    Every component is a scalar multiple of A, A^(k) = ratios[k] * A, so
-    only ``avg`` (A) and the M ``ratios`` are stored, never a component
-    matrix or the (M, n^2, n^2) stack of them.
-
-    ``kernel``, when set, is the pair (a, spectrum) of a matrix
-    A = diag(a) S whose S applies a kernel on the n x n grid:
-    (S x)[cell] = sum over cells c of k(cell - c) x[c], with ``spectrum``
-    the 2-d real FFT of k wrapped on an N x N torus, N >= 2n - 1.  The
-    products are then read off that FFT instead of off ``avg``.
+    Every component is a scalar multiple of A, A^(k) = ratios[k] * A, so a
+    form stores A once and the M ``ratios``, never a component matrix or the
+    (M, n^2, n^2) stack of them.  A form gives ``half`` (n^2), ``_apply``
+    (z -> F(z)), the products ``_matvec`` (x -> A x) and ``_rmatvec``
+    (y -> A^T y), and the rows and columns of A (``_row``, ``_column``).
     """
-
-    avg: np.ndarray  # (n^2, n^2)
-    ratios: np.ndarray  # (M,)
-    kernel: tuple[np.ndarray, np.ndarray] | None = None  # (a (n^2,), spectrum (N, N // 2 + 1))
-
-    @property
-    def half(self) -> int:
-        return self.avg.shape[0]
-
-    def _apply(self, z: Vector) -> Vector:
-        """(A^T y, -A x): two whole products with avg, or with a kernel
-        A^T y = S(a y) and A x = a (S x), both grids convolved by one FFT
-        product on the torus and cropped back to n x n."""
-        h = self.half
-        x, y = z[:h], z[h:]
-        if self.kernel is None:
-            return np.concatenate([self.avg.T @ y, -(self.avg @ x)])
-        a, spectrum = self.kernel
-        n, size = math.isqrt(h), (spectrum.shape[0],) * 2
-        grids = np.stack([a * y, x]).reshape(2, n, n)
-        wrapped = np.fft.irfft2(np.fft.rfft2(grids, s=size) * spectrum, s=size)
-        out = wrapped[:, :n, :n].reshape(2 * h)
-        out[h:] *= -a
-        return out
 
     def full(self, z: Vector) -> Vector:
         return self._apply(z)
@@ -92,11 +64,97 @@ class BilinearGame:
         return self.ratios[:, None] * self._apply(z)
 
     def coordinate(self, j: int, z: Vector) -> float:
-        """F(z)[j] in O(d) work: a column of avg against y for a coordinate
-        of x, or a row of avg against x for a coordinate of y."""
+        """F(z)[j] in O(d) work: column j of A against y for a coordinate
+        of x, or row j - h of A against x for a coordinate of y."""
         h = self.half
         _check_coordinate(j, 2 * h)
-        return float(self.avg[:, j] @ z[h:]) if j < h else -float(self.avg[j - h] @ z[:h])
+        return float(self._column(j) @ z[h:]) if j < h else -float(self._row(j - h) @ z[:h])
+
+
+@dataclass
+class BilinearGame(_GameOracles):
+    """Matrix game payload that holds A as a dense (n^2, n^2) matrix ``avg``;
+    F(z) is two whole products with it."""
+
+    avg: np.ndarray  # (n^2, n^2)
+    ratios: np.ndarray  # (M,)
+
+    @property
+    def half(self) -> int:
+        return self.avg.shape[0]
+
+    def _apply(self, z: Vector) -> Vector:
+        h = self.half
+        return np.concatenate([self.avg.T @ z[h:], -(self.avg @ z[:h])])
+
+    def _matvec(self, x: Vector) -> Vector:
+        return self.avg @ x
+
+    def _rmatvec(self, y: Vector) -> Vector:
+        return self.avg.T @ y
+
+    def _row(self, i: int) -> Vector:
+        return self.avg[i]
+
+    def _column(self, j: int) -> Vector:
+        return self.avg[:, j]
+
+
+@dataclass
+class GridGame(_GameOracles):
+    """Matrix game payload in grid form, A = diag(a) S, with S the symmetric
+    block-Toeplitz kernel of the n x n grid: S's entry for two cells du rows
+    and dv columns apart is table[n - 1 + du, n - 1 + dv].  O(n^2) numbers
+    define A, and no (n^2, n^2) array is ever formed.
+
+    S x is the 2-d convolution of the grid x with the table, so
+    A^T y = S(a y) and A x = a (S x) are read off one FFT product on an
+    N x N torus, N >= 2n - 1, where ``spectrum`` is the real FFT of the
+    table wrapped on that torus.  A row of S is an n x n window of the
+    table.
+    """
+
+    a: np.ndarray  # (n^2,)
+    table: np.ndarray  # (2n - 1, 2n - 1)
+    spectrum: np.ndarray  # (N, N // 2 + 1)
+    ratios: np.ndarray  # (M,)
+
+    @property
+    def half(self) -> int:
+        return self.a.size
+
+    def _convolve(self, grids: np.ndarray) -> np.ndarray:
+        """S applied to each n^2-vector of grids: one FFT product on the
+        torus, cropped back to n x n."""
+        n = math.isqrt(self.half)
+        size = (self.spectrum.shape[0],) * 2
+        wrapped = np.fft.irfft2(np.fft.rfft2(grids.reshape(-1, n, n), s=size) * self.spectrum, s=size)
+        return wrapped[:, :n, :n].reshape(grids.shape)
+
+    def _apply(self, z: Vector) -> Vector:
+        """(A^T y, -A x): the grids a y and x convolved together."""
+        h = self.half
+        out = self._convolve(np.stack([self.a * z[h:], z[:h]])).ravel()
+        out[h:] *= -self.a
+        return out
+
+    def _matvec(self, x: Vector) -> Vector:
+        return self.a * self._convolve(x)
+
+    def _rmatvec(self, y: Vector) -> Vector:
+        return self._convolve(self.a * y)
+
+    def _kernel_row(self, i: int) -> Vector:
+        """Row i of S, which is also column i: S is symmetric."""
+        n = math.isqrt(self.half)
+        r, c = divmod(i, n)
+        return self.table[n - 1 - r : 2 * n - 1 - r, n - 1 - c : 2 * n - 1 - c].ravel()
+
+    def _row(self, i: int) -> Vector:
+        return self.a[i] * self._kernel_row(i)
+
+    def _column(self, j: int) -> Vector:
+        return self.a * self._kernel_row(j)
 
 
 def _check_coordinate(j: int, d: int) -> None:
@@ -106,7 +164,7 @@ def _check_coordinate(j: int, d: int) -> None:
         raise IndexError(f"coordinate {j} out of range for d={d}")
 
 
-def duality_gap_bilinear(game: BilinearGame, z: Vector, fz: Vector | None = None) -> float:
+def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector, fz: Vector | None = None) -> float:
     """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
     of both players' best-response improvements, zero exactly at saddles.
 
@@ -148,11 +206,19 @@ class MixingVI:
     The two pieces are exposed separately (phi / consensus) because the
     local estimator samples between them; as a finite sum the problem is
     published with a single component (the split is not an average).
+    Every worker is quadratic, so Phi is one stacked product with the
+    workers' matrices ``mats`` and centres ``centers``.
     """
 
     base: tuple
     lam: float
     d_base: int
+    mats: np.ndarray = field(init=False, repr=False)  # (workers, d_base, d_base)
+    centers: np.ndarray = field(init=False, repr=False)  # (workers, d_base)
+
+    def __post_init__(self):
+        self.mats = np.stack([p.payload.mat for p in self.base])
+        self.centers = np.stack([p.payload.center for p in self.base])
 
     @property
     def workers(self) -> int:
@@ -167,15 +233,11 @@ class MixingVI:
 
     def phi(self, Z: Vector) -> Vector:
         """Each worker's operator applied to its own block of Z."""
-        out = np.empty_like(Z)
-        for m, p in enumerate(self.base):
-            blk = slice(m * self.d_base, (m + 1) * self.d_base)
-            out[blk] = p.payload.full(Z[blk])
-        return out
+        return np.matmul(self.mats, (self._blocks(Z) - self.centers)[:, :, None]).ravel()
 
     def consensus(self, Z: Vector) -> Vector:
         blocks = self._blocks(Z)
-        return (self.lam * (blocks - blocks.mean(axis=0))).ravel()
+        return (self.lam * (blocks - np.add.reduce(blocks, axis=0) / self.workers)).ravel()
 
     def full(self, Z: Vector) -> Vector:
         return self.phi(Z) + self.consensus(Z)
@@ -207,8 +269,8 @@ def wealth_base(n: int) -> Vector:
     return 1.0 - (2.0 / n) * np.minimum(np.abs(row - half), np.abs(col - half))
 
 
-# a game whose matrix holds more floats (2 MB, n >= 23) applies it through
-# its grid kernel: the FFT product beats two dense products from there on
+# a game whose matrix would hold more floats (2 MB, n >= 23) is kept in grid
+# form: its FFT product beats two dense products from there on
 _KERNEL_MIN_VALUES = 2**18
 
 
@@ -244,25 +306,27 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     # offsets, so it is read off an n x n table of offset pairs
     offsets = np.arange(n)
     table = 1.0 - np.exp(-theta * np.sqrt(offsets[:, None] ** 2 + offsets[None, :] ** 2))
-    apart = np.abs(offsets[:, None] - offsets[None, :])
-    shape = table[apart[:, None, :, None], apart[None, :, None, :]].reshape(n * n, n * n)
     scales = 1.0 + sigma_w * np.atleast_1d(rng.uniform(n))
-    # A^(k)_ij = scales[k] * w_i * shape_ij: their mean A takes mean(scales)
+    # A^(k)_ij = scales[k] * w_i * S_ij: their mean A takes mean(scales)
     # in place of scales[k], and A^(k) = (scales[k] / mean(scales)) * A
     mean = scales.mean()
     wealth = mean * wealth_base(n)
-    avg = wealth[:, None] * shape
-    kernel = None
-    if avg.size > _KERNEL_MIN_VALUES:
-        # shape applies table[|row offset|, |column offset|] on the grid: the
-        # table wrapped on an N x N torus, zero at offsets of n or more
+    ratios = scales / mean
+    if n**4 > _KERNEL_MIN_VALUES:
+        # S's weights by signed offsets, and the same weights wrapped on an
+        # N x N torus, zero at offsets of n or more
+        apart = np.abs(np.arange(1 - n, n))
+        signed = table[apart[:, None], apart]
         N = _fft_size(2 * n - 1)
-        fold = np.minimum(np.arange(N), N - np.arange(N))
-        padded = np.zeros((N, N))
-        padded[:n, :n] = table
-        kernel = (wealth, np.fft.rfft2(padded[fold[:, None], fold[None, :]]))
-    payload = BilinearGame(avg=avg, ratios=scales / mean, kernel=kernel)
-    L = _matrix_spectral_norm(avg, tol=1e-12)
+        torus = np.zeros((N, N))
+        torus[: 2 * n - 1, : 2 * n - 1] = signed
+        spectrum = np.fft.rfft2(np.roll(torus, 1 - n, axis=(0, 1)))
+        payload = GridGame(a=wealth, table=signed, spectrum=spectrum, ratios=ratios)
+    else:
+        apart = np.abs(offsets[:, None] - offsets[None, :])
+        S = table[apart[:, None, :, None], apart[None, :, None, :]].reshape(n * n, n * n)
+        payload = BilinearGame(avg=wealth[:, None] * S, ratios=ratios)
+    L = _spectral_norm(payload, tol=1e-12)
     return VIProblem(
         d=2 * n * n,
         prox=ProxSpec((n * n, n * n)),
@@ -374,7 +438,7 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
 def gen_mixing_vi(base: list[VIProblem], lam: float) -> VIProblem:
     """Stack M worker problems and couple them through lam * (Z - Z_avg).
 
-    All base problems must share one dimension and a free prox.  The full
+    All base problems must be quadratic and share one dimension.  The full
     operator is Phi(Z) + lam*(Z - Z_avg); its pieces keep Lipschitz
     constants max_m L_m and lam respectively.
     """
@@ -383,7 +447,9 @@ def gen_mixing_vi(base: list[VIProblem], lam: float) -> VIProblem:
     if not base:
         raise ValueError("need at least one base problem")
     d_base = base[0].d
-    for p in base:
+    for m, p in enumerate(base):
+        if not isinstance(p.payload, QuadraticOperator):
+            raise ValueError(f"worker {m} is not a quadratic operator: {type(p.payload).__name__}")
         if p.d != d_base:
             raise ValueError("base problems must share one dimension")
         if not p.prox.free:
@@ -439,20 +505,20 @@ def eval_component(p: VIProblem, m: int | np.ndarray, z: Vector) -> Vector:
     return p.payload.components(z)[m] if stacked else p.payload.component(m, z)
 
 
-def _matrix_spectral_norm(mat: np.ndarray, tol: float) -> float:
-    """Largest singular value of mat via power iteration on mat^T mat, with
-    a fixed internal seed, stopped when the estimate moves by at most tol
-    relatively."""
+def _spectral_norm(game: BilinearGame | GridGame, tol: float) -> float:
+    """Largest singular value of the game's matrix A via power iteration on
+    A^T A through the game's own products, with a fixed internal seed,
+    stopped when the estimate moves by at most tol relatively."""
     rng = rng_stream(0x5EED, 7)
-    q = rng.normal(mat.shape[1])
+    q = rng.normal(game.half)
     q /= np.linalg.norm(q)
     val = 0.0
     for it in range(20000):
-        aq = mat @ q
+        aq = game._matvec(q)
         new = float(np.linalg.norm(aq))
         if new == 0.0:
             return 0.0
-        bq = mat.T @ aq
+        bq = game._rmatvec(aq)
         nb = float(np.linalg.norm(bq))
         if nb == 0.0:
             return new

@@ -37,7 +37,7 @@ from .estimators import (
     init_estimator,
     snapshot_update,
 )
-from .problems import BilinearGame, VIProblem, duality_gap_bilinear, initial_point
+from .problems import BilinearGame, GridGame, VIProblem, duality_gap_bilinear, initial_point
 
 REGIMES = ("mono", "sm")
 
@@ -177,7 +177,7 @@ def iterate_once(
 
 
 def lyapunov_value(
-    z: Vector,
+    dist_sq: float,
     w: Vector,
     sigma_sq: float,
     z_star: Vector,
@@ -185,14 +185,14 @@ def lyapunov_value(
     gamma: float,
     T: float,
 ) -> float:
-    """tau*|z - z*|^2 + |w - z*|^2 + T*gamma^2*sigma_sq."""
-    dz = float(np.sum((z - z_star) ** 2))
+    """tau*|z - z*|^2 + |w - z*|^2 + T*gamma^2*sigma_sq, given
+    dist_sq = |z - z*|^2."""
     dw = float(np.sum((w - z_star) ** 2))
-    return tau * dz + dw + T * gamma * gamma * sigma_sq
+    return tau * dist_sq + dw + T * gamma * gamma * sigma_sq
 
 
 def _gap_supported(p: VIProblem) -> bool:
-    return isinstance(p.payload, BilinearGame) and not p.prox.free
+    return isinstance(p.payload, (BilinearGame, GridGame)) and not p.prox.free
 
 
 def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
@@ -234,8 +234,9 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
         for name in COST_COLUMNS:
             cost[name][row] = getattr(state.costs, name)
         if z_star is not None:
-            dist_sq[row] = float(np.sum((z - z_star) ** 2))
-            lyap[row] = lyapunov_value(z, state.w, state.sigma_sq, z_star, tau, gamma, T)
+            dz = float(np.sum((z - z_star) ** 2))
+            dist_sq[row] = dz
+            lyap[row] = lyapunov_value(dz, state.w, state.sigma_sq, z_star, tau, gamma, T)
         on_schedule = row % config.gap_every == 0 or row == K
         if with_gap and row > 0 and on_schedule:
             # strategies without a snapshot have just formed F at the last half point

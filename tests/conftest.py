@@ -1,7 +1,7 @@
 """Shared brute-force oracles for the test suite: the simplex projection
 by support enumeration, the scalar grid distance behind the game's
-matrices, and two restricted merit values that cross-check
-problems.duality_gap_bilinear."""
+matrices, the game's dense matrix and a power iteration on it, and two
+restricted merit values that cross-check problems.duality_gap_bilinear."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from vistep import BilinearGame, VIProblem, eval_full
+from vistep import BilinearGame, GridGame, VIProblem, eval_full, rng_stream
 from vistep.estimators import half_atoms
 
 
@@ -54,6 +54,42 @@ def cell_distance(i: int, j: int, n: int) -> float:
     return math.hypot(i // n - j // n, i % n - j % n)
 
 
+def dense_game_matrix(game) -> np.ndarray:
+    """The game's matrix A as one (n^2, n^2) array: ``avg`` itself, or, for
+    a game in grid form, diag(a) S with S's entry for cells (r, c) and
+    (r', c') read off the table at offsets (r' - r, c' - c)."""
+    if isinstance(game, BilinearGame):
+        return game.avg
+    n = game.table.shape[0] // 2 + 1
+    cells = np.arange(n)
+    offset = n - 1 + cells[None, :] - cells[:, None]
+    return game.a[:, None] * game.table[offset[:, None, :, None], offset[None, :, None, :]].reshape(n * n, n * n)
+
+
+def matrix_spectral_norm(mat: np.ndarray, tol: float) -> float:
+    """Largest singular value of mat via power iteration on mat^T mat, with
+    the generator's seed and stopping rule: the reference the game's L must
+    equal bit for bit on a dense game."""
+    rng = rng_stream(0x5EED, 7)
+    q = rng.normal(mat.shape[1])
+    q /= np.linalg.norm(q)
+    val = 0.0
+    for it in range(20000):
+        aq = mat @ q
+        new = float(np.linalg.norm(aq))
+        if new == 0.0:
+            return 0.0
+        bq = mat.T @ aq
+        nb = float(np.linalg.norm(bq))
+        if nb == 0.0:
+            return new
+        q = bq / nb
+        if it >= 4 and abs(new - val) <= tol * max(new, 1e-300):
+            return new
+        val = new
+    return val
+
+
 @dataclass(frozen=True)
 class GapReport:
     """Restricted merit value max_u <F(u), z - u> with the maximizing u."""
@@ -74,7 +110,7 @@ def restricted_gap_bruteforce(p: VIProblem, z) -> GapReport:
     Valid because <F(u), z - u> is linear in u for a bilinear skew
     operator, so the maximum sits at a vertex of the simplex product.
     """
-    if not isinstance(p.payload, BilinearGame):
+    if not isinstance(p.payload, (BilinearGame, GridGame)):
         raise TypeError("brute-force gap needs a bilinear payload")
     if p.prox.free:
         raise ValueError("brute-force gap needs a bounded feasible set")

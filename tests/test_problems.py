@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cell_distance
+from conftest import cell_distance, dense_game_matrix, matrix_spectral_norm
 
 from vistep import (
     FREE,
+    GridGame,
     ProxSpec,
     VIProblem,
     eval_component,
@@ -22,7 +23,7 @@ from vistep import (
     rng_stream,
 )
 from vistep import problems
-from vistep.problems import _matrix_spectral_norm, wealth_base
+from vistep.problems import wealth_base
 
 
 def published_components(n, theta=0.6, sigma_w=3.0, seed=0):
@@ -109,12 +110,12 @@ def test_policeman_burglar_matches_the_component_stack(n):
     # A and every A^(k) = ratios[k] * A match the stack to rounding
     np.testing.assert_allclose(game.avg, mats.mean(axis=0), rtol=1e-15, atol=0)
     np.testing.assert_allclose(game.ratios[:, None, None] * game.avg, mats, rtol=1e-15, atol=0)
-    assert p.L == _matrix_spectral_norm(game.avg, tol=1e-12)
-    assert p.L == pytest.approx(_matrix_spectral_norm(mats.mean(axis=0), tol=1e-12), rel=1e-12)
+    assert p.L == matrix_spectral_norm(game.avg, tol=1e-12)
+    assert p.L == pytest.approx(matrix_spectral_norm(mats.mean(axis=0), tol=1e-12), rel=1e-12)
     # one power iteration on A gives every component's norm; running it on
     # each component instead agrees to the routine's own tolerance
     np.testing.assert_array_equal(p.L_m, game.ratios * p.L)
-    per_component = [_matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)]
+    per_component = [matrix_spectral_norm(mats[k], tol=1e-12) for k in range(n)]
     np.testing.assert_allclose(p.L_m, per_component, rtol=1e-12, atol=0)
     rng = rng_stream(n, 1)
     for _ in range(3):
@@ -133,7 +134,7 @@ def _two_products(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "n, min_values, kernel",
+    "n, min_values, grid",
     [
         (3, None, False),
         (5, None, False),
@@ -146,25 +147,28 @@ def _two_products(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
         (3, 0, True),
     ],
 )
-def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, kernel):
-    # a matrix of at most 2^18 floats (n <= 22) takes the two whole products
-    # and keeps their bits; a larger one (23 and 29 are prime) is applied
-    # through its grid kernel by one FFT product, which moves only the last
-    # bits; min_values = 0 gives the n = 3 game a kernel too
+def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, grid):
+    # a matrix of at most 2^18 floats (n <= 22) is stored, takes the two
+    # whole products and keeps their bits; a larger one (23 and 29 are
+    # prime) is kept in grid form and applied by one FFT product, which
+    # moves only the last bits; min_values = 0 puts the n = 3 game in grid
+    # form too
     if min_values is not None:
         monkeypatch.setattr(problems, "_KERNEL_MIN_VALUES", min_values)
     p = gen_policeman_burglar(n, seed=n)
     game = p.payload
-    assert (game.kernel is not None) == kernel
+    assert isinstance(game, GridGame) == grid
+    # the benchmark's audit tells the forms apart by this attribute
+    assert hasattr(game, "avg") != grid
     rng = rng_stream(n, 3)
     for z in (random_feasible(p, rng), rng.normal(p.d)):
-        want = _two_products(game.avg, z)
+        want = _two_products(dense_game_matrix(game), z)
         pairs = [(game.full(z), want), (game.components(z), game.ratios[:, None] * want)]
-        if kernel:
-            # the coordinate oracle reads avg, so it must agree with the FFT product
+        if grid:
+            # the coordinate oracle reads the table, so it must agree with the FFT product
             pairs.append((np.array([game.coordinate(j, z) for j in range(p.d)]), game.full(z)))
         for got, ref in pairs:
-            if kernel:
+            if grid:
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             else:
                 assert got.tobytes() == ref.tobytes()
@@ -177,7 +181,7 @@ def test_fft_size_is_the_next_integer_with_no_prime_factor_above_5():
 
 
 def test_a_game_without_a_kernel_takes_the_two_whole_products():
-    # a hand-built game has no kernel, however large its matrix
+    # a hand-built BilinearGame stores its matrix, however large
     h = 600
     rng = rng_stream(4, 0)
     game = problems.BilinearGame(avg=rng.normal((h, h)), ratios=np.array([0.5, 1.5]))
@@ -190,14 +194,15 @@ def test_a_game_without_a_kernel_takes_the_two_whole_products():
 def test_policeman_burglar_runs_one_power_iteration(monkeypatch):
     # on the averaged matrix, whatever M is: every component is a multiple of it
     calls = []
+    spectral_norm = problems._spectral_norm
 
-    def counted(mat, tol):
-        calls.append(mat.shape)
-        return _matrix_spectral_norm(mat, tol)
+    def counted(game, tol):
+        calls.append(game.half)
+        return spectral_norm(game, tol)
 
-    monkeypatch.setattr(problems, "_matrix_spectral_norm", counted)
+    monkeypatch.setattr(problems, "_spectral_norm", counted)
     p = gen_policeman_burglar(6, seed=1)
-    assert calls == [(36, 36)]
+    assert calls == [36]
     assert p.L_m.shape == (6,)
 
 
@@ -246,24 +251,49 @@ def test_policeman_burglar_generation_holds_no_component_stack():
     assert peak <= 8 * one_matrix
 
 
-@pytest.mark.parametrize("n", [1, 3, 17, 22, 23])
+def test_grid_game_generation_allocates_no_matrix():
+    # n = 40: one n^2 x n^2 array would be 20.5 MB; the grid form and the
+    # power iteration need vectors, grids and one spectrum
+    gen_policeman_burglar(23)  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        p = gen_policeman_burglar(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(p.payload, GridGame)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [23, 30])
+def test_grid_game_lipschitz_constant_matches_the_dense_norm(n):
+    p = gen_policeman_burglar(n, seed=n)
+    assert isinstance(p.payload, GridGame)
+    want = np.linalg.norm(dense_game_matrix(p.payload), 2)
+    assert p.L == pytest.approx(want, rel=1e-12)
+    np.testing.assert_array_equal(p.L_m, p.payload.ratios * p.L)
+
+
+@pytest.mark.parametrize("n", [1, 3, 17, 22, 23, 30])
 def test_game_payload_holds_one_matrix(n):
-    # A and the M ratios, each in its own buffer: 8 n^4 + 8 M bytes; from
-    # n = 23 on, also a kernel: 8 n^2 bytes of wealth and an N x (N // 2 + 1)
-    # complex spectrum
+    # up to n = 22, A and the M ratios, each in its own buffer:
+    # 8 n^4 + 8 M bytes; from n = 23 on, the grid form in O(n^2) bytes:
+    # 8 n^2 of wealth, a (2n - 1) x (2n - 1) table, an N x (N // 2 + 1)
+    # complex spectrum and the ratios
     p = gen_policeman_burglar(n, seed=n)
     game = p.payload
-    arrays = [game.avg, game.ratios, *(game.kernel or ())]
-    assert all(isinstance(a, np.ndarray) and a.base is None for a in arrays)
-    dense = 8 * n**4 + 8 * p.M
-    if game.kernel is None:
-        assert n <= 22
-        assert sum(a.nbytes for a in arrays) == dense
+    if n <= 22:
+        arrays = [game.avg, game.ratios]
+        assert sum(a.nbytes for a in arrays) == 8 * n**4 + 8 * p.M
+        assert [a.shape for a in arrays if a.ndim == 2] == [(n * n, n * n)]
     else:
-        N = game.kernel[1].shape[0]
-        assert n >= 23 and N == problems._fft_size(2 * n - 1)
-        assert dense < sum(a.nbytes for a in arrays) <= dense + 16 * N * (N // 2 + 1) + 8 * n**2
-    assert [a.shape for a in arrays if a.ndim == 2 and a.dtype == float] == [(n * n, n * n)]
+        arrays = [game.a, game.table, game.spectrum, game.ratios]
+        N = game.spectrum.shape[0]
+        assert N == problems._fft_size(2 * n - 1) < 4 * n
+        grid_bytes = 8 * n**2 + 8 * (2 * n - 1) ** 2 + 16 * N * (N // 2 + 1) + 8 * p.M
+        assert sum(a.nbytes for a in arrays) == grid_bytes
+        assert sorted(vars(game)) == ["a", "ratios", "spectrum", "table"]
+    assert all(isinstance(a, np.ndarray) and a.base is None for a in arrays)
     z = random_feasible(p, rng_stream(n, 5))
     stack = game.components(z)
     for m in range(p.M):
@@ -478,11 +508,14 @@ def test_mixing_consensus_properties():
     np.testing.assert_allclose(mix.consensus(np.tile(v, 3)), np.zeros(12), atol=1e-12)
     np.testing.assert_allclose(mix.full(Z), mix.phi(Z) + mix.consensus(Z), atol=1e-15)
     np.testing.assert_array_equal(eval_component(p, 0, Z), eval_full(p, Z))
-    # phi applies each worker operator to its own block
+    # phi applies each worker operator to its own block, in one stacked
+    # product with the bits of the per-worker calls; consensus subtracts the
+    # blockwise mean with its bits
     for m in range(3):
-        np.testing.assert_allclose(
-            mix.phi(Z)[4 * m : 4 * (m + 1)], eval_full(base[m], Z[4 * m : 4 * (m + 1)]), atol=1e-15
-        )
+        blk = slice(4 * m, 4 * (m + 1))
+        assert mix.phi(Z)[blk].tobytes() == eval_full(base[m], Z[blk]).tobytes()
+    blocks = Z.reshape(3, 4)
+    assert mix.consensus(Z).tobytes() == (0.8 * (blocks - blocks.mean(axis=0))).ravel().tobytes()
 
 
 def test_mixing_known_solution_only_for_identical_workers():
@@ -501,8 +534,11 @@ def test_mixing_argument_errors():
         gen_mixing_vi([], 1.0)
     with pytest.raises(ValueError):
         gen_mixing_vi([gen_quadratic_vi(4, 0.5, 2.0), gen_quadratic_vi(5, 0.5, 2.0)], 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="worker 0 is not a quadratic operator: BilinearGame"):
         gen_mixing_vi([gen_policeman_burglar(2)], 1.0)
+    mixing = gen_mixing_vi([gen_quadratic_vi(2, 0.5, 2.0)] * 2, 1.0)
+    with pytest.raises(ValueError, match="worker 1 is not a quadratic operator: MixingVI"):
+        gen_mixing_vi([gen_quadratic_vi(4, 0.5, 2.0), mixing], 1.0)
 
 
 def test_eval_dimension_and_index_errors():

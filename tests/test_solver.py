@@ -7,11 +7,14 @@ import re
 
 import numpy as np
 import pytest
+from conftest import dense_game_matrix
 
 from vistep import (
     FREE,
+    BilinearGame,
     DivergenceError,
     EstimatorKind,
+    GridGame,
     QuadraticOperator,
     SolverConfig,
     VIProblem,
@@ -196,7 +199,7 @@ def test_lyapunov_value_arithmetic():
     z_star = np.zeros(2)
     z = np.array([1.0, 0.0])
     w = np.array([0.0, 2.0])
-    got = lyapunov_value(z, w, 4.0, z_star, tau=0.5, gamma=0.01, T=36.0)
+    got = lyapunov_value(float(np.sum((z - z_star) ** 2)), w, 4.0, z_star, tau=0.5, gamma=0.01, T=36.0)
     assert got == pytest.approx(0.5 * 1.0 + 4.0 + 36.0 * 1e-4 * 4.0, rel=1e-12)
 
 
@@ -306,20 +309,33 @@ class _CountedMatrix(np.ndarray):
 
 def _counted_game(n=3):
     """The n-game with its operator products counted, two per ``_apply``
-    (one per player) whichever path it takes, dense or FFT: under
+    (one per player) whichever form it takes, dense or grid: under
     "components" for the products that form F_m, under "avg" for those
-    that form F.  A product with a row or column of avg counts under
-    "avg line", and a whole product with avg outside ``_apply`` under
-    "avg outside", so no product escapes the count."""
+    that form F.  A row or column of A read for one coordinate counts under
+    "avg line".  On a dense game a whole product with avg outside
+    ``_apply`` counts under "avg outside", so no product escapes the count;
+    a game in grid form holds no matrix to form one with."""
     p = gen_policeman_burglar(n, seed=1)
     game, counts = p.payload, collections.Counter()
-    mat = game.avg.view(_CountedMatrix)
-    mat.tag, mat.counts = "avg outside", counts
-    game.avg = mat
+    mat = None
+    if isinstance(game, GridGame):
+        for name in ("_row", "_column"):
+
+            def line(i, method=getattr(game, name)):
+                counts["avg line"] += 1
+                return method(i)
+
+            setattr(game, name, line)
+    else:
+        mat = game.avg.view(_CountedMatrix)
+        mat.tag, mat.counts = "avg outside", counts
+        game.avg = mat
     tag = ["avg"]
 
     def counted_apply(z, apply=game._apply):
         counts[tag[0]] += 2
+        if mat is None:
+            return apply(z)
         mat.tag = None
         try:
             return apply(z)
@@ -428,29 +444,30 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
 
 
 def test_a_kernel_operator_product_counts_as_one_pass(monkeypatch):
-    # with the kernel threshold at 0 the n = 3 game takes the FFT product;
-    # its runs count as many products as the dense game's
+    # with the kernel threshold at 0 the n = 3 game is kept in grid form and
+    # takes the FFT product; its runs count as many products as the dense
+    # game's
     kinds = (EstimatorKind("fulldet"), EstimatorKind("past", sigma=0.5), EstimatorKind("vr"), EstimatorKind("coord"))
     dense = []
     for kind in kinds:
         p, counts = _counted_game()
-        assert p.payload.kernel is None
+        assert isinstance(p.payload, BilinearGame)
         run_solver(p, SolverConfig(kind, K=10, seed=3, gap_every=1))
         dense.append(counts)
     monkeypatch.setattr(problems, "_KERNEL_MIN_VALUES", 0)
     for kind, want in zip(kinds, dense):
         p, counts = _counted_game()
-        assert p.payload.kernel is not None
+        assert isinstance(p.payload, GridGame)
         run_solver(p, SolverConfig(kind, K=10, seed=3, gap_every=1))
         assert counts == want, kind.name
 
 
 def test_kernel_game_runs_follow_the_dense_runs():
-    # n = 23, the smallest game applied through its grid kernel, against
-    # the same payload without it: the FFT product moves only last bits
+    # n = 23, the smallest game kept in grid form, against the same game
+    # with its matrix stored: the FFT product moves only last bits
     p = gen_policeman_burglar(23, seed=1)
-    assert p.payload.kernel is not None
-    dense = dataclasses.replace(p, payload=dataclasses.replace(p.payload, kernel=None))
+    assert isinstance(p.payload, GridGame)
+    dense = dataclasses.replace(p, payload=BilinearGame(avg=dense_game_matrix(p.payload), ratios=p.payload.ratios))
     for kind in (EstimatorKind("fulldet"), EstimatorKind("past", sigma=0.5), EstimatorKind("vr"), EstimatorKind("coord")):
         cfg = SolverConfig(kind, K=50, seed=2, gap_every=1)
         got, want = run_solver(p, cfg), run_solver(dense, cfg)
@@ -496,8 +513,7 @@ def test_past_tracks_sigma_memory_in_lyapunov():
     sigma_sq = float(np.sum((g_half - g_k) ** 2))
     z_new = z - trace.gamma * g_half
     # tau = 0 for this strategy, so the snapshot refreshes to the new iterate
-    want = lyapunov_value(
-        z_new, z_new, sigma_sq, p.known_solution, trace.tau, trace.gamma, trace.T
-    )
+    dist_sq = float(np.sum((z_new - p.known_solution) ** 2))
+    want = lyapunov_value(dist_sq, z_new, sigma_sq, p.known_solution, trace.tau, trace.gamma, trace.T)
     assert trace.T == pytest.approx(36.0, rel=1e-12)
     assert trace.lyapunov[1] == pytest.approx(want, rel=1e-12)
