@@ -6,8 +6,6 @@ Both mixed strategies live on a simplex, so the duality gap has a closed
 form and we can watch the averaged iterate drive it to zero.
 """
 
-import numpy as np
-
 from vistep import EstimatorKind, SolverConfig, duality_gap_bilinear, gen_policeman_burglar, run_solver
 
 p = gen_policeman_burglar(5, seed=0)
@@ -29,7 +27,9 @@ print(f"final last-iterate gap {trace.gap_last[-1]:.3e}")
 print(f"gap at the averaged point, recomputed: {duality_gap_bilinear(p.payload, trace.z_avg):.3e}")
 
 x, y = trace.z_avg[: p.d // 2], trace.z_avg[p.d // 2 :]
-top = np.argsort(y)[::-1][:3]
+# ranked by the printed value, so mirror-image cells that print alike keep
+# their index order whatever their last bits
+top = sorted(range(y.size), key=lambda i: (-float(f"{y[i]:.3f}"), i))[:3]
 print("\nburglar's three favourite houses (cell: probability):")
 for i in top:
     print(f"  ({i // 5},{i % 5}): {y[i]:.3f}")

@@ -40,6 +40,29 @@ class VIProblem:
     known_solution: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Check the constants the step rules and verifiers take on trust, a
+        hand-built or ``dataclasses.replace``d problem included; each error
+        names its field.  L = 0 stays legal: the zero operator has it."""
+        _check_integers(d=self.d, M=self.M)
+        for name, size in (("d", self.d), ("M", self.M)):
+            if size < 1:
+                raise ValueError(f"{name} must be a positive integer, got {size!r}")
+        for name, value in (("L", self.L), ("mu_F", self.mu_F), ("mu_h", self.mu_h)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.L_m is not None:
+            L_m = np.asarray(self.L_m, dtype=float)
+            if L_m.shape != (self.M,):
+                raise ValueError(f"L_m must have length M = {self.M}, got shape {L_m.shape}")
+            if not 0 <= L_m.min() <= L_m.max() < np.inf:
+                raise ValueError(f"L_m entries must be finite and >= 0, got {self.L_m!r}")
+        if self.known_solution is not None and np.shape(self.known_solution) != (self.d,):
+            shape = np.shape(self.known_solution)
+            raise ValueError(f"known_solution must have length d = {self.d}, got shape {shape}")
+        if not self.prox.free and self.prox.dim != self.d:
+            raise ValueError(f"prox.dim = {self.prox.dim} does not match d = {self.d}")
+
 
 class _GameOracles:
     """The oracles both forms of the matrix game share: z = (x, y) on a
@@ -345,7 +368,7 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float, 
     as ``scipy.optimize.brentq(f, xpre, xcur, xtol=xtol, rtol=rtol)``.
 
     Both end values are passed in because the caller already knows them,
-    and each evaluation of f here costs an SVD.
+    and each evaluation of f here costs a symmetric eigenvalue solve.
     """
     if fpre == 0:
         return xpre
@@ -410,15 +433,23 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
         mat = mu * eye
     else:
         N = S + P
+        # solved in units of L, alpha = beta * L: ||mu I + alpha N||_2 / L is
+        # ||m I + beta N||_2 with m = mu / L, the square root of the top
+        # eigenvalue of its Gram matrix m^2 I + beta m (N + N^T) + beta^2 N^T N,
+        # whose entries stay O(1) for every finite L
+        m = mu / L
+        sym = N + N.T
+        gram = N.T @ N
 
-        def excess(a):
-            return np.linalg.norm(mu * eye + a * N, 2) - L
+        def excess(beta):
+            top = np.linalg.eigvalsh(beta * beta * gram + beta * m * sym + m * m * eye)[-1]
+            return math.sqrt(top) - 1.0
 
         hi = 1.0
         while (excess_hi := excess(hi)) < 0:
             hi *= 2.0
-        # excess(0) is exactly mu - L: the 2-norm of mu * I is mu
-        alpha = _brentq(excess, 0.0, hi, mu - L, excess_hi, xtol=1e-13, rtol=8.9e-16)
+        # excess(0) is exactly m - 1: m^2 I's top eigenvalue is m * m, whose root is m
+        alpha = L * _brentq(excess, 0.0, hi, m - 1.0, excess_hi, xtol=1e-13, rtol=8.9e-16)
         mat = mu * eye + alpha * N
 
     payload = QuadraticOperator(mat=mat, center=z_star)

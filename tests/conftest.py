@@ -1,7 +1,8 @@
 """Shared brute-force oracles for the test suite: the simplex projection
 by support enumeration, the scalar grid distance behind the game's
-matrices, the game's dense matrix and a power iteration on it, and two
-restricted merit values that cross-check problems.duality_gap_bilinear."""
+matrices, the game's dense matrix and a power iteration on it, the
+quadratic's calibration by SVDs, and two restricted merit values that
+cross-check problems.duality_gap_bilinear."""
 
 import itertools
 import math
@@ -88,6 +89,26 @@ def matrix_spectral_norm(mat: np.ndarray, tol: float) -> float:
             return new
         val = new
     return val
+
+
+def svd_calibrated_alpha(d: int, mu: float, L: float, seed: int) -> tuple[float, np.ndarray]:
+    """The quadratic's alpha by the earlier rule, with N = S + P drawn as
+    gen_quadratic_vi draws it: Brent's method on ||mu I + alpha N||_2 - L,
+    one SVD per evaluation, bracketed by doubling alpha from 1.  Returns
+    alpha and N."""
+    rng = rng_stream(seed, 0)
+    R = rng.normal((d, d))
+    B = rng.normal((d, d))
+    N = (R - R.T) / 2.0 + (B @ B.T) / d
+    eye = np.eye(d)
+
+    def excess(a):
+        return np.linalg.norm(mu * eye + a * N, 2) - L
+
+    hi = 1.0
+    while excess(hi) < 0:
+        hi *= 2.0
+    return brentq(excess, 0.0, hi, xtol=1e-13, rtol=8.9e-16), N
 
 
 @dataclass(frozen=True)

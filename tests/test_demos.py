@@ -18,8 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
     "estimator_showdown.py": "a9322ad4ac437629a94a2853f47d92b55dc01ba92c40e0a3f280a852af5bf485",
-    "local_mixing.py": "f60b6b8a1300053e12b91bc36cc243d457f2d0f55b3cd40fbdb09263257f1466",
-    "policeman_burglar.py": "fe35a16e8fbe13c8e9902e34bcc1e07eefdeea1ebad62b6cede5e239210ce0f8",
+    "local_mixing.py": "67d037a1b6ba12c83bf80061d71258e227ec7c302a62864494e88fd6ecea163f",
+    "policeman_burglar.py": "7e897755a3bce9853571e059eb46931e4a36fca6cb82e76a7a8ec841d881863d",
     "strongly_monotone_rates.py": "00e6b9ded314c34b769344e97c78da3f9a535f9442712829577e6f809a76f618",
     "verify_constants.py": "c82d1e305156a7f872f23040fa68c1518b79d3651e6dafbf8beeea171686ec93",
 }

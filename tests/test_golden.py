@@ -122,9 +122,9 @@ DIGESTS = {
     "mix-local": "03f0eb3462dbffa64974d0ad78bb0ed53d2454f28ba5adf7adcb687a410bef21",
     "mix-fulldet": "77e5eb651374ca3b830d2530396cdf356d76c375cb79cf7073f20bfe5fa6cb11",
     "verify-game": "7da71047ae495144241c96e66e955c8c7135a5826f2ca6931a0df59d5f86de0d",
-    "verify-mixing": "0ce8477aebb7ea4f877ffc97a7fba95f17649676805f2d8bd6e0dd3d7fc0cff9",
+    "verify-mixing": "6e1b7dba8766c380ae4e8bb51d258446045e1f24eeaa4bd519d24000cec09291",
     "verify-game-mc": "72cab118a96acdc4fea8b691ea7f9ee8be361ad3ef51a4070f25b366547a058a",
-    "verify-mixing-mc": "dfc887ef94ff183b607f348701b35e166040c47a41b2b5d4736c7383d6c7880f",
+    "verify-mixing-mc": "7945f14605e39417aceb9707a845bb5c37246a58947ed3d9a990a8888d46234c",
     "sweep-game": "c3db6c64cc296cb9ae1e4cd59137cd17e19fa9e8e6b6897c3ae8e83f8b75a894",
     "report-game": "249fcf1ba7ebc5f578589093b058911142e1e0bb2f76b461c2d6ec390ac6f68a",
     "report-quad": "52d89603c809de23e549a9b3460f38a9d794ba8a5172be9274f994b0e9371432",

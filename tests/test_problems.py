@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cell_distance, dense_game_matrix, matrix_spectral_norm
+from conftest import cell_distance, dense_game_matrix, matrix_spectral_norm, svd_calibrated_alpha
 
 from vistep import (
     FREE,
@@ -420,9 +420,9 @@ def test_quadratic_calibration_matches_scipy_brentq_bit_for_bit(monkeypatch):
     port, calls = problems._brentq, []
 
     def spy(f, a, b, fa, fb, xtol, rtol):
-        alpha = port(f, a, b, fa, fb, xtol, rtol)
-        calls.append((f, a, b, fa, fb, xtol, rtol, alpha))
-        return alpha
+        root = port(f, a, b, fa, fb, xtol, rtol)
+        calls.append((f, a, b, fa, fb, xtol, rtol, root))
+        return root
 
     monkeypatch.setattr(problems, "_brentq", spy)
     for d in (2, 3, 5, 10, 40, 50, 100):
@@ -430,23 +430,49 @@ def test_quadratic_calibration_matches_scipy_brentq_bit_for_bit(monkeypatch):
             for mu, L in ((0.1, 1.0), (0.5, 2.0), (1e-3, 1.0), (0.9, 1.0)):
                 calls.clear()
                 gen_quadratic_vi(d, mu, L, seed=seed)
-                [(f, a, b, fa, fb, xtol, rtol, alpha)] = calls
+                [(f, a, b, fa, fb, xtol, rtol, root)] = calls
                 case = (d, seed, mu, L)
                 # the end values passed in are the ones scipy computes for itself
                 assert (fa, fb) == (f(a), f(b)), case
-                assert alpha == brentq(f, a, b, xtol=xtol, rtol=rtol), case
+                assert root == brentq(f, a, b, xtol=xtol, rtol=rtol), case
 
-    # a d = 500 calibration runs the doubling probe's SVDs and the port's, and no
-    # second SVD at either end of the bracket
-    norm, orders = np.linalg.norm, []
+    # a d = 500 calibration runs only the doubling probe's eigenvalue solves and
+    # the port's, none of them again at an end of the bracket, and no SVD
+    norm, eigvalsh, orders, solves = np.linalg.norm, np.linalg.eigvalsh, [], []
 
-    def counted(x, ord=None, **kwargs):
+    def counted_norm(x, ord=None, **kwargs):
         orders.append(ord)
         return norm(x, ord, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    def counted_eigvalsh(x, *args, **kwargs):
+        solves.append(x.shape)
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     gen_quadratic_vi(500, 0.1, 1.0, seed=0)
-    assert orders.count(2) == 7
+    assert solves == [(500, 500)] * 7
+    assert 2 not in orders
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 40, 50, 100, 200, 500])
+def test_quadratic_alpha_matches_the_svd_rule(d):
+    # the Gram-eigenvalue rule finds the SVD rule's alpha to 5.7e-13 relative
+    # (worst over these d, the four (mu, L) pairs and seeds 0-2)
+    for seed in range(3) if d <= 100 else (0,):
+        for mu, L in ((0.1, 1.0), (0.5, 2.0), (1e-3, 1.0), (0.9, 1.0)):
+            want, N = svd_calibrated_alpha(d, mu, L, seed)
+            mat = gen_quadratic_vi(d, mu, L, seed=seed).payload.mat
+            alpha = np.vdot(mat - mu * np.eye(d), N) / np.vdot(N, N)
+            assert alpha == pytest.approx(want, rel=1e-12), (seed, mu, L)
+
+
+@pytest.mark.parametrize("d", [4, 50])
+@pytest.mark.parametrize("L", [1e-12, 1e-8, 1.0, 1e8, 1e200])
+def test_quadratic_spectral_norm_is_L_at_every_scale(d, L):
+    # the root is found in units of L, so its tolerance is relative at any scale
+    mat = gen_quadratic_vi(d, L / 10, L, seed=0).payload.mat
+    assert abs(np.linalg.norm(mat, 2) / L - 1.0) <= 1e-11
 
 
 def test_quadratic_strong_monotonicity_empirical():
@@ -556,6 +582,40 @@ def test_eval_dimension_and_index_errors():
             eval_component(p, np.array(bad), np.zeros(8))
     with pytest.raises(ValueError):
         eval_component(p, np.array([0, 1]), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "kind, changes, message",
+    [
+        ("quad", {"d": 0}, "d must be a positive integer, got 0"),
+        ("quad", {"d": 4.0}, "d must be an integer, got 4.0"),
+        ("quad", {"M": 0}, "M must be a positive integer, got 0"),
+        ("quad", {"M": True}, "M must be an integer, got True"),
+        ("quad", {"L": -1.0}, "L must be finite and >= 0, got -1.0"),
+        ("quad", {"L": np.nan}, "L must be finite and >= 0, got nan"),
+        ("quad", {"L": np.inf}, "L must be finite and >= 0, got inf"),
+        ("quad", {"mu_F": -0.1}, "mu_F must be finite and >= 0, got -0.1"),
+        ("quad", {"mu_h": np.nan}, "mu_h must be finite and >= 0, got nan"),
+        ("quad", {"L_m": np.array([2.0, 2.0])}, "L_m must have length M = 1, got shape"),
+        ("game", {"L_m": np.ones(1)}, "L_m must have length M = 3, got shape"),
+        ("quad", {"L_m": np.array([np.inf])}, "L_m entries must be finite and >= 0"),
+        ("quad", {"L_m": np.array([-1.0])}, "L_m entries must be finite and >= 0"),
+        ("game", {"L_m": np.array([1.0, np.nan, 2.0])}, "L_m entries must be finite and >= 0"),
+        ("quad", {"known_solution": np.zeros(3)}, "known_solution must have length d = 4, got shape"),
+        ("quad", {"prox": ProxSpec((2, 3))}, "prox.dim = 5 does not match d = 4"),
+        ("game", {"d": 20}, "prox.dim = 18 does not match d = 20"),
+    ],
+)
+def test_problem_checks_its_constants(kind, changes, message):
+    p = gen_quadratic_vi(4, 0.5, 2.0, seed=0) if kind == "quad" else gen_policeman_burglar(3, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(p, **changes)
+
+
+def test_problem_constants_at_their_limits_are_legal():
+    # L = 0 is the zero operator's constant; L_m and known_solution may be absent
+    VIProblem(d=3, prox=FREE, M=2, payload=None, L=0.0, L_m=np.zeros(2), known_solution=np.zeros(3))
+    VIProblem(d=3, prox=FREE, M=2, payload=None, L=0.0)
 
 
 def test_initial_point_conventions():
