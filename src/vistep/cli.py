@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import KINDS, STRATEGIES, EstimatorKind, Quantizer, check_problem, importance_weights, optimal_tau
-from .metrics import VerificationReport, verify_assumption2, verify_unbiasedness
+from .metrics import VerificationReport, verify_contracts
 from .problems import VIProblem, gen_mixing_vi, gen_policeman_burglar, gen_quadratic_vi
 from .solver import COST_COLUMNS, RunTrace, SolverConfig, run_solver
 
@@ -362,11 +362,9 @@ def cmd_verify(cfg: Config, out_path: str | None = None) -> int:
     p = build_problem(cfg)
     n_points = cfg.get("verify", "n_points")
     n_samples = cfg.get("verify", "n_samples")
-    report = VerificationReport(rows=[])
-    for name in _estimator_names(cfg, "verify"):
-        kind = build_estimator(cfg, p, name=name)
-        report.extend(verify_unbiasedness(kind, p, n_points=n_points, n_samples=n_samples))
-        report.extend(verify_assumption2(kind, p, n_points=n_points, n_samples=n_samples))
+    kinds = [build_estimator(cfg, p, name=name) for name in _estimator_names(cfg, "verify")]
+    # seed 0, the single-lemma verifiers' default
+    report = verify_contracts(kinds, p, n_points, n_samples, 0)
     lines = [",".join(REPORT_COLUMNS)]
     for r in report.rows:
         cells = [r.lemma, r.variant, _fmt_float(r.lhs), _fmt_float(r.rhs), _fmt_float(r.slack), str(r.n)]

@@ -7,12 +7,22 @@ outcome atoms; otherwise by Monte Carlo with a slack that scales like
 1/sqrt(n).  The noisy oracle strategies (noisy, past) have no atoms, so
 their unbiasedness rows average Monte Carlo draws that include the noise;
 in their second-moment rows the noise terms enter analytically.
+
+Every row comes from one pass over a list of strategies (verify_contracts).
+At each random state pair (z^{k+1/2}, w) each distinct outcome set of
+g^{k+1/2} is built once, and one walk over it yields every row it serves.
+Strategies share an outcome set when their rows have the same draw, diff,
+correct, refresh and atoms and their parameters agree: noisy and past at
+one sigma, or a strategy listed twice.  The stored-half-step strategy's
+second-moment rows stay a trajectory check: its g^k is the previous half
+step's sample, not a function of the state pair, so its contract bounds
+a trajectory of the solver's own iteration, not a state pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -20,6 +30,7 @@ from .core import Vector, _block_rows, _check_integers, rng_stream
 from .estimators import (
     FRESH,
     PAST,
+    SNAPSHOT,
     CostLedger,
     EstimatorKind,
     check_problem,
@@ -84,23 +95,21 @@ def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, see
     return n_samples
 
 
-def _outcome_sets(kind: EstimatorKind, p: VIProblem, n_points: int, draws: int | None, seed: int):
-    """Random state pairs (z^{k+1/2}, w) with the strategy's refresh at w
-    (None without a snapshot), the target F(z^{k+1/2}) and the outcome set
-    of g^{k+1/2} as (probs, blocks of value rows): every atom, a block of
-    _block_rows(d) at a time, when draws = 0; (None, one block) of that
-    many Monte Carlo draws; or (None, None) when draws is None."""
-    points, rng = rng_stream(seed, 5), rng_stream(seed, 6)
-    refresh = kind.strategy.refresh
-    for _ in range(n_points):
-        z_half, w = random_feasible(p, points), random_feasible(p, points)
-        snap = None if refresh is None else refresh(kind, p, w, CostLedger())
-        probs = blocks = None
-        if draws == 0:
-            probs, blocks = half_atoms(kind, p, z_half, snap)
-        elif draws is not None:
-            blocks = (sample_half_batch(kind, p, z_half, snap, rng, draws),)
-        yield z_half, w, snap, eval_full(p, z_half), probs, blocks
+def _outcome_key(kind: EstimatorKind) -> tuple:
+    """What fixes a strategy's outcome sets: the row fields that produce
+    g^{k+1/2} and the kind's parameters.  Kinds with one key (noisy and
+    past at one sigma, or a strategy listed twice) share their sets."""
+    strat = kind.strategy
+    return (strat.draw, strat.diff, strat.correct, strat.refresh, strat.atoms) + astuple(kind)[1:]
+
+
+def _outcome_set(kind: EstimatorKind, p: VIProblem, z_half: Vector, snap, draws: int, rng):
+    """The outcome set of g^{k+1/2} at z^{k+1/2} as (probs, blocks of value
+    rows): every atom, a block of _block_rows(d) at a time, when draws = 0;
+    else (None, one block) of that many Monte Carlo draws."""
+    if draws == 0:
+        return half_atoms(kind, p, z_half, snap)
+    return None, (sample_half_batch(kind, p, z_half, snap, rng, draws),)
 
 
 def _sq_dists(values: np.ndarray, ref: Vector) -> np.ndarray:
@@ -116,42 +125,33 @@ def _keep_worst(worst: dict, row: CheckRow) -> None:
         worst[row.lemma] = row
 
 
-def verify_unbiasedness(
-    kind: EstimatorKind,
-    p: VIProblem,
-    n_points: int = 5,
-    n_samples: int = 0,
-    seed: int = 0,
-) -> VerificationReport:
-    """Check E[g^{k+1/2}] = F(z^{k+1/2}) at random state pairs.
-
-    n_samples = 0 enumerates the outcome atoms where the strategy has them
-    (exact, tolerance at float precision) and otherwise averages
-    MC_SAMPLES Monte Carlo draws; n_samples >= 2 averages that many draws.
-    Monte Carlo means are held to four standard errors.
-    """
-    draws = _draws(kind, p, n_points, n_samples, seed)
-    worst = {}
-    for z_half, w, snap, target, probs, blocks in _outcome_sets(kind, p, n_points, draws, seed):
-        scale = 1.0 + float(np.linalg.norm(target))
-        if probs is not None:
-            mean, n = np.zeros(p.d), 0
-            for values in blocks:
-                # the running sum enters as a first row of weight 1, so the
-                # additions keep the order of one pass over every atom
-                weights = np.concatenate([[1.0], probs[n : n + len(values)]])
-                mean = np.einsum("i,ij->j", weights, np.vstack([mean, values]))
-                n += len(values)
-            lhs = float(np.linalg.norm(mean - target))
-            rhs = 1e-9 * scale
-        else:
-            (values,) = blocks
-            n = len(values)
-            lhs = float(np.linalg.norm(values.mean(axis=0) - target))
-            trace_cov = float(np.sum(values.var(axis=0))) / n
-            rhs = 4.0 * math.sqrt(trace_cov) + 1e-12 * scale
-        _keep_worst(worst, _row("unbiased", kind.name, lhs, rhs, n, 0.0))
-    return VerificationReport(list(worst.values()))
+def _moments(probs, blocks, target: Vector, fw: Vector | None, unbiased: bool):
+    """One walk over an outcome set: the unbiasedness check's (lhs, rhs)
+    when ``unbiased``, else None; given the snapshot's F(w) as fw, the
+    anchored-difference and residual second moments with their tolerance,
+    else None; and the number of outcomes."""
+    scale = 1.0 + float(np.linalg.norm(target))
+    check, mean, n, sq = None, np.zeros(len(target)), 0, []
+    for values in blocks:
+        if unbiased and probs is not None:
+            # the running sum enters as a first row of weight 1, so the
+            # additions keep the order of one pass over every atom
+            weights = np.concatenate([[1.0], probs[n : n + len(values)]])
+            mean = np.einsum("i,ij->j", weights, np.vstack([mean, values]))
+        elif unbiased:  # the one block of Monte Carlo draws
+            trace_cov = float(np.sum(values.var(axis=0))) / len(values)
+            check = float(np.linalg.norm(values.mean(axis=0) - target)), 4.0 * math.sqrt(trace_cov) + 1e-12 * scale
+        if fw is not None:
+            sq.append((_sq_dists(values, fw), _sq_dists(values, target)))
+        n += len(values)
+    if unbiased and probs is not None:
+        check = float(np.linalg.norm(mean - target)), 1e-9 * scale
+    if fw is None:
+        return check, None, n
+    diff_sq, res_sq = (np.concatenate(parts) for parts in zip(*sq))
+    if probs is None:
+        return check, (float(np.mean(diff_sq)), float(np.mean(res_sq)), 5.0 / math.sqrt(n)), n
+    return check, (sum((probs * diff_sq).tolist()), sum((probs * res_sq).tolist()), 1e-9), n
 
 
 def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, seed: int) -> list:
@@ -189,6 +189,81 @@ def _second_moment_rows_past(kind: EstimatorKind, p: VIProblem, n_points: int, s
     return list(worst.values()) + [_row("residual-second-moment", kind.name, s2, c.D3, 0, 1e-9)]
 
 
+def verify_contracts(
+    kinds, p: VIProblem, n_points: int, n_samples: int, seed: int, unbiased: bool = True, second: bool = True
+) -> VerificationReport:
+    """The contract rows of each kind in ``kinds``, in one pass: per kind
+    its unbiased row (verify_unbiasedness's, when ``unbiased``), then its
+    second-moment rows (verify_assumption2's, when ``second``), with the
+    bits those report.
+
+    The points come from one (seed, 5) stream, outermost.  Each distinct
+    outcome key (see _outcome_key) is one sampler with its own (seed, 6)
+    stream: at each point it builds its outcome set once, walks it once,
+    and drops it before the next sampler builds its own.  A sampler is
+    needed for the unbiased rows and for the second moments of a snapshot
+    strategy; the fresh-oracle strategies' second moments are analytic
+    and the stored-half-step one's come from its trajectory.
+    """
+    draws = [_draws(kind, p, n_points, n_samples, seed) for kind in kinds]
+    anchors = [kind.strategy.anchor for kind in kinds]
+    consts = [constants_for_problem(k, p) if second and a != PAST else None for k, a in zip(kinds, anchors)]
+    samplers = {}  # outcome key -> (kind, draws, (seed, 6) stream, indices of the kinds it serves)
+    for i, kind in enumerate(kinds):
+        if unbiased or (second and anchors[i] == SNAPSHOT):
+            samplers.setdefault(_outcome_key(kind), (kind, draws[i], rng_stream(seed, 6), []))[3].append(i)
+    fresh = [i for i, anchor in enumerate(anchors) if second and anchor == FRESH]
+    worst = [{} for _ in kinds]
+    points = rng_stream(seed, 5)
+    # the stored-half-step strategy's second moments alone draw no points
+    for _ in range(n_points if samplers or fresh else 0):
+        z_half, w = random_feasible(p, points), random_feasible(p, points)
+        target = eval_full(p, z_half)
+        gap_sq = float(np.sum((z_half - w) ** 2))
+        for kind, n_draws, rng, users in samplers.values():
+            snap = None if kind.strategy.refresh is None else kind.strategy.refresh(kind, p, w, CostLedger())
+            fw = snap.fw if second and snap is not None else None
+            check, moments, n = _moments(*_outcome_set(kind, p, z_half, snap, n_draws, rng), target, fw, unbiased)
+            for i in users:
+                name, c = kinds[i].name, consts[i]
+                if check is not None:
+                    _keep_worst(worst[i], _row("unbiased", name, *check, n, 0.0))
+                if moments is not None:
+                    diff_lhs, res_lhs, tol = moments
+                    _keep_worst(worst[i], _row("diff-second-moment", name, diff_lhs, c.A * gap_sq + c.D1, n, tol))
+                    _keep_worst(worst[i], _row("residual-second-moment", name, res_lhs, c.E * gap_sq + c.D3, n, tol))
+        # tau = 0 for the fresh-oracle strategies, so the anchor w is the current iterate
+        f_w = eval_full(p, w) if fresh else None
+        for i in fresh:
+            name, c, s2 = kinds[i].name, consts[i], kinds[i].sigma ** 2
+            diff_lhs = float(np.sum((target - f_w) ** 2)) + 2.0 * s2
+            _keep_worst(worst[i], _row("diff-second-moment", name, diff_lhs, c.A * gap_sq + c.D1, 0, 1e-9))
+            _keep_worst(worst[i], _row("residual-second-moment", name, s2, c.E * gap_sq + c.D3, 0, 1e-9))
+    rows = []
+    for i, kind in enumerate(kinds):
+        rows += worst[i].values()
+        if second and anchors[i] == PAST:
+            rows += _second_moment_rows_past(kind, p, n_points, seed)
+    return VerificationReport(rows)
+
+
+def verify_unbiasedness(
+    kind: EstimatorKind,
+    p: VIProblem,
+    n_points: int = 5,
+    n_samples: int = 0,
+    seed: int = 0,
+) -> VerificationReport:
+    """Check E[g^{k+1/2}] = F(z^{k+1/2}) at random state pairs.
+
+    n_samples = 0 enumerates the outcome atoms where the strategy has them
+    (exact, tolerance at float precision) and otherwise averages
+    MC_SAMPLES Monte Carlo draws; n_samples >= 2 averages that many draws.
+    Monte Carlo means are held to four standard errors.
+    """
+    return verify_contracts([kind], p, n_points, n_samples, seed, second=False)
+
+
 def verify_assumption2(
     kind: EstimatorKind,
     p: VIProblem,
@@ -205,28 +280,4 @@ def verify_assumption2(
     are checked analytically and the stored-half-step one along a
     trajectory, so neither uses an outcome set.
     """
-    draws = _draws(kind, p, n_points, n_samples, seed)
-    anchor = kind.strategy.anchor
-    if anchor == PAST:
-        return VerificationReport(_second_moment_rows_past(kind, p, n_points, seed))
-    c = constants_for_problem(kind, p)
-    s2 = kind.sigma**2
-    worst = {}
-    for z_half, w, snap, target, probs, blocks in _outcome_sets(
-        kind, p, n_points, None if anchor == FRESH else draws, seed
-    ):
-        gap_sq = float(np.sum((z_half - w) ** 2))
-        if blocks is None:
-            # tau = 0 for these, so the anchor w is the current iterate
-            diff_lhs, res_lhs, n, tol = float(np.sum((target - eval_full(p, w)) ** 2)) + 2.0 * s2, s2, 0, 1e-9
-        else:
-            sq = [(_sq_dists(values, snap.fw), _sq_dists(values, target)) for values in blocks]
-            diff_sq, res_sq = (np.concatenate(parts) for parts in zip(*sq))
-            n = len(diff_sq)
-            if probs is None:
-                diff_lhs, res_lhs, tol = float(np.mean(diff_sq)), float(np.mean(res_sq)), 5.0 / math.sqrt(n)
-            else:
-                diff_lhs, res_lhs, tol = sum((probs * diff_sq).tolist()), sum((probs * res_sq).tolist()), 1e-9
-        _keep_worst(worst, _row("diff-second-moment", kind.name, diff_lhs, c.A * gap_sq + c.D1, n, tol))
-        _keep_worst(worst, _row("residual-second-moment", kind.name, res_lhs, c.E * gap_sq + c.D3, n, tol))
-    return VerificationReport(list(worst.values()))
+    return verify_contracts([kind], p, n_points, n_samples, seed, unbiased=False)

@@ -62,6 +62,21 @@ class VIProblem:
             raise ValueError(f"known_solution must have length d = {self.d}, got shape {shape}")
         if not self.prox.free and self.prox.dim != self.d:
             raise ValueError(f"prox.dim = {self.prox.dim} does not match d = {self.d}")
+        for name, size, want in _payload_sizes(self.payload, self.d):
+            if size != want:
+                raise ValueError(f"payload {name} = {size} does not match d = {self.d}")
+
+
+def _payload_sizes(payload, d: int) -> list:
+    """(name, size, the size d asks for) of each dimension the payload's
+    oracles read; none for a problem without a payload."""
+    if isinstance(payload, _GameOracles):
+        return [("2*half", 2 * payload.half, d)]
+    if isinstance(payload, QuadraticOperator):
+        return [("len(center)", len(payload.center), d), ("mat.shape", payload.mat.shape, (d, d))]
+    if isinstance(payload, MixingVI):
+        return [("workers*d_base", payload.workers * payload.d_base, d)]
+    return []
 
 
 class _GameOracles:

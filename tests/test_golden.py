@@ -9,9 +9,11 @@ and recorded in CHANGES.md together with the new digest.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from vistep.cli import main
+from vistep import eval_full, run_solver
+from vistep.cli import build_estimator, build_problem, build_solver_config, main, parse_config_text
 
 GAME = """\
 problem.kind = pvb
@@ -134,6 +136,17 @@ DIGESTS = {
 }
 
 
+# |F(z_K)| at the last iterate of the mixing runs.  Their problem has no
+# known solution, so every dist, Lyapunov and gap column of both traces is
+# NaN and the digests pin only costs, gamma, tau and T; these pin a number
+# the operator's values decide.  The tolerance is relative: 1e-9 leaves
+# room for another host's floating-point kernels over 80 iterations, and a
+# consensus term scaled by 1 + 1e-7 fails both checks while both digests
+# hold.
+FINAL_RESIDUALS = {"mix-local": 0.08823257476788862, "mix-fulldet": 0.040381203522593605}
+RESIDUAL_RTOL = 1e-9
+
+
 def run_config(label):
     template, name, quantizer, weights = RUNS[label]
     text = template.format(quantizer=quantizer, weights=weights) if quantizer else template
@@ -151,6 +164,16 @@ def test_run_trace_digest(tmp_path, label):
     out = tmp_path / "trace.csv"
     assert main(["run", "-c", str(cfg), "-o", str(out)]) == 0
     assert sha256_of(out) == DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(FINAL_RESIDUALS))
+def test_mixing_run_final_residual(label):
+    # the run `vistep run` makes for this config, as cmd_run builds it
+    cfg = parse_config_text(run_config(label))
+    p = build_problem(cfg)
+    trace = run_solver(p, build_solver_config(cfg, build_estimator(cfg, p)))
+    residual = float(np.linalg.norm(eval_full(p, trace.z_final)))
+    assert residual == pytest.approx(FINAL_RESIDUALS[label], rel=RESIDUAL_RTOL, abs=0)
 
 
 @pytest.mark.parametrize("label", sorted(VERIFY))

@@ -28,9 +28,9 @@ from vistep import (
     verify_assumption2,
     verify_unbiasedness,
 )
-from vistep import core
+from vistep import core, metrics
 from vistep.estimators import STRATEGIES
-from vistep.metrics import MC_SAMPLES
+from vistep.metrics import MC_SAMPLES, verify_contracts
 
 
 def two_by_two(mat):
@@ -316,3 +316,120 @@ def test_assumption2_stored_half_step_rows():
     loud = verify_assumption2(EstimatorKind("past", sigma=0.3), p, n_points=6)
     assert loud.all_pass
     assert [r.lemma for r in loud.rows] == ["diff-second-moment", "residual-second-moment"]
+
+
+def randk(k, d):
+    return Quantizer("randk", k=k, d=d)
+
+
+# (problem, kinds, n_samples) for one verification session each; every one
+# lists a strategy twice and noisy/past at one sigma and at another
+SESSIONS = {
+    "game-exact": lambda: (
+        pvb3(),
+        [
+            EstimatorKind("fulldet"),
+            EstimatorKind("noisy", sigma=0.7),
+            EstimatorKind("past", sigma=0.7),
+            EstimatorKind("past", sigma=0.3),
+            EstimatorKind("vr"),
+            EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+            EstimatorKind("coord"),
+            EstimatorKind("quant", quantizer=randk(2, 18)),
+            EstimatorKind("qvr", quantizer=randk(2, 18)),
+            EstimatorKind("vr"),
+        ],
+        0,
+    ),
+    "game-mc": lambda: (
+        pvb3(),
+        [
+            EstimatorKind("past"),
+            EstimatorKind("noisy"),
+            EstimatorKind("fulldet"),
+            EstimatorKind("coord"),
+            EstimatorKind("qvr", quantizer=randk(3, 18)),
+            EstimatorKind("coord"),
+            EstimatorKind("noisy", sigma=0.2),
+        ],
+        300,
+    ),
+    "quadratic": lambda: (
+        gen_quadratic_vi(6, 0.5, 3.0, seed=2),
+        [
+            EstimatorKind("noisy", sigma=0.2),
+            EstimatorKind("past", sigma=0.2),
+            EstimatorKind("past", sigma=0.5),
+            EstimatorKind("quant", quantizer=randk(2, 6)),
+            EstimatorKind("fulldet"),
+            EstimatorKind("coord"),
+            EstimatorKind("quant", quantizer=randk(2, 6)),
+        ],
+        0,
+    ),
+    "mixing": lambda: (
+        mixing3(),
+        [
+            EstimatorKind("local", tau_split=0.4),
+            EstimatorKind("fulldet"),
+            EstimatorKind("past", sigma=0.1),
+            EstimatorKind("noisy", sigma=0.1),
+            EstimatorKind("noisy", sigma=0.3),
+            EstimatorKind("local", tau_split=0.4),
+        ],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("label", sorted(SESSIONS))
+def test_session_rows_equal_the_single_lemma_rows(label, seed):
+    # per kind the unbiased row, then the second-moment rows, field for
+    # field and float for float (CheckRow's == compares the floats exactly)
+    p, kinds, n_samples = SESSIONS[label]()
+    want = []
+    for kind in kinds:
+        want += verify_unbiasedness(kind, p, n_points=3, n_samples=n_samples, seed=seed).rows
+        want += verify_assumption2(kind, p, n_points=3, n_samples=n_samples, seed=seed).rows
+    assert verify_contracts(kinds, p, 3, n_samples, seed).rows == want
+
+
+@pytest.fixture
+def outcome_sets(monkeypatch):
+    """The outcome sets the verifiers build, as (builder, kind) in order."""
+    built = []
+    for name in ("half_atoms", "sample_half_batch"):
+
+        def counted(kind, *args, original=getattr(metrics, name), name=name):
+            built.append((name, kind))
+            return original(kind, *args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    return built
+
+
+def test_session_builds_each_outcome_set_once_per_point(outcome_sets):
+    p = pvb3()
+    noisy, past, vr = EstimatorKind("noisy", sigma=0.7), EstimatorKind("past", sigma=0.7), EstimatorKind("vr")
+    coord = EstimatorKind("coord")
+    verify_contracts([EstimatorKind("fulldet"), noisy, past, vr, coord, vr], p, 3, 0, 0)
+    # past shares noisy's Monte Carlo batch, and vr listed twice one atom set
+    per_point = [("half_atoms", EstimatorKind("fulldet")), ("sample_half_batch", noisy)]
+    per_point += [("half_atoms", vr), ("half_atoms", coord)]
+    assert outcome_sets == 3 * per_point
+
+
+def test_session_at_unequal_sigma_builds_two_batches(outcome_sets):
+    noisy, past = EstimatorKind("noisy", sigma=0.7), EstimatorKind("past", sigma=0.3)
+    verify_contracts([noisy, past], pvb3(), 2, 0, 0)
+    assert outcome_sets == 2 * [("sample_half_batch", noisy), ("sample_half_batch", past)]
+
+
+def test_second_moments_of_the_oracle_strategies_draw_nothing(outcome_sets):
+    p = pvb3()
+    for kind in (EstimatorKind("fulldet"), EstimatorKind("noisy", sigma=0.7), EstimatorKind("past", sigma=0.7)):
+        assert verify_assumption2(kind, p, n_points=3).all_pass
+    assert outcome_sets == []
+    verify_unbiasedness(EstimatorKind("noisy", sigma=0.7), p, n_points=3)
+    assert len(outcome_sets) == 3

@@ -12,6 +12,7 @@ from vistep import (
     FREE,
     GridGame,
     ProxSpec,
+    QuadraticOperator,
     VIProblem,
     eval_component,
     eval_full,
@@ -610,6 +611,45 @@ def test_problem_checks_its_constants(kind, changes, message):
     p = gen_quadratic_vi(4, 0.5, 2.0, seed=0) if kind == "quad" else gen_policeman_burglar(3, seed=0)
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(p, **changes)
+
+
+def mixing_of(d_base):
+    return gen_mixing_vi([gen_quadratic_vi(d_base, 0.5, 2.0, seed=s) for s in (1, 2)], 1.0)
+
+
+@pytest.mark.parametrize(
+    "problem, payload, message",
+    [
+        (
+            lambda: gen_quadratic_vi(5, 0.5, 2.0, seed=0),
+            lambda: gen_quadratic_vi(4, 0.5, 2.0, seed=0).payload,
+            "payload len(center) = 4 does not match d = 5",
+        ),
+        (
+            lambda: gen_quadratic_vi(5, 0.5, 2.0, seed=0),
+            lambda: QuadraticOperator(mat=np.eye(4), center=np.zeros(5)),
+            "payload mat.shape = (4, 4) does not match d = 5",
+        ),
+        (
+            lambda: gen_policeman_burglar(3, seed=0),
+            lambda: gen_policeman_burglar(2, seed=0).payload,
+            "payload 2*half = 8 does not match d = 18",
+        ),
+        (
+            lambda: gen_policeman_burglar(3, seed=0),
+            lambda: gen_policeman_burglar(23, seed=0).payload,
+            "payload 2*half = 1058 does not match d = 18",
+        ),
+        (lambda: mixing_of(3), lambda: mixing_of(4).payload, "payload workers*d_base = 8 does not match d = 6"),
+    ],
+    ids=["quad-center", "quad-mat", "bilinear-game", "grid-game", "mixing"],
+)
+def test_problem_checks_its_payload_dimension(problem, payload, message):
+    # unchecked, the mismatch would surface later inside an oracle, as a
+    # numpy broadcast or matmul error that names no field
+    p, wrong = problem(), payload()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(p, payload=wrong)
 
 
 def test_problem_constants_at_their_limits_are_legal():
