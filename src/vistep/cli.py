@@ -184,7 +184,10 @@ def build_problem(cfg: Config) -> VIProblem:
 def _quantizer(cfg: Config, p: VIProblem, name: str) -> Quantizer:
     if cfg.get("run", "quantizer") != "randk":
         return Quantizer("identity")
-    return Quantizer("randk", k=cfg.require("run", "randk_k"), d=p.d)
+    k = cfg.require("run", "randk_k")
+    if k > p.d:
+        raise ConfigError(f"run.randk_k = {k} exceeds the problem dimension d = {p.d}")
+    return Quantizer("randk", k=k, d=p.d)
 
 
 def _weights(cfg: Config, p: VIProblem, name: str) -> tuple[float, ...]:

@@ -129,6 +129,9 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         _check_integers(seed=seed, stream_id=stream_id)
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

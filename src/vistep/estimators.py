@@ -3,9 +3,9 @@
 Each strategy produces the pair (g^k, g^{k+1/2}) consumed by one iteration:
 g^k drives the look-ahead half step, g^{k+1/2} the corrected full step.
 Each is defined once, as a row of STRATEGIES; the solver step (est_pair),
-the exact outcome atoms (half_atoms), the Monte Carlo batch
-(sample_half_batch), the contract constants, tau* and the step-size rule
-all come from that row.  A cost ledger records what the solver consumes.
+the verifier's outcome sets of exact atoms or Monte Carlo draws
+(half_outcomes), the contract constants, tau* and the step-size rule all
+come from that row.  A cost ledger records what the solver consumes.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ FRESH, PAST, SNAPSHOT = "fresh", "past", "snapshot"
 @dataclass(frozen=True)
 class Strategy:
     """One estimation strategy; est_pair, init_estimator, snapshot_update,
-    half_atoms, sample_half_batch, the contract constants, tau* and the
-    step-size rule (by anchor) are all derived from it."""
+    half_outcomes, the contract constants, tau* and the step-size rule (by
+    anchor) are all derived from it."""
 
     anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
     draw: Callable  # (kind, p, rng, n) -> n outcomes
@@ -584,52 +584,41 @@ def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConsta
 
 
 # ---------------------------------------------------------------------------
-# The verification suite's views of g^{k+1/2}: the strategy's own draw and
+# The verification suite's view of g^{k+1/2}: the strategy's own draw and
 # correction over every outcome atom (exact) or a batch of draws (Monte Carlo),
 # given the snapshot the strategy's refresh made at w (None without one).
 
-def _batches(kind: EstimatorKind, p: VIProblem, outcomes, z_half: Vector, snap: Snapshot | None, rows: int):
-    """g^{k+1/2} for each of a batch of outcomes, ``rows`` outcomes per
-    block; each distinct source's difference is formed once."""
+def half_outcomes(
+    kind: EstimatorKind, p: VIProblem, z_half: Vector, snap: Snapshot | None, draws: int, rng: RngStream | None
+):
+    """The outcome set of g^{k+1/2} at z^{k+1/2} as (probs, blocks of value
+    rows): every atom with its probability, _block_rows(d) atoms a block,
+    when draws = 0 (for a strategy with atoms); else (None, one block) of
+    ``draws`` Monte Carlo draws from rng.  Each distinct source's
+    difference is formed once.
+
+    The draws take their uniforms the way the solver step does, but each
+    kind of random number in one block (all components before all subsets;
+    all gaussian noise at once), so the batch is distribution-equal, not
+    stream-equal, to that many solver draws.
+    """
     strat = kind.strategy
+    if draws:
+        probs, outcomes, rows = None, strat.draw(kind, p, rng, draws), draws
+    elif strat.atoms is None:
+        raise ValueError(f"estimator kind {kind.name!r} is not enumerable")
+    else:
+        (probs, outcomes), rows = strat.atoms(kind, p), _block_rows(p.d)
     sources, index = np.unique(outcomes[0], return_inverse=True)
     diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap, CostLedger()))
     fw = None if snap is None else snap.fw
-    for start in range(0, len(index), rows):
-        part = slice(start, start + rows)
-        at = index[part]
-        block = np.broadcast_to(diffs[0], (len(at), diffs.shape[1])) if len(diffs) == 1 else diffs[at]
-        yield strat.correct(kind, p, tuple(o if o is None else o[part] for o in outcomes), block, fw)
 
+    def blocks():
+        for start in range(0, len(index), rows):
+            part = slice(start, start + rows)
+            at = index[part]
+            block = np.broadcast_to(diffs[0], (len(at), diffs.shape[1])) if len(diffs) == 1 else diffs[at]
+            yield strat.correct(kind, p, tuple(o if o is None else o[part] for o in outcomes), block, fw)
 
-def half_atoms(kind: EstimatorKind, p: VIProblem, z_half: Vector, snap: Snapshot | None):
-    """All possible g^{k+1/2} values with their probabilities, for kinds
-    whose randomness is finite and enumerable: (probs, blocks), where
-    blocks yields the value rows, one per atom, _block_rows(d) atoms at a
-    time."""
-    check_problem(kind, p)
-    atoms = kind.strategy.atoms
-    if atoms is None:
-        raise ValueError(f"estimator kind {kind.name!r} is not enumerable")
-    probs, outcomes = atoms(kind, p)
-    return probs, _batches(kind, p, outcomes, z_half, snap, _block_rows(p.d))
-
-
-def sample_half_batch(
-    kind: EstimatorKind,
-    p: VIProblem,
-    z_half: Vector,
-    snap: Snapshot | None,
-    rng: RngStream,
-    n: int,
-):
-    """n independent draws of g^{k+1/2} as an (n, d) array.
-
-    Indices and subsets come from uniforms the way the solver step draws
-    them, but each kind of random number is drawn in one block (all
-    components before all subsets; all gaussian noise at once), so the
-    batch is distribution-equal, not stream-equal, to n solver draws.
-    """
-    check_problem(kind, p)
-    (values,) = _batches(kind, p, kind.strategy.draw(kind, p, rng, n), z_half, snap, n)
-    return values
+    # the one block of draws is formed here, so the draws are dropped before it is walked
+    return probs, blocks() if draws == 0 else tuple(blocks())

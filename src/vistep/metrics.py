@@ -8,9 +8,11 @@ outcome atoms; otherwise by Monte Carlo with a slack that scales like
 their unbiasedness rows average Monte Carlo draws that include the noise;
 in their second-moment rows the noise terms enter analytically.
 
-Every row comes from one pass over a list of strategies (verify_contracts).
-At each random state pair (z^{k+1/2}, w) each distinct outcome set of
-g^{k+1/2} is built once, and one walk over it yields every row it serves.
+Every row comes from one pass over a list of strategies (verify_contracts),
+which checks its counts and seed once and each strategy against the problem
+once.  At each random state pair (z^{k+1/2}, w) each distinct outcome set of
+g^{k+1/2} is built once, by estimators.half_outcomes from the strategy's own
+row, and one walk over it yields every row it serves.
 Strategies share an outcome set when their rows have the same draw, diff,
 correct, refresh and atoms and their parameters agree: noisy and past at
 one sigma, or a strategy listed twice.  The stored-half-step strategy's
@@ -35,9 +37,8 @@ from .estimators import (
     EstimatorKind,
     check_problem,
     constants_for_problem,
-    half_atoms,
+    half_outcomes,
     init_estimator,
-    sample_half_batch,
 )
 from .problems import VIProblem, eval_full, random_feasible
 from .solver import iterate_once
@@ -80,36 +81,12 @@ def _row(lemma: str, variant: str, lhs: float, rhs: float, n: int, tol: float) -
 MC_SAMPLES = 4000  # Monte Carlo draws when n_samples = 0 and the outcomes cannot be enumerated
 
 
-def _draws(kind: EstimatorKind, p: VIProblem, n_points: int, n_samples: int, seed: int) -> int:
-    """Validate a verifier call; return 0 to enumerate the outcome atoms
-    (n_samples = 0 and the strategy has atoms), else the number of Monte
-    Carlo draws (n_samples, or MC_SAMPLES)."""
-    check_problem(kind, p)
-    _check_integers(n_points=n_points, n_samples=n_samples, seed=seed)
-    if n_points < 1:
-        raise ValueError("need n_points >= 1")
-    if n_samples == 1 or n_samples < 0:
-        raise ValueError(f"need n_samples = 0 or n_samples >= 2, got {n_samples}")
-    if n_samples == 0 and kind.strategy.atoms is None:
-        return MC_SAMPLES
-    return n_samples
-
-
 def _outcome_key(kind: EstimatorKind) -> tuple:
     """What fixes a strategy's outcome sets: the row fields that produce
     g^{k+1/2} and the kind's parameters.  Kinds with one key (noisy and
     past at one sigma, or a strategy listed twice) share their sets."""
     strat = kind.strategy
     return (strat.draw, strat.diff, strat.correct, strat.refresh, strat.atoms) + astuple(kind)[1:]
-
-
-def _outcome_set(kind: EstimatorKind, p: VIProblem, z_half: Vector, snap, draws: int, rng):
-    """The outcome set of g^{k+1/2} at z^{k+1/2} as (probs, blocks of value
-    rows): every atom, a block of _block_rows(d) at a time, when draws = 0;
-    else (None, one block) of that many Monte Carlo draws."""
-    if draws == 0:
-        return half_atoms(kind, p, z_half, snap)
-    return None, (sample_half_batch(kind, p, z_half, snap, rng, draws),)
 
 
 def _sq_dists(values: np.ndarray, ref: Vector) -> np.ndarray:
@@ -205,7 +182,15 @@ def verify_contracts(
     strategy; the fresh-oracle strategies' second moments are analytic
     and the stored-half-step one's come from its trajectory.
     """
-    draws = [_draws(kind, p, n_points, n_samples, seed) for kind in kinds]
+    _check_integers(n_points=n_points, n_samples=n_samples, seed=seed)
+    if n_points < 1:
+        raise ValueError("need n_points >= 1")
+    if n_samples == 1 or n_samples < 0:
+        raise ValueError(f"need n_samples = 0 or n_samples >= 2, got {n_samples}")
+    for kind in kinds:
+        check_problem(kind, p)
+    # 0 enumerates the outcome atoms; a strategy without atoms takes MC_SAMPLES draws
+    draws = [MC_SAMPLES if n_samples == 0 and kind.strategy.atoms is None else n_samples for kind in kinds]
     anchors = [kind.strategy.anchor for kind in kinds]
     consts = [constants_for_problem(k, p) if second and a != PAST else None for k, a in zip(kinds, anchors)]
     samplers = {}  # outcome key -> (kind, draws, (seed, 6) stream, indices of the kinds it serves)
@@ -223,7 +208,7 @@ def verify_contracts(
         for kind, n_draws, rng, users in samplers.values():
             snap = None if kind.strategy.refresh is None else kind.strategy.refresh(kind, p, w, CostLedger())
             fw = snap.fw if second and snap is not None else None
-            check, moments, n = _moments(*_outcome_set(kind, p, z_half, snap, n_draws, rng), target, fw, unbiased)
+            check, moments, n = _moments(*half_outcomes(kind, p, z_half, snap, n_draws, rng), target, fw, unbiased)
             for i in users:
                 name, c = kinds[i].name, consts[i]
                 if check is not None:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from vistep import BilinearGame, GridGame, VIProblem, eval_full, rng_stream
-from vistep.estimators import half_atoms
+from vistep.estimators import half_outcomes
 
 
 def simplex_projection_oracle(v):
@@ -43,8 +43,9 @@ def simplex_projection_oracle(v):
 
 
 def all_atoms(kind, p, z_half, snap):
-    """half_atoms with its blocks of value rows joined into one array."""
-    probs, blocks = half_atoms(kind, p, z_half, snap)
+    """The exact outcome set (half_outcomes with no draws) with its blocks
+    of value rows joined into one array."""
+    probs, blocks = half_outcomes(kind, p, z_half, snap, 0, None)
     return probs, np.concatenate(list(blocks))
 
 

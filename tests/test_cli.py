@@ -158,6 +158,8 @@ def test_build_estimator_rules():
     assert kind.quantizer.kind == "randk"
     assert kind.quantizer.k == 3
     assert kind.quantizer.d == p.d
+    with pytest.raises(ConfigError, match="^run.randk_k = 19 exceeds the problem dimension d = 18$"):
+        build_estimator(parse_config_text(base + "run.estimator = quant\nrun.quantizer = randk\nrun.randk_k = 19\n"), p)
     kind = build_estimator(parse_config_text(base + "run.estimator = is\nrun.weights = lipschitz\n"), p)
     np.testing.assert_allclose(kind.weights, importance_weights(p.L_m), atol=1e-15)
     kind = build_estimator(parse_config_text(base + "run.estimator = is\n"), p)
@@ -303,6 +305,13 @@ def test_main_exit_codes(tmp_path, capsys):
         )
         assert main(["run", "-c", str(split_on_game), "-o", str(tmp_path / "s.csv")]) == 1
         assert "config error: local estimator requires a mixing problem" in capsys.readouterr().err
+    wide_randk = tmp_path / "wide_randk.cfg"
+    wide_randk.write_text(
+        "problem.kind = pvb\nproblem.n = 3\nrun.estimator = quant\nrun.K = 3\n"
+        "run.quantizer = randk\nrun.randk_k = 1000\n"
+    )
+    assert main(["run", "-c", str(wide_randk), "-o", str(tmp_path / "q.csv")]) == 1
+    assert "config error: run.randk_k = 1000 exceeds the problem dimension d = 18" in capsys.readouterr().err
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("problem.kind = pvb\nproblem.n = 2\nverify.estimators = bogus\n")
     assert main(["verify", "-c", str(unknown)]) == 1

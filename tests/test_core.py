@@ -282,6 +282,13 @@ def test_rng_errors():
     with pytest.raises(ValueError, match="stream_id must be an integer, got 0.5"):
         rng_stream(1, 0.5)
     assert rng_stream(np.int64(1), np.int64(2)).uniform() == rng_stream(1, 2).uniform()
+    # numpy's own message for a negative entropy names neither argument
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        rng_stream(-1)
+    with pytest.raises(ValueError, match="stream_id must be nonnegative, got -2"):
+        rng_stream(1, np.int64(-2))
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        gen_policeman_burglar(3, seed=-1)
 
 
 @pytest.mark.parametrize("flag", [True, np.True_, False, np.False_])

@@ -35,7 +35,7 @@ from vistep import (
     verify_unbiasedness,
 )
 from vistep import core, estimators
-from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_atoms, sample_half_batch
+from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_outcomes
 
 
 def pvb3():
@@ -734,6 +734,14 @@ def enumerable_kinds(p):
     ]
 
 
+def sample_batch(kind, p, z_half, snap, rng, n):
+    """The Monte Carlo outcome set of n draws: its one block of value rows."""
+    probs, blocks = half_outcomes(kind, p, z_half, snap, n, rng)
+    assert probs is None
+    (values,) = blocks
+    return values
+
+
 def test_half_atoms_probabilities_and_mean(monkeypatch):
     p = pvb3()
     rng = rng_stream(21, 0)
@@ -759,9 +767,9 @@ def test_half_atoms_rejects_gaussian_kinds():
     p = pvb3()
     z = initial_point(p, 0)
     with pytest.raises(ValueError):
-        half_atoms(EstimatorKind("noisy", sigma=1.0), p, z, None)
+        half_outcomes(EstimatorKind("noisy", sigma=1.0), p, z, None, 0, None)
     with pytest.raises(ValueError):
-        half_atoms(EstimatorKind("past"), p, z, None)
+        half_outcomes(EstimatorKind("past"), p, z, None, 0, None)
 
 
 def test_uniform_importance_equals_vr_atoms():
@@ -798,7 +806,7 @@ def test_sample_half_batch_vr_twin():
     fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
     n = 200
     kind = EstimatorKind("vr")
-    batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(25, 0), n)
+    batch = sample_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(25, 0), n)
     twin = rng_stream(25, 0)
     diffs = np.stack([eval_component(p, m, z_half) - eval_component(p, m, w) for m in range(p.M)])
     idx = twin.integers(p.M, n)
@@ -830,11 +838,11 @@ def test_solver_draw_equals_batch_of_one():
             twin = rng_stream(seed, 0)
             random_feasible(p, twin)
             if anchor == PAST:
-                np.testing.assert_array_equal(state.past_g, sample_half_batch(kind, p, w, snap, twin, 1)[0])
+                np.testing.assert_array_equal(state.past_g, sample_batch(kind, p, w, snap, twin, 1)[0])
             random_feasible(p, twin)
             g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, 0.05, rng)
             if anchor == FRESH:
-                np.testing.assert_array_equal(g_k, sample_half_batch(kind, p, z_bar, snap, twin, 1)[0])
+                np.testing.assert_array_equal(g_k, sample_batch(kind, p, z_bar, snap, twin, 1)[0])
             if name == "coord":
                 # the single draw reads its coordinate off the O(d) oracle and the
                 # batch off a full product, so the batch is fed the oracle's value
@@ -843,7 +851,7 @@ def test_solver_draw_equals_batch_of_one():
                 diff = np.array([[p.payload.coordinate(j, z_half) - snap.fw[j]]])
                 want = kind.strategy.correct(kind, p, outcomes, diff, snap.fw)[0]
             else:
-                want = sample_half_batch(kind, p, z_half, snap, twin, 1)[0]
+                want = sample_batch(kind, p, z_half, snap, twin, 1)[0]
             np.testing.assert_array_equal(g_half, want)
 
 
@@ -860,7 +868,7 @@ def test_sample_half_batch_rows_are_atoms():
     ):
         snap = snapshot_at(kind, p, w)
         atoms = all_atoms(kind, p, z_half, snap)[1]
-        batch = sample_half_batch(kind, p, z_half, snap, rng_stream(27, 0), 40)
+        batch = sample_batch(kind, p, z_half, snap, rng_stream(27, 0), 40)
         for row in batch:
             dist = np.min(np.max(np.abs(atoms - row), axis=1))
             assert dist <= 1e-12
@@ -873,7 +881,7 @@ def test_sample_half_batch_component_frequencies():
     w = random_feasible(p, rng)
     snap = snapshot_at(EstimatorKind("vr"), p, w)
     n = 9000
-    batch = sample_half_batch(EstimatorKind("vr"), p, z_half, snap, rng_stream(29, 0), n)
+    batch = sample_batch(EstimatorKind("vr"), p, z_half, snap, rng_stream(29, 0), n)
     atoms = all_atoms(EstimatorKind("vr"), p, z_half, snap)[1]
     labels = np.array([int(np.argmin(np.max(np.abs(atoms - row), axis=1))) for row in batch])
     counts = np.bincount(labels, minlength=3)
@@ -888,7 +896,7 @@ def test_sample_half_batch_randk_touches_k_coordinates():
     w = random_feasible(p, rng)
     fw = eval_full(p, w)
     kind = EstimatorKind("quant", quantizer=randk(4, 18))
-    batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(31, 0), 50)
+    batch = sample_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(31, 0), 50)
     twin = rng_stream(31, 0)
     subs = twin.subsets(18, 4, 50)
     diff = eval_full(p, z_half) - fw
@@ -905,7 +913,7 @@ def test_sample_half_batch_gaussian_kinds_match_moments():
     w = random_feasible(p, rng)
     n = 20000
     for kind in (EstimatorKind("noisy", sigma=0.8), EstimatorKind("past", sigma=0.8)):
-        batch = sample_half_batch(kind, p, z_half, None, rng_stream(33, 0), n)
+        batch = sample_batch(kind, p, z_half, None, rng_stream(33, 0), n)
         target = eval_full(p, z_half)
         err = np.linalg.norm(batch.mean(axis=0) - target)
         se = np.sqrt(np.sum(batch.var(axis=0)) / n)
@@ -924,7 +932,7 @@ def test_sample_half_batch_local_branches():
     fw = eval_full(p, w)
     n = 10000
     kind = EstimatorKind("local", tau_split=t)
-    batch = sample_half_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(35, 0), n)
+    batch = sample_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(35, 0), n)
     phi_row = (mix.phi(z_half) - mix.phi(w)) / t + fw
     con_row = (mix.consensus(z_half) - mix.consensus(w)) / (1.0 - t) + fw
     is_phi = np.all(batch == phi_row, axis=1)

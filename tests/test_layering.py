@@ -97,6 +97,24 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == [], f"public names only the tests use: {unused}"
 
 
+def module_level_definitions() -> list[str]:
+    """``module.name`` for each function or class without a leading
+    underscore that a module of ``src/vistep`` defines at its top level."""
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append(f"{path.stem}.{node.name}")
+    return defined
+
+
+def test_every_module_level_name_is_used_outside_the_tests():
+    # a name left behind by a refactor survives only as a test-only alias
+    references = library_references()
+    unused = [name for name in module_level_definitions() if name.split(".")[1] not in references]
+    assert unused == [], f"module-level names only the tests use: {unused}"
+
+
 def test_no_public_name_spells_a_strategy():
     # a strategy is built as EstimatorKind(name, **params), never by a
     # constructor of its own

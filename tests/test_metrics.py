@@ -254,6 +254,23 @@ def test_coord_exact_verification_holds_no_dense_atom_array(make):
     assert peak < one_matrix
 
 
+def test_monte_carlo_batch_outlives_its_draws_by_nothing():
+    # noisy's 2000 x 500 batch is formed from as many gaussian draws; the
+    # draws are dropped before the batch is walked, so the peak is the
+    # batch and one array of its size while it is formed, not three
+    p = gen_quadratic_vi(500, 0.1, 1.0, seed=1)
+    kind = EstimatorKind("noisy", sigma=0.5)
+    one_batch = 2000 * p.d * 8
+    verify_unbiasedness(kind, pvb3(), n_points=1)  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        verify_contracts([kind], p, 1, 2000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * one_batch
+
+
 def test_zero_samples_enumerates_or_draws_the_default():
     p = pvb3()
     assert [r.n for r in verify_unbiasedness(EstimatorKind("vr"), p, n_points=2).rows] == [p.M]
@@ -274,6 +291,15 @@ def test_both_verifiers_reject_one_or_negative_samples():
                 verify_unbiasedness(kind, p, n_points=2, n_samples=n_samples)
             with pytest.raises(ValueError, match="n_samples"):
                 verify_assumption2(kind, p, n_points=2, n_samples=n_samples)
+
+
+def test_session_checks_its_shared_arguments_with_no_kind_listed():
+    p = pvb3()
+    for kinds in ([], [EstimatorKind("vr")]):
+        with pytest.raises(ValueError, match="need n_points >= 1"):
+            verify_contracts(kinds, p, 0, 0, 0)
+        with pytest.raises(ValueError, match="need n_samples = 0 or n_samples >= 2, got 1"):
+            verify_contracts(kinds, p, 2, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -397,15 +423,15 @@ def test_session_rows_equal_the_single_lemma_rows(label, seed):
 
 @pytest.fixture
 def outcome_sets(monkeypatch):
-    """The outcome sets the verifiers build, as (builder, kind) in order."""
+    """The outcome sets the verifiers build, in order: ("atoms", kind) for
+    an exact set, ("draws", kind) for a Monte Carlo batch."""
     built = []
-    for name in ("half_atoms", "sample_half_batch"):
 
-        def counted(kind, *args, original=getattr(metrics, name), name=name):
-            built.append((name, kind))
-            return original(kind, *args)
+    def counted(kind, p, z_half, snap, draws, rng, original=metrics.half_outcomes):
+        built.append(("draws" if draws else "atoms", kind))
+        return original(kind, p, z_half, snap, draws, rng)
 
-        monkeypatch.setattr(metrics, name, counted)
+    monkeypatch.setattr(metrics, "half_outcomes", counted)
     return built
 
 
@@ -415,15 +441,15 @@ def test_session_builds_each_outcome_set_once_per_point(outcome_sets):
     coord = EstimatorKind("coord")
     verify_contracts([EstimatorKind("fulldet"), noisy, past, vr, coord, vr], p, 3, 0, 0)
     # past shares noisy's Monte Carlo batch, and vr listed twice one atom set
-    per_point = [("half_atoms", EstimatorKind("fulldet")), ("sample_half_batch", noisy)]
-    per_point += [("half_atoms", vr), ("half_atoms", coord)]
+    per_point = [("atoms", EstimatorKind("fulldet")), ("draws", noisy)]
+    per_point += [("atoms", vr), ("atoms", coord)]
     assert outcome_sets == 3 * per_point
 
 
 def test_session_at_unequal_sigma_builds_two_batches(outcome_sets):
     noisy, past = EstimatorKind("noisy", sigma=0.7), EstimatorKind("past", sigma=0.3)
     verify_contracts([noisy, past], pvb3(), 2, 0, 0)
-    assert outcome_sets == 2 * [("sample_half_batch", noisy), ("sample_half_batch", past)]
+    assert outcome_sets == 2 * [("draws", noisy), ("draws", past)]
 
 
 def test_second_moments_of_the_oracle_strategies_draw_nothing(outcome_sets):
