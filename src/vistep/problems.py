@@ -146,35 +146,47 @@ class GridGame(_GameOracles):
     define A, and no (n^2, n^2) array is ever formed.
 
     S x is the 2-d convolution of the grid x with the table, so
-    A^T y = S(a y) and A x = a (S x) are read off one FFT product on an
-    N x N torus, N >= 2n - 1, where ``spectrum`` is the real FFT of the
-    table wrapped on that torus.  A row of S is an n x n window of the
+    A^T y = S(a y) and A x = a (S x) are read off FFT products on an
+    N x N torus, N >= 2n - 1.  ``spectrum`` is the FFT of the table
+    wrapped on that torus, whose imaginary part is rounding (the table is
+    even in both offsets), so only its real part is kept.  A real
+    spectrum maps real grids to real grids, so F(z) convolves the complex
+    grid a y + i x once and reads S(a y) off the real part and S x off
+    the imaginary part; each half's rounding error is then bounded by the
+    whole F(z), not by its own size.  A row of S is an n x n window of the
     table.
     """
 
     a: np.ndarray  # (n^2,)
     table: np.ndarray  # (2n - 1, 2n - 1)
-    spectrum: np.ndarray  # (N, N // 2 + 1)
+    spectrum: np.ndarray  # (N, N), real
     ratios: np.ndarray  # (M,)
 
     @property
     def half(self) -> int:
         return self.a.size
 
-    def _convolve(self, grids: np.ndarray) -> np.ndarray:
-        """S applied to each n^2-vector of grids: one FFT product on the
-        torus, cropped back to n x n."""
+    def _convolve(self, grid: np.ndarray) -> np.ndarray:
+        """S applied to one n^2-vector, real or complex: one FFT pair on the
+        torus, cropped back to n x n.  Only the n rows that hold the grid
+        enter the first pass along rows, and only the n rows the crop keeps
+        leave the last one.  A real grid takes the real transform along its
+        rows and the spectrum's first N // 2 + 1 columns."""
         n = math.isqrt(self.half)
-        size = (self.spectrum.shape[0],) * 2
-        wrapped = np.fft.irfft2(np.fft.rfft2(grids.reshape(-1, n, n), s=size) * self.spectrum, s=size)
-        return wrapped[:, :n, :n].reshape(grids.shape)
+        N = self.spectrum.shape[0]
+        if np.iscomplexobj(grid):
+            rows, unrows, spectrum = np.fft.fft, np.fft.ifft, self.spectrum
+        else:
+            rows, unrows, spectrum = np.fft.rfft, np.fft.irfft, self.spectrum[:, : N // 2 + 1]
+        waves = np.fft.fft(rows(grid.reshape(n, n), n=N), n=N, axis=0)
+        waves *= spectrum
+        return unrows(np.fft.ifft(waves, axis=0)[:n], n=N)[:, :n].ravel()
 
     def _apply(self, z: Vector) -> Vector:
-        """(A^T y, -A x): the grids a y and x convolved together."""
+        """(A^T y, -A x): S(a y) and S x from the one complex grid a y + i x."""
         h = self.half
-        out = self._convolve(np.stack([self.a * z[h:], z[:h]])).ravel()
-        out[h:] *= -self.a
-        return out
+        both = self._convolve(self.a * z[h:] + 1j * z[:h])
+        return np.concatenate([both.real, -self.a * both.imag])
 
     def _matvec(self, x: Vector) -> Vector:
         return self.a * self._convolve(x)
@@ -352,13 +364,14 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
     ratios = scales / mean
     if n**4 > _KERNEL_MIN_VALUES:
         # S's weights by signed offsets, and the same weights wrapped on an
-        # N x N torus, zero at offsets of n or more
+        # N x N torus, zero at offsets of n or more; they are even in both
+        # offsets, so their FFT is real up to rounding
         apart = np.abs(np.arange(1 - n, n))
         signed = table[apart[:, None], apart]
         N = _fft_size(2 * n - 1)
         torus = np.zeros((N, N))
         torus[: 2 * n - 1, : 2 * n - 1] = signed
-        spectrum = np.fft.rfft2(np.roll(torus, 1 - n, axis=(0, 1)))
+        spectrum = np.fft.fft2(np.roll(torus, 1 - n, axis=(0, 1))).real.copy()
         payload = GridGame(a=wealth, table=signed, spectrum=spectrum, ratios=ratios)
     else:
         apart = np.abs(offsets[:, None] - offsets[None, :])
@@ -579,6 +592,8 @@ def initial_point(p: VIProblem, seed: int) -> Vector:
     """Canonical z^0: simplex block centers for constrained problems,
     known solution (or origin) plus a unit-norm seeded offset otherwise."""
     _check_integers(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if p.prox.free:
         center = p.known_solution if p.known_solution is not None else np.zeros(p.d)
         e = rng_stream(seed, 2).normal(p.d)

@@ -153,7 +153,9 @@ def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, gri
     # whole products and keeps their bits; a larger one (23 and 29 are
     # prime) is kept in grid form and applied by one FFT product, which
     # moves only the last bits; min_values = 0 puts the n = 3 game in grid
-    # form too
+    # form too.  The grid form packs x and a y into one complex grid, so
+    # its error is bounded by the whole of F: the third point's x half is
+    # 1e6 times its y half
     if min_values is not None:
         monkeypatch.setattr(problems, "_KERNEL_MIN_VALUES", min_values)
     p = gen_policeman_burglar(n, seed=n)
@@ -162,7 +164,9 @@ def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, gri
     # the benchmark's audit tells the forms apart by this attribute
     assert hasattr(game, "avg") != grid
     rng = rng_stream(n, 3)
-    for z in (random_feasible(p, rng), rng.normal(p.d)):
+    lopsided = random_feasible(p, rng)
+    lopsided[: game.half] *= 1e6
+    for z in (random_feasible(p, rng), rng.normal(p.d), lopsided):
         want = _two_products(dense_game_matrix(game), z)
         pairs = [(game.full(z), want), (game.components(z), game.ratios[:, None] * want)]
         if grid:
@@ -173,6 +177,59 @@ def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, gri
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             else:
                 assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [23, 30])
+def test_grid_game_spectrum_is_the_real_part_of_the_wrapped_table_transform(n):
+    # the packed product is exact only for a real spectrum: the wrapped
+    # table is even in both offsets, so its FFT's imaginary part is rounding
+    # (N = 45 is odd at n = 23 and N = 60 even at n = 30)
+    game = gen_policeman_burglar(n, seed=n).payload
+    N = problems._fft_size(2 * n - 1)
+    torus = np.zeros((N, N))
+    torus[: 2 * n - 1, : 2 * n - 1] = game.table
+    transform = np.fft.fft2(np.roll(torus, 1 - n, axis=(0, 1)))
+    assert game.spectrum.dtype == np.float64
+    np.testing.assert_array_equal(game.spectrum, transform.real)
+    assert np.max(np.abs(transform.imag)) < 1e-15 * np.max(np.abs(game.spectrum))
+
+
+@pytest.mark.parametrize("n", [23, 30])
+def test_grid_game_products_run_one_pruned_fft_pair(monkeypatch, n):
+    # every product is one forward and one inverse 2-d transform on the
+    # N x N torus: only the n rows that hold the grid enter the pass along
+    # rows, and only the n rows the crop keeps leave it.  F packs x and a y
+    # into one complex grid; a single real grid takes the real transform
+    # along its rows and N // 2 + 1 of the spectrum's columns
+    p = gen_policeman_burglar(n, seed=n)
+    game = p.payload
+    N = problems._fft_size(2 * n - 1)
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+
+        def counted(a, *args, name=name, transform=getattr(np.fft, name), **kwargs):
+            # the kind of the input and the points of the (padded) 1-d
+            # transforms, read off the keywords problems passes
+            a = np.asarray(a)
+            axis = kwargs.get("axis", -1)
+            calls.append((name, a.dtype.kind, a.size // a.shape[axis] * (kwargs.get("n") or a.shape[axis])))
+            return transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    z = random_feasible(p, rng_stream(n, 4))
+    h = game.half
+    half_cols = N // 2 + 1
+    packed = [("fft", "c", n * N), ("fft", "c", N * N), ("ifft", "c", N * N), ("ifft", "c", n * N)]
+    real = [("rfft", "f", n * N), ("fft", "c", N * half_cols), ("ifft", "c", N * half_cols), ("irfft", "c", n * N)]
+    for product, want in (
+        (lambda: game.full(z), packed),
+        (lambda: game.components(z), packed),
+        (lambda: game._matvec(z[:h]), real),
+        (lambda: game._rmatvec(z[h:]), real),
+    ):
+        calls.clear()
+        product()
+        assert calls == want
 
 
 def test_fft_size_is_the_next_integer_with_no_prime_factor_above_5():
@@ -279,8 +336,8 @@ def test_grid_game_lipschitz_constant_matches_the_dense_norm(n):
 def test_game_payload_holds_one_matrix(n):
     # up to n = 22, A and the M ratios, each in its own buffer:
     # 8 n^4 + 8 M bytes; from n = 23 on, the grid form in O(n^2) bytes:
-    # 8 n^2 of wealth, a (2n - 1) x (2n - 1) table, an N x (N // 2 + 1)
-    # complex spectrum and the ratios
+    # 8 n^2 of wealth, a (2n - 1) x (2n - 1) table, an N x N real spectrum
+    # and the ratios
     p = gen_policeman_burglar(n, seed=n)
     game = p.payload
     if n <= 22:
@@ -291,7 +348,7 @@ def test_game_payload_holds_one_matrix(n):
         arrays = [game.a, game.table, game.spectrum, game.ratios]
         N = game.spectrum.shape[0]
         assert N == problems._fft_size(2 * n - 1) < 4 * n
-        grid_bytes = 8 * n**2 + 8 * (2 * n - 1) ** 2 + 16 * N * (N // 2 + 1) + 8 * p.M
+        grid_bytes = 8 * n**2 + 8 * (2 * n - 1) ** 2 + 8 * N**2 + 8 * p.M
         assert sum(a.nbytes for a in arrays) == grid_bytes
         assert sorted(vars(game)) == ["a", "ratios", "spectrum", "table"]
     assert all(isinstance(a, np.ndarray) and a.base is None for a in arrays)
@@ -674,6 +731,13 @@ def test_initial_point_conventions():
     unsolved = gen_mixing_vi([gen_quadratic_vi(3, 0.5, 2.0, seed=s) for s in (1, 2)], 1.0)
     z0 = initial_point(unsolved, 5)
     assert np.linalg.norm(z0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_initial_point_rejects_a_negative_seed():
+    # on a simplex the start uses no stream, but the seed is still checked
+    for p in (gen_quadratic_vi(4, 0.5, 2.0, seed=0), gen_policeman_burglar(3, seed=0)):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            initial_point(p, -1)
 
 
 def test_initial_point_rejects_a_float_seed():
