@@ -175,8 +175,8 @@ class EstimatorState:
     w: Vector
     snap: Snapshot | None = None
     past_g: Vector | None = None
-    # the last half point's oracle value before noise, for the strategies
-    # without a snapshot (their difference is F itself); None for the others
+    # F at the last half point, before noise, when the step formed it there
+    # (every strategy but coord and local); None otherwise
     f_half: Vector | None = None
     sigma_sq: float = 0.0
     costs: CostLedger = field(default_factory=CostLedger)
@@ -204,9 +204,9 @@ class Strategy:
 
     anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
     draw: Callable  # (kind, p, rng, n) -> n outcomes
-    # (kind, p, s, z, snap, costs) -> source s's billed difference at z (F(z) without a snapshot); for an
-    # index array s of distinct sources, one row per source (coord's rows hold the one coordinate), or one
-    # vector when the strategy has one source
+    # (kind, p, s, z, snap, costs) -> (source s's billed difference at z (F(z) without a snapshot), F(z) if
+    # a single draw formed it, else None); for an index array s of distinct sources, the differences are
+    # one row per source (coord's rows hold the one coordinate), or one vector when the strategy has one source
     diff: Callable
     correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
     constants: Callable  # (kind, L, d=, M=, L_m=, lam=) -> the nonzero contract constants
@@ -249,8 +249,21 @@ def _branch_values(kind, p, w, costs):
 
 
 def _component_diff(kind, p, s, z, snap, costs):
-    diff = eval_component(p, s, z) - snap.at_w[s]
-    return _charged(diff, costs, _payload_bits(kind, p.d), comp_calls=2)
+    """Component s's difference F_s(z) - F_s(w).  A single draw forms F(z)
+    and scales it, F_s = ratios[s] * F, the bits of the component oracle;
+    an index array reads its rows off one components stack."""
+    if isinstance(s, np.ndarray):
+        f, at_z = None, eval_component(p, s, z)
+    else:
+        f = eval_full(p, z)
+        at_z = p.payload.ratios[s] * f
+    return _charged((at_z - snap.at_w[s], f), costs, _payload_bits(kind, p.d), comp_calls=2)
+
+
+def _full_diff(kind, p, s, z, snap, costs):
+    """(F(z) - F(w), F(z)): the difference and the F(z) it is formed from."""
+    f = eval_full(p, z)
+    return _charged((f - snap.fw, f), costs, _payload_bits(kind, p.d), full_calls=1)
 
 
 def _coordinate_diff(kind, p, s, z, snap, costs):
@@ -261,16 +274,16 @@ def _coordinate_diff(kind, p, s, z, snap, costs):
         diff = (eval_full(p, z)[s] - snap.fw[s])[:, None]
     else:
         diff = p.payload.coordinate(s, z) - snap.fw[s]
-    return _charged(diff, costs, _coord_bits(p.d), coords=1)
+    return _charged((diff, None), costs, _coord_bits(p.d), coords=1)
 
 
 def _branch_diff(kind, p, s, z, snap, costs):
     """Phi's difference (s = 0, a local step) or consensus's (a broadcast)."""
     if isinstance(s, np.ndarray):
-        return np.stack([_branch_diff(kind, p, int(t), z, snap, costs) for t in s])
+        return np.stack([_branch_diff(kind, p, int(t), z, snap, costs)[0] for t in s]), None
     if s == 0:
-        return _charged(p.payload.phi(z) - snap.at_w[0], costs, local_steps=1)
-    return _charged(p.payload.consensus(z) - snap.at_w[1], costs, _dense_bits(p.d), comms=1)
+        return _charged((p.payload.phi(z) - snap.at_w[0], None), costs, local_steps=1)
+    return _charged((p.payload.consensus(z) - snap.at_w[1], None), costs, _dense_bits(p.d), comms=1)
 
 
 def _per_draw(values, s):
@@ -353,7 +366,7 @@ _NOISY = Strategy(
     draw=lambda kind, p, rng, n: (
         _zeros(n), rng.normal((p.d,) if n is None else (n, p.d)) if kind.sigma > 0 else None
     ),
-    diff=lambda kind, p, s, z, snap, costs: _charged(eval_full(p, z), costs, _dense_bits(p.d), full_calls=1),
+    diff=lambda kind, p, s, z, snap, costs: _charged((eval_full(p, z),) * 2, costs, _dense_bits(p.d), full_calls=1),
     # a batch's F(z) rows arrive as a broadcast view of one row; return a real array
     correct=lambda kind, p, o, diff, fw: np.ascontiguousarray(diff) if o[1] is None
     else diff + (kind.sigma / math.sqrt(p.d)) * o[1],
@@ -361,9 +374,7 @@ _NOISY = Strategy(
 _QUANT = Strategy(
     SNAPSHOT, reads=("quantizer",), refresh=_full_value, atoms=lambda kind, p: _kept_atoms(kind, 1),
     draw=lambda kind, p, rng, n: _with_kept(kind, rng, _zeros(n), n),
-    diff=lambda kind, p, s, z, snap, costs: _charged(
-        eval_full(p, z) - snap.fw, costs, _payload_bits(kind, p.d), full_calls=1
-    ),
+    diff=_full_diff,
     correct=lambda kind, p, o, diff, fw: quantize(kind.quantizer, diff, kept=o[1]) + fw,
     constants=lambda kind, L, **_: _variance_constants(kind.quantizer.omega, L),
     tau=lambda kind, **_: kind.quantizer.omega / (kind.quantizer.omega + 1.0),
@@ -442,13 +453,13 @@ def init_estimator(kind: EstimatorKind, p: VIProblem, z0: Vector, rng: RngStream
     return state
 
 
-def _sample(state: EstimatorState, p: VIProblem, z: Vector, rng: RngStream) -> tuple[Vector, Vector]:
-    """One billed draw at z: (the drawn source's difference, the estimate)."""
+def _sample(state: EstimatorState, p: VIProblem, z: Vector, rng: RngStream) -> tuple[Vector | None, Vector]:
+    """One billed draw at z: (F(z) if the draw formed it, else None; the estimate)."""
     kind = state.kind
     strat = kind.strategy
     outcome = strat.draw(kind, p, rng, None)
-    diff = strat.diff(kind, p, int(outcome[0]), z, state.snap, state.costs)
-    return diff, strat.correct(kind, p, outcome, diff, state.fw)
+    diff, f = strat.diff(kind, p, int(outcome[0]), z, state.snap, state.costs)
+    return f, strat.correct(kind, p, outcome, diff, state.fw)
 
 
 def est_pair(
@@ -463,8 +474,8 @@ def est_pair(
     z^{k+1/2} = prox(z_bar - gamma*g^k), with the problem's prox, and
     E[g^{k+1/2} | z^{k+1/2}] equals F(z^{k+1/2}).  Updates the cost ledger
     as a side effect; the past strategy stores g^{k+1/2} as the next
-    iteration's g^k, and a strategy without a snapshot keeps
-    F(z^{k+1/2}) in state.f_half."""
+    iteration's g^k, and state.f_half keeps F(z^{k+1/2}) when the draw
+    formed it (every strategy but coord and local), else None."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     strat = state.kind.strategy
@@ -476,9 +487,7 @@ def est_pair(
         if g_k is None:
             raise RuntimeError("estimator used before initialization")
     z_half = prox_eval(p.prox, z_bar - gamma * g_k)
-    diff, g_half = _sample(state, p, z_half, rng)
-    if strat.refresh is None:
-        state.f_half = diff
+    state.f_half, g_half = _sample(state, p, z_half, rng)
     if anchor == PAST:
         state.sigma_sq = float(np.sum((g_half - g_k) ** 2))
         state.past_g = g_half
@@ -610,7 +619,7 @@ def half_outcomes(
     else:
         (probs, outcomes), rows = strat.atoms(kind, p), _block_rows(p.d)
     sources, index = np.unique(outcomes[0], return_inverse=True)
-    diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap, CostLedger()))
+    diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap, CostLedger())[0])
     fw = None if snap is None else snap.fw
 
     def blocks():

@@ -79,7 +79,25 @@ def _payload_sizes(payload, d: int) -> list:
     return []
 
 
-class _GameOracles:
+_ONE_RATIO = np.ones(1)
+_ONE_RATIO.flags.writeable = False
+
+
+class _ScaledComponents:
+    """The component oracles every payload shares: each component is a
+    scalar multiple of F, F_m = ratios[m] * F, so one F(z) gives any of
+    them.  A payload published with a single component holds the one ratio
+    1 (``_ONE_RATIO``), and its component is F to the bit."""
+
+    def component(self, m: int, z: Vector) -> Vector:
+        return self.ratios[m] * self.full(z)
+
+    def components(self, z: Vector) -> np.ndarray:
+        """Every F_m(z) as an (M, d) stack, from one F(z)."""
+        return self.ratios[:, None] * self.full(z)
+
+
+class _GameOracles(_ScaledComponents):
     """The oracles both forms of the matrix game share: z = (x, y) on a
     product of two simplices with F(x, y) = (A^T y, -A x) for the averaged
     matrix A = mean_k A^(k).
@@ -93,13 +111,6 @@ class _GameOracles:
 
     def full(self, z: Vector) -> Vector:
         return self._apply(z)
-
-    def component(self, m: int, z: Vector) -> Vector:
-        return self.ratios[m] * self._apply(z)
-
-    def components(self, z: Vector) -> np.ndarray:
-        """Every F_m(z) as an (M, d) stack, from one product with A."""
-        return self.ratios[:, None] * self._apply(z)
 
     def coordinate(self, j: int, z: Vector) -> float:
         """F(z)[j] in O(d) work: column j of A against y for a coordinate
@@ -226,20 +237,15 @@ def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector, fz: Vector | 
 
 
 @dataclass
-class QuadraticOperator:
+class QuadraticOperator(_ScaledComponents):
     """Affine payload F(z) = mat @ (z - center) with known solution center."""
 
     mat: np.ndarray
     center: np.ndarray
+    ratios = _ONE_RATIO
 
     def full(self, z: Vector) -> Vector:
         return self.mat @ (z - self.center)
-
-    def component(self, m: int, z: Vector) -> Vector:
-        return self.full(z)
-
-    def components(self, z: Vector) -> np.ndarray:
-        return self.full(z)[None]
 
     def coordinate(self, j: int, z: Vector) -> float:
         """F(z)[j], from one row of mat."""
@@ -248,7 +254,7 @@ class QuadraticOperator:
 
 
 @dataclass
-class MixingVI:
+class MixingVI(_ScaledComponents):
     """Federated-mixing payload over the stacked variable Z in R^{workers*d}:
     F(Z) = Phi(Z) + lam * (Z - Z_avg), where Phi stacks the per-worker
     operators and Z_avg repeats the blockwise average.
@@ -265,6 +271,7 @@ class MixingVI:
     d_base: int
     mats: np.ndarray = field(init=False, repr=False)  # (workers, d_base, d_base)
     centers: np.ndarray = field(init=False, repr=False)  # (workers, d_base)
+    ratios = _ONE_RATIO
 
     def __post_init__(self):
         self.mats = np.stack([p.payload.mat for p in self.base])
@@ -291,12 +298,6 @@ class MixingVI:
 
     def full(self, Z: Vector) -> Vector:
         return self.phi(Z) + self.consensus(Z)
-
-    def component(self, m: int, Z: Vector) -> Vector:
-        return self.full(Z)
-
-    def components(self, Z: Vector) -> np.ndarray:
-        return self.full(Z)[None]
 
     def coordinate(self, j: int, Z: Vector) -> float:
         """F(Z)[j]: the owning worker's coordinate plus the consensus term,

@@ -239,7 +239,8 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
             lyap[row] = lyapunov_value(dz, state.w, state.sigma_sq, z_star, tau, gamma, T)
         on_schedule = row % config.gap_every == 0 or row == K
         if with_gap and row > 0 and on_schedule:
-            # strategies without a snapshot have just formed F at the last half point
+            # the step hands over F at the last half point; coord's and local's
+            # steps never form it, so their gap rows form it here, unbilled
             f_last = p.payload.full(last_half) if state.f_half is None else state.f_half
             gap_last[row] = duality_gap_bilinear(p.payload, last_half, f_last)
             if f_sum is not None:

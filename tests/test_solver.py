@@ -363,8 +363,9 @@ def test_each_operator_product_is_formed_once():
         # a sparse schedule forms F at the average on each gap row; a
         # gap-every-row run reads it off the F values it has already formed
         avg_products = gap_rows if gap_every > 1 else 0
-        # vr, is, qvr: one component product per step and one components
-        # product per refresh; each gap row forms F at the half point
+        # vr, is, qvr: one F product per step, which the drawn component
+        # scales, and one components product per refresh; the gap row reuses
+        # F at the half point
         for kind in (
             EstimatorKind("vr"),
             EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
@@ -374,17 +375,24 @@ def test_each_operator_product_is_formed_once():
             trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
             refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
             assert refreshes >= 2, kind.name
-            assert counts == {"components": 2 * (K + refreshes), "avg": 2 * (gap_rows + avg_products)}, kind.name
-        # without a snapshot the gap reuses F at the half point
+            assert counts == {"components": 2 * refreshes, "avg": 2 * (K + avg_products)}, kind.name
+        # fulldet, noisy, past and quant bill each F they form, and the gap
+        # reuses F at the half point
         for kind, oracle_calls in (
             (EstimatorKind("fulldet"), 2 * K),
             (EstimatorKind("noisy", sigma=0.5), 2 * K),
             (EstimatorKind("past", sigma=0.5), K + 1),
+            (EstimatorKind("quant", quantizer=Quantizer("identity")), None),
+            (EstimatorKind("quant", quantizer=Quantizer("randk", k=4, d=18)), None),
         ):
             p, counts = _counted_game()
             trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
+            if oracle_calls is None:
+                # one F per step and one per refresh, the first one included
+                oracle_calls = trace.full_calls[-1]
+                assert oracle_calls >= K + 2, kind
             assert trace.full_calls[-1] == oracle_calls
-            assert counts == {"avg": 2 * (oracle_calls + avg_products)}, kind.name
+            assert counts == {"avg": 2 * (oracle_calls + avg_products)}, kind
         # coord reads one row or column of avg per step; whole products only
         # for the refreshes and for the gap rows
         p, counts = _counted_game()
@@ -409,11 +417,15 @@ def test_each_operator_product_is_formed_once():
     assert calls == {"phi": phi_steps + refreshes, "consensus": (K - phi_steps) + refreshes}
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
+@pytest.mark.parametrize("n, grid", [(3, False), (5, False), (3, True)], ids=["3", "5", "3-grid"])
+def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n, grid, monkeypatch):
     # the direct computation: F formed at the last half point and at the
-    # average of the half points, on every row
+    # average of the half points, on every row; F kept by the step is F
+    # formed afresh to the bit, also in the grid form the large games take
+    if grid:
+        monkeypatch.setattr(problems, "_KERNEL_MIN_VALUES", 0)
     p = gen_policeman_burglar(n, seed=2)
+    assert isinstance(p.payload, GridGame) == grid
     K = 300
     randk = Quantizer("randk", k=4, d=p.d)
     weights = importance_weights(p.L_m)
@@ -435,6 +447,10 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n):
         for k in range(1, K + 1):
             z, z_half = iterate_once(state, p, z, trace.tau, trace.gamma, est, coin)
             half_sum += z_half
+            if kind.name == "coord":
+                assert state.f_half is None
+            else:
+                assert state.f_half.tobytes() == p.payload.full(z_half).tobytes(), kind.name
             assert trace.gap_last[k] == duality_gap_bilinear(p.payload, z_half), kind.name
             assert abs(trace.gap_avg[k] - duality_gap_bilinear(p.payload, half_sum / k)) <= 1e-13, kind.name
             for name in COST_COLUMNS:
@@ -447,7 +463,15 @@ def test_a_kernel_operator_product_counts_as_one_pass(monkeypatch):
     # with the kernel threshold at 0 the n = 3 game is kept in grid form and
     # takes the FFT product; its runs count as many products as the dense
     # game's
-    kinds = (EstimatorKind("fulldet"), EstimatorKind("past", sigma=0.5), EstimatorKind("vr"), EstimatorKind("coord"))
+    kinds = (
+        EstimatorKind("fulldet"),
+        EstimatorKind("past", sigma=0.5),
+        EstimatorKind("vr"),
+        EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
+        EstimatorKind("qvr", quantizer=Quantizer("randk", k=4, d=18)),
+        EstimatorKind("quant", quantizer=Quantizer("randk", k=4, d=18)),
+        EstimatorKind("coord"),
+    )
     dense = []
     for kind in kinds:
         p, counts = _counted_game()
