@@ -157,12 +157,13 @@ def _payload_bits(kind: EstimatorKind, d: int) -> int:
 
 
 class Snapshot(NamedTuple):
-    """What a refresh keeps at the anchor w: the billed F(w), and each
-    difference source's value at w (``at_w[s]`` for source s; None when
-    the one source is F itself, whose value at w is fw)."""
+    """What a refresh keeps at the anchor w: the billed F(w), and what the
+    differences read at w: F(w) for the finite-sum strategies (source s
+    reads ratios[s] * F(w)), Phi(w) and the consensus term for local, None
+    when the one source is F itself, whose value at w is fw."""
 
     fw: Vector
-    at_w: Sequence[Vector] | None = None
+    at_w: Vector | Sequence[Vector] | None = None
 
 
 @dataclass
@@ -234,8 +235,10 @@ def _charged(value, costs: CostLedger, bits=0, full_calls=0, comp_calls=0, coord
 
 
 def _component_mean(kind, p, w, costs):
-    stack = p.payload.components(w)
-    return _charged(Snapshot(np.mean(stack, axis=0), stack), costs, _dense_bits(p.d), comp_calls=p.M)
+    f = eval_full(p, w)
+    # the billed F(w) is the mean of the components ratios[m] * F(w), whose bits may differ from F(w)'s
+    fw = np.mean(p.payload.ratios[:, None] * f, axis=0)
+    return _charged(Snapshot(fw, f), costs, _dense_bits(p.d), comp_calls=p.M)
 
 
 def _full_value(kind, p, w, costs):
@@ -249,15 +252,16 @@ def _branch_values(kind, p, w, costs):
 
 
 def _component_diff(kind, p, s, z, snap, costs):
-    """Component s's difference F_s(z) - F_s(w).  A single draw forms F(z)
-    and scales it, F_s = ratios[s] * F, the bits of the component oracle;
-    an index array reads its rows off one components stack."""
+    """Component s's difference F_s(z) - F_s(w), F_s = ratios[s] * F, with
+    F(w) from the snapshot.  A single draw forms F(z) and scales it; an
+    index array reads one row per source off one eval_component."""
     if isinstance(s, np.ndarray):
         f, at_z = None, eval_component(p, s, z)
     else:
         f = eval_full(p, z)
         at_z = p.payload.ratios[s] * f
-    return _charged((at_z - snap.at_w[s], f), costs, _payload_bits(kind, p.d), comp_calls=2)
+    at_w = _per_draw(p.payload.ratios, s) * snap.at_w
+    return _charged((at_z - at_w, f), costs, _payload_bits(kind, p.d), comp_calls=2)
 
 
 def _full_diff(kind, p, s, z, snap, costs):

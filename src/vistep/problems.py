@@ -1,10 +1,10 @@
 """Problem instances: bilinear matrix games on simplices, strongly monotone
 quadratic operators, and federated-mixing compositions.
 
-Every instance exposes a full operator oracle, per-component oracles for
-finite sums, a single-coordinate oracle, and the constants (L, mu,
-per-component L_m) that the step size rules and the verification suite
-consume.
+Every instance exposes a full operator oracle, the ratios that define its
+finite sum (component m is F_m = ratios[m] * F), a single-coordinate
+oracle, and the constants (L, mu, per-component L_m) that the step size
+rules and the verification suite consume.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ class VIProblem:
         for name, size, want in _payload_sizes(self.payload, self.d):
             if size != want:
                 raise ValueError(f"payload {name} = {size} does not match d = {self.d}")
+        ratios = getattr(self.payload, "ratios", None)
+        if ratios is not None and len(ratios) != self.M:
+            raise ValueError(f"M = {self.M} does not match the payload's {len(ratios)} component ratios")
 
 
 def _payload_sizes(payload, d: int) -> list:
@@ -79,25 +82,12 @@ def _payload_sizes(payload, d: int) -> list:
     return []
 
 
+# the ratios of a payload published with a single component, F_0 = F
 _ONE_RATIO = np.ones(1)
 _ONE_RATIO.flags.writeable = False
 
 
-class _ScaledComponents:
-    """The component oracles every payload shares: each component is a
-    scalar multiple of F, F_m = ratios[m] * F, so one F(z) gives any of
-    them.  A payload published with a single component holds the one ratio
-    1 (``_ONE_RATIO``), and its component is F to the bit."""
-
-    def component(self, m: int, z: Vector) -> Vector:
-        return self.ratios[m] * self.full(z)
-
-    def components(self, z: Vector) -> np.ndarray:
-        """Every F_m(z) as an (M, d) stack, from one F(z)."""
-        return self.ratios[:, None] * self.full(z)
-
-
-class _GameOracles(_ScaledComponents):
+class _GameOracles:
     """The oracles both forms of the matrix game share: z = (x, y) on a
     product of two simplices with F(x, y) = (A^T y, -A x) for the averaged
     matrix A = mean_k A^(k).
@@ -237,7 +227,7 @@ def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector, fz: Vector | 
 
 
 @dataclass
-class QuadraticOperator(_ScaledComponents):
+class QuadraticOperator:
     """Affine payload F(z) = mat @ (z - center) with known solution center."""
 
     mat: np.ndarray
@@ -254,7 +244,7 @@ class QuadraticOperator(_ScaledComponents):
 
 
 @dataclass
-class MixingVI(_ScaledComponents):
+class MixingVI:
     """Federated-mixing payload over the stacked variable Z in R^{workers*d}:
     F(Z) = Phi(Z) + lam * (Z - Z_avg), where Phi stacks the per-worker
     operators and Z_avg repeats the blockwise average.
@@ -545,24 +535,15 @@ def eval_full(p: VIProblem, z: Vector) -> Vector:
     return p.payload.full(z)
 
 
-def eval_component(p: VIProblem, m: int | np.ndarray, z: Vector) -> Vector:
-    """Exact F_m(z), 0-based; the component average reproduces eval_full.
-    For an index array m, one row F_m(z) per index, all read off one
-    ``components`` stack."""
-    stacked = isinstance(m, np.ndarray)
-    if stacked:
-        if m.size == 0 or m.dtype.kind not in "iu":
-            raise ValueError(f"component indices must be a nonempty integer array, got {m!r}")
-        in_range = 0 <= m.min() and m.max() < p.M
-    else:
-        _check_integers(m=m)
-        in_range = 0 <= m < p.M
-    if not in_range:
+def eval_component(p: VIProblem, m: np.ndarray, z: Vector) -> np.ndarray:
+    """Exact F_m(z) for each index of the integer array m, 0-based: one row
+    ratios[m] * F(z) per index, all from one F(z).  The component average
+    reproduces eval_full."""
+    if not isinstance(m, np.ndarray) or m.size == 0 or m.dtype.kind not in "iu":
+        raise ValueError(f"m: component indices must be a nonempty integer array, got {m!r}")
+    if not (0 <= m.min() and m.max() < p.M):
         raise IndexError(f"component {m} out of range for M={p.M}")
-    z = np.asarray(z, dtype=float)
-    if z.size != p.d:
-        raise ValueError(f"vector length {z.size} does not match problem dimension {p.d}")
-    return p.payload.components(z)[m] if stacked else p.payload.component(m, z)
+    return p.payload.ratios[m][:, None] * eval_full(p, z)
 
 
 def _spectral_norm(game: BilinearGame | GridGame, tol: float) -> float:

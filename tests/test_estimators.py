@@ -15,7 +15,6 @@ from vistep import (
     assumption_constants,
     constants_for_problem,
     est_pair,
-    eval_component,
     eval_full,
     gen_mixing_vi,
     gen_policeman_burglar,
@@ -52,6 +51,11 @@ def randk(k, d):
 
 def costs_tuple(c):
     return (c.full_calls, c.comp_calls, c.coords, c.bits, c.comms, c.local_steps)
+
+
+def component(p, m, z):
+    """F_m(z) = ratios[m] * F(z): component m of the finite sum."""
+    return p.payload.ratios[m] * eval_full(p, z)
 
 
 def snapshot_at(kind, p, w):
@@ -368,7 +372,7 @@ def test_vr_anchors_at_snapshot_and_corrects_one_component():
     g_k, g_half, z_half = est_pair(state, p, z_bar, z_bar, gamma, rng)
     np.testing.assert_array_equal(g_k, state.fw)
     m = twin.integers(p.M)
-    want = (eval_component(p, m, z_half) - eval_component(p, m, state.w)) + state.fw
+    want = (component(p, m, z_half) - component(p, m, state.w)) + state.fw
     np.testing.assert_array_equal(g_half, want)
 
 
@@ -398,7 +402,7 @@ def test_is_scales_by_inverse_probability():
     u = twin.uniform()
     m = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), 2)
     scale = 1.0 / (p.M * weights[m])
-    want = scale * (eval_component(p, m, z_half) - eval_component(p, m, state.w)) + state.fw
+    want = scale * (component(p, m, z_half) - component(p, m, state.w)) + state.fw
     np.testing.assert_array_equal(g_half, want)
 
 
@@ -458,8 +462,26 @@ def test_snapshot_update_always_refreshes_at_zero_tau():
     z_next = random_feasible(p, rng)
     assert snapshot_update(state, z_next, 0.0, rng_stream(1, 1), p)
     np.testing.assert_array_equal(state.w, z_next)
-    want = np.mean([eval_component(p, m, z_next) for m in range(p.M)], axis=0)
+    want = np.mean([component(p, m, z_next) for m in range(p.M)], axis=0)
     np.testing.assert_array_equal(state.fw, want)
+
+
+def test_a_finite_sum_snapshot_keeps_d_entries_per_array():
+    # a vr, is or qvr refresh keeps the billed mean of the components and
+    # F(w), from which each component ratios[s] * F(w) is read: no (M, d)
+    # stack of the components, at the first snapshot or a later one
+    p = gen_policeman_burglar(5, seed=2)
+    rng = rng_stream(3, 0)
+    for kind in (
+        EstimatorKind("vr"),
+        EstimatorKind("is", weights=importance_weights(p.L_m)),
+        EstimatorKind("qvr", quantizer=randk(4, p.d)),
+    ):
+        state = init_estimator(kind, p, initial_point(p, 3), rng)
+        for _ in range(2):
+            assert [np.shape(a) for a in state.snap] == [(p.d,), (p.d,)], kind.name
+            assert state.snap.at_w.tobytes() == eval_full(p, state.w).tobytes(), kind.name
+            assert snapshot_update(state, random_feasible(p, rng), 0.0, rng, p)
 
 
 def test_snapshot_update_coin_frequency_and_twin():
@@ -803,12 +825,12 @@ def test_sample_half_batch_vr_twin():
     rng = rng_stream(24, 0)
     z_half = random_feasible(p, rng)
     w = random_feasible(p, rng)
-    fw = np.mean([eval_component(p, m, w) for m in range(p.M)], axis=0)
+    fw = np.mean([component(p, m, w) for m in range(p.M)], axis=0)
     n = 200
     kind = EstimatorKind("vr")
     batch = sample_batch(kind, p, z_half, snapshot_at(kind, p, w), rng_stream(25, 0), n)
     twin = rng_stream(25, 0)
-    diffs = np.stack([eval_component(p, m, z_half) - eval_component(p, m, w) for m in range(p.M)])
+    diffs = np.stack([component(p, m, z_half) - component(p, m, w) for m in range(p.M)])
     idx = twin.integers(p.M, n)
     np.testing.assert_array_equal(batch, diffs[idx] + fw)
 

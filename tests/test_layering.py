@@ -1,6 +1,7 @@
 """The package's modules import one another one way only, and every
 public name, and every optional parameter of a public function, has a
-caller outside the tests; no public name is a strategy's own constructor.
+caller outside the tests; no public name is a strategy's own constructor;
+every def and lambda of the package runs from a CLI command or a demo.
 
 Every ``from .x import`` in ``src/vistep``, including those inside
 functions, is an edge of the import graph; a cycle would make a module's
@@ -11,10 +12,14 @@ so does an option that only tests pass.
 
 import ast
 import inspect
+import runpy
+import sys
+import types
 from pathlib import Path
 
 import vistep
-from vistep.estimators import STRATEGIES
+from vistep import cli
+from vistep.estimators import KINDS, STRATEGIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vistep"
 
@@ -162,3 +167,77 @@ def unpassed_parameters() -> list[str]:
 def test_every_public_parameter_is_passed_outside_the_tests():
     unpassed = unpassed_parameters()
     assert unpassed == [], f"parameters only the tests pass: {unpassed}"
+
+
+PKG = Path(vistep.__file__).resolve().parent
+DEMOS = SRC.parent.parent / "demos"
+
+GAME = "problem.kind = pvb\nproblem.n = 3\nproblem.seed = 1\n"
+GRID_GAME = "problem.kind = pvb\nproblem.n = 23\nrun.estimator = coord\nrun.K = 3\n"
+QUADRATIC = "problem.kind = quadratic\nproblem.d = 8\nproblem.mu = 0.5\nproblem.L = 2.0\nrun.regime = sm\n"
+MIXING = QUADRATIC.replace("quadratic", "mixing") + "problem.workers = 3\nproblem.lambda = 1.0\n"
+SETTINGS = "run.K = 4\nrun.sigma = 0.1\nrun.randk_k = 3\n"
+# each problem runs every strategy it accepts twice: with the identity
+# quantizer and uniform weights, and with a randk quantizer and Lipschitz weights
+KNOBS = ("", "run.quantizer = randk\nrun.weights = lipschitz\n")
+
+
+def source_functions() -> dict:
+    """Every def and lambda of the imported package, as its code object
+    mapped to ``module.qualname:line``.  The modules are compiled afresh
+    from their files, which gives code objects equal to the ones they run."""
+    found = {}
+    for path in sorted(PKG.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec", dont_inherit=True)]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            # a class body or a comprehension is not a def or lambda
+            if code.co_flags & inspect.CO_OPTIMIZED and (code.co_name == "<lambda>" or code.co_name[0] != "<"):
+                name = getattr(code, "co_qualname", code.co_name)  # co_qualname is new in Python 3.11
+                found[code] = f"{path.stem}.{name}:{code.co_firstlineno}"
+    return found
+
+
+def run_every_entry_point(tmp: Path) -> None:
+    """The CLI's commands on tiny configs, then the demos, in this process."""
+    pvb = [k for k in KINDS if k != "local"]
+    for problem, kinds in ((GAME, pvb), (QUADRATIC, pvb), (MIXING, KINDS)):
+        for knobs in KNOBS:
+            cfg, trace = tmp / "cfg.txt", str(tmp / "trace.csv")
+            names = ",".join(kinds)
+            text = problem + SETTINGS + knobs + f"sweep.estimators = {names}\nverify.estimators = {names}\n"
+            cfg.write_text(text + "verify.n_points = 1\n")
+            assert cli.main(["gen", "-c", str(cfg)]) == 0
+            assert cli.main(["sweep", "-c", str(cfg), "-o", str(tmp / "sweep.csv")]) == 0
+            assert cli.main(["verify", "-c", str(cfg)]) == 0
+            cfg.write_text(text + "verify.n_points = 1\nverify.n_samples = 50\n")
+            assert cli.main(["verify", "-c", str(cfg)]) == 0
+            for name in kinds:
+                cfg.write_text(text + f"run.estimator = {name}\n")
+                assert cli.main(["run", "-c", str(cfg), "-o", trace]) == 0
+                assert cli.main(["report", "-i", trace]) == 0
+    cfg = tmp / "grid.txt"
+    cfg.write_text(GRID_GAME)
+    assert cli.main(["run", "-c", str(cfg), "-o", str(tmp / "grid.csv")]) == 0
+    for demo in sorted(DEMOS.glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+
+
+def test_every_function_runs_from_an_entry_point(tmp_path, capsys):
+    # a def or lambda in src that no CLI command or demo reaches is code only
+    # the tests run, a path the solver, the verifier and the tools left behind
+    seen = set()
+
+    def note(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(note)
+    try:
+        run_every_entry_point(tmp_path)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    uncalled = sorted(name for code, name in source_functions().items() if code not in seen)
+    assert uncalled == [], f"functions no entry point calls: {uncalled}"

@@ -121,10 +121,10 @@ def test_policeman_burglar_matches_the_component_stack(n):
     rng = rng_stream(n, 1)
     for _ in range(3):
         z = random_feasible(p, rng)
+        got = eval_component(p, np.arange(n), z)
         for m in range(n):
             want = _two_products(mats[m], z)
-            got = eval_component(p, m, z)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(got[m] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _two_products(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -168,7 +168,7 @@ def test_game_product_matches_two_whole_products(monkeypatch, n, min_values, gri
     lopsided[: game.half] *= 1e6
     for z in (random_feasible(p, rng), rng.normal(p.d), lopsided):
         want = _two_products(dense_game_matrix(game), z)
-        pairs = [(game.full(z), want), (game.components(z), game.ratios[:, None] * want)]
+        pairs = [(game.full(z), want), (eval_component(p, np.arange(p.M), z), game.ratios[:, None] * want)]
         if grid:
             # the coordinate oracle reads the table, so it must agree with the FFT product
             pairs.append((np.array([game.coordinate(j, z) for j in range(p.d)]), game.full(z)))
@@ -223,7 +223,7 @@ def test_grid_game_products_run_one_pruned_fft_pair(monkeypatch, n):
     real = [("rfft", "f", n * N), ("fft", "c", N * half_cols), ("ifft", "c", N * half_cols), ("irfft", "c", n * N)]
     for product, want in (
         (lambda: game.full(z), packed),
-        (lambda: game.components(z), packed),
+        (lambda: eval_component(p, np.arange(p.M), z), packed),
         (lambda: game._matvec(z[:h]), real),
         (lambda: game._rmatvec(z[h:]), real),
     ):
@@ -243,10 +243,11 @@ def test_a_game_without_a_kernel_takes_the_two_whole_products():
     h = 600
     rng = rng_stream(4, 0)
     game = problems.BilinearGame(avg=rng.normal((h, h)), ratios=np.array([0.5, 1.5]))
+    p = VIProblem(d=2 * h, prox=ProxSpec((h, h)), M=2, payload=game, L=1.0)
     z = rng.normal(2 * h)
     want = _two_products(game.avg, z)
     assert game.full(z).tobytes() == want.tobytes()
-    assert game.components(z).tobytes() == (game.ratios[:, None] * want).tobytes()
+    assert eval_component(p, np.arange(2), z).tobytes() == (game.ratios[:, None] * want).tobytes()
 
 
 def test_policeman_burglar_runs_one_power_iteration(monkeypatch):
@@ -352,22 +353,25 @@ def test_game_payload_holds_one_matrix(n):
         assert sum(a.nbytes for a in arrays) == grid_bytes
         assert sorted(vars(game)) == ["a", "ratios", "spectrum", "table"]
     assert all(isinstance(a, np.ndarray) and a.base is None for a in arrays)
+    # every component is read off the one matrix: F_m = ratios[m] * F
     z = random_feasible(p, rng_stream(n, 5))
-    stack = game.components(z)
+    rows = eval_component(p, np.arange(p.M), z)
     for m in range(p.M):
-        assert stack[m].tobytes() == game.component(m, z).tobytes()
+        assert rows[m].tobytes() == (game.ratios[m] * eval_full(p, z)).tobytes()
 
 
 def test_eval_component_rejects_non_integer_and_empty_indices():
+    # a scalar index is rejected too, an integer one included: the indices
+    # are always an array, whose rows come from one F(z)
     p = gen_policeman_burglar(3, seed=1)
     z = random_feasible(p, rng_stream(1, 0))
-    for m in (True, np.bool_(False), 1.0, np.float64(0.0)):
-        with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+    for m in (True, np.bool_(False), 1.0, np.float64(0.0), 2, np.int64(2), [0, 1]):
+        message = f"m: component indices must be a nonempty integer array, got {m!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             eval_component(p, m, z)
     for m in (np.array([], dtype=np.int64), np.array([0.0, 1.0]), np.array([True, False, True])):
         with pytest.raises(ValueError, match="component indices must be a nonempty integer array"):
             eval_component(p, m, z)
-    assert eval_component(p, np.int64(2), z).tobytes() == eval_component(p, 2, z).tobytes()
 
 
 def test_components_rows_are_the_component_calls():
@@ -378,14 +382,15 @@ def test_components_rows_are_the_component_calls():
         quad,
         gen_mixing_vi([quad, gen_quadratic_vi(6, 0.5, 2.0, seed=2)], 1.0),
     )
+    # one row ratios[m] * F(z) per index, in the indices' order, repeats included
     for p in problems:
         z = random_feasible(p, rng_stream(4, 0))
-        stack = p.payload.components(z)
-        assert stack.shape == (p.M, p.d)
-        for m in range(p.M):
-            assert stack[m].tobytes() == eval_component(p, m, z).tobytes()
-        picked = np.arange(p.M)[::-1]
-        assert eval_component(p, picked, z).tobytes() == stack[picked].tobytes()
+        f = eval_full(p, z)
+        for picked in (np.arange(p.M), np.arange(p.M)[::-1], np.zeros(3, dtype=np.int64)):
+            rows = eval_component(p, picked, z)
+            assert rows.shape == (len(picked), p.d)
+            for row, m in zip(rows, picked):
+                assert row.tobytes() == (p.payload.ratios[m] * f).tobytes()
 
 
 def test_policeman_burglar_operator_is_skew_average_of_components():
@@ -394,7 +399,7 @@ def test_policeman_burglar_operator_is_skew_average_of_components():
     for _ in range(5):
         z = random_feasible(p, rng)
         f = eval_full(p, z)
-        comps = np.mean([eval_component(p, m, z) for m in range(p.M)], axis=0)
+        comps = np.mean(eval_component(p, np.arange(p.M), z), axis=0)
         np.testing.assert_allclose(comps, f, atol=1e-10)
         # skew bilinear: <F(z), z> = y.A x - x.A^T y = 0
         assert abs(float(np.dot(f, z))) <= 1e-12 * (1.0 + np.linalg.norm(f))
@@ -407,8 +412,8 @@ def test_policeman_burglar_zero_shock_makes_components_equal():
     # every component is A itself, with A's Lipschitz constant
     np.testing.assert_array_equal(p.L_m, np.full(3, p.L))
     z = random_feasible(p, rng_stream(4, 1))
-    for m in range(3):
-        assert eval_component(p, m, z).tobytes() == eval_full(p, z).tobytes()
+    for row in eval_component(p, np.arange(3), z):
+        assert row.tobytes() == eval_full(p, z).tobytes()
 
 
 def test_policeman_burglar_lipschitz_constant():
@@ -591,7 +596,7 @@ def test_mixing_consensus_properties():
     v = rng.normal(4)
     np.testing.assert_allclose(mix.consensus(np.tile(v, 3)), np.zeros(12), atol=1e-12)
     np.testing.assert_allclose(mix.full(Z), mix.phi(Z) + mix.consensus(Z), atol=1e-15)
-    np.testing.assert_array_equal(eval_component(p, 0, Z), eval_full(p, Z))
+    np.testing.assert_array_equal(eval_component(p, np.array([0]), Z), [eval_full(p, Z)])
     # phi applies each worker operator to its own block, in one stacked
     # product with the bits of the per-worker calls; consensus subtracts the
     # blockwise mean with its bits
@@ -629,13 +634,7 @@ def test_eval_dimension_and_index_errors():
     p = gen_policeman_burglar(2, seed=0)
     with pytest.raises(ValueError):
         eval_full(p, np.zeros(3))
-    with pytest.raises(ValueError):
-        eval_component(p, 0, np.zeros(3))
-    with pytest.raises(IndexError):
-        eval_component(p, 2, np.zeros(8))
-    with pytest.raises(IndexError):
-        eval_component(p, -1, np.zeros(8))
-    for bad in ([0, 2], [-1, 1]):
+    for bad in ([2], [-1], [0, 2], [-1, 1]):
         with pytest.raises(IndexError):
             eval_component(p, np.array(bad), np.zeros(8))
     with pytest.raises(ValueError):
@@ -662,6 +661,10 @@ def test_eval_dimension_and_index_errors():
         ("quad", {"known_solution": np.zeros(3)}, "known_solution must have length d = 4, got shape"),
         ("quad", {"prox": ProxSpec((2, 3))}, "prox.dim = 5 does not match d = 4"),
         ("game", {"d": 20}, "prox.dim = 18 does not match d = 20"),
+        # unchecked, vr runs on a biased two-component sum of the three-component game
+        ("game", {"M": 2, "L_m": np.ones(2)}, "M = 2 does not match the payload's 3 component ratios"),
+        # unchecked, a draw of component 2 indexes past the quadratic's one ratio
+        ("quad", {"M": 3, "L_m": np.ones(3)}, "M = 3 does not match the payload's 1 component ratios"),
     ],
 )
 def test_problem_checks_its_constants(kind, changes, message):

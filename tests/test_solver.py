@@ -308,13 +308,13 @@ class _CountedMatrix(np.ndarray):
 
 
 def _counted_game(n=3):
-    """The n-game with its operator products counted, two per ``_apply``
-    (one per player) whichever form it takes, dense or grid: under
-    "components" for the products that form F_m, under "avg" for those
-    that form F.  A row or column of A read for one coordinate counts under
-    "avg line".  On a dense game a whole product with avg outside
-    ``_apply`` counts under "avg outside", so no product escapes the count;
-    a game in grid form holds no matrix to form one with."""
+    """The n-game with its operator products counted under "avg", two per
+    ``_apply`` (one per player) whichever form it takes, dense or grid; a
+    product forms F, which every component F_m = ratios[m] * F is read off.
+    A row or column of A read for one coordinate counts under "avg line".
+    On a dense game a whole product with avg outside ``_apply`` counts
+    under "avg outside", so no product escapes the count; a game in grid
+    form holds no matrix to form one with."""
     p = gen_policeman_burglar(n, seed=1)
     game, counts = p.payload, collections.Counter()
     mat = None
@@ -330,10 +330,9 @@ def _counted_game(n=3):
         mat = game.avg.view(_CountedMatrix)
         mat.tag, mat.counts = "avg outside", counts
         game.avg = mat
-    tag = ["avg"]
 
     def counted_apply(z, apply=game._apply):
-        counts[tag[0]] += 2
+        counts["avg"] += 2
         if mat is None:
             return apply(z)
         mat.tag = None
@@ -343,16 +342,6 @@ def _counted_game(n=3):
             mat.tag = "avg outside"
 
     game._apply = counted_apply
-    for name in ("component", "components"):
-
-        def tagged(*args, method=getattr(game, name)):
-            tag[0] = "components"
-            try:
-                return method(*args)
-            finally:
-                tag[0] = "avg"
-
-        setattr(game, name, tagged)
     return p, counts
 
 
@@ -364,8 +353,8 @@ def test_each_operator_product_is_formed_once():
         # gap-every-row run reads it off the F values it has already formed
         avg_products = gap_rows if gap_every > 1 else 0
         # vr, is, qvr: one F product per step, which the drawn component
-        # scales, and one components product per refresh; the gap row reuses
-        # F at the half point
+        # scales, and one per refresh, which every component's F_m(w) is
+        # read off; the gap row reuses F at the half point
         for kind in (
             EstimatorKind("vr"),
             EstimatorKind("is", weights=(0.5, 0.3, 0.2)),
@@ -375,7 +364,7 @@ def test_each_operator_product_is_formed_once():
             trace = run_solver(p, SolverConfig(kind, K=K, seed=3, gap_every=gap_every))
             refreshes = (trace.comp_calls[-1] - 2 * K) // p.M  # the first one included
             assert refreshes >= 2, kind.name
-            assert counts == {"components": 2 * refreshes, "avg": 2 * (K + avg_products)}, kind.name
+            assert counts == {"avg": 2 * (refreshes + K + avg_products)}, kind.name
         # fulldet, noisy, past and quant bill each F they form, and the gap
         # reuses F at the half point
         for kind, oracle_calls in (
@@ -502,12 +491,12 @@ def test_kernel_game_runs_follow_the_dense_runs():
 
 
 def test_exact_verification_forms_one_component_stack_per_point():
-    # one components product for the refresh at w and one for every
-    # component at z^{k+1/2}; the target F(z^{k+1/2}) is formed apart
+    # one F product for the refresh at w, one that every component at
+    # z^{k+1/2} is read off, and the target F(z^{k+1/2})
     for n in (5, 30):
         p, counts = _counted_game(n)
         assert verify_unbiasedness(EstimatorKind("vr"), p, n_points=1).all_pass
-        assert counts["components"] == 2 * 2, n
+        assert counts == {"avg": 2 * 3}, n
 
 
 def test_strongly_monotone_run_contracts():
