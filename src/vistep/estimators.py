@@ -40,6 +40,9 @@ class Quantizer:
         if self.kind not in ("identity", "randk"):
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
         _check_integers(k=self.k, d=self.d)
+        for name in ("k", "d"):
+            if self.kind == "identity" and getattr(self, name) != 0:
+                raise ValueError(f"identity does not read {name}")
         if self.kind == "randk" and not 1 <= self.k <= self.d:
             raise ValueError("randk needs 1 <= k <= d")
 
@@ -340,12 +343,8 @@ def _variance_constants(omega, L):
 
 
 def _importance_constants(kind, L, M, L_m, **_):
-    if L_m is None:
-        raise ValueError(f"{kind.name} constants need per-component L_m")
-    Lt = np.asarray(L_m, dtype=float) / M
+    Lt = L_m / M
     pw = np.asarray(kind.weights, dtype=float)
-    if len(pw) != len(Lt):
-        raise ValueError(f"{kind.name} weights and L_m lengths differ")
     S = float(np.sum(Lt * Lt / pw))
     return dict(A=S, E=2.0 * (S + L * L))
 
@@ -362,7 +361,7 @@ def _finite_sum_tau(kind, M=None, **_):
 
 def _common_bound(p):
     """One Lipschitz bound over every component and the full operator."""
-    return max(float(p.L), float(np.max(p.L_m)) if p.L_m is not None else 0.0)
+    return max(float(p.L), float(np.max(p.L_m)))
 
 
 _NOISY = Strategy(
@@ -552,31 +551,6 @@ def optimal_tau(
     return tau
 
 
-def assumption_constants(
-    kind: EstimatorKind,
-    L: float,
-    d: int | None = None,
-    M: int | None = None,
-    L_m=None,
-    lam: float | None = None,
-) -> AssumptionConstants:
-    """The exact constants table of the strategy.
-
-    L is the full operator's Lipschitz constant (for vr/qvr, the common
-    bound over every component and the full operator).  For the is
-    strategy the per-component L_m refer to components of the
-    (1/M)-averaged sum and are rescaled internally by 1/M so that the sum
-    of the rescaled components is the full operator.  For local, L is the
-    stacked worker operator's constant and lam the consensus strength.
-    Raises, like optimal_tau, when the tau* rule lacks its data (vr or is
-    without M, coord without d, local without lam), and for is without L_m.
-    """
-    tau_star = optimal_tau(kind, M=M, d=d, L=L, lam=lam)
-    c = dict(A=0.0, B=0.0, C=0.0, E=0.0, D1=0.0, D2=0.0, D3=0.0, rho=1.0)
-    c.update(kind.strategy.constants(kind, L, d=d, M=M, L_m=L_m, lam=lam))
-    return AssumptionConstants(**c, tau_star=tau_star)
-
-
 def importance_weights(L_m) -> np.ndarray:
     """Optimal component probabilities p_m proportional to L_m."""
     L_m = np.asarray(L_m, dtype=float)
@@ -590,10 +564,19 @@ def importance_weights(L_m) -> np.ndarray:
 
 
 def constants_for_problem(kind: EstimatorKind, p: VIProblem) -> AssumptionConstants:
-    """Constants table with L taken from the problem, per-kind convention."""
+    """The exact constants table of the strategy on the problem: its row's
+    constants at L = strategy.bound(p) (the full operator's Lipschitz
+    constant; for vr/qvr the common bound over every component and F; for
+    local the stacked worker operator's, with lam the consensus strength),
+    and tau_star = optimal_tau at the problem's M, d, L and lam.  For is,
+    the L_m refer to components of the (1/M)-averaged sum and are rescaled
+    by 1/M, so that the rescaled components sum to the full operator."""
     check_problem(kind, p)
+    L = kind.strategy.bound(p)
     lam = p.payload.lam if isinstance(p.payload, MixingVI) else None
-    return assumption_constants(kind, kind.strategy.bound(p), d=p.d, M=p.M, L_m=p.L_m, lam=lam)
+    c = dict(A=0.0, B=0.0, C=0.0, E=0.0, D1=0.0, D2=0.0, D3=0.0, rho=1.0)
+    c.update(kind.strategy.constants(kind, L, d=p.d, M=p.M, L_m=p.L_m, lam=lam))
+    return AssumptionConstants(**c, tau_star=optimal_tau(kind, M=p.M, d=p.d, L=L, lam=lam))
 
 
 # ---------------------------------------------------------------------------

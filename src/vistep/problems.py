@@ -1,10 +1,11 @@
 """Problem instances: bilinear matrix games on simplices, strongly monotone
 quadratic operators, and federated-mixing compositions.
 
-Every instance exposes a full operator oracle, the ratios that define its
-finite sum (component m is F_m = ratios[m] * F), a single-coordinate
-oracle, and the constants (L, mu, per-component L_m) that the step size
-rules and the verification suite consume.
+Every payload exposes a full operator oracle, a single-coordinate oracle,
+its dimension ``dim`` and the ratios that define its finite sum (component
+m is F_m = ratios[m] * F).  A VIProblem wraps a payload with the constants
+(L, mu) that the step size rules and the verification suite consume, and
+reads d, M and the per-component L_m = ratios * L off the payload.
 """
 
 from __future__ import annotations
@@ -24,62 +25,46 @@ class VIProblem:
 
     ``payload`` carries the operator data (one of the classes below); the
     surrounding fields are the constants the solver and verifiers need.
-    ``L_m`` holds the per-component Lipschitz constants of finite sums.
-    ``meta`` records the generator and its parameters; ``vistep gen``
-    prints its ``kind``.
+    The dimension ``d``, the number of components ``M`` and their
+    Lipschitz constants ``L_m`` are read off the payload, never passed:
+    d = payload.dim, M = len(payload.ratios) and L_m = ratios * L, as
+    F_m = ratios[m] * F.  ``meta`` records the generator and its
+    parameters; ``vistep gen`` prints its ``kind``.
     """
 
-    d: int
     prox: ProxSpec
-    M: int
     payload: object
     L: float
     mu_F: float = 0.0
     mu_h: float = 0.0
-    L_m: np.ndarray | None = None
     known_solution: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    d: int = field(init=False)
+    M: int = field(init=False)
+    L_m: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        """Check the constants the step rules and verifiers take on trust, a
-        hand-built or ``dataclasses.replace``d problem included; each error
-        names its field.  L = 0 stays legal: the zero operator has it."""
-        _check_integers(d=self.d, M=self.M)
-        for name, size in (("d", self.d), ("M", self.M)):
-            if size < 1:
-                raise ValueError(f"{name} must be a positive integer, got {size!r}")
+        """Read d, M and L_m off the payload and check the constants the
+        step rules and verifiers take on trust, a hand-built or
+        ``dataclasses.replace``d problem included; each error names its
+        field.  L = 0 stays legal: the zero operator has it."""
+        dim, ratios = getattr(self.payload, "dim", None), getattr(self.payload, "ratios", None)
+        if dim is None or ratios is None:
+            raise TypeError(f"a payload needs dim and ratios, {type(self.payload).__name__} lacks them")
         for name, value in (("L", self.L), ("mu_F", self.mu_F), ("mu_h", self.mu_h)):
             if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.L_m is not None:
-            L_m = np.asarray(self.L_m, dtype=float)
-            if L_m.shape != (self.M,):
-                raise ValueError(f"L_m must have length M = {self.M}, got shape {L_m.shape}")
-            if not 0 <= L_m.min() <= L_m.max() < np.inf:
-                raise ValueError(f"L_m entries must be finite and >= 0, got {self.L_m!r}")
+        if not (len(ratios) and 0 <= ratios.min() <= ratios.max() < np.inf):
+            raise ValueError(f"ratios must be finite and >= 0, got {ratios!r}")
+        # F is the mean of its components ratios[m] * F only if they average 1
+        if abs(ratios.mean() - 1.0) > 1e-12:
+            raise ValueError(f"ratios must average 1, got mean {float(ratios.mean())!r}")
+        self.d, self.M, self.L_m = dim, len(ratios), ratios * self.L
         if self.known_solution is not None and np.shape(self.known_solution) != (self.d,):
             shape = np.shape(self.known_solution)
             raise ValueError(f"known_solution must have length d = {self.d}, got shape {shape}")
         if not self.prox.free and self.prox.dim != self.d:
             raise ValueError(f"prox.dim = {self.prox.dim} does not match d = {self.d}")
-        for name, size, want in _payload_sizes(self.payload, self.d):
-            if size != want:
-                raise ValueError(f"payload {name} = {size} does not match d = {self.d}")
-        ratios = getattr(self.payload, "ratios", None)
-        if ratios is not None and len(ratios) != self.M:
-            raise ValueError(f"M = {self.M} does not match the payload's {len(ratios)} component ratios")
-
-
-def _payload_sizes(payload, d: int) -> list:
-    """(name, size, the size d asks for) of each dimension the payload's
-    oracles read; none for a problem without a payload."""
-    if isinstance(payload, _GameOracles):
-        return [("2*half", 2 * payload.half, d)]
-    if isinstance(payload, QuadraticOperator):
-        return [("len(center)", len(payload.center), d), ("mat.shape", payload.mat.shape, (d, d))]
-    if isinstance(payload, MixingVI):
-        return [("workers*d_base", payload.workers * payload.d_base, d)]
-    return []
 
 
 # the ratios of a payload published with a single component, F_0 = F
@@ -98,6 +83,10 @@ class _GameOracles:
     (z -> F(z)), the products ``_matvec`` (x -> A x) and ``_rmatvec``
     (y -> A^T y), and the rows and columns of A (``_row``, ``_column``).
     """
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.half
 
     def full(self, z: Vector) -> Vector:
         return self._apply(z)
@@ -234,12 +223,20 @@ class QuadraticOperator:
     center: np.ndarray
     ratios = _ONE_RATIO
 
+    def __post_init__(self):
+        if self.mat.shape != (self.dim, self.dim):
+            raise ValueError(f"mat.shape = {self.mat.shape} does not match (dim, dim) = {(self.dim, self.dim)}")
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
     def full(self, z: Vector) -> Vector:
         return self.mat @ (z - self.center)
 
     def coordinate(self, j: int, z: Vector) -> float:
         """F(z)[j], from one row of mat."""
-        _check_coordinate(j, len(self.center))
+        _check_coordinate(j, self.dim)
         return self.mat[j] @ (z - self.center)
 
 
@@ -253,23 +250,29 @@ class MixingVI:
     local estimator samples between them; as a finite sum the problem is
     published with a single component (the split is not an average).
     Every worker is quadratic, so Phi is one stacked product with the
-    workers' matrices ``mats`` and centres ``centers``.
+    workers' matrices ``mats`` and centres ``centers``; ``d_base`` is
+    their common dimension.
     """
 
     base: tuple
     lam: float
-    d_base: int
     mats: np.ndarray = field(init=False, repr=False)  # (workers, d_base, d_base)
     centers: np.ndarray = field(init=False, repr=False)  # (workers, d_base)
+    d_base: int = field(init=False)
     ratios = _ONE_RATIO
 
     def __post_init__(self):
         self.mats = np.stack([p.payload.mat for p in self.base])
         self.centers = np.stack([p.payload.center for p in self.base])
+        self.d_base = self.mats.shape[1]
 
     @property
     def workers(self) -> int:
         return len(self.base)
+
+    @property
+    def dim(self) -> int:
+        return self.workers * self.d_base
 
     @property
     def l_phi(self) -> float:
@@ -292,7 +295,7 @@ class MixingVI:
     def coordinate(self, j: int, Z: Vector) -> float:
         """F(Z)[j]: the owning worker's coordinate plus the consensus term,
         which reads the same coordinate of every worker."""
-        _check_coordinate(j, self.workers * self.d_base)
+        _check_coordinate(j, self.dim)
         m, i = divmod(j, self.d_base)
         own = self.base[m].payload.coordinate(i, Z[m * self.d_base : (m + 1) * self.d_base])
         return own + self.lam * (Z[j] - Z[i :: self.d_base].mean())
@@ -368,14 +371,10 @@ def gen_policeman_burglar(n: int, theta: float = 0.6, sigma_w: float = 3.0, seed
         apart = np.abs(offsets[:, None] - offsets[None, :])
         S = table[apart[:, None, :, None], apart[None, :, None, :]].reshape(n * n, n * n)
         payload = BilinearGame(avg=wealth[:, None] * S, ratios=ratios)
-    L = _spectral_norm(payload, tol=1e-12)
     return VIProblem(
-        d=2 * n * n,
         prox=ProxSpec((n * n, n * n)),
-        M=n,
         payload=payload,
-        L=L,
-        L_m=payload.ratios * L,
+        L=_spectral_norm(payload, tol=1e-12),
         meta={"kind": "pvb", "n": n, "theta": theta, "sigma_w": sigma_w, "seed": seed},
     )
 
@@ -473,13 +472,10 @@ def gen_quadratic_vi(d: int, mu: float, L: float, seed: int = 0) -> VIProblem:
 
     payload = QuadraticOperator(mat=mat, center=z_star)
     return VIProblem(
-        d=d,
         prox=FREE,
-        M=1,
         payload=payload,
         L=L,
         mu_F=mu,
-        L_m=np.array([L]),
         known_solution=z_star.copy(),
         meta={"kind": "quadratic", "d": d, "mu": mu, "L": L, "seed": seed},
     )
@@ -504,26 +500,19 @@ def gen_mixing_vi(base: list[VIProblem], lam: float) -> VIProblem:
             raise ValueError("base problems must share one dimension")
         if not p.prox.free:
             raise ValueError("base problems must have a free prox")
-    payload = MixingVI(base=tuple(base), lam=lam, d_base=d_base)
-    workers = payload.workers
-    L = payload.l_phi + lam
-    mu_F = min(p.mu_F for p in base)
-
+    payload = MixingVI(base=tuple(base), lam=lam)
     known = None
     if all(p.known_solution is not None for p in base):
         stacked = np.concatenate([p.known_solution for p in base])
         if np.linalg.norm(payload.full(stacked)) <= 1e-8:
             known = stacked
     return VIProblem(
-        d=workers * d_base,
         prox=FREE,
-        M=1,
         payload=payload,
-        L=L,
-        mu_F=mu_F,
-        L_m=np.array([L]),
+        L=payload.l_phi + lam,
+        mu_F=min(p.mu_F for p in base),
         known_solution=known,
-        meta={"kind": "mixing", "workers": workers, "d": d_base, "lambda": lam},
+        meta={"kind": "mixing", "workers": payload.workers, "d": d_base, "lambda": lam},
     )
 
 

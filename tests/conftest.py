@@ -2,7 +2,8 @@
 by support enumeration, the scalar grid distance behind the game's
 matrices, the game's dense matrix and a power iteration on it, the
 quadratic's calibration by SVDs, and two restricted merit values that
-cross-check problems.duality_gap_bilinear."""
+cross-check problems.duality_gap_bilinear.  Also two zero-operator
+problems that declare the constants a constants table reads."""
 
 import itertools
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from vistep import BilinearGame, GridGame, VIProblem, eval_full, rng_stream
+from vistep import FREE, BilinearGame, GridGame, QuadraticOperator, VIProblem, eval_full, gen_mixing_vi, rng_stream
 from vistep.estimators import half_outcomes
 
 
@@ -40,6 +41,22 @@ def simplex_projection_oracle(v):
                 best_dist = dist
                 best = x
     return best
+
+
+def declared(L: float, d: int = 2, ratios=(1.0,)) -> VIProblem:
+    """The zero operator on free R^d (d even) declaring the Lipschitz
+    constant L, as a finite sum of M = len(ratios) components: a constants
+    table reads only L, d, M and L_m = ratios * L off it."""
+    game = BilinearGame(avg=np.zeros((d // 2, d // 2)), ratios=np.asarray(ratios, dtype=float))
+    return VIProblem(prox=FREE, payload=game, L=L)
+
+
+def declared_mixing(l_phi: float, lam: float) -> VIProblem:
+    """One zero worker declaring the Lipschitz constant l_phi, coupled
+    with consensus strength lam: the local strategy's table reads only
+    l_phi and lam off it."""
+    worker = VIProblem(prox=FREE, payload=QuadraticOperator(mat=np.zeros((1, 1)), center=np.zeros(1)), L=l_phi)
+    return gen_mixing_vi([worker], lam)
 
 
 def all_atoms(kind, p, z_half, snap):

@@ -176,7 +176,7 @@ def test_build_estimator_rules():
 def test_local_needs_a_mixing_payload_not_just_an_l_phi():
     # the CLI asks the estimators' own check, so a look-alike payload is refused
     p = build_problem(parse_config_text("problem.kind = pvb\nproblem.n = 2\n"))
-    look_alike = dataclasses.replace(p, payload=SimpleNamespace(l_phi=1.0, lam=1.0))
+    look_alike = dataclasses.replace(p, payload=SimpleNamespace(l_phi=1.0, lam=1.0, dim=p.d, ratios=p.payload.ratios))
     for split in ("auto", "0.5"):
         cfg = parse_config_text(f"run.estimator = local\nrun.tau_split = {split}\n")
         with pytest.raises(ConfigError, match="^local estimator requires a mixing problem$"):

@@ -5,14 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import all_atoms, restricted_gap_ball
+from conftest import all_atoms, declared, declared_mixing, restricted_gap_ball
 
 from vistep import (
     CostLedger,
     EstimatorKind,
     Quantizer,
     SolverConfig,
-    assumption_constants,
     constants_for_problem,
     est_pair,
     eval_full,
@@ -144,6 +143,15 @@ def test_quantizer_rejects_non_integer_sizes():
     with pytest.raises(ValueError, match="d must be an integer, got 10.0"):
         Quantizer("randk", k=2, d=10.0)
     assert Quantizer("randk", k=np.int64(2), d=10).omega == 5.0
+
+
+def test_identity_quantizer_refuses_the_sizes_it_does_not_read():
+    # as EstimatorKind refuses a parameter its strategy does not read:
+    # identity keeps every coordinate whatever k and d say
+    for sizes, name in (({"k": 5, "d": 3}, "k"), ({"k": 5}, "k"), ({"d": 3}, "d")):
+        with pytest.raises(ValueError, match=f"^identity does not read {name}$"):
+            Quantizer("identity", **sizes)
+    assert Quantizer("identity", k=0, d=0) == Quantizer("identity")
 
 
 # ---------------------------------------------------------------------------
@@ -608,27 +616,27 @@ def test_ledger_refresh_count_follows_the_coin():
 
 
 def test_constants_direct_oracle():
-    c = assumption_constants(EstimatorKind("noisy", sigma=1.0), L=2.0)
+    c = constants_for_problem(EstimatorKind("noisy", sigma=1.0), declared(2.0))
     assert (c.A, c.D1, c.D3, c.rho) == (12.0, 6.0, 1.0, 1.0)
     assert (c.B, c.C, c.E, c.D2, c.tau_star) == (0.0, 0.0, 0.0, 0.0, 0.0)
-    c0 = assumption_constants(EstimatorKind("fulldet"), L=2.0)
+    c0 = constants_for_problem(EstimatorKind("fulldet"), declared(2.0))
     assert (c0.A, c0.D1, c0.D3) == (12.0, 0.0, 0.0)
 
 
 def test_constants_past():
-    c = assumption_constants(EstimatorKind("past", sigma=1.0), L=2.0)
+    c = constants_for_problem(EstimatorKind("past", sigma=1.0), declared(2.0))
     assert c.rho == pytest.approx(1.0 / 3.0)
     assert (c.B, c.C, c.D1, c.D2, c.D3) == (3.0, 8.0, 6.0, 12.0, 1.0)
     assert c.tau_star == 0.0
-    cd = assumption_constants(EstimatorKind("past"), L=2.0)
+    cd = constants_for_problem(EstimatorKind("past"), declared(2.0))
     assert (cd.D1, cd.D2, cd.D3) == (0.0, 0.0, 0.0)
 
 
 def test_constants_vr_and_identity_quant_agree():
-    c = assumption_constants(EstimatorKind("vr"), L=3.0, M=4)
+    c = constants_for_problem(EstimatorKind("vr"), declared(3.0, ratios=np.ones(4)))
     assert (c.A, c.D1, c.E, c.D3) == (9.0, 0.0, 36.0, 0.0)
     assert c.tau_star == 0.8
-    q = assumption_constants(EstimatorKind("quant", quantizer=Quantizer("identity")), L=3.0)
+    q = constants_for_problem(EstimatorKind("quant", quantizer=Quantizer("identity")), declared(3.0))
     assert (q.A, q.B, q.C, q.E, q.D1, q.D2, q.D3, q.rho) == (
         c.A,
         c.B,
@@ -642,15 +650,16 @@ def test_constants_vr_and_identity_quant_agree():
 
 
 def test_constants_coord():
-    c = assumption_constants(EstimatorKind("coord"), L=1.0, d=4)
+    c = constants_for_problem(EstimatorKind("coord"), declared(1.0, d=4))
     assert (c.A, c.E, c.D1, c.D3) == (4.0, 10.0, 0.0, 0.0)
     assert c.tau_star == 0.8
+    # the tau* rule needs d
     with pytest.raises(ValueError):
-        assumption_constants(EstimatorKind("coord"), L=1.0)
+        optimal_tau(EstimatorKind("coord"), L=1.0)
 
 
 def test_constants_randk_quant():
-    c = assumption_constants(EstimatorKind("quant", quantizer=randk(2, 8)), L=1.5)
+    c = constants_for_problem(EstimatorKind("quant", quantizer=randk(2, 8)), declared(1.5, d=8))
     assert c.A == pytest.approx(4.0 * 2.25)
     assert c.E == pytest.approx(2.0 * 5.0 * 2.25)
     assert c.tau_star == 0.8
@@ -658,14 +667,13 @@ def test_constants_randk_quant():
 
 def test_constants_importance():
     kind = EstimatorKind("is", weights=(0.5, 0.5))
-    c = assumption_constants(kind, L=4.0, M=2, L_m=[2.0, 6.0])
+    # L_m = ratios * L = (2, 6)
+    c = constants_for_problem(kind, declared(4.0, ratios=(0.5, 1.5)))
     assert c.A == pytest.approx(20.0)
     assert c.E == pytest.approx(2.0 * (20.0 + 16.0))
     assert c.tau_star == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
-        assumption_constants(kind, L=4.0, M=2)
-    with pytest.raises(ValueError):
-        assumption_constants(kind, L=4.0, M=3, L_m=[1.0, 2.0, 3.0])
+        constants_for_problem(kind, declared(4.0, ratios=(0.5, 1.0, 1.5)))
 
 
 def test_importance_weights_minimize_effective_constant():
@@ -687,22 +695,23 @@ def test_importance_weights_minimize_effective_constant():
 
 
 def test_constants_local():
-    c = assumption_constants(EstimatorKind("local", tau_split=2.0 / 3.0), L=2.0, lam=1.0)
+    c = constants_for_problem(EstimatorKind("local", tau_split=2.0 / 3.0), declared_mixing(2.0, 1.0))
     assert c.A == pytest.approx(9.0, rel=1e-12)
     assert c.E == pytest.approx(36.0, rel=1e-12)
     assert c.D3 == 0.0
     assert c.tau_star == pytest.approx(2.0 / 3.0)
+    # the tau* rule needs lam
     with pytest.raises(ValueError):
-        assumption_constants(EstimatorKind("local", tau_split=0.5), L=2.0)
+        optimal_tau(EstimatorKind("local", tau_split=0.5), L=2.0)
 
 
 def test_local_split_at_tau_star_hits_squared_sum():
     # L^2/t + lam^2/(1-t) is minimized at t = L/(L+lam) with value (L+lam)^2
     for L, lam in ((2.0, 1.0), (5.0, 0.5), (1.0, 3.0)):
         t = L / (L + lam)
-        c = assumption_constants(EstimatorKind("local", tau_split=t), L=L, lam=lam)
+        c = constants_for_problem(EstimatorKind("local", tau_split=t), declared_mixing(L, lam))
         assert c.A == pytest.approx((L + lam) ** 2, rel=1e-12)
-        c_off = assumption_constants(EstimatorKind("local", tau_split=0.5 * t), L=L, lam=lam)
+        c_off = constants_for_problem(EstimatorKind("local", tau_split=0.5 * t), declared_mixing(L, lam))
         assert c_off.A >= c.A
 
 

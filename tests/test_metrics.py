@@ -37,14 +37,7 @@ def two_by_two(mat):
     """Wrap a 2x2 payoff matrix as a game on the product of two simplices."""
     mat = np.asarray(mat, dtype=float)
     game = BilinearGame(avg=mat, ratios=np.ones(1))
-    return VIProblem(
-        d=4,
-        prox=ProxSpec(blocks=(2, 2)),
-        M=1,
-        payload=game,
-        L=float(np.linalg.norm(mat, 2)),
-        L_m=np.array([float(np.linalg.norm(mat, 2))]),
-    )
+    return VIProblem(prox=ProxSpec(blocks=(2, 2)), payload=game, L=float(np.linalg.norm(mat, 2)))
 
 
 def pvb3():
@@ -144,17 +137,20 @@ def test_gap_argument_errors():
     with pytest.raises(TypeError):
         restricted_gap_bruteforce(quad, np.zeros(4))
     game = gen_policeman_burglar(2, seed=0)
-    free_game = VIProblem(d=8, prox=FREE, M=2, payload=game.payload, L=game.L, L_m=game.L_m)
+    free_game = VIProblem(prox=FREE, payload=game.payload, L=game.L)
     with pytest.raises(ValueError):
         restricted_gap_bruteforce(free_game, np.zeros(8))
     with pytest.raises(ValueError):
         restricted_gap_ball(quad, np.zeros(4), 0.0)
 
     class NoLinear:
+        dim = 3
+        ratios = np.ones(1)
+
         def full(self, z):
             return z
 
-    p = VIProblem(d=3, prox=FREE, M=1, payload=NoLinear(), L=1.0, L_m=np.ones(1))
+    p = VIProblem(prox=FREE, payload=NoLinear(), L=1.0)
     with pytest.raises(TypeError):
         restricted_gap_ball(p, np.zeros(3), 1.0)
 

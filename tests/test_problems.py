@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import cell_distance, dense_game_matrix, matrix_spectral_norm, svd
 
 from vistep import (
     FREE,
+    BilinearGame,
     GridGame,
     ProxSpec,
     QuadraticOperator,
@@ -243,7 +245,7 @@ def test_a_game_without_a_kernel_takes_the_two_whole_products():
     h = 600
     rng = rng_stream(4, 0)
     game = problems.BilinearGame(avg=rng.normal((h, h)), ratios=np.array([0.5, 1.5]))
-    p = VIProblem(d=2 * h, prox=ProxSpec((h, h)), M=2, payload=game, L=1.0)
+    p = VIProblem(prox=ProxSpec((h, h)), payload=game, L=1.0)
     z = rng.normal(2 * h)
     want = _two_products(game.avg, z)
     assert game.full(z).tobytes() == want.tobytes()
@@ -644,27 +646,14 @@ def test_eval_dimension_and_index_errors():
 @pytest.mark.parametrize(
     "kind, changes, message",
     [
-        ("quad", {"d": 0}, "d must be a positive integer, got 0"),
-        ("quad", {"d": 4.0}, "d must be an integer, got 4.0"),
-        ("quad", {"M": 0}, "M must be a positive integer, got 0"),
-        ("quad", {"M": True}, "M must be an integer, got True"),
         ("quad", {"L": -1.0}, "L must be finite and >= 0, got -1.0"),
         ("quad", {"L": np.nan}, "L must be finite and >= 0, got nan"),
         ("quad", {"L": np.inf}, "L must be finite and >= 0, got inf"),
         ("quad", {"mu_F": -0.1}, "mu_F must be finite and >= 0, got -0.1"),
         ("quad", {"mu_h": np.nan}, "mu_h must be finite and >= 0, got nan"),
-        ("quad", {"L_m": np.array([2.0, 2.0])}, "L_m must have length M = 1, got shape"),
-        ("game", {"L_m": np.ones(1)}, "L_m must have length M = 3, got shape"),
-        ("quad", {"L_m": np.array([np.inf])}, "L_m entries must be finite and >= 0"),
-        ("quad", {"L_m": np.array([-1.0])}, "L_m entries must be finite and >= 0"),
-        ("game", {"L_m": np.array([1.0, np.nan, 2.0])}, "L_m entries must be finite and >= 0"),
         ("quad", {"known_solution": np.zeros(3)}, "known_solution must have length d = 4, got shape"),
         ("quad", {"prox": ProxSpec((2, 3))}, "prox.dim = 5 does not match d = 4"),
-        ("game", {"d": 20}, "prox.dim = 18 does not match d = 20"),
-        # unchecked, vr runs on a biased two-component sum of the three-component game
-        ("game", {"M": 2, "L_m": np.ones(2)}, "M = 2 does not match the payload's 3 component ratios"),
-        # unchecked, a draw of component 2 indexes past the quadratic's one ratio
-        ("quad", {"M": 3, "L_m": np.ones(3)}, "M = 3 does not match the payload's 1 component ratios"),
+        ("game", {"prox": ProxSpec((9, 10))}, "prox.dim = 19 does not match d = 18"),
     ],
 )
 def test_problem_checks_its_constants(kind, changes, message):
@@ -683,46 +672,97 @@ def mixing_of(d_base):
         (
             lambda: gen_quadratic_vi(5, 0.5, 2.0, seed=0),
             lambda: gen_quadratic_vi(4, 0.5, 2.0, seed=0).payload,
-            "payload len(center) = 4 does not match d = 5",
+            "known_solution must have length d = 4, got shape (5,)",
         ),
         (
             lambda: gen_quadratic_vi(5, 0.5, 2.0, seed=0),
             lambda: QuadraticOperator(mat=np.eye(4), center=np.zeros(5)),
-            "payload mat.shape = (4, 4) does not match d = 5",
+            "mat.shape = (4, 4) does not match (dim, dim) = (5, 5)",
         ),
         (
             lambda: gen_policeman_burglar(3, seed=0),
             lambda: gen_policeman_burglar(2, seed=0).payload,
-            "payload 2*half = 8 does not match d = 18",
+            "prox.dim = 18 does not match d = 8",
         ),
         (
             lambda: gen_policeman_burglar(3, seed=0),
             lambda: gen_policeman_burglar(23, seed=0).payload,
-            "payload 2*half = 1058 does not match d = 18",
+            "prox.dim = 18 does not match d = 1058",
         ),
-        (lambda: mixing_of(3), lambda: mixing_of(4).payload, "payload workers*d_base = 8 does not match d = 6"),
+        # free and with no known solution, nothing else holds a dimension
+        (lambda: mixing_of(3), lambda: mixing_of(4).payload, None),
     ],
     ids=["quad-center", "quad-mat", "bilinear-game", "grid-game", "mixing"],
 )
 def test_problem_checks_its_payload_dimension(problem, payload, message):
-    # unchecked, the mismatch would surface later inside an oracle, as a
+    # d is the payload's own dimension; unchecked, a field that disagrees
+    # with it would surface later inside an oracle or the projection, as a
     # numpy broadcast or matmul error that names no field
-    p, wrong = problem(), payload()
+    p = problem()
+    if message is None:
+        moved = dataclasses.replace(p, payload=payload())
+        assert (moved.d, moved.M) == (8, 1)
+        assert eval_full(moved, np.zeros(8)).shape == (8,)
+        return
     with pytest.raises(ValueError, match=re.escape(message)):
-        dataclasses.replace(p, payload=wrong)
+        dataclasses.replace(p, payload=payload())
+
+
+def test_replacing_the_payload_rederives_d_m_and_l_m():
+    p = gen_quadratic_vi(4, 0.5, 2.0, seed=0)
+    game = gen_policeman_burglar(3, seed=0).payload
+    moved = dataclasses.replace(p, payload=game, known_solution=None)
+    assert (moved.d, moved.M) == (18, 3)
+    np.testing.assert_array_equal(moved.L_m, game.ratios * 2.0)
+
+
+def test_d_m_and_l_m_cannot_be_passed():
+    p = gen_policeman_burglar(3, seed=0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(p, M=2)
+    for name, value in (("d", 18), ("M", 3), ("L_m", p.L_m)):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            VIProblem(prox=p.prox, payload=p.payload, L=p.L, **{name: value})
+
+
+@pytest.mark.parametrize("payload", [None, object(), SimpleNamespace(dim=3), SimpleNamespace(ratios=np.ones(1))])
+def test_problem_needs_a_payload_with_dim_and_ratios(payload):
+    with pytest.raises(TypeError, match=type(payload).__name__):
+        VIProblem(prox=FREE, payload=payload, L=1.0)
+
+
+@pytest.mark.parametrize("ratios", [[1.5, -0.5, 1.0], [1.0, np.nan, 2.0], [np.inf, 1.0], []])
+def test_problem_refuses_ratios_that_are_negative_or_not_finite(ratios):
+    avg = gen_policeman_burglar(3, seed=0).payload.avg
+    with pytest.raises(ValueError, match="ratios must be finite and >= 0"):
+        VIProblem(prox=ProxSpec((9, 9)), payload=BilinearGame(avg=avg, ratios=np.array(ratios)), L=1.0)
+
+
+def test_problem_refuses_ratios_that_do_not_average_one():
+    # unchecked, vr ran this game on a biased sum: F is the mean of the
+    # components ratios[m] * F only if the ratios average 1
+    p = gen_policeman_burglar(3, seed=0)
+    for ratios in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0 + 1e-11]):
+        mean = float(np.mean(ratios))
+        with pytest.raises(ValueError, match=re.escape(f"ratios must average 1, got mean {mean!r}")):
+            dataclasses.replace(p, payload=BilinearGame(avg=p.payload.avg, ratios=np.array(ratios)))
+    # ratios that average 1 up to rounding are accepted
+    dataclasses.replace(p, payload=BilinearGame(avg=p.payload.avg, ratios=p.payload.ratios * (1.0 + 1e-13)))
 
 
 def test_problem_constants_at_their_limits_are_legal():
-    # L = 0 is the zero operator's constant; L_m and known_solution may be absent
-    VIProblem(d=3, prox=FREE, M=2, payload=None, L=0.0, L_m=np.zeros(2), known_solution=np.zeros(3))
-    VIProblem(d=3, prox=FREE, M=2, payload=None, L=0.0)
+    # L = 0 is the zero operator's constant; known_solution may be absent
+    zero = QuadraticOperator(mat=np.zeros((3, 3)), center=np.zeros(3))
+    VIProblem(prox=FREE, payload=zero, L=0.0, known_solution=np.zeros(3))
+    VIProblem(prox=FREE, payload=zero, L=0.0)
 
 
 def test_initial_point_conventions():
     game = gen_policeman_burglar(3, seed=0)
     z0 = initial_point(game, 5)
     np.testing.assert_array_equal(z0, np.full(18, 1.0 / 9.0))
-    uneven = VIProblem(d=5, prox=ProxSpec((2, 3)), M=1, payload=None, L=1.0)
+    zero = QuadraticOperator(mat=np.zeros((5, 5)), center=np.zeros(5))
+    uneven = VIProblem(prox=ProxSpec((2, 3)), payload=zero, L=1.0)
     np.testing.assert_array_equal(initial_point(uneven, 5), [1.0 / 2.0] * 2 + [1.0 / 3.0] * 3)
 
     quad = gen_quadratic_vi(7, 0.5, 2.0, seed=0)

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import dense_game_matrix
+from conftest import declared, dense_game_matrix
 
 from vistep import (
     FREE,
@@ -18,7 +18,6 @@ from vistep import (
     QuadraticOperator,
     SolverConfig,
     VIProblem,
-    assumption_constants,
     constants_for_problem,
     duality_gap_bilinear,
     est_pair,
@@ -31,6 +30,7 @@ from vistep import (
     initial_point,
     iterate_once,
     lyapunov_value,
+    optimal_tau,
     Quantizer,
     rng_stream,
     run_solver,
@@ -42,20 +42,20 @@ from vistep.solver import COST_COLUMNS
 
 
 def test_step_size_direct_oracle():
-    c = assumption_constants(EstimatorKind("fulldet"), L=2.0)
+    c = constants_for_problem(EstimatorKind("fulldet"), declared(2.0))
     gamma, T = step_size_bound(EstimatorKind("fulldet"), "sm", c, mu_F=0.5)
     assert gamma == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert T == 0.0
     gamma, T = step_size_bound(EstimatorKind("fulldet"), "mono", c)
     assert gamma == pytest.approx(1.0 / 6.0, rel=1e-12)
     # the noisy strategy shares the rule; sigma moves D1, not gamma
-    cn = assumption_constants(EstimatorKind("noisy", sigma=3.0), L=2.0)
+    cn = constants_for_problem(EstimatorKind("noisy", sigma=3.0), declared(2.0))
     gamma, _ = step_size_bound(EstimatorKind("noisy", sigma=3.0), "mono", cn)
     assert gamma == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 def test_step_size_mu_cap_binds():
-    c = assumption_constants(EstimatorKind("fulldet"), L=2.0)
+    c = constants_for_problem(EstimatorKind("fulldet"), declared(2.0))
     gamma, _ = step_size_bound(EstimatorKind("fulldet"), "sm", c, mu_F=30.0)
     assert gamma == pytest.approx(1.0 / 120.0, rel=1e-12)
     # mu_h counts toward the cap the same way
@@ -64,7 +64,7 @@ def test_step_size_mu_cap_binds():
 
 
 def test_step_size_past():
-    c = assumption_constants(EstimatorKind("past"), L=2.0)
+    c = constants_for_problem(EstimatorKind("past"), declared(2.0))
     gamma, T = step_size_bound(EstimatorKind("past"), "sm", c, mu_F=0.5)
     assert gamma == pytest.approx(1.0 / (24.0 * math.sqrt(2.0)), rel=1e-12)
     assert T == pytest.approx(36.0, rel=1e-12)
@@ -74,33 +74,33 @@ def test_step_size_past():
 
 
 def test_step_size_snapshot_kinds():
-    c = assumption_constants(EstimatorKind("vr"), L=3.0, M=4)
+    c = constants_for_problem(EstimatorKind("vr"), declared(3.0, ratios=np.ones(4)))
     gamma, T = step_size_bound(EstimatorKind("vr"), "mono", c, tau=0.75)
     assert T == 0.0
     assert gamma == pytest.approx(0.5 / (2.0 * math.sqrt(2.0 * 9.0 + 36.0)), rel=1e-12)
     gamma, _ = step_size_bound(EstimatorKind("vr"), "sm", c, mu_F=10.0, tau=0.75)
     assert gamma == pytest.approx(0.25 / 40.0, rel=1e-12)  # the mu cap binds
-    cc = assumption_constants(EstimatorKind("coord"), L=1.0, d=4)
+    cc = constants_for_problem(EstimatorKind("coord"), declared(1.0, d=4))
     gamma, _ = step_size_bound(EstimatorKind("coord"), "mono", cc, tau=0.8)
     assert gamma == pytest.approx(math.sqrt(0.2) / (2.0 * math.sqrt(18.0)), rel=1e-12)
 
 
 def test_step_size_degenerate_and_errors():
-    c = assumption_constants(EstimatorKind("vr"), L=0.0, M=1)
+    c = constants_for_problem(EstimatorKind("vr"), declared(0.0))
     gamma, _ = step_size_bound(EstimatorKind("vr"), "mono", c)
     assert gamma == np.inf
     # the table's tau* is optimal_tau's, which needs M for vr
     with pytest.raises(ValueError, match="tau rule needs problem data"):
-        assumption_constants(EstimatorKind("vr"), L=0.0)
+        optimal_tau(EstimatorKind("vr"), L=0.0)
     fulldet = EstimatorKind("fulldet")
     with pytest.raises(ValueError):
-        step_size_bound(fulldet, "sm", assumption_constants(fulldet, L=1.0))
+        step_size_bound(fulldet, "sm", constants_for_problem(fulldet, declared(1.0)))
     with pytest.raises(ValueError, match="mu_F"):
-        step_size_bound(fulldet, "sm", assumption_constants(fulldet, L=2.0), mu_F=math.nan)
+        step_size_bound(fulldet, "sm", constants_for_problem(fulldet, declared(2.0)), mu_F=math.nan)
     with pytest.raises(ValueError):
-        step_size_bound(fulldet, "fast", assumption_constants(fulldet, L=1.0))
+        step_size_bound(fulldet, "fast", constants_for_problem(fulldet, declared(1.0)))
     with pytest.raises(ValueError):
-        step_size_bound(fulldet, "mono", assumption_constants(fulldet, L=1.0), tau=1.0)
+        step_size_bound(fulldet, "mono", constants_for_problem(fulldet, declared(1.0)), tau=1.0)
 
 
 def test_iterate_once_is_plain_extragradient_at_zero_tau():
@@ -508,7 +508,7 @@ def test_strongly_monotone_run_contracts():
 
 def test_run_solver_requires_finite_step():
     zero_op = QuadraticOperator(mat=np.zeros((3, 3)), center=np.zeros(3))
-    p = VIProblem(d=3, prox=FREE, M=1, payload=zero_op, L=0.0, L_m=np.array([0.0]))
+    p = VIProblem(prox=FREE, payload=zero_op, L=0.0)
     with pytest.raises(ValueError):
         run_solver(p, SolverConfig(kind=EstimatorKind("vr"), K=2))
     # an explicit gamma unblocks the degenerate instance
