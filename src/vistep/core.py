@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,23 +45,29 @@ class ProxSpec:
     """
 
     blocks: tuple[int, ...] | None = None
+    # total dimension, or None when the spec is free (any length fits)
+    dim: int | None = field(init=False, repr=False, compare=False)
+    # each block's slice of a vector, in order
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        slices = []
         if self.blocks is not None:
             _check_integers(**{f"blocks[{i}]": b for i, b in enumerate(self.blocks)})
             blocks = tuple(int(b) for b in self.blocks)
             if len(blocks) == 0 or any(b < 1 for b in blocks):
                 raise ValueError("simplex block lengths must be positive integers")
             object.__setattr__(self, "blocks", blocks)
+            start = 0
+            for b in blocks:
+                slices.append(slice(start, start + b))
+                start += b
+        object.__setattr__(self, "dim", None if self.blocks is None else slices[-1].stop)
+        object.__setattr__(self, "slices", tuple(slices))
 
     @property
     def free(self) -> bool:
         return self.blocks is None
-
-    @property
-    def dim(self) -> int | None:
-        """Total dimension, or None when the spec is free (any length fits)."""
-        return None if self.blocks is None else int(sum(self.blocks))
 
 
 FREE = ProxSpec()
@@ -73,28 +79,36 @@ def _ranks(n: int) -> np.ndarray:
     return np.arange(1.0, n + 1.0)
 
 
-def project_simplex(v: Vector) -> Vector:
-    """Euclidean projection of ``v`` onto the unit probability simplex.
+def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
+    """Euclidean projection of ``v`` onto the unit probability simplex,
+    written into ``out`` (a new array when None); ``v`` is not written.
 
     Sort-based threshold rule: with u the entries sorted in decreasing
     order, the support is the largest j such that u_j > (u_1+...+u_j - 1)/j,
-    and the projection clips every entry at that threshold.
+    and the projection clips every entry at that threshold.  The rule runs
+    on w = -u, sorted in place in increasing order, so that every array it
+    reads is contiguous: rounding is symmetric under negation, so
+    t_j = w_1+...+w_j + 1 is -(u_1+...+u_j - 1) to the bit, the support
+    test reads j*w_j < t_j and the shifted entries are v + t_rho/rho.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-d vector")
     n = v.size
-    u = np.sort(v)[::-1]
-    css = u.cumsum()
-    css -= 1.0
-    if not math.isfinite(css[-1]):
+    w = np.negative(v)
+    w.sort()
+    t = w.cumsum()
+    t += 1.0
+    if not math.isfinite(t[-1]):
         raise ValueError("cannot project a vector whose entries are not finite or whose sum overflows")
-    support = u * _ranks(n) > css
-    rho = n - 1 - int(support[::-1].argmax())
-    if not support[rho]:
+    # j*w_j in w's buffer: its first entry, the shift below, is w_1 itself
+    w *= _ranks(n)
+    support = (w < t).nonzero()[0]
+    if not support.size:
         # |u_1| >= 2^53 rounds u_1 - 1 to u_1; the projection is shift invariant
-        return project_simplex(v - u[0])
-    out = v - css[rho] / (rho + 1.0)
+        return project_simplex(v + w[0], out)
+    rho = support[-1]
+    out = np.add(v, t[rho] / (rho + 1.0), out=out)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -102,19 +116,35 @@ def prox_eval(spec: ProxSpec, v: Vector) -> Vector:
     """prox_{gamma*h}(v) for the indicator-style h encoded by ``spec``; the
     same map for every gamma > 0, since h is an indicator.
 
-    Free specs return v unchanged; simplex specs project blockwise.
+    Free specs return a copy of v; simplex specs project each block into
+    its slice of a new array.
     """
     v = np.asarray(v, dtype=float)
-    if spec.free:
+    if spec.blocks is None:
         return v.copy()
     if v.size != spec.dim:
         raise ValueError(f"vector length {v.size} does not match spec dimension {spec.dim}")
-    out = np.empty_like(v)
-    start = 0
-    for b in spec.blocks:
-        out[start : start + b] = project_simplex(v[start : start + b])
-        start += b
+    out = np.empty(v.shape)
+    for part in spec.slices:
+        project_simplex(v[part], out[part])
     return out
+
+
+_TAPE = 1024  # uniforms a stream draws ahead at a time (8 KB)
+
+
+def _dims(size) -> tuple[int, ...]:
+    """The shape a draw of ``size`` fills: a nonnegative integer, or a
+    tuple or list of them."""
+    dims = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+    for n in dims:
+        # type() is not int for bool and numpy integers; _check_integers sorts them
+        if type(n) is not int:
+            _check_integers(size=n)
+            dims = tuple(map(int, dims))
+        if n < 0:
+            raise ValueError(f"size must be nonnegative, got {size!r}")
+    return dims
 
 
 class RngStream:
@@ -125,6 +155,14 @@ class RngStream:
     are derived from uniforms on [0, 1): integers by scaling, normals by
     the Box-Muller transform, so the whole artifact depends on a single
     generator contract.
+
+    The uniforms are served from a tape: a block of ``_TAPE`` values that
+    ``Generator.random`` draws ahead, with a list copy of it for scalar
+    draws.  PCG64 gives the same values in one block as one at a time, so
+    every draw keeps the bits of a stream that draws on demand.  A draw of
+    the tape's length or more comes from the generator itself, after what
+    is left on the tape.  Repeated normal draws of one size are
+    transformed in a block of the tape's calls (see :meth:`normal`).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -136,42 +174,107 @@ class RngStream:
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._tape = np.empty(0)  # uniforms drawn ahead, in stream order
+        self._listed: list[float] = []  # the tape as Python floats once a scalar draw asks, else []
+        self._at = 0  # the tape's first unserved entry
+        # repeated normal draws: (dims, one row of normals per call, tape position of row 0, uniforms a row)
+        self._normals = None
+
+    def _refill(self) -> None:
+        """A new tape: the unserved rest of the old one, then _TAPE fresh uniforms."""
+        rest = self._tape[self._at :]
+        fresh = self._gen.random(_TAPE)
+        self._tape = np.concatenate((rest, fresh)) if rest.size else fresh
+        self._listed = []
+        self._at = 0
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next count uniforms, in order: a slice of the tape, or, for a
+        draw of the tape's length or more, a new array from the generator
+        that starts with the tape's unserved rest.  Writing a served slice
+        changes no later draw."""
+        self._normals = None
+        at = self._at
+        if count < _TAPE:
+            if at + count > self._tape.size:
+                self._refill()
+                at = 0
+            self._at = at + count
+            return self._tape[at : at + count]
+        u = self._gen.random(count)
+        rest = self._tape.size - at
+        if rest:
+            # the rest goes first; the last `rest` fresh values become the tape
+            tail = u[count - rest :].copy()
+            u[rest:] = u[: count - rest]
+            u[:rest] = self._tape[at:]
+            self._tape = tail
+        self._listed = []
+        self._at = 0
+        return u
 
     def uniform(self, size=None):
         """Uniform on [0, 1); scalar float when size is None."""
-        if size is None:
-            return float(self._gen.random())
-        return self._gen.random(size)
+        if size is not None:
+            dims = _dims(size)
+            return self._take(math.prod(dims)).reshape(dims)
+        self._normals = None
+        at = self._at
+        if at >= len(self._listed):
+            if at >= self._tape.size:
+                self._refill()
+                at = 0
+            self._listed = self._tape.tolist()
+        self._at = at + 1
+        return self._listed[at]
 
     def integers(self, n: int, size=None):
         """size draws from {0, ..., n-1}, one uniform each; a plain int when size is None."""
+        if type(n) is not int:
+            _check_integers(n=n)
+            n = int(n)
         if n < 1:
             raise ValueError("need n >= 1")
-        u = self._gen.random(size)
         if size is None:
             # min() guards the measure-zero u*n == n rounding edge
-            return min(int(u * n), n - 1)
-        return np.minimum((u * n).astype(np.int64), n - 1)
+            return min(int(self.uniform() * n), n - 1)
+        return np.minimum((self.uniform(size) * n).astype(np.int64), n - 1)
 
     def normal(self, size):
-        """Standard normal draws of the given shape via Box-Muller on uniform pairs."""
-        count = int(size) if isinstance(size, (int, np.integer)) else math.prod(size)
-        half = (count + 1) // 2
-        r = self._gen.random(half)
-        theta = self._gen.random(half)
-        # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, each in its uniforms'
-        # buffer; 1 - u1 lies in (0, 1], so the log never sees zero
-        np.negative(r, out=r)
-        np.log1p(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
-        # r cos(theta) in the first half, r sin(theta) in the second
-        out = np.empty((2, half))
-        np.cos(theta, out=out[0])
-        np.sin(theta, out=out[1])
-        out *= r
-        return out.reshape(-1)[:count].reshape(size)
+        """Standard normal draws of the given shape via Box-Muller on uniform
+        pairs: a call of count draws reads half = ceil(count/2) uniforms u1
+        for the radii, then half u2 for the angles, and returns
+        [r cos(theta) | r sin(theta)] cut to count.  From the second call
+        of one size in a row, the calls are transformed together, as many
+        as the tape holds, each from its own uniforms; the stream advances
+        only by the calls served, and a draw of another kind or size drops
+        the rest of the block."""
+        dims = _dims(size)
+        block = self._normals
+        repeated = block is not None and block[0] == dims
+        if repeated:
+            row = (self._at - block[2]) // block[3]
+            if row < len(block[1]):
+                self._at += block[3]
+                return block[1][row]
+        count = math.prod(dims)
+        if count == 0:
+            self._normals = None
+            return np.empty(dims)
+        width = 2 * ((count + 1) // 2)
+        if width >= _TAPE:
+            # a new array, transformed in place as its uniforms' only copy
+            return _box_muller(self._take(width).reshape(1, 2, -1), count, dims)[0]
+        if self._tape.size - self._at < width:
+            self._refill()
+        start = self._at
+        # the first call of a size transforms its own uniforms only; a repeat, as many calls as the tape holds
+        calls = (self._tape.size - start) // width if repeated else 1
+        # a copy: the tape keeps the uniforms of calls not yet served
+        u = self._tape[start : start + calls * width].reshape(calls, 2, -1).copy()
+        self._normals = (dims, _box_muller(u, count, dims), start, width)
+        self._at = start + width
+        return self._normals[1][0]
 
     def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
         """rows independent k-subsets of {0..n-1}, one per row; one subset
@@ -185,11 +288,14 @@ class RngStream:
         with a value left out is argsorted whole, so every row holds the
         same indices in the same order as a single draw from its uniforms.
         """
+        if type(n) is not int or type(k) is not int:
+            _check_integers(n=n, k=k)
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         if rows is None:
-            return np.argsort(self._gen.random(n), kind="stable")[:k]
-        u = self._gen.random((rows, n))
+            return np.argsort(self._take(n), kind="stable")[:k]
+        _check_integers(rows=rows)
+        u = self.uniform((rows, n))
         kept = np.sort(np.argpartition(u, k - 1, axis=-1)[:, :k], axis=-1)
         values = np.take_along_axis(u, kept, axis=-1)
         out = np.take_along_axis(kept, np.argsort(values, axis=-1, kind="stable"), axis=-1)
@@ -197,6 +303,25 @@ class RngStream:
         if tied.any():
             out[tied] = np.argsort(u[tied], axis=-1, kind="stable")[:, :k]
         return out
+
+
+def _box_muller(u: np.ndarray, count: int, dims: tuple[int, ...]) -> np.ndarray:
+    """One array of count normals, shaped dims, per (2, half) row of the
+    uniforms u, whose buffer it reuses: r = sqrt(-2 log(1 - u1)) in the
+    first half and theta = 2 pi u2 in the second, then r cos(theta) and
+    r sin(theta) in a new array.  1 - u1 lies in (0, 1], so the log never
+    sees zero."""
+    r, theta = u[:, 0], u[:, 1]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    out = np.empty(u.shape)
+    np.cos(theta, out=out[:, 0])
+    np.sin(theta, out=out[:, 1])
+    out *= r[:, None]
+    return out.reshape(len(u), -1)[:, :count].reshape((len(u),) + dims)
 
 
 def rng_stream(seed: int, stream_id: int = 0) -> RngStream:

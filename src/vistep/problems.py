@@ -54,6 +54,8 @@ class VIProblem:
         for name, value in (("L", self.L), ("mu_F", self.mu_F), ("mu_h", self.mu_h)):
             if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not isinstance(ratios, np.ndarray) or ratios.ndim != 1:
+            raise ValueError(f"ratios must be a 1-d array, got {ratios!r}")
         if not (len(ratios) and 0 <= ratios.min() <= ratios.max() < np.inf):
             raise ValueError(f"ratios must be finite and >= 0, got {ratios!r}")
         # F is the mean of its components ratios[m] * F only if they average 1
@@ -83,6 +85,10 @@ class _GameOracles:
     (z -> F(z)), the products ``_matvec`` (x -> A x) and ``_rmatvec``
     (y -> A^T y), and the rows and columns of A (``_row``, ``_column``).
     """
+
+    def __post_init__(self):
+        # a hand-built game may list its ratios; eval_component indexes them with an array
+        self.ratios = np.asarray(self.ratios, dtype=float)
 
     @property
     def dim(self) -> int:

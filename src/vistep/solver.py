@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -217,7 +218,10 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
 
     K = config.K
     rows = K + 1
-    cost = {name: np.zeros(rows, dtype=np.int64) for name in COST_COLUMNS}
+    # one ledger column per row of the table, each a contiguous trace column;
+    # an iteration's six counts are stored at once, down a column
+    costs_of = operator.attrgetter(*COST_COLUMNS)
+    cost = np.zeros((len(COST_COLUMNS), rows), dtype=np.int64)
     dist_sq = np.full(rows, np.nan)
     lyap = np.full(rows, np.nan)
     gap_last = np.full(rows, np.nan)
@@ -231,8 +235,7 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
     last_half: Vector | None = None
 
     def record(row: int) -> None:
-        for name in COST_COLUMNS:
-            cost[name][row] = getattr(state.costs, name)
+        cost[:, row] = costs_of(state.costs)
         if z_star is not None:
             dz = float(np.sum((z - z_star) ** 2))
             dist_sq[row] = dz
@@ -261,7 +264,7 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
 
     return RunTrace(
         k=np.arange(rows, dtype=np.int64),
-        **cost,
+        **dict(zip(COST_COLUMNS, cost)),
         dist_sq=dist_sq,
         lyapunov=lyap,
         gap_last=gap_last,

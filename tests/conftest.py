@@ -1,7 +1,8 @@
 """Shared brute-force oracles for the test suite: the simplex projection
-by support enumeration, the scalar grid distance behind the game's
-matrices, the game's dense matrix and a power iteration on it, the
-quadratic's calibration by SVDs, and two restricted merit values that
+by support enumeration and by the plain sort rule, a random stream that
+draws every call's uniforms on demand, the scalar grid distance behind
+the game's matrices, the game's dense matrix and a power iteration on it,
+the quadratic's calibration by SVDs, and two restricted merit values that
 cross-check problems.duality_gap_bilinear.  Also two zero-operator
 problems that declare the constants a constants table reads."""
 
@@ -41,6 +42,53 @@ def simplex_projection_oracle(v):
                 best_dist = dist
                 best = x
     return best
+
+
+def sort_rule_projection(v):
+    """Projection onto the unit simplex by the sort rule written plainly:
+    u sorted in decreasing order, the support the largest j with
+    u_j > (u_1+...+u_j - 1)/j, every entry shifted by that threshold and
+    clipped at zero; the bits core.project_simplex must keep."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    u = np.sort(v)[::-1]
+    css = u.cumsum() - 1.0
+    support = u * np.arange(1.0, n + 1.0) > css
+    rho = n - 1 - int(support[::-1].argmax())
+    if not support[rho]:
+        # |u_1| >= 2^53 rounds u_1 - 1 to u_1; the projection is shift invariant
+        return sort_rule_projection(v - u[0])
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+class OnDemandStream:
+    """RngStream's draws with each call's uniforms drawn from the same
+    generator when it is made: the bits a tape-served stream must keep."""
+
+    def __init__(self, seed: int, stream_id: int = 0):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        self._gen = np.random.Generator(np.random.PCG64(ss))
+
+    def uniform(self, size=None):
+        return float(self._gen.random()) if size is None else self._gen.random(size)
+
+    def integers(self, n: int, size=None):
+        u = self._gen.random(size)
+        if size is None:
+            return min(int(u * n), n - 1)
+        return np.minimum((u * n).astype(np.int64), n - 1)
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        half = (count + 1) // 2
+        r = np.sqrt(-2.0 * np.log1p(-self._gen.random(half)))
+        theta = 2.0 * np.pi * self._gen.random(half)
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count].reshape(size)
+
+    def subsets(self, n: int, k: int, rows=None):
+        if rows is None:
+            return np.argsort(self._gen.random(n), kind="stable")[:k]
+        return np.argsort(self._gen.random((rows, n)), axis=-1, kind="stable")[:, :k]
 
 
 def declared(L: float, d: int = 2, ratios=(1.0,)) -> VIProblem:

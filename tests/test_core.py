@@ -1,8 +1,12 @@
 """Prox operators and the deterministic random-stream contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import simplex_projection_oracle
+from conftest import OnDemandStream, simplex_projection_oracle, sort_rule_projection
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vistep import (
     EstimatorKind,
@@ -15,6 +19,7 @@ from vistep import (
     prox_eval,
     rng_stream,
 )
+from vistep.core import _TAPE
 
 
 def test_project_simplex_known_values():
@@ -87,6 +92,53 @@ def test_project_simplex_of_huge_entries_is_the_top_vertex():
     np.testing.assert_array_equal(project_simplex(np.array([-1e200, -3e199, 5e199])), [0.0, 0.0, 1.0])
     np.testing.assert_array_equal(project_simplex(np.array([4e16, 4e16 + 8.0, 0.0])), [0.0, 1.0, 0.0])
     np.testing.assert_array_equal(project_simplex(np.array([1e300, 1e300])), [0.5, 0.5])
+
+
+def _projection_cases():
+    """Vectors of length 1 to 40 at scales 1e-3 to 1e12, some with ties
+    (entries on a coarse grid, or one value repeated) and some past 2^53,
+    where the sort rule shifts by the largest entry."""
+    pick = np.random.default_rng(28)
+    for case in range(3000):
+        n = int(pick.integers(1, 41))
+        v = pick.normal(size=n) * 10.0 ** pick.integers(-3, 13)
+        if case % 5 == 1:
+            v = np.round(v * 4.0 / np.abs(v).max()) / 4.0
+        elif case % 5 == 2:
+            v = np.full(n, v[0])
+        elif case % 5 == 3:
+            v = v / np.abs(v).max() * 2.0**60 + pick.integers(-8, 9, n) * 2.0**10
+        yield v
+
+
+def test_project_simplex_keeps_the_sort_rule_bits():
+    shifted = 0
+    for v in _projection_cases():
+        want = sort_rule_projection(v)
+        assert project_simplex(v).tobytes() == want.tobytes(), v
+        out = np.full(v.size, np.nan)
+        assert project_simplex(v, out) is out
+        assert out.tobytes() == want.tobytes()
+        u = np.sort(v)[::-1]
+        shifted += not np.any(u * np.arange(1.0, v.size + 1.0) > u.cumsum() - 1.0)
+    assert shifted > 0  # the |u_1| >= 2^53 path ran
+
+
+def test_prox_eval_keeps_the_sort_rule_bits_and_never_writes_its_input():
+    pick = np.random.default_rng(29)
+    for case in range(400):
+        blocks = tuple(int(b) for b in pick.integers(1, 12, size=int(pick.integers(1, 6))))
+        if case % 4 == 0:
+            blocks += (1,)
+        v = pick.normal(size=sum(blocks)) * 10.0 ** pick.integers(-3, 13)
+        if case % 3 == 0:
+            v = np.round(v / np.abs(v).max() * 3.0)
+        before = v.copy()
+        got = prox_eval(ProxSpec(blocks), v)
+        assert v.tobytes() == before.tobytes()
+        starts = np.cumsum((0,) + blocks)
+        want = np.concatenate([sort_rule_projection(v[a:b]) for a, b in zip(starts[:-1], starts[1:])])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_prox_spec_validation():
@@ -243,6 +295,98 @@ def test_subsets_batch_equals_scalar_rows():
         s = RngStream(23, 0)
         want = np.stack([s.subsets(n, k) for _ in range(rows)])
         np.testing.assert_array_equal(got, want)
+
+
+def _same_draw(got, want):
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+# sizes around the tape's length, where a draw leaves the tape for the generator
+_SIZES = st.sampled_from([0, 1, 2, 3, 7, 50, 51, _TAPE - 2, _TAPE - 1, _TAPE, _TAPE + 1, 2 * _TAPE + 3])
+_CALLS = st.one_of(
+    st.tuples(st.just("uniform"), st.one_of(st.none(), _SIZES, st.tuples(st.integers(0, 9), st.integers(0, 9)))),
+    st.tuples(st.just("integers"), st.integers(1, 1000), st.one_of(st.none(), _SIZES)),
+    st.tuples(st.just("normal"), st.one_of(_SIZES, st.sampled_from([(25,), (50,), (3, 5), (41, 100)]))),
+    st.tuples(st.just("subsets"), st.integers(1, 60), st.integers(1, 60), st.one_of(st.none(), st.integers(0, 120))),
+)
+# runs of one call, so that repeated normal sizes fill derived blocks
+_PROGRAMS = st.lists(st.tuples(_CALLS, st.integers(1, 90)), min_size=1, max_size=8)
+
+
+def _replay(stream, program):
+    draws = []
+    for call, times in program:
+        name, *args = call
+        if name == "subsets":
+            n, k, rows = args
+            args = [n, min(k, n), rows]
+        draws += [getattr(stream, name)(*args) for _ in range(times)]
+    return draws
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), program=_PROGRAMS)
+@example(seed=3, program=[((("normal", (50,))), 30), (("normal", 7), 5), (("uniform", None), 1), (("normal", (50,)), 90)])
+@example(seed=4, program=[(("normal", 9), 3), (("uniform", None), 1), (("normal", 9), 3), (("integers", 5, None), 1), (("normal", 9), 2)])
+@example(seed=4, program=[(("normal", 9), 3), (("uniform", 3), 1), (("normal", 9), 3), (("subsets", 6, 2, None), 1), (("normal", 9), 2)])
+@example(seed=6, program=[(("uniform", None), 1), (("uniform", _TAPE - 24), 1), (("uniform", 100), 1), (("uniform", None), 3)])
+@example(seed=4, program=[(("uniform", None), 4095), (("normal", _TAPE), 1), (("integers", 7, None), 3)])
+@example(seed=5, program=[(("integers", 3, None), 10), (("uniform", 2 * _TAPE + 3), 1), (("uniform", None), _TAPE)])
+def test_tape_served_draws_keep_the_on_demand_bits(seed, program):
+    # the first three examples change the normal size or take another draw partway
+    # through a derived block; the fourth refills a tape whose list copy a scalar
+    # draw made; the last two take a large draw with part of the tape unserved
+    got = _replay(rng_stream(seed, 7), program)
+    want = _replay(OnDemandStream(seed, 7), program)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert _same_draw(a, b), (i, a, b)
+
+
+def test_a_large_draw_allocates_its_arrays_and_keeps_none():
+    # a draw of the tape's length or more is one array of uniforms (and, for
+    # normals, one of results), with the tape's unserved rest passed on: no
+    # second copy while it is formed, and no more than a tape held after it
+    n = 64 * _TAPE
+    s = RngStream(2, 0)
+    s.uniform(3)
+    tracemalloc.start()
+    try:
+        s.uniform(n)
+        _, uniform_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        s.normal(n)
+        _, normal_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 8 * _TAPE + 4096
+    assert uniform_peak < 8 * n + slack
+    assert normal_peak < 2 * 8 * n + slack
+    assert s._tape.size < _TAPE
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: s.integers(2.5), "n must be an integer, got 2.5"),
+        (lambda s: s.integers(True), "n must be an integer, got True"),
+        (lambda s: s.integers(np.float64(3.0), size=4), "n must be an integer"),
+        (lambda s: s.normal(-1), r"size must be nonnegative, got -1"),
+        (lambda s: s.normal(2.5), "size must be an integer, got 2.5"),
+        (lambda s: s.normal((3, 2.0)), "size must be an integer, got 2.0"),
+        (lambda s: s.uniform(-2), "size must be nonnegative, got -2"),
+        (lambda s: s.uniform(True), "size must be an integer, got True"),
+        (lambda s: s.integers(5, size=(2, -1)), r"size must be nonnegative, got \(2, -1\)"),
+        (lambda s: s.subsets(5, 2.0), "k must be an integer, got 2.0"),
+        (lambda s: s.subsets(5.0, 2), "n must be an integer, got 5.0"),
+        (lambda s: s.subsets(5, 2, rows=1.5), "rows must be an integer, got 1.5"),
+    ],
+)
+def test_draw_arguments_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(RngStream(1, 0))
 
 
 class _QuarterGrid:

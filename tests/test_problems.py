@@ -750,6 +750,27 @@ def test_problem_refuses_ratios_that_do_not_average_one():
     dataclasses.replace(p, payload=BilinearGame(avg=p.payload.avg, ratios=p.payload.ratios * (1.0 + 1e-13)))
 
 
+def test_games_take_listed_ratios_as_a_float_array():
+    # a listed ratios failed in VIProblem with "'list' object has no attribute 'min'"
+    grid = gen_policeman_burglar(23, seed=0).payload
+    assert isinstance(grid, GridGame)
+    games = [
+        BilinearGame(avg=np.eye(2), ratios=[1.0, 1.0]),
+        GridGame(a=grid.a, table=grid.table, spectrum=grid.spectrum, ratios=[1, 2, 0]),
+    ]
+    for game in games:
+        p = VIProblem(prox=FREE, payload=game, L=1.0)
+        assert isinstance(game.ratios, np.ndarray) and game.ratios.dtype == np.float64
+        z = rng_stream(4, 0).normal(p.d)
+        m = np.array([1, 0, 1])
+        want = game.ratios[m][:, None] * eval_full(p, z)
+        assert eval_component(p, m, z).tobytes() == want.tobytes()
+    # a payload of another type is not converted; the error names the field
+    for payload in (SimpleNamespace(dim=2, ratios=[1.0]), BilinearGame(avg=np.eye(2), ratios=[[1.0]])):
+        with pytest.raises(ValueError, match="ratios must be a 1-d array"):
+            VIProblem(prox=FREE, payload=payload, L=1.0)
+
+
 def test_problem_constants_at_their_limits_are_legal():
     # L = 0 is the zero operator's constant; known_solution may be absent
     zero = QuadraticOperator(mat=np.zeros((3, 3)), center=np.zeros(3))
