@@ -130,7 +130,8 @@ def prox_eval(spec: ProxSpec, v: Vector) -> Vector:
     return out
 
 
-_TAPE = 1024  # uniforms a stream draws ahead at a time (8 KB)
+_TAPE = 1024  # uniforms a stream draws ahead at most (8 KB); larger draws skip the tape
+_TAPE_FIRST = 16  # a stream's first tape; each refill doubles it, up to _TAPE
 
 
 def _dims(size) -> tuple[int, ...]:
@@ -156,12 +157,14 @@ class RngStream:
     the Box-Muller transform, so the whole artifact depends on a single
     generator contract.
 
-    The uniforms are served from a tape: a block of ``_TAPE`` values that
+    The uniforms are served from a tape: a block of values that
     ``Generator.random`` draws ahead, with a list copy of it for scalar
-    draws.  PCG64 gives the same values in one block as one at a time, so
-    every draw keeps the bits of a stream that draws on demand.  A draw of
-    the tape's length or more comes from the generator itself, after what
-    is left on the tape.  Repeated normal draws of one size are
+    draws.  The first tape holds ``_TAPE_FIRST`` values and each refill
+    twice as many, up to ``_TAPE``, so a stream that draws little draws
+    little ahead.  PCG64 gives the same values in one block as one at a
+    time, so every draw keeps the bits of a stream that draws on demand.
+    A draw of ``_TAPE`` values or more comes from the generator itself,
+    after what is left on the tape.  Repeated normal draws of one shape are
     transformed in a block of the tape's calls (see :meth:`normal`).
     """
 
@@ -175,15 +178,18 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._tape = np.empty(0)  # uniforms drawn ahead, in stream order
+        self._ahead = _TAPE_FIRST  # fresh uniforms the next refill draws
         self._listed: list[float] = []  # the tape as Python floats once a scalar draw asks, else []
         self._at = 0  # the tape's first unserved entry
-        # repeated normal draws: (dims, one row of normals per call, tape position of row 0, uniforms a row)
-        self._normals = None
+        # normals of repeated calls of one shape: (their tape, position of row 0, uniforms a row, one row a call)
+        self._normals = (None, 0, 1, np.empty((0, 0)))
 
-    def _refill(self) -> None:
-        """A new tape: the unserved rest of the old one, then _TAPE fresh uniforms."""
+    def _refill(self, count: int) -> None:
+        """A new tape of at least count uniforms: the unserved rest of the
+        old one, then fresh ones."""
         rest = self._tape[self._at :]
-        fresh = self._gen.random(_TAPE)
+        fresh = self._gen.random(max(count, self._ahead))
+        self._ahead = min(2 * self._ahead, _TAPE)
         self._tape = np.concatenate((rest, fresh)) if rest.size else fresh
         self._listed = []
         self._at = 0
@@ -193,22 +199,22 @@ class RngStream:
         draw of the tape's length or more, a new array from the generator
         that starts with the tape's unserved rest.  Writing a served slice
         changes no later draw."""
-        self._normals = None
         at = self._at
         if count < _TAPE:
             if at + count > self._tape.size:
-                self._refill()
+                self._refill(count)
                 at = 0
             self._at = at + count
             return self._tape[at : at + count]
         u = self._gen.random(count)
         rest = self._tape.size - at
+        # the rest goes first; the last `rest` fresh values become the tape,
+        # an empty one when the old tape was used up
+        tail = u[count - rest :].copy()
         if rest:
-            # the rest goes first; the last `rest` fresh values become the tape
-            tail = u[count - rest :].copy()
             u[rest:] = u[: count - rest]
             u[:rest] = self._tape[at:]
-            self._tape = tail
+        self._tape = tail
         self._listed = []
         self._at = 0
         return u
@@ -218,11 +224,10 @@ class RngStream:
         if size is not None:
             dims = _dims(size)
             return self._take(math.prod(dims)).reshape(dims)
-        self._normals = None
         at = self._at
         if at >= len(self._listed):
             if at >= self._tape.size:
-                self._refill()
+                self._refill(1)
                 at = 0
             self._listed = self._tape.tolist()
         self._at = at + 1
@@ -245,36 +250,34 @@ class RngStream:
         pairs: a call of count draws reads half = ceil(count/2) uniforms u1
         for the radii, then half u2 for the angles, and returns
         [r cos(theta) | r sin(theta)] cut to count.  From the second call
-        of one size in a row, the calls are transformed together, as many
-        as the tape holds, each from its own uniforms; the stream advances
-        only by the calls served, and a draw of another kind or size drops
-        the rest of the block."""
+        of one shape on, the calls are transformed together, as many as the
+        tape holds, each from its own uniforms.  A row is served only while
+        the stream stands at its uniforms on the same tape, so the stream
+        advances by the calls served, and any other draw leaves the rest
+        unused."""
         dims = _dims(size)
-        block = self._normals
-        repeated = block is not None and block[0] == dims
-        if repeated:
-            row = (self._at - block[2]) // block[3]
-            if row < len(block[1]):
-                self._at += block[3]
-                return block[1][row]
+        tape, start, width, rows = self._normals
+        repeated = rows.shape[1:] == dims
+        if repeated and tape is self._tape:
+            row, off = divmod(self._at - start, width)
+            if off == 0 and row < len(rows):
+                self._at += width
+                return rows[row]
         count = math.prod(dims)
-        if count == 0:
-            self._normals = None
-            return np.empty(dims)
         width = 2 * ((count + 1) // 2)
-        if width >= _TAPE:
-            # a new array, transformed in place as its uniforms' only copy
+        if not 0 < width < _TAPE:
+            # a new array (or an empty one), transformed in place as its uniforms' only copy
             return _box_muller(self._take(width).reshape(1, 2, -1), count, dims)[0]
         if self._tape.size - self._at < width:
-            self._refill()
+            self._refill(width)
         start = self._at
-        # the first call of a size transforms its own uniforms only; a repeat, as many calls as the tape holds
+        # the first call of a shape transforms its own uniforms only; a repeat, as many calls as the tape holds
         calls = (self._tape.size - start) // width if repeated else 1
         # a copy: the tape keeps the uniforms of calls not yet served
         u = self._tape[start : start + calls * width].reshape(calls, 2, -1).copy()
-        self._normals = (dims, _box_muller(u, count, dims), start, width)
+        self._normals = (self._tape, start, width, _box_muller(u, count, dims))
         self._at = start + width
-        return self._normals[1][0]
+        return self._normals[3][0]
 
     def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
         """rows independent k-subsets of {0..n-1}, one per row; one subset

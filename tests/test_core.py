@@ -19,7 +19,7 @@ from vistep import (
     prox_eval,
     rng_stream,
 )
-from vistep.core import _TAPE
+from vistep.core import _TAPE, _TAPE_FIRST
 
 
 def test_project_simplex_known_values():
@@ -311,7 +311,7 @@ _CALLS = st.one_of(
     st.tuples(st.just("normal"), st.one_of(_SIZES, st.sampled_from([(25,), (50,), (3, 5), (41, 100)]))),
     st.tuples(st.just("subsets"), st.integers(1, 60), st.integers(1, 60), st.one_of(st.none(), st.integers(0, 120))),
 )
-# runs of one call, so that repeated normal sizes fill derived blocks
+# runs of one call, so that repeated normal shapes fill derived blocks
 _PROGRAMS = st.lists(st.tuples(_CALLS, st.integers(1, 90)), min_size=1, max_size=8)
 
 
@@ -334,15 +334,34 @@ def _replay(stream, program):
 @example(seed=6, program=[(("uniform", None), 1), (("uniform", _TAPE - 24), 1), (("uniform", 100), 1), (("uniform", None), 3)])
 @example(seed=4, program=[(("uniform", None), 4095), (("normal", _TAPE), 1), (("integers", 7, None), 3)])
 @example(seed=5, program=[(("integers", 3, None), 10), (("uniform", 2 * _TAPE + 3), 1), (("uniform", None), _TAPE)])
+@example(seed=2, program=[(("uniform", None), _TAPE_FIRST), (("uniform", _TAPE), 1), (("uniform", None), 2)])
+@example(seed=2, program=[(("uniform", _TAPE - 1), 1), (("normal", _TAPE), 1), (("integers", 7, None), 2)])
+@example(seed=2, program=[(("uniform", None), 1024), (("uniform", _TAPE), 1), (("uniform", None), 2)])
+@example(seed=2, program=[(("uniform", 1000), 1), (("uniform", 24), 1), (("normal", _TAPE), 1), (("integers", 7, None), 2)])
+@example(seed=2, program=[(("normal", 9), 2), (("uniform", _TAPE), 1), (("normal", 9), 2)])
+@example(seed=2, program=[(("normal", 9), 2), (("uniform", None), 38), (("normal", 9), 2)])
 def test_tape_served_draws_keep_the_on_demand_bits(seed, program):
     # the first three examples change the normal size or take another draw partway
     # through a derived block; the fourth refills a tape whose list copy a scalar
-    # draw made; the last two take a large draw with part of the tape unserved
+    # draw made; the next two take a large draw with part of the tape unserved,
+    # the two after them one with the tape used up, and the last two replace the
+    # tape while a derived block has rows left, at a position that is a row of it
     got = _replay(rng_stream(seed, 7), program)
     want = _replay(OnDemandStream(seed, 7), program)
     assert len(got) == len(want)
     for i, (a, b) in enumerate(zip(got, want)):
         assert _same_draw(a, b), (i, a, b)
+
+
+def test_a_large_draw_after_a_used_up_tape_replays_none_of_it():
+    s, ref = rng_stream(8, 3), OnDemandStream(8, 3)
+    for large in (s.uniform, s.normal, s.uniform):
+        # scalar draws up to the last entry of a tape, then a draw past the tape
+        assert s.uniform() == ref.uniform()
+        while s._at < s._tape.size:
+            assert s.uniform() == ref.uniform()
+        assert large(_TAPE).tobytes() == getattr(ref, large.__name__)(_TAPE).tobytes()
+        assert [s.uniform() for _ in range(3)] == [ref.uniform() for _ in range(3)]
 
 
 def test_a_large_draw_allocates_its_arrays_and_keeps_none():
