@@ -130,8 +130,8 @@ def prox_eval(spec: ProxSpec, v: Vector) -> Vector:
     return out
 
 
-_TAPE = 1024  # uniforms a stream draws ahead at most (8 KB); larger draws skip the tape
-_TAPE_FIRST = 16  # a stream's first tape; each refill doubles it, up to _TAPE
+_TAPE = 1024  # uniforms a stream draws ahead at most (8 KB); larger draws leave no tape
+_TAPE_FIRST = 16  # a stream's first tape; each new tape draws twice as many, up to _TAPE
 
 
 def _dims(size) -> tuple[int, ...]:
@@ -157,14 +157,14 @@ class RngStream:
     the Box-Muller transform, so the whole artifact depends on a single
     generator contract.
 
-    The uniforms are served from a tape: a block of values that
-    ``Generator.random`` draws ahead, with a list copy of it for scalar
-    draws.  The first tape holds ``_TAPE_FIRST`` values and each refill
-    twice as many, up to ``_TAPE``, so a stream that draws little draws
-    little ahead.  PCG64 gives the same values in one block as one at a
-    time, so every draw keeps the bits of a stream that draws on demand.
-    A draw of ``_TAPE`` values or more comes from the generator itself,
-    after what is left on the tape.  Repeated normal draws of one shape are
+    The uniforms are served from a tape that ``Generator.random`` draws
+    ahead, with a list copy of it for scalar draws.  A draw the tape
+    cannot serve gets one new array: the tape's unserved rest, then fresh
+    values.  A draw of ``_TAPE`` or more is that array and leaves no tape;
+    a smaller one draws at least ``_ahead`` fresh values (``_TAPE_FIRST``,
+    doubling up to ``_TAPE``), and the array becomes the tape.  PCG64
+    gives the same values in one block as one at a time, so every draw
+    keeps the bits of a stream that draws on demand.  Normal draws are
     transformed in a block of the tape's calls (see :meth:`normal`).
     """
 
@@ -178,46 +178,30 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._tape = np.empty(0)  # uniforms drawn ahead, in stream order
-        self._ahead = _TAPE_FIRST  # fresh uniforms the next refill draws
+        self._ahead = _TAPE_FIRST  # fresh uniforms a new tape draws at least
         self._listed: list[float] = []  # the tape as Python floats once a scalar draw asks, else []
         self._at = 0  # the tape's first unserved entry
-        # normals of repeated calls of one shape: (their tape, position of row 0, uniforms a row, one row a call)
+        # normals of calls of one shape: (their tape, position of row 0, uniforms a row, one row a call)
         self._normals = (None, 0, 1, np.empty((0, 0)))
 
-    def _refill(self, count: int) -> None:
-        """A new tape of at least count uniforms: the unserved rest of the
-        old one, then fresh ones."""
-        rest = self._tape[self._at :]
-        fresh = self._gen.random(max(count, self._ahead))
-        self._ahead = min(2 * self._ahead, _TAPE)
-        self._tape = np.concatenate((rest, fresh)) if rest.size else fresh
-        self._listed = []
-        self._at = 0
-
     def _take(self, count: int) -> np.ndarray:
-        """The next count uniforms, in order: a slice of the tape, or, for a
-        draw of the tape's length or more, a new array from the generator
-        that starts with the tape's unserved rest.  Writing a served slice
-        changes no later draw."""
+        """The next count uniforms, in order: a slice of the tape when it
+        holds them, else the start of a new array that holds the tape's
+        unserved rest, then fresh values.  Writing a served slice changes
+        no later draw."""
         at = self._at
-        if count < _TAPE:
-            if at + count > self._tape.size:
-                self._refill(count)
-                at = 0
+        rest = self._tape.size - at
+        if count <= rest:
             self._at = at + count
             return self._tape[at : at + count]
-        u = self._gen.random(count)
-        rest = self._tape.size - at
-        # the rest goes first; the last `rest` fresh values become the tape,
-        # an empty one when the old tape was used up
-        tail = u[count - rest :].copy()
-        if rest:
-            u[rest:] = u[: count - rest]
-            u[:rest] = self._tape[at:]
-        self._tape = tail
+        large = count >= _TAPE
+        u = np.empty(count if large else max(count, rest + self._ahead))
+        u[:rest] = self._tape[at:]
+        self._gen.random(out=u[rest:])
+        self._ahead = min(2 * self._ahead, _TAPE)
+        self._tape, self._at = (np.empty(0), 0) if large else (u, count)
         self._listed = []
-        self._at = 0
-        return u
+        return u[:count]
 
     def uniform(self, size=None):
         """Uniform on [0, 1); scalar float when size is None."""
@@ -225,21 +209,22 @@ class RngStream:
             dims = _dims(size)
             return self._take(math.prod(dims)).reshape(dims)
         at = self._at
-        if at >= len(self._listed):
-            if at >= self._tape.size:
-                self._refill(1)
-                at = 0
-            self._listed = self._tape.tolist()
-        self._at = at + 1
-        return self._listed[at]
+        if at < len(self._listed):
+            self._at = at + 1
+            return self._listed[at]
+        self._take(1)
+        self._listed = self._tape.tolist()
+        return self._listed[self._at - 1]
 
     def integers(self, n: int, size=None):
-        """size draws from {0, ..., n-1}, one uniform each; a plain int when size is None."""
+        """size draws from {0, ..., n-1}, one uniform each; a plain int when
+        size is None.  A uniform has 53 bits, so each value's probability is
+        within a factor 1 + n/2**53 of 1/n; n is at most 2**32."""
         if type(n) is not int:
             _check_integers(n=n)
             n = int(n)
-        if n < 1:
-            raise ValueError("need n >= 1")
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"need 1 <= n <= 2**32, got n={n}")
         if size is None:
             # min() guards the measure-zero u*n == n rounding edge
             return min(int(self.uniform() * n), n - 1)
@@ -249,34 +234,29 @@ class RngStream:
         """Standard normal draws of the given shape via Box-Muller on uniform
         pairs: a call of count draws reads half = ceil(count/2) uniforms u1
         for the radii, then half u2 for the angles, and returns
-        [r cos(theta) | r sin(theta)] cut to count.  From the second call
-        of one shape on, the calls are transformed together, as many as the
-        tape holds, each from its own uniforms.  A row is served only while
-        the stream stands at its uniforms on the same tape, so the stream
-        advances by the calls served, and any other draw leaves the rest
-        unused."""
+        [r cos(theta) | r sin(theta)] cut to count.  The calls the tape
+        holds are transformed together, each from its own uniforms.  A row
+        is served only while the stream stands at its uniforms on the same
+        tape, so the stream advances by the calls served, and any other
+        draw leaves the rest unused."""
         dims = _dims(size)
         tape, start, width, rows = self._normals
-        repeated = rows.shape[1:] == dims
-        if repeated and tape is self._tape:
+        if tape is self._tape and rows.shape[1:] == dims:
             row, off = divmod(self._at - start, width)
             if off == 0 and row < len(rows):
                 self._at += width
                 return rows[row]
         count = math.prod(dims)
         width = 2 * ((count + 1) // 2)
+        u = self._take(width)
         if not 0 < width < _TAPE:
-            # a new array (or an empty one), transformed in place as its uniforms' only copy
-            return _box_muller(self._take(width).reshape(1, 2, -1), count, dims)[0]
-        if self._tape.size - self._at < width:
-            self._refill(width)
-        start = self._at
-        # the first call of a shape transforms its own uniforms only; a repeat, as many calls as the tape holds
-        calls = (self._tape.size - start) // width if repeated else 1
+            # a new array (the tape never holds _TAPE unserved values) or an empty slice, transformed in place
+            return _box_muller(u.reshape(1, 2, -1), count, dims)[0]
+        start = self._at - width
+        calls = (self._tape.size - start) // width
         # a copy: the tape keeps the uniforms of calls not yet served
         u = self._tape[start : start + calls * width].reshape(calls, 2, -1).copy()
         self._normals = (self._tape, start, width, _box_muller(u, count, dims))
-        self._at = start + width
         return self._normals[3][0]
 
     def subsets(self, n: int, k: int, rows=None) -> np.ndarray:
@@ -298,6 +278,8 @@ class RngStream:
         if rows is None:
             return np.argsort(self._take(n), kind="stable")[:k]
         _check_integers(rows=rows)
+        if rows < 0:
+            raise ValueError(f"rows must be nonnegative, got {rows}")
         u = self.uniform((rows, n))
         kept = np.sort(np.argpartition(u, k - 1, axis=-1)[:, :k], axis=-1)
         values = np.take_along_axis(u, kept, axis=-1)

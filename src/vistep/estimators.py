@@ -107,9 +107,12 @@ class EstimatorKind:
         if "quantizer" in reads and not isinstance(self.quantizer, Quantizer):
             raise ValueError(f"{self.name} requires a Quantizer as its quantizer, got {self.quantizer!r}")
         if "weights" in reads:
-            if self.weights is None or len(self.weights) == 0:
-                raise ValueError(f"{self.name} requires component weights")
-            w = np.asarray(self.weights, dtype=float)
+            try:
+                w = np.asarray(self.weights, dtype=float)
+            except (TypeError, ValueError):  # a string, or a ragged or non-numeric sequence
+                w = np.empty(0)
+            if self.weights is None or w.ndim != 1 or w.size == 0:
+                raise ValueError(f"{self.name} weights must be a nonempty 1-d sequence of numbers, got {self.weights!r}")
             if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-9):
                 raise ValueError("component weights must be positive and sum to 1")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))

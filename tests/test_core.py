@@ -340,12 +340,19 @@ def _replay(stream, program):
 @example(seed=2, program=[(("uniform", 1000), 1), (("uniform", 24), 1), (("normal", _TAPE), 1), (("integers", 7, None), 2)])
 @example(seed=2, program=[(("normal", 9), 2), (("uniform", _TAPE), 1), (("normal", 9), 2)])
 @example(seed=2, program=[(("normal", 9), 2), (("uniform", None), 38), (("normal", 9), 2)])
+@example(seed=9, program=[(("uniform", 3), 1), (("uniform", _TAPE_FIRST - 3), 1), (("uniform", None), 2)])
+@example(seed=9, program=[(("uniform", None), 5), (("uniform", _TAPE - 1), 1), (("uniform", None), 3)])
+@example(seed=9, program=[(("uniform", _TAPE - 1), 6), (("uniform", None), 1), (("uniform", _TAPE), 1), (("uniform", None), 2)])
 def test_tape_served_draws_keep_the_on_demand_bits(seed, program):
     # the first three examples change the normal size or take another draw partway
     # through a derived block; the fourth refills a tape whose list copy a scalar
     # draw made; the next two take a large draw with part of the tape unserved,
-    # the two after them one with the tape used up, and the last two replace the
-    # tape while a derived block has rows left, at a position that is a row of it
+    # the two after them one with the tape used up, and the next two replace the
+    # tape while a derived block has rows left, at a position that is a row of it.
+    # Then a sized draw uses the tape up exactly before a scalar one; a draw of
+    # _TAPE - 1 finds part of the tape unserved; and a draw of _TAPE finds the
+    # most a tape ever holds unserved, _TAPE - 1 values (a new tape draws fewer
+    # than _TAPE values past the draw that made it), so it is still a new array
     got = _replay(rng_stream(seed, 7), program)
     want = _replay(OnDemandStream(seed, 7), program)
     assert len(got) == len(want)
@@ -373,17 +380,20 @@ def test_a_large_draw_allocates_its_arrays_and_keeps_none():
     s.uniform(3)
     tracemalloc.start()
     try:
-        s.uniform(n)
+        u = s.uniform(n)
         _, uniform_peak = tracemalloc.get_traced_memory()
+        # the draw leaves an empty tape, which shares no memory with what it returned
+        assert s._tape.size == 0 and not np.shares_memory(s._tape, u)
+        del u
         tracemalloc.reset_peak()
-        s.normal(n)
+        z = s.normal(n)
         _, normal_peak = tracemalloc.get_traced_memory()
+        assert s._tape.size == 0 and not np.shares_memory(s._tape, z)
     finally:
         tracemalloc.stop()
     slack = 8 * _TAPE + 4096
     assert uniform_peak < 8 * n + slack
     assert normal_peak < 2 * 8 * n + slack
-    assert s._tape.size < _TAPE
 
 
 @pytest.mark.parametrize(
@@ -401,6 +411,9 @@ def test_a_large_draw_allocates_its_arrays_and_keeps_none():
         (lambda s: s.subsets(5, 2.0), "k must be an integer, got 2.0"),
         (lambda s: s.subsets(5.0, 2), "n must be an integer, got 5.0"),
         (lambda s: s.subsets(5, 2, rows=1.5), "rows must be an integer, got 1.5"),
+        (lambda s: s.subsets(5, 2, rows=-1), "rows must be nonnegative, got -1"),
+        (lambda s: s.integers(2**32 + 1), r"need 1 <= n <= 2\*\*32, got n=4294967297"),
+        (lambda s: s.integers(2**60, size=3), r"need 1 <= n <= 2\*\*32, got n=1152921504606846976"),
     ],
 )
 def test_draw_arguments_are_checked(call, message):
@@ -415,8 +428,11 @@ class _QuarterGrid:
     def __init__(self, seed):
         self._gen = np.random.default_rng(seed)
 
-    def random(self, size=None):
-        return self._gen.integers(0, 4, size) / 4
+    def random(self, size=None, out=None):
+        if out is None:
+            return self._gen.integers(0, 4, size) / 4
+        out[...] = self._gen.integers(0, 4, out.shape) / 4
+        return out
 
 
 def test_subsets_batch_keeps_the_stable_argsort_order_on_ties():
@@ -435,6 +451,9 @@ def test_rng_errors():
     s = RngStream(1, 0)
     with pytest.raises(ValueError):
         s.integers(0)
+    # a uniform has 53 bits, so n = 2**32 still gives each value 1/n within a factor 1 + 2**-21
+    assert 0 <= s.integers(2**32) < 2**32
+    assert s.integers(2**32, size=3).max() < 2**32
     with pytest.raises(ValueError):
         s.subsets(3, 4)
     with pytest.raises(ValueError):

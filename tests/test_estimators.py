@@ -173,6 +173,10 @@ def test_estimator_kind_validation():
         EstimatorKind("is", weights=(0.5, -0.5, 1.0))
     with pytest.raises(ValueError):
         EstimatorKind("is", weights=(0.5, 0.4))
+    # weights that are not a 1-d sequence of numbers raise naming weights, not a numpy TypeError
+    for weights in [((0.5, 0.5),), 1.0, "ab", ((0.5,), 0.5), (), None]:
+        with pytest.raises(ValueError, match="is weights must be a nonempty 1-d sequence of numbers"):
+            EstimatorKind("is", weights=weights)
     with pytest.raises(ValueError):
         EstimatorKind("local", tau_split=0.0)
     with pytest.raises(ValueError):
