@@ -8,14 +8,22 @@ projection, independent of the prox scale).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Iterates, operator values and estimates are plain 1-d float arrays.
 Vector = np.ndarray
 
+
+# The longest simplex block that prox_eval projects as a row of one array
+# when all blocks have its length; longer or unequal blocks are projected
+# one at a time.  Set from a timing sweep of both paths (README, the
+# prox_eval paragraph): past it, a row's Python tail scan can cost more
+# than the per-block numpy calls it saves.
+_ROW_BLOCK_MAX = 36
 
 _BLOCK_VALUES = 2**16  # floats per block of rows (512 KB), so that a block stays in cache
 
@@ -45,29 +53,45 @@ class ProxSpec:
     """
 
     blocks: tuple[int, ...] | None = None
-    # total dimension, or None when the spec is free (any length fits)
-    dim: int | None = field(init=False, repr=False, compare=False)
-    # each block's slice of a vector, in order
-    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slices = []
         if self.blocks is not None:
-            _check_integers(**{f"blocks[{i}]": b for i, b in enumerate(self.blocks)})
-            blocks = tuple(int(b) for b in self.blocks)
-            if len(blocks) == 0 or any(b < 1 for b in blocks):
+            blocks = tuple(self.blocks)
+            # type() is not int for bool and numpy integers; _check_integers sorts them
+            if any(type(b) is not int for b in blocks):
+                _check_integers(**{f"blocks[{i}]": b for i, b in enumerate(blocks)})
+                blocks = tuple(map(int, blocks))
+            if len(blocks) == 0 or min(blocks) < 1:
                 raise ValueError("simplex block lengths must be positive integers")
             object.__setattr__(self, "blocks", blocks)
-            start = 0
-            for b in blocks:
-                slices.append(slice(start, start + b))
-                start += b
-        object.__setattr__(self, "dim", None if self.blocks is None else slices[-1].stop)
-        object.__setattr__(self, "slices", tuple(slices))
 
     @property
     def free(self) -> bool:
         return self.blocks is None
+
+    @functools.cached_property
+    def dim(self) -> int | None:
+        """Total dimension, or None when the spec is free (any length fits)."""
+        return None if self.blocks is None else sum(self.blocks)
+
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Each block's slice of a vector, in order."""
+        if self.blocks is None:
+            return ()
+        return tuple(slice(end - b, end) for b, end in zip(self.blocks, itertools.accumulate(self.blocks)))
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, int] | None:
+        """(number of blocks, b) when every block has one length b of at
+        most ``_ROW_BLOCK_MAX``, so that :func:`prox_eval` projects the
+        blocks as the rows of one array; else None."""
+        if self.blocks is None:
+            return None
+        b = self.blocks[0]
+        if b > _ROW_BLOCK_MAX or self.blocks.count(b) != len(self.blocks):
+            return None
+        return len(self.blocks), b
 
 
 FREE = ProxSpec()
@@ -112,18 +136,58 @@ def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     return np.maximum(out, 0.0, out=out)
 
 
+def _project_rows(v: Vector, shape: tuple[int, int]) -> Vector | None:
+    """project_simplex applied to each row of v reshaped to shape, with
+    its bits, as one 1-d array; None when a row is not finite or needs
+    the |u_1| >= 2^53 shift, which project_simplex handles.
+
+    One negation and one row-wise sort for all rows; then, per row in
+    Python floats, the same cumulative sums, the +1 after them and the
+    support test j*w_j < t_j scanned from the end for the last passing j,
+    and one broadcast shift by t_j/j and one clip for all rows.
+    """
+    w = np.negative(v).reshape(shape)
+    w.sort()
+    shifts = []
+    for row in w.tolist():
+        sums = list(itertools.accumulate(row))
+        if not math.isfinite(sums[-1] + 1.0):
+            return None
+        j = len(row)
+        for w_j, t_j in zip(reversed(row), reversed(sums)):
+            t_j += 1.0
+            if j * w_j < t_j:
+                shifts.append(t_j / j)
+                break
+            j -= 1
+        else:
+            return None
+    out = v.reshape(shape) + np.array(shifts)[:, None]
+    return np.maximum(out, 0.0, out=out).reshape(-1)
+
+
 def prox_eval(spec: ProxSpec, v: Vector) -> Vector:
     """prox_{gamma*h}(v) for the indicator-style h encoded by ``spec``; the
     same map for every gamma > 0, since h is an indicator.
 
-    Free specs return a copy of v; simplex specs project each block into
-    its slice of a new array.
+    Free specs return a copy of v.  Simplex specs take a 1-d v of the
+    spec's length and return a new array with each block projected by
+    the sort rule of :func:`project_simplex`, with its bits.  Blocks of
+    one length of at most ``_ROW_BLOCK_MAX`` are projected as the rows of
+    one array (see ``_project_rows``); a row that is not finite or needs
+    the |u_1| >= 2^53 shift, and any other spec, go block by block.
     """
     v = np.asarray(v, dtype=float)
     if spec.blocks is None:
         return v.copy()
+    if v.ndim != 1:
+        raise ValueError(f"a simplex spec projects a 1-d vector, got shape {v.shape}")
     if v.size != spec.dim:
         raise ValueError(f"vector length {v.size} does not match spec dimension {spec.dim}")
+    if spec.rows is not None:
+        out = _project_rows(v, spec.rows)
+        if out is not None:
+            return out
     out = np.empty(v.shape)
     for part in spec.slices:
         project_simplex(v[part], out[part])
@@ -132,6 +196,8 @@ def prox_eval(spec: ProxSpec, v: Vector) -> Vector:
 
 _TAPE = 1024  # uniforms a stream draws ahead at most (8 KB); larger draws leave no tape
 _TAPE_FIRST = 16  # a stream's first tape; each new tape draws twice as many, up to _TAPE
+_NO_TAPE = np.empty(0)  # the empty tape every stream starts with; it holds nothing to write
+_NO_NORMALS = (None, 0, 1, np.empty((0, 0)))  # RngStream._normals before any normal draw
 
 
 def _dims(size) -> tuple[int, ...]:
@@ -169,20 +235,22 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        _check_integers(seed=seed, stream_id=stream_id)
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        if type(seed) is not int or type(stream_id) is not int:
+            _check_integers(seed=seed, stream_id=stream_id)
+            seed, stream_id = int(seed), int(stream_id)
+        if seed < 0 or stream_id < 0:
+            name, value = ("seed", seed) if seed < 0 else ("stream_id", stream_id)
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+        self.seed = seed
+        self.stream_id = stream_id
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._tape = np.empty(0)  # uniforms drawn ahead, in stream order
+        self._tape = _NO_TAPE  # uniforms drawn ahead, in stream order
         self._ahead = _TAPE_FIRST  # fresh uniforms a new tape draws at least
         self._listed: list[float] = []  # the tape as Python floats once a scalar draw asks, else []
         self._at = 0  # the tape's first unserved entry
         # normals of calls of one shape: (their tape, position of row 0, uniforms a row, one row a call)
-        self._normals = (None, 0, 1, np.empty((0, 0)))
+        self._normals = _NO_NORMALS
 
     def _take(self, count: int) -> np.ndarray:
         """The next count uniforms, in order: a slice of the tape when it
@@ -195,11 +263,16 @@ class RngStream:
             self._at = at + count
             return self._tape[at : at + count]
         large = count >= _TAPE
-        u = np.empty(count if large else max(count, rest + self._ahead))
-        u[:rest] = self._tape[at:]
-        self._gen.random(out=u[rest:])
+        size = count if large else max(count, rest + self._ahead)
+        if rest:
+            u = np.empty(size)
+            u[:rest] = self._tape[at:]
+            self._gen.random(out=u[rest:])
+        else:
+            # a fresh stream's first draw, or one that used its tape up
+            u = self._gen.random(size)
         self._ahead = min(2 * self._ahead, _TAPE)
-        self._tape, self._at = (np.empty(0), 0) if large else (u, count)
+        self._tape, self._at = (_NO_TAPE, 0) if large else (u, count)
         self._listed = []
         return u[:count]
 
@@ -249,11 +322,12 @@ class RngStream:
         count = math.prod(dims)
         width = 2 * ((count + 1) // 2)
         u = self._take(width)
-        if not 0 < width < _TAPE:
-            # a new array (the tape never holds _TAPE unserved values) or an empty slice, transformed in place
+        calls = (self._tape.size - self._at) // width + 1 if 0 < width < _TAPE else 1
+        if calls == 1:
+            # served whole (the tape holds no further call, or u is a new
+            # array or empty), so it is transformed in place
             return _box_muller(u.reshape(1, 2, -1), count, dims)[0]
         start = self._at - width
-        calls = (self._tape.size - start) // width
         # a copy: the tape keeps the uniforms of calls not yet served
         u = self._tape[start : start + calls * width].reshape(calls, 2, -1).copy()
         self._normals = (self._tape, start, width, _box_muller(u, count, dims))

@@ -18,8 +18,10 @@ from vistep import (
     project_simplex,
     prox_eval,
     rng_stream,
+    run_solver,
 )
-from vistep.core import _TAPE, _TAPE_FIRST
+from vistep import core
+from vistep.core import _ROW_BLOCK_MAX, _TAPE, _TAPE_FIRST
 
 
 def test_project_simplex_known_values():
@@ -139,6 +141,108 @@ def test_prox_eval_keeps_the_sort_rule_bits_and_never_writes_its_input():
         starts = np.cumsum((0,) + blocks)
         want = np.concatenate([sort_rule_projection(v[a:b]) for a, b in zip(starts[:-1], starts[1:])])
         assert got.tobytes() == want.tobytes()
+
+
+def _per_block_sort_rule(v, blocks):
+    starts = np.cumsum((0,) + blocks)
+    return np.concatenate([sort_rule_projection(v[a:b]) for a, b in zip(starts[:-1], starts[1:])])
+
+
+def test_equal_blocks_keep_the_sort_rule_bits_on_both_paths():
+    # 1-4 blocks of one length, from 1 to 16 past the longest that is
+    # projected as a row, so both the row path and the per-block path run
+    cases = list(_projection_cases())
+    shifted = 0
+    for i, v in enumerate(cases[:2400]):
+        count = i % 4 + 1
+        b = i % (_ROW_BLOCK_MAX + 16) + 1
+        spec = ProxSpec((b,) * count)
+        assert (spec.rows is not None) == (b <= _ROW_BLOCK_MAX)
+        # the block cases are cut from the tied, 2^60-scale and random cases
+        v = np.resize(v, count * b)
+        if i % 50 == 0:
+            v[:] = 0.0
+        before = v.copy()
+        got = prox_eval(spec, v)
+        assert v.tobytes() == before.tobytes()
+        assert got.tobytes() == _per_block_sort_rule(v, spec.blocks).tobytes(), (spec, v)
+        u = -np.sort(-v.reshape(count, b), axis=1)
+        shifted += not np.all(np.any(u * np.arange(1.0, b + 1.0) > u.cumsum(axis=1) - 1.0, axis=1))
+    assert shifted > 0  # some row took the |u_1| >= 2^53 shift
+
+
+def test_a_row_past_2_53_falls_back_with_the_sort_rule_bits():
+    spec = ProxSpec((3, 3))
+    v = np.array([0.2, 0.5, -0.1, 4e16, 4e16 + 8.0, 0.0])
+    assert prox_eval(spec, v).tobytes() == _per_block_sort_rule(v, (3, 3)).tobytes()
+    np.testing.assert_array_equal(prox_eval(spec, v)[3:], [0.0, 1.0, 0.0])
+
+
+def test_the_support_is_the_last_passing_index_even_past_a_failing_one():
+    # near 2^52 the rounded test j*w_j < t_j passes at j = 1 and 3 but not
+    # at 2: the sort rule takes j = 3, a scan that stops at the first
+    # failure would take j = 1
+    v = 2.0**52 + np.array([10.0, -19.5, 18.0, 18.0, 0.0, -16.0, 19.0, -19.0, 3.0])
+    w = np.sort(-v)
+    passing = w * np.arange(1.0, 10.0) < w.cumsum() + 1.0
+    assert passing[:3].tolist() == [True, False, True] and not passing[3:].any()
+    for blocks in ((9,), (9, 9)):
+        x = np.resize(v, sum(blocks))
+        assert prox_eval(ProxSpec(blocks), x).tobytes() == _per_block_sort_rule(x, blocks).tobytes()
+
+
+def test_non_finite_rows_raise_the_per_block_error():
+    for blocks in ((4, 4), (4, 4, 4), (50, 50), (4, 3)):
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (1, sum(blocks) - 2):
+                v = np.linspace(-1.0, 1.0, sum(blocks))
+                v[at] = bad
+                before = v.copy()
+                with pytest.raises(ValueError, match="^cannot project a vector whose entries are not finite"):
+                    prox_eval(ProxSpec(blocks), v)
+                assert v.tobytes() == before.tobytes()
+    # finite rows whose sums overflow raise the same text
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="whose sum overflows"):
+        prox_eval(ProxSpec((2, 2)), np.array([0.0, 1.0, -1.7e308, -1.7e308]))
+
+
+def test_prox_eval_names_the_shape_of_a_vector_that_is_not_1_d():
+    for shape in ((2, 25), (50, 1), (1, 50)):
+        with pytest.raises(ValueError, match=rf"1-d vector, got shape \({shape[0]}, {shape[1]}\)"):
+            prox_eval(ProxSpec((25, 25)), np.zeros(shape))
+    with pytest.raises(ValueError, match=r"1-d vector, got shape \(\)"):
+        prox_eval(ProxSpec((1,)), np.float64(0.5))
+    # a free spec maps any shape, as before
+    assert prox_eval(FREE, np.ones((2, 3))).shape == (2, 3)
+
+
+def test_the_n5_game_projects_rows_and_other_specs_project_blocks(monkeypatch):
+    # a K=50 run of the paper's n=5 game never reaches the per-block path
+    def refuse(v, out=None):
+        raise AssertionError("project_simplex called")
+
+    monkeypatch.setattr(core, "project_simplex", refuse)
+    p = gen_policeman_burglar(5, seed=1)
+    assert p.prox.rows == (2, 25)
+    for name in ("fulldet", "vr", "coord"):
+        run_solver(p, SolverConfig(EstimatorKind(name), K=50, seed=3, gap_every=10))
+    monkeypatch.undo()
+    # long or unequal blocks go block by block
+    calls = []
+
+    def count(v, out=None):
+        calls.append(v.size)
+        return project_simplex(v, out)
+
+    monkeypatch.setattr(core, "project_simplex", count)
+    v = np.linspace(-1.0, 2.0, 200)
+    for blocks in ((100, 100), (25, 24)):
+        calls.clear()
+        spec = ProxSpec(blocks)
+        assert spec.rows is None
+        got = prox_eval(spec, v[: sum(blocks)])
+        assert calls == list(blocks)
+        assert got.tobytes() == _per_block_sort_rule(v[: sum(blocks)], blocks).tobytes()
 
 
 def test_prox_spec_validation():

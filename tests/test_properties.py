@@ -19,6 +19,7 @@ from vistep import (
     run_solver,
 )
 from vistep.cli import _SCHEMA, Config, parse_config_text
+from vistep.core import _ROW_BLOCK_MAX
 from vistep.estimators import KINDS
 from vistep.solver import COST_COLUMNS
 
@@ -81,6 +82,26 @@ scaled_entries = st.one_of(entries.map(lambda x: 1e-6 * x), entries, huge, huge.
 @given(st.integers(1, 30).flatmap(lambda n: arrays(np.float64, n, elements=scaled_entries)))
 def test_projection_bits_match_the_sort_rule(v):
     np.testing.assert_array_equal(project_simplex(v), project_simplex_sort_rule(v))
+
+
+def equal_blocks_and_vector(count, b):
+    return st.tuples(st.just((b,) * count), arrays(np.float64, count * b, elements=scaled_entries))
+
+
+@PROPERTY
+@example(((3, 3), np.array([0.2, 0.5, -0.1, 4e16, 4e16 + 8.0, 0.0])))
+@example(((9,), 2.0**52 + np.array([10.0, -19.5, 18.0, 18.0, 0.0, -16.0, 19.0, -19.0, 3.0])))
+@given(st.tuples(st.integers(1, 4), st.integers(1, _ROW_BLOCK_MAX + 16)).flatmap(lambda cb: equal_blocks_and_vector(*cb)))
+def test_equal_blocks_keep_the_per_block_sort_rule_bits(case):
+    # blocks up to _ROW_BLOCK_MAX are projected as rows of one array, longer
+    # ones block by block; both give the sort rule's bits on every block
+    blocks, v = case
+    before = v.copy()
+    got = prox_eval(ProxSpec(blocks), v)
+    assert v.tobytes() == before.tobytes()
+    b = blocks[0]
+    want = np.concatenate([project_simplex_sort_rule(v[i : i + b]) for i in range(0, v.size, b)])
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY
