@@ -224,9 +224,19 @@ def run_every_entry_point(tmp: Path) -> None:
         runpy.run_path(str(demo), run_name="__main__")
 
 
-def test_every_function_runs_from_an_entry_point(tmp_path, capsys):
-    # a def or lambda in src that no CLI command or demo reaches is code only
-    # the tests run, a path the solver, the verifier and the tools left behind
+def clear_caches(modules) -> None:
+    """Empty every ``functools.cache``/``lru_cache`` at the top level of the
+    modules or in their classes, so that a cached function is entered again
+    and not answered from what an earlier caller left."""
+    for module in modules:
+        for value in list(vars(module).values()):
+            for obj in [value, *(vars(value).values() if isinstance(value, type) else ())]:
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def entered_during(run) -> set:
+    """The code objects of every Python function entered while run() runs."""
     seen = set()
 
     def note(frame, event, arg):
@@ -235,9 +245,32 @@ def test_every_function_runs_from_an_entry_point(tmp_path, capsys):
 
     sys.setprofile(note)
     try:
-        run_every_entry_point(tmp_path)
+        run()
     finally:
         sys.setprofile(None)
+    return seen
+
+
+def test_every_function_runs_from_an_entry_point(tmp_path, capsys):
+    # a def or lambda in src that no CLI command or demo reaches is code only
+    # the tests run, a path the solver, the verifier and the tools left behind
+    clear_caches(m for name, m in sorted(sys.modules.items()) if name.startswith("vistep."))
+    seen = entered_during(lambda: run_every_entry_point(tmp_path))
     capsys.readouterr()
     uncalled = sorted(name for code, name in source_functions().items() if code not in seen)
     assert uncalled == [], f"functions no entry point calls: {uncalled}"
+
+
+def test_a_cache_an_earlier_caller_filled_still_shows_its_function_run():
+    # the reachability check sees a function only when its code is entered;
+    # a call answered from the cache enters none, so the check clears caches first
+    module = types.ModuleType("cached")
+    source = "import functools\nclass Table:\n    @functools.lru_cache\n    def rows(self, n):\n        return n\n"
+    source += "@functools.cache\ndef ranks(n):\n    return n\n"
+    exec(compile(source, "cached.py", "exec"), vars(module))
+    table = module.Table()
+    codes = {module.ranks.__wrapped__.__code__, module.Table.rows.__wrapped__.__code__}
+    assert entered_during(lambda: (module.ranks(3), table.rows(3))) >= codes
+    assert not entered_during(lambda: (module.ranks(3), table.rows(3))) & codes
+    clear_caches([module])
+    assert entered_during(lambda: (module.ranks(3), table.rows(3))) >= codes
