@@ -93,6 +93,24 @@ def test_gap_read_off_f_equals_the_two_matvec_formula():
             assert duality_gap_bilinear(game, z, eval_full(p, z)).hex() == want
 
 
+@pytest.mark.parametrize("n", [3, 23])
+def test_gap_names_a_wrong_length_and_a_payload_that_is_not_a_game(n):
+    # n = 3 holds the game as a dense matrix and n = 23 in grid form
+    p = gen_policeman_burglar(n)
+    game, d = p.payload, p.d
+    z = random_feasible(p, rng_stream(0, 3))
+    for bad in (z[:-1], np.concatenate([z, z]), z[:0], z.reshape(2, -1)):
+        with pytest.raises(ValueError, match=f"z length {bad.size} does not match game dimension {d}"):
+            duality_gap_bilinear(game, bad)
+        with pytest.raises(ValueError, match=f"fz length {bad.size} does not match game dimension {d}"):
+            duality_gap_bilinear(game, None, bad)
+    # a given F(z) is read in place of z
+    assert duality_gap_bilinear(game, None, eval_full(p, z)) == duality_gap_bilinear(game, z)
+    quad = gen_quadratic_vi(4, 0.5, 1.0)
+    with pytest.raises(TypeError, match="the duality gap needs a game payload, got QuadraticOperator"):
+        duality_gap_bilinear(quad.payload, np.zeros(4))
+
+
 def test_gap_nonnegative_and_convex():
     p = gen_policeman_burglar(2, seed=3)
     game = p.payload
