@@ -57,10 +57,8 @@ class ProxSpec:
     def __post_init__(self):
         if self.blocks is not None:
             blocks = tuple(self.blocks)
-            # type() is not int for bool and numpy integers; _check_integers sorts them
-            if any(type(b) is not int for b in blocks):
-                _check_integers(**{f"blocks[{i}]": b for i, b in enumerate(blocks)})
-                blocks = tuple(map(int, blocks))
+            _check_integers(**{f"blocks[{i}]": b for i, b in enumerate(blocks)})
+            blocks = tuple(map(int, blocks))
             if len(blocks) == 0 or min(blocks) < 1:
                 raise ValueError("simplex block lengths must be positive integers")
             object.__setattr__(self, "blocks", blocks)
@@ -97,12 +95,6 @@ class ProxSpec:
 FREE = ProxSpec()
 
 
-@functools.cache
-def _ranks(n: int) -> np.ndarray:
-    """The rank vector 1, 2, ..., n, built once per length and never written."""
-    return np.arange(1.0, n + 1.0)
-
-
 def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     """Euclidean projection of ``v`` onto the unit probability simplex,
     written into ``out`` (a new array when None); ``v`` is not written.
@@ -126,7 +118,7 @@ def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     if not math.isfinite(t[-1]):
         raise ValueError("cannot project a vector whose entries are not finite or whose sum overflows")
     # j*w_j in w's buffer: its first entry, the shift below, is w_1 itself
-    w *= _ranks(n)
+    w *= np.arange(1.0, n + 1.0)
     support = (w < t).nonzero()[0]
     if not support.size:
         # |u_1| >= 2^53 rounds u_1 - 1 to u_1; the projection is shift invariant
@@ -224,8 +216,8 @@ class RngStream:
     generator contract.
 
     The uniforms are served from a tape that ``Generator.random`` draws
-    ahead, with a list copy of it for scalar draws.  A draw the tape
-    cannot serve gets one new array: the tape's unserved rest, then fresh
+    ahead; a scalar draw reads one entry of it.  A draw the tape cannot
+    serve gets one new array: the tape's unserved rest, then fresh
     values.  A draw of ``_TAPE`` or more is that array and leaves no tape;
     a smaller one draws at least ``_ahead`` fresh values (``_TAPE_FIRST``,
     doubling up to ``_TAPE``), and the array becomes the tape.  PCG64
@@ -235,9 +227,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if type(seed) is not int or type(stream_id) is not int:
-            _check_integers(seed=seed, stream_id=stream_id)
-            seed, stream_id = int(seed), int(stream_id)
+        _check_integers(seed=seed, stream_id=stream_id)
+        seed, stream_id = int(seed), int(stream_id)
         if seed < 0 or stream_id < 0:
             name, value = ("seed", seed) if seed < 0 else ("stream_id", stream_id)
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -247,7 +238,6 @@ class RngStream:
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._tape = _NO_TAPE  # uniforms drawn ahead, in stream order
         self._ahead = _TAPE_FIRST  # fresh uniforms a new tape draws at least
-        self._listed: list[float] = []  # the tape as Python floats once a scalar draw asks, else []
         self._at = 0  # the tape's first unserved entry
         # normals of calls of one shape: (their tape, position of row 0, uniforms a row, one row a call)
         self._normals = _NO_NORMALS
@@ -273,7 +263,6 @@ class RngStream:
             u = self._gen.random(size)
         self._ahead = min(2 * self._ahead, _TAPE)
         self._tape, self._at = (_NO_TAPE, 0) if large else (u, count)
-        self._listed = []
         return u[:count]
 
     def uniform(self, size=None):
@@ -282,20 +271,17 @@ class RngStream:
             dims = _dims(size)
             return self._take(math.prod(dims)).reshape(dims)
         at = self._at
-        if at < len(self._listed):
+        if at < self._tape.size:
             self._at = at + 1
-            return self._listed[at]
-        self._take(1)
-        self._listed = self._tape.tolist()
-        return self._listed[self._at - 1]
+            return float(self._tape[at])
+        return float(self._take(1)[0])
 
     def integers(self, n: int, size=None):
         """size draws from {0, ..., n-1}, one uniform each; a plain int when
         size is None.  A uniform has 53 bits, so each value's probability is
         within a factor 1 + n/2**53 of 1/n; n is at most 2**32."""
-        if type(n) is not int:
-            _check_integers(n=n)
-            n = int(n)
+        _check_integers(n=n)
+        n = int(n)
         if not 1 <= n <= 2**32:
             raise ValueError(f"need 1 <= n <= 2**32, got n={n}")
         if size is None:
@@ -345,8 +331,7 @@ class RngStream:
         with a value left out is argsorted whole, so every row holds the
         same indices in the same order as a single draw from its uniforms.
         """
-        if type(n) is not int or type(k) is not int:
-            _check_integers(n=n, k=k)
+        _check_integers(n=n, k=k)
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         if rows is None:
