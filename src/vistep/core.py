@@ -95,6 +95,12 @@ class ProxSpec:
 FREE = ProxSpec()
 
 
+@functools.cache
+def _ranks(n: int) -> np.ndarray:
+    """The rank vector 1, 2, ..., n, built once per length and never written."""
+    return np.arange(1.0, n + 1.0)
+
+
 def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     """Euclidean projection of ``v`` onto the unit probability simplex,
     written into ``out`` (a new array when None); ``v`` is not written.
@@ -118,7 +124,7 @@ def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     if not math.isfinite(t[-1]):
         raise ValueError("cannot project a vector whose entries are not finite or whose sum overflows")
     # j*w_j in w's buffer: its first entry, the shift below, is w_1 itself
-    w *= np.arange(1.0, n + 1.0)
+    w *= _ranks(n)
     support = (w < t).nonzero()[0]
     if not support.size:
         # |u_1| >= 2^53 rounds u_1 - 1 to u_1; the projection is shift invariant

@@ -11,6 +11,7 @@ so does an option that only tests pass.
 """
 
 import ast
+import functools
 import inspect
 import runpy
 import sys
@@ -264,12 +265,15 @@ def test_every_function_runs_from_an_entry_point(tmp_path, capsys):
 def test_a_cache_an_earlier_caller_filled_still_shows_its_function_run():
     # the reachability check sees a function only when its code is entered;
     # a call answered from the cache enters none, so the check clears caches first
+    class Table:
+        @functools.lru_cache
+        def rows(self, n):
+            return n
+
     module = types.ModuleType("cached")
-    source = "import functools\nclass Table:\n    @functools.lru_cache\n    def rows(self, n):\n        return n\n"
-    source += "@functools.cache\ndef ranks(n):\n    return n\n"
-    exec(compile(source, "cached.py", "exec"), vars(module))
-    table = module.Table()
-    codes = {module.ranks.__wrapped__.__code__, module.Table.rows.__wrapped__.__code__}
+    module.ranks, module.Table = functools.cache(lambda n: n), Table
+    table = Table()
+    codes = {module.ranks.__wrapped__.__code__, Table.rows.__wrapped__.__code__}
     assert entered_during(lambda: (module.ranks(3), table.rows(3))) >= codes
     assert not entered_during(lambda: (module.ranks(3), table.rows(3))) & codes
     clear_caches([module])
