@@ -216,12 +216,12 @@ def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector, fz: Vector | 
 
     Read off F(z) = (A^T y, -A x), which is formed unless given as ``fz``
     (z is then not read).  A payload that is not a game raises a TypeError,
-    and a vector of another length than the game's dimension a ValueError."""
+    and a vector that is not 1-d of the game's dimension a ValueError."""
     if not isinstance(game, _GameOracles):
         raise TypeError(f"the duality gap needs a game payload, got {type(game).__name__}")
     name, v = ("z", z) if fz is None else ("fz", fz)
     if np.ndim(v) != 1 or len(v) != game.dim:
-        raise ValueError(f"{name} length {np.size(v)} does not match game dimension {game.dim}")
+        raise ValueError(f"{name} shape {np.shape(v)} does not match game dimension {game.dim}")
     if fz is None:
         fz = game.full(z)
     h = game.half
