@@ -255,7 +255,7 @@ def entered_during(run) -> set:
 def test_every_function_runs_from_an_entry_point(tmp_path, capsys):
     # a def or lambda in src that no CLI command or demo reaches is code only
     # the tests run, a path the solver, the verifier and the tools left behind
-    clear_caches(m for name, m in sorted(sys.modules.items()) if name.startswith("vistep."))
+    clear_caches([m for name, m in sys.modules.items() if name.startswith("vistep.")])
     seen = entered_during(lambda: run_every_entry_point(tmp_path))
     capsys.readouterr()
     uncalled = sorted(name for code, name in source_functions().items() if code not in seen)
