@@ -5,16 +5,18 @@ g^k drives the look-ahead half step, g^{k+1/2} the corrected full step.
 Each is defined once, as a row of STRATEGIES; the solver step (est_pair),
 the verifier's outcome sets of exact atoms or Monte Carlo draws
 (half_outcomes), the contract constants, tau* and the step-size rule all
-come from that row.  A cost ledger records what the solver consumes.
+come from that row.  Each row function that does billed work returns its
+bill, and the solver's state adds up the bills of the work it consumes.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import combinations
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -134,16 +136,13 @@ class EstimatorKind:
 _PARAMETER_DEFAULTS = {f.name: f.default for f in fields(EstimatorKind) if f.name != "name"}
 
 
-@dataclass
-class CostLedger:
-    """Monotone counters of everything a run consumes or transmits."""
+# everything a run consumes or transmits, in the order of a bill's counts
+COST_COLUMNS = ("full_calls", "comp_calls", "coords", "bits", "comms", "local_steps")
 
-    full_calls: int = 0
-    comp_calls: int = 0
-    coords: int = 0
-    bits: int = 0
-    comms: int = 0
-    local_steps: int = 0
+
+def _bill(bits=0, full_calls=0, comp_calls=0, coords=0, comms=0, local_steps=0) -> tuple[int, ...]:
+    """A bill: the six counts in COST_COLUMNS order."""
+    return full_calls, comp_calls, coords, bits, comms, local_steps
 
 
 def _dense_bits(d: int) -> int:
@@ -176,7 +175,7 @@ class Snapshot(NamedTuple):
 class EstimatorState:
     """Mutable per-run state: snapshot anchor w and what the last refresh
     kept there, the past strategy's stored half-step value and sigma
-    memory, and the ledger."""
+    memory, and the sum of the bills so far, in COST_COLUMNS order."""
 
     kind: EstimatorKind
     w: Vector
@@ -186,7 +185,7 @@ class EstimatorState:
     # (every strategy but coord and local); None otherwise
     f_half: Vector | None = None
     sigma_sq: float = 0.0
-    costs: CostLedger = field(default_factory=CostLedger)
+    costs: tuple[int, ...] = _bill()
 
     @property
     def fw(self) -> Vector | None:
@@ -211,28 +210,17 @@ class Strategy:
 
     anchor: str  # g^k: an oracle sample at z^k (FRESH), the previous half step's (PAST), F(w) (SNAPSHOT)
     draw: Callable  # (kind, p, rng, n) -> n outcomes
-    # (kind, p, s, z, snap, costs) -> (source s's billed difference at z (F(z) without a snapshot), F(z) if
-    # a single draw formed it, else None); for an index array s of distinct sources, the differences are
-    # one row per source (coord's rows hold the one coordinate), or one vector when the strategy has one source
+    # (kind, p, s, z, snap) -> (source s's difference at z (F(z) without a snapshot), F(z) if a single draw
+    # formed it, else None, its bill); for an index array s of distinct sources, one difference row per source
+    # (coord's rows hold the one coordinate) or one vector for one source, and the sum of the sources' bills
     diff: Callable
-    correct: Callable  # (kind, p, outcome, diff, fw) -> g^{k+1/2}, one row per diff row when batched
+    correct: Callable  # (kind, p, o, diff, fw) -> g^{k+1/2} for outcome o, one row per diff row when batched
     constants: Callable  # (kind, L, d=, M=, L_m=, lam=) -> the nonzero contract constants
     tau: Callable  # (kind, M=, d=, L=, lam=) -> tau*, None without its data
-    refresh: Callable | None = None  # (kind, p, w, costs) -> the Snapshot at w, billed; None without one
+    refresh: Callable | None = None  # (kind, p, w) -> (the Snapshot at w, its bill); None without one
     atoms: Callable | None = None  # (kind, p) -> (probabilities, outcomes), if the outcomes are finite
     bound: Callable = lambda p: p.L  # p -> the Lipschitz constant L the constants are taken at
     reads: tuple[str, ...] = ()  # the EstimatorKind parameters it reads
-
-
-def _charged(value, costs: CostLedger, bits=0, full_calls=0, comp_calls=0, coords=0, comms=0, local_steps=0):
-    """value, after adding the counts to the ledger."""
-    costs.bits += bits
-    costs.full_calls += full_calls
-    costs.comp_calls += comp_calls
-    costs.coords += coords
-    costs.comms += comms
-    costs.local_steps += local_steps
-    return value
 
 
 # Bills follow the paper's cost model, not the work done: a refresh of the
@@ -240,60 +228,61 @@ def _charged(value, costs: CostLedger, bits=0, full_calls=0, comp_calls=0, coord
 # matrix, and a difference bills F_s(w) although it reads it from the snapshot.
 
 
-def _component_mean(kind, p, w, costs):
+def _component_mean(kind, p, w):
     f = eval_full(p, w)
     # the billed F(w) is the mean of the components ratios[m] * F(w), whose bits may differ from F(w)'s
     fw = np.mean(p.payload.ratios[:, None] * f, axis=0)
-    return _charged(Snapshot(fw, f), costs, _dense_bits(p.d), comp_calls=p.M)
+    return Snapshot(fw, f), _bill(_dense_bits(p.d), comp_calls=p.M)
 
 
-def _full_value(kind, p, w, costs):
-    return _charged(Snapshot(eval_full(p, w)), costs, _dense_bits(p.d), full_calls=1)
+def _full_value(kind, p, w):
+    return Snapshot(eval_full(p, w)), _bill(_dense_bits(p.d), full_calls=1)
 
 
-def _branch_values(kind, p, w, costs):
+def _branch_values(kind, p, w):
     """Phi(w) and the consensus term at w, kept apart; F(w) is their sum."""
     at_w = (p.payload.phi(w), p.payload.consensus(w))
-    return _charged(Snapshot(at_w[0] + at_w[1], at_w), costs, _dense_bits(p.d), full_calls=1, comms=1)
+    return Snapshot(at_w[0] + at_w[1], at_w), _bill(_dense_bits(p.d), full_calls=1, comms=1)
 
 
-def _component_diff(kind, p, s, z, snap, costs):
+def _component_diff(kind, p, s, z, snap):
     """Component s's difference F_s(z) - F_s(w), F_s = ratios[s] * F, with
     F(w) from the snapshot.  A single draw forms F(z) and scales it; an
     index array reads one row per source off one eval_component."""
     if isinstance(s, np.ndarray):
-        f, at_z = None, eval_component(p, s, z)
+        f, at_z, n = None, eval_component(p, s, z), len(s)
     else:
-        f = eval_full(p, z)
+        f, n = eval_full(p, z), 1
         at_z = p.payload.ratios[s] * f
     at_w = _per_draw(p.payload.ratios, s) * snap.at_w
-    return _charged((at_z - at_w, f), costs, _payload_bits(kind, p.d), comp_calls=2)
+    return at_z - at_w, f, _bill(n * _payload_bits(kind, p.d), comp_calls=2 * n)
 
 
-def _full_diff(kind, p, s, z, snap, costs):
-    """(F(z) - F(w), F(z)): the difference and the F(z) it is formed from."""
+def _full_diff(kind, p, s, z, snap):
+    """(F(z) - F(w), F(z), the bill): the difference and the F(z) it is formed from."""
     f = eval_full(p, z)
-    return _charged((f - snap.fw, f), costs, _payload_bits(kind, p.d), full_calls=1)
+    return f - snap.fw, f, _bill(_payload_bits(kind, p.d), full_calls=1)
 
 
-def _coordinate_diff(kind, p, s, z, snap, costs):
+def _coordinate_diff(kind, p, s, z, snap):
     """Coordinate s's difference F_s(z) - F_s(w), from the payload's
     coordinate oracle: O(d) work for the one coordinate billed.  For an
     index array s, a one-entry row per coordinate, read off one F(z)."""
     if isinstance(s, np.ndarray):
-        diff = (eval_full(p, z)[s] - snap.fw[s])[:, None]
+        diff, n = (eval_full(p, z)[s] - snap.fw[s])[:, None], len(s)
     else:
-        diff = p.payload.coordinate(s, z) - snap.fw[s]
-    return _charged((diff, None), costs, _coord_bits(p.d), coords=1)
+        diff, n = p.payload.coordinate(s, z) - snap.fw[s], 1
+    return diff, None, _bill(n * _coord_bits(p.d), coords=n)
 
 
-def _branch_diff(kind, p, s, z, snap, costs):
+def _branch_diff(kind, p, s, z, snap):
     """Phi's difference (s = 0, a local step) or consensus's (a broadcast)."""
     if isinstance(s, np.ndarray):
-        return np.stack([_branch_diff(kind, p, int(t), z, snap, costs)[0] for t in s]), None
+        diffs, _, bills = zip(*(_branch_diff(kind, p, int(t), z, snap) for t in s))
+        return np.stack(diffs), None, tuple(map(sum, zip(*bills)))
     if s == 0:
-        return _charged((p.payload.phi(z) - snap.at_w[0], None), costs, local_steps=1)
-    return _charged((p.payload.consensus(z) - snap.at_w[1], None), costs, _dense_bits(p.d), comms=1)
+        return p.payload.phi(z) - snap.at_w[0], None, _bill(local_steps=1)
+    return p.payload.consensus(z) - snap.at_w[1], None, _bill(_dense_bits(p.d), comms=1)
 
 
 def _per_draw(values, s):
@@ -372,7 +361,7 @@ _NOISY = Strategy(
     draw=lambda kind, p, rng, n: (
         _zeros(n), rng.normal((p.d,) if n is None else (n, p.d)) if kind.sigma > 0 else None
     ),
-    diff=lambda kind, p, s, z, snap, costs: _charged((eval_full(p, z),) * 2, costs, _dense_bits(p.d), full_calls=1),
+    diff=lambda kind, p, s, z, snap: (eval_full(p, z),) * 2 + (_bill(_dense_bits(p.d), full_calls=1),),
     # a batch's F(z) rows arrive as a broadcast view of one row; return a real array
     correct=lambda kind, p, o, diff, fw: np.ascontiguousarray(diff) if o[1] is None
     else diff + (kind.sigma / math.sqrt(p.d)) * o[1],
@@ -455,7 +444,7 @@ def init_estimator(kind: EstimatorKind, p: VIProblem, z0: Vector, rng: RngStream
     if strat.anchor == PAST:
         state.past_g = _sample(state, p, state.w, rng)[1]
     elif strat.refresh is not None:
-        state.snap = strat.refresh(kind, p, state.w, state.costs)
+        state.snap, state.costs = strat.refresh(kind, p, state.w)  # the first bill of a new state
     return state
 
 
@@ -464,7 +453,8 @@ def _sample(state: EstimatorState, p: VIProblem, z: Vector, rng: RngStream) -> t
     kind = state.kind
     strat = kind.strategy
     outcome = strat.draw(kind, p, rng, None)
-    diff, f = strat.diff(kind, p, int(outcome[0]), z, state.snap, state.costs)
+    diff, f, bill = strat.diff(kind, p, int(outcome[0]), z, state.snap)
+    state.costs = tuple(map(add, state.costs, bill))
     return f, strat.correct(kind, p, outcome, diff, state.fw)
 
 
@@ -478,8 +468,8 @@ def est_pair(
 ) -> tuple[Vector, Vector, Vector]:
     """One iteration's estimates: returns (g^k, g^{k+1/2}, z^{k+1/2}) where
     z^{k+1/2} = prox(z_bar - gamma*g^k), with the problem's prox, and
-    E[g^{k+1/2} | z^{k+1/2}] equals F(z^{k+1/2}).  Updates the cost ledger
-    as a side effect; the past strategy stores g^{k+1/2} as the next
+    E[g^{k+1/2} | z^{k+1/2}] equals F(z^{k+1/2}).  Adds the draws' bills
+    to state.costs; the past strategy stores g^{k+1/2} as the next
     iteration's g^k, and state.f_half keeps F(z^{k+1/2}) when the draw
     formed it (every strategy but coord and local), else None."""
     if not gamma > 0:
@@ -502,7 +492,8 @@ def est_pair(
 
 def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngStream, p: VIProblem) -> bool:
     """End-of-iteration update: with probability 1 - tau (one uniform draw)
-    move w to z_next and take a new snapshot.  Returns whether w moved."""
+    move w to z_next and take a new snapshot, adding its bill to
+    state.costs.  Returns whether w moved."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("need 0 <= tau < 1")
     refreshed = rng.uniform() < 1.0 - tau
@@ -510,7 +501,8 @@ def snapshot_update(state: EstimatorState, z_next: Vector, tau: float, rng: RngS
     if refreshed:
         state.w = np.asarray(z_next, dtype=float).copy()
         if refresh is not None:
-            state.snap = refresh(state.kind, p, state.w, state.costs)
+            state.snap, bill = refresh(state.kind, p, state.w)
+            state.costs = tuple(map(add, state.costs, bill))
     return refreshed
 
 
@@ -609,7 +601,7 @@ def half_outcomes(
     else:
         (probs, outcomes), rows = strat.atoms(kind, p), _block_rows(p.d)
     sources, index = np.unique(outcomes[0], return_inverse=True)
-    diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap, CostLedger())[0])
+    diffs = np.atleast_2d(strat.diff(kind, p, sources, z_half, snap)[0])
     fw = None if snap is None else snap.fw
 
     def blocks():

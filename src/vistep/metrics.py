@@ -33,7 +33,6 @@ from .estimators import (
     FRESH,
     PAST,
     SNAPSHOT,
-    CostLedger,
     EstimatorKind,
     check_problem,
     constants_for_problem,
@@ -206,7 +205,7 @@ def verify_contracts(
         target = eval_full(p, z_half)
         gap_sq = float(np.sum((z_half - w) ** 2))
         for kind, n_draws, rng, users in samplers.values():
-            snap = None if kind.strategy.refresh is None else kind.strategy.refresh(kind, p, w, CostLedger())
+            snap = None if kind.strategy.refresh is None else kind.strategy.refresh(kind, p, w)[0]
             fw = snap.fw if second and snap is not None else None
             check, moments, n = _moments(*half_outcomes(kind, p, z_half, snap, n_draws, rng), target, fw, unbiased)
             for i in users:

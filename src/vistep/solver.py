@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RngStream, Vector, _check_integers, prox_eval, rng_stream
 from .estimators import (
+    COST_COLUMNS,
     FRESH,
     PAST,
     AssumptionConstants,
-    CostLedger,
     EstimatorKind,
     EstimatorState,
     constants_for_problem,
@@ -41,8 +40,6 @@ from .estimators import (
 from .problems import BilinearGame, GridGame, VIProblem, duality_gap_bilinear, initial_point
 
 REGIMES = ("mono", "sm")
-
-COST_COLUMNS = tuple(f.name for f in fields(CostLedger))
 
 
 class DivergenceError(ArithmeticError):
@@ -218,9 +215,8 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
 
     K = config.K
     rows = K + 1
-    # one ledger column per row of the table, each a contiguous trace column;
+    # one row of the table per cost column, each a contiguous trace column;
     # an iteration's six counts are stored at once, down a column
-    costs_of = operator.attrgetter(*COST_COLUMNS)
     cost = np.zeros((len(COST_COLUMNS), rows), dtype=np.int64)
     dist_sq = np.full(rows, np.nan)
     lyap = np.full(rows, np.nan)
@@ -235,7 +231,7 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
     last_half: Vector | None = None
 
     def record(row: int) -> None:
-        cost[:, row] = costs_of(state.costs)
+        cost[:, row] = state.costs
         if z_star is not None:
             dz = float(np.sum((z - z_star) ** 2))
             dist_sq[row] = dz
@@ -255,7 +251,10 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
 
     record(0)
     for k in range(1, rows):
-        z, z_half = iterate_once(state, p, z, tau, gamma, est_rng, coin_rng)
+        try:
+            z, z_half = iterate_once(state, p, z, tau, gamma, est_rng, coin_rng)
+        except ValueError as e:  # a simplex prox refuses a point that is not finite
+            raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}") from e
         if not np.isfinite(z).all():
             raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}")
         half_sum += z_half

@@ -324,6 +324,12 @@ def test_main_exit_codes(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", "-c", str(diverging), "-o", str(tmp_path / "d.csv")]) == 2
     assert "error: iterate is not finite at k=311 with gamma=5" in capsys.readouterr().err
+    for problem in ("pvb\nproblem.n = 3", "quadratic\nproblem.d = 5\nproblem.mu = 0.5\nproblem.L = 2.0"):
+        # a step far above the bound fails at k = 1 on the game's simplex as on the free quadratic
+        diverging.write_text(f"problem.kind = {problem}\nrun.estimator = fulldet\nrun.K = 5\nrun.gamma = 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "-c", str(diverging), "-o", str(tmp_path / "d.csv")]) == 2
+        assert "error: iterate is not finite at k=1 with gamma=1e+308\n" in capsys.readouterr().err
     good = tmp_path / "good.cfg"
     good.write_text("problem.kind = pvb\nproblem.n = 2\n")
     capsys.readouterr()

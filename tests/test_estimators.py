@@ -1,4 +1,4 @@
-"""Estimation strategies: update rules, cost ledgers, constants tables."""
+"""Estimation strategies: update rules, bills, constants tables."""
 
 import dataclasses
 import itertools
@@ -8,7 +8,6 @@ import pytest
 from conftest import all_atoms, declared, declared_mixing, restricted_gap_ball
 
 from vistep import (
-    CostLedger,
     EstimatorKind,
     Quantizer,
     SolverConfig,
@@ -33,7 +32,7 @@ from vistep import (
     verify_unbiasedness,
 )
 from vistep import core, estimators
-from vistep.estimators import FRESH, PAST, SNAPSHOT, STRATEGIES, half_outcomes
+from vistep.estimators import COST_COLUMNS, FRESH, PAST, SNAPSHOT, STRATEGIES, half_outcomes
 
 
 def pvb3():
@@ -48,18 +47,14 @@ def randk(k, d):
     return Quantizer("randk", k=k, d=d)
 
 
-def costs_tuple(c):
-    return (c.full_calls, c.comp_calls, c.coords, c.bits, c.comms, c.local_steps)
-
-
 def component(p, m, z):
     """F_m(z) = ratios[m] * F(z): component m of the finite sum."""
     return p.payload.ratios[m] * eval_full(p, z)
 
 
 def snapshot_at(kind, p, w):
-    """The strategy's refresh at w, unbilled, as the verifiers take it."""
-    return kind.strategy.refresh(kind, p, w, CostLedger())
+    """The strategy's refresh at w, its bill dropped, as the verifiers take it."""
+    return kind.strategy.refresh(kind, p, w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +518,7 @@ def test_snapshot_update_rejects_bad_tau():
 
 
 # ---------------------------------------------------------------------------
-# cost ledgers
+# bills: a run's costs, in COST_COLUMNS order
 
 
 def run_ledger(kind, p, iters=4, tau=0.0, seed=2):
@@ -531,11 +526,11 @@ def run_ledger(kind, p, iters=4, tau=0.0, seed=2):
     coin = rng_stream(seed, 1)
     z = initial_point(p, seed)
     state = init_estimator(kind, p, z, est)
-    init_costs = dataclasses.replace(state.costs)
+    init_costs = state.costs
     gamma = 0.5 / p.L
     for _ in range(iters):
         z, _ = iterate_once(state, p, z, tau, gamma, est, coin)
-    return costs_tuple(init_costs), costs_tuple(state.costs)
+    return init_costs, state.costs
 
 
 def test_ledger_direct_oracle_kinds():
@@ -613,6 +608,67 @@ def test_ledger_refresh_count_follows_the_coin():
     dense = 64 * 18
     want = (0, 3 + 2 * iters + 3 * refreshes, 0, dense + iters * dense + refreshes * dense, 0, 0)
     assert total == want
+
+
+def frozen(x):
+    """x with every array in it, nested tuples included, made read-only."""
+    for a in x if isinstance(x, tuple) else (x,):
+        if isinstance(a, tuple):
+            frozen(a)
+        elif isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return x
+
+
+def as_bytes(x):
+    """x with each array as (dtype, shape, bytes), nested tuples included."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return tuple(as_bytes(v) for v in x) if isinstance(x, tuple) else x
+
+
+def every_strategy():
+    """One kind of each of the nine strategies with the problem it runs on."""
+    p, weights = pvb3(), (0.5, 0.3, 0.2)
+    yield EstimatorKind("fulldet"), p
+    yield EstimatorKind("noisy", sigma=1.0), p
+    yield EstimatorKind("past", sigma=1.0), p
+    yield EstimatorKind("vr"), p
+    yield EstimatorKind("is", weights=weights), p
+    yield EstimatorKind("coord"), p
+    yield EstimatorKind("quant", quantizer=randk(4, p.d)), p
+    yield EstimatorKind("qvr", quantizer=randk(4, p.d)), p
+    yield EstimatorKind("local", tau_split=0.6), mixing3()
+
+
+def test_strategy_rows_are_pure_and_return_their_bills():
+    # refresh and diff write nothing they are given and give the same bytes
+    # and the same bill on a second call; an index array's bill is the sum
+    # of its sources' single-draw bills
+    kinds = set()
+    for kind, p in every_strategy():
+        strat = kind.strategy
+        rng = rng_stream(7, 0)
+        z, w = frozen(random_feasible(p, rng)), frozen(random_feasible(p, rng))
+        snap = None
+        if strat.refresh is not None:
+            first, second = strat.refresh(kind, p, w), strat.refresh(kind, p, w)
+            assert as_bytes(first) == as_bytes(second), kind.name
+            snap, bill = frozen(first)
+            assert len(bill) == len(COST_COLUMNS) and all(isinstance(c, int) for c in bill), kind.name
+        # the distinct sources half_outcomes passes, from the atoms or a batch of draws
+        outcomes = strat.draw(kind, p, rng, 50) if strat.atoms is None else strat.atoms(kind, p)[1]
+        sources = frozen(np.unique(outcomes[0]))
+        bills = []
+        for s in sources.tolist():
+            first, second = strat.diff(kind, p, s, z, snap), strat.diff(kind, p, s, z, snap)
+            assert as_bytes(first) == as_bytes(second), (kind.name, s)
+            bills.append(first[2])
+        first, second = strat.diff(kind, p, sources, z, snap), strat.diff(kind, p, sources, z, snap)
+        assert as_bytes(first) == as_bytes(second), kind.name
+        assert first[2] == tuple(map(sum, zip(*bills))), kind.name
+        kinds.add(kind.name)
+    assert kinds == set(STRATEGIES)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import vistep
 from vistep import cli
-from vistep.estimators import KINDS, STRATEGIES
+from vistep.estimators import KINDS, STRATEGIES, Strategy
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vistep"
 
@@ -119,6 +119,27 @@ def test_every_module_level_name_is_used_outside_the_tests():
     references = library_references()
     unused = [name for name in module_level_definitions() if name.split(".")[1] not in references]
     assert unused == [], f"module-level names only the tests use: {unused}"
+
+
+# the parameters of each row callable, as the Strategy field comments document them
+ROW_PARAMETERS = {
+    "draw": ("kind", "p", "rng", "n"),
+    "diff": ("kind", "p", "s", "z", "snap"),
+    "correct": ("kind", "p", "o", "diff", "fw"),
+    "refresh": ("kind", "p", "w"),
+}
+
+
+def test_every_row_callable_takes_the_documented_parameters():
+    # a row's functions take what they read and return their bill: a new
+    # row cannot bring back a cost ledger argument
+    documented = inspect.getsource(Strategy)
+    for field, params in ROW_PARAMETERS.items():
+        assert f"# ({', '.join(params)}) ->" in documented, field
+        for name, strat in STRATEGIES.items():
+            func = getattr(strat, field)
+            if func is not None:
+                assert tuple(inspect.signature(func).parameters) == params, (name, field)
 
 
 def test_no_public_name_spells_a_strategy():

@@ -11,7 +11,6 @@ from conftest import all_atoms, restricted_gap_ball, restricted_gap_bruteforce
 from vistep import (
     BilinearGame,
     CheckRow,
-    CostLedger,
     EstimatorKind,
     FREE,
     ProxSpec,
@@ -234,7 +233,7 @@ def test_exact_rows_equal_the_per_atom_loop_sums(monkeypatch):
     ):
         points = rng_stream(0, 5)
         z_half, w = random_feasible(p, points), random_feasible(p, points)
-        snap = kind.strategy.refresh(kind, p, w, CostLedger())
+        snap = kind.strategy.refresh(kind, p, w)[0]
         fw = snap.fw
         target = eval_full(p, z_half)
         probs, values = all_atoms(kind, p, z_half, snap)

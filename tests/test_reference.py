@@ -4,11 +4,12 @@
 a plain loop: every draw comes from ``conftest.OnDemandStream``, every
 projection from ``conftest.sort_rule_projection`` block by block, F is
 formed afresh wherever the equations read it, the gap is formed afresh at
-each recorded row and the ledger is read after each row.  It calls the
-strategy rows' ``draw``, ``diff``, ``correct`` and ``refresh``, so each
-strategy is still defined once; what it replaces is the machinery: the
-tape, the row projection, the reuse of F at the half point and the
-ledger's column store.  Every ``RunTrace`` field must agree with it byte
+each recorded row, and the bills that ``diff`` and ``refresh`` return are
+added up here and read after each row.  It calls the strategy rows'
+``draw``, ``diff``, ``correct`` and ``refresh``, so each strategy is still
+defined once; what it replaces is the machinery: the tape, the row
+projection, the reuse of F at the half point and the solver's sum of the
+bills and its column store.  Every ``RunTrace`` field must agree with it byte
 for byte.
 """
 
@@ -22,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vistep import (
-    CostLedger,
     DivergenceError,
     EstimatorKind,
     Quantizer,
@@ -77,18 +77,24 @@ def reference_run(p, config: SolverConfig) -> RunTrace:
     else:
         z = reference_prox(p.prox, np.zeros(p.d))
     strat = kind.strategy
-    costs = CostLedger()
+    costs = np.zeros(len(COST_COLUMNS), dtype=np.int64)
     w, snap, past_g, sigma_sq = z.copy(), None, None, 0.0
 
     def sample(at):
         outcome = strat.draw(kind, p, est, None)
-        diff = strat.diff(kind, p, int(outcome[0]), at, snap, costs)[0]
+        diff, _, bill = strat.diff(kind, p, int(outcome[0]), at, snap)
+        costs[:] += bill
         return strat.correct(kind, p, outcome, diff, None if snap is None else snap.fw)
+
+    def refresh(at):
+        snap, bill = strat.refresh(kind, p, at)
+        costs[:] += bill
+        return snap
 
     if strat.anchor == PAST:
         past_g = sample(w)
     elif strat.refresh is not None:
-        snap = strat.refresh(kind, p, w, costs)
+        snap = refresh(w)
 
     with_gap = hasattr(p.payload, "half") and not p.prox.free
     z_star = p.known_solution
@@ -106,11 +112,11 @@ def reference_run(p, config: SolverConfig) -> RunTrace:
             if coin.uniform() < 1.0 - tau:
                 w = z.copy()
                 if strat.refresh is not None:
-                    snap = strat.refresh(kind, p, w, costs)
+                    snap = refresh(w)
             if not np.isfinite(z).all():
                 raise DivergenceError(f"k={k}")
             half_sum = half_sum + z_half
-        table["costs"].append(dataclasses.astuple(costs))
+        table["costs"].append(costs.copy())
         dz = lyap = gap_last = gap_avg = np.nan
         if z_star is not None:
             dz = float(np.sum((z - z_star) ** 2))

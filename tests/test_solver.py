@@ -185,6 +185,18 @@ def test_divergence_fails_fast_naming_iteration_and_step():
         assert np.isfinite(last_finite.z_final).all()
 
 
+@pytest.mark.parametrize(
+    "problem", [gen_policeman_burglar(3, seed=1), gen_quadratic_vi(5, 0.5, 2.0, seed=0)], ids=["game", "quadratic"]
+)
+def test_overflowing_step_raises_a_located_divergence(problem):
+    # gamma = 1e308 overflows the first step's point: on the game the
+    # projection refuses it before z^1 is formed, on the quadratic z^1 is
+    # not finite; both name the iteration and the step size
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=r"^iterate is not finite at k=1 with gamma=1e\+308$"):
+            run_solver(problem, SolverConfig(kind=EstimatorKind("fulldet"), K=5, gamma=1e308))
+
+
 def test_huge_step_on_the_simplex_stays_feasible():
     # gamma = 1e200 puts the pre-projection points near 1e200: the projection
     # still lands on the simplex product, so nothing diverges
@@ -442,8 +454,8 @@ def test_gap_every_row_reads_the_averaged_gap_off_formed_values(n, grid, monkeyp
                 assert state.f_half.tobytes() == p.payload.full(z_half).tobytes(), kind.name
             assert trace.gap_last[k] == duality_gap_bilinear(p.payload, z_half), kind.name
             assert abs(trace.gap_avg[k] - duality_gap_bilinear(p.payload, half_sum / k)) <= 1e-13, kind.name
-            for name in COST_COLUMNS:
-                assert getattr(trace, name)[k] == getattr(state.costs, name), (kind.name, name)
+            for i, name in enumerate(COST_COLUMNS):
+                assert getattr(trace, name)[k] == state.costs[i], (kind.name, name)
         np.testing.assert_array_equal(trace.z_final, z)
         np.testing.assert_array_equal(trace.z_avg, half_sum / K)
 
