@@ -112,6 +112,8 @@ def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     reads is contiguous: rounding is symmetric under negation, so
     t_j = w_1+...+w_j + 1 is -(u_1+...+u_j - 1) to the bit, the support
     test reads j*w_j < t_j and the shifted entries are v + t_rho/rho.
+    When the last index passes it is rho, and the rule stops there with
+    the same operations.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -120,9 +122,14 @@ def project_simplex(v: Vector, out: Vector | None = None) -> Vector:
     w = np.negative(v)
     w.sort()
     t = w.cumsum()
-    t += 1.0
-    if not math.isfinite(t[-1]):
+    last = float(t[-1]) + 1.0
+    if not math.isfinite(last):
         raise ValueError("cannot project a vector whose entries are not finite or whose sum overflows")
+    if n * float(w[-1]) < last:
+        # the last index passes, so the support is the whole block
+        out = np.add(v, last / n, out=out)
+        return np.maximum(out, 0.0, out=out)
+    t += 1.0
     # j*w_j in w's buffer: its first entry, the shift below, is w_1 itself
     w *= _ranks(n)
     support = (w < t).nonzero()[0]

@@ -224,8 +224,14 @@ def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector, fz: Vector | 
         raise ValueError(f"{name} shape {np.shape(v)} does not match game dimension {game.dim}")
     if fz is None:
         fz = game.full(z)
-    h = game.half
-    return float(-np.min(fz[h:]) - np.min(fz[:h]))
+    return _gap_of_minima(np.reshape(fz, (2, -1)).min(axis=1))
+
+
+def _gap_of_minima(lo) -> float:
+    """The duality gap from the minima (min_j (A^T y)_j, min_i (-A x)_i) of
+    F's two halves.  A gap of zero is +0.0: the sign of a zero minimum
+    depends on the order of a tie that a division can round into being."""
+    return float(-lo[1] - lo[0] + 0.0)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from .estimators import (
     init_estimator,
     snapshot_update,
 )
-from .problems import BilinearGame, GridGame, VIProblem, duality_gap_bilinear, initial_point
+from .problems import BilinearGame, GridGame, VIProblem, _gap_of_minima, duality_gap_bilinear, initial_point
 
 REGIMES = ("mono", "sm")
 
@@ -241,25 +241,29 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
             # the step hands over F at the last half point; coord's and local's
             # steps never form it, so their gap rows form it here, unbilled
             f_last = p.payload.full(last_half) if state.f_half is None else state.f_half
-            gap_last[row] = duality_gap_bilinear(p.payload, last_half, f_last)
             if f_sum is not None:
-                # F is linear on a game: F(mean of the half points) = mean of their F values
+                # F is linear on a game: F(mean of the half points) = mean of their
+                # F values, whose minima are those of f_sum divided by the row count
                 np.add(f_sum, f_last, out=f_sum)
-                gap_avg[row] = duality_gap_bilinear(p.payload, None, f_sum / row)
+                gap_last[row] = _gap_of_minima(f_last.reshape(2, -1).min(axis=1))
+                gap_avg[row] = _gap_of_minima(f_sum.reshape(2, -1).min(axis=1) / row)
             else:
+                gap_last[row] = duality_gap_bilinear(p.payload, last_half, f_last)
                 gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / row)
 
     record(0)
-    for k in range(1, rows):
-        try:
-            z, z_half = iterate_once(state, p, z, tau, gamma, est_rng, coin_rng)
-        except ValueError as e:  # a simplex prox refuses a point that is not finite
-            raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}") from e
-        if not np.isfinite(z).all():
-            raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}")
-        half_sum += z_half
-        last_half = z_half
-        record(k)
+    # an overflowing step is reported once, as the DivergenceError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, rows):
+            try:
+                z, z_half = iterate_once(state, p, z, tau, gamma, est_rng, coin_rng)
+            except ValueError as e:  # a simplex prox refuses a point that is not finite
+                raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}") from e
+            if not np.isfinite(z).all():
+                raise DivergenceError(f"iterate is not finite at k={k} with gamma={gamma:.17g}")
+            half_sum += z_half
+            last_half = z_half
+            record(k)
 
     return RunTrace(
         k=np.arange(rows, dtype=np.int64),

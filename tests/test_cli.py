@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -321,15 +322,19 @@ def test_main_exit_codes(tmp_path, capsys):
         "problem.kind = quadratic\nproblem.d = 10\nproblem.mu = 0.1\nproblem.L = 1.0\n"
         "run.estimator = fulldet\nrun.K = 1000\nrun.regime = sm\nrun.gamma = 5\n"
     )
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a numpy overflow warning, an error here, would be printed in place of
+    # the located error; so would any line above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run", "-c", str(diverging), "-o", str(tmp_path / "d.csv")]) == 2
-    assert "error: iterate is not finite at k=311 with gamma=5" in capsys.readouterr().err
-    for problem in ("pvb\nproblem.n = 3", "quadratic\nproblem.d = 5\nproblem.mu = 0.5\nproblem.L = 2.0"):
+    assert capsys.readouterr().err == "error: iterate is not finite at k=311 with gamma=5\n"
+    for problem in ("pvb\nproblem.n = 3", "pvb\nproblem.n = 30", "quadratic\nproblem.d = 5\nproblem.mu = 0.5\nproblem.L = 2.0"):
         # a step far above the bound fails at k = 1 on the game's simplex as on the free quadratic
         diverging.write_text(f"problem.kind = {problem}\nrun.estimator = fulldet\nrun.K = 5\nrun.gamma = 1e308\n")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", "-c", str(diverging), "-o", str(tmp_path / "d.csv")]) == 2
-        assert "error: iterate is not finite at k=1 with gamma=1e+308\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: iterate is not finite at k=1 with gamma=1e+308\n"
     good = tmp_path / "good.cfg"
     good.write_text("problem.kind = pvb\nproblem.n = 2\n")
     capsys.readouterr()

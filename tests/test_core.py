@@ -189,6 +189,110 @@ def test_the_support_is_the_last_passing_index_even_past_a_failing_one():
     for blocks in ((9,), (9, 9)):
         x = np.resize(v, sum(blocks))
         assert prox_eval(ProxSpec(blocks), x).tobytes() == _per_block_sort_rule(x, blocks).tobytes()
+    # repeated to blocks longer than a row: the last index fails, so the
+    # rule does not stop there, and passing indices still follow failing ones
+    for n in (37, 45, 900):
+        x = np.resize(v, n)
+        w = np.sort(-x)
+        passing = w * np.arange(1.0, n + 1.0) < w.cumsum() + 1.0
+        assert not passing[-1] and not passing[: passing.nonzero()[0][-1]].all()
+        _sort_rule_bits_with_and_without_out(x)
+        x = np.resize(v, 2 * n)
+        assert prox_eval(ProxSpec((n, n)), x).tobytes() == _per_block_sort_rule(x, (n, n)).tobytes()
+
+
+def _sort_rule_bits_with_and_without_out(v):
+    want = sort_rule_projection(v).tobytes()
+    assert project_simplex(v).tobytes() == want, v
+    out = np.full(v.size, np.nan)
+    assert project_simplex(v, out) is out
+    assert out.tobytes() == want, v
+
+
+def _last_passes(v):
+    """The sort rule's support test at the last sorted index, with its rounding."""
+    u = np.sort(v)[::-1]
+    return bool(u[-1] * v.size > u.cumsum()[-1] - 1.0)
+
+
+def _count_rank_calls(monkeypatch) -> list:
+    """The lengths project_simplex ranks: one per projection that takes
+    the full support test, none for one that exits at the last index."""
+    calls, ranks = [], core._ranks
+    monkeypatch.setattr(core, "_ranks", lambda n: calls.append(n) or ranks(n))
+    return calls
+
+
+def test_the_full_support_exit_keeps_the_sort_rule_bits(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    pick = np.random.default_rng(33)
+    cases = []
+    for n in (1, 2, 37, 900):
+        cases += [np.full(n, c) for c in (0.0, -0.0, 1.0 / 3.0, -2.5, 1e12, -1e-300)]
+        cases += [pick.normal(size=n) * scale for scale in (1e-3, 1.0, 1e3)]
+        cases += [np.round(pick.normal(size=n) * 2.0) / 2.0]
+    # no index passes: the rule shifts by the largest entry and projects again
+    cases += [np.array([4e16, 4e16 + 8.0, 0.0]), 3e17 + 64.0 * np.arange(40.0)]
+    exits = shifted = 0
+    for v in cases:
+        before = len(calls)
+        _sort_rule_bits_with_and_without_out(v)
+        exited = len(calls) == before
+        assert exited == _last_passes(v), v
+        exits += exited
+        u = np.sort(v)[::-1]
+        shifted += not np.any(u * np.arange(1.0, v.size + 1.0) > u.cumsum() - 1.0)
+    assert 0 < exits < len(cases)  # both paths ran
+    assert shifted == 2
+
+
+def _threshold_cases(n, pick):
+    """Vectors whose last sorted entry sits exactly at the threshold of the
+    support test, and a few ulps to either side: n - 1 entries x and one
+    x + 1 tie the test exactly; with other entries, the last entry is
+    bisected to the float where the rounded test starts to pass.  A block
+    of one passes until u - 1 rounds to u, just past 2^53."""
+    if n == 1:
+        for k in range(-2, 5):
+            yield np.array([2.0**53 + 2.0 * k])
+        return
+    for x in (0.5, -0.25, 3.0):
+        tied = np.array([x + 1.0] + [x] * (n - 1))
+        u = np.sort(tied)[::-1]
+        assert u[-1] * n == u.cumsum()[-1] - 1.0  # exactly at the threshold
+        for step in (-np.inf, np.inf):
+            moved = tied.copy()
+            moved[-1] = np.nextafter(x, step)
+            yield moved
+        yield tied
+    rest = 2.0 + pick.uniform(0.0, 0.1 / n, n - 1)
+    fails, passes = -1e6, float(rest.min())
+    assert not _last_passes(np.append(rest, fails)) and _last_passes(np.append(rest, passes))
+    while np.nextafter(fails, np.inf) != passes:
+        mid = fails + (passes - fails) / 2.0
+        if _last_passes(np.append(rest, mid)):
+            passes = mid
+        else:
+            fails = mid
+    x = passes
+    for _ in range(3):
+        x = np.nextafter(x, -np.inf)
+    for _ in range(7):
+        yield np.append(rest, x)
+        x = np.nextafter(x, np.inf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 900])
+def test_the_exit_keeps_the_bits_at_and_one_ulp_around_the_threshold(n, monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    seen = set()
+    for v in _threshold_cases(n, np.random.default_rng(n)):
+        before = len(calls)
+        _sort_rule_bits_with_and_without_out(v)
+        exited = len(calls) == before
+        assert exited == _last_passes(v), v
+        seen.add(exited)
+    assert seen == {True, False}
 
 
 def test_non_finite_rows_raise_the_per_block_error():

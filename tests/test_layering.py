@@ -242,6 +242,10 @@ def run_every_entry_point(tmp: Path) -> None:
     cfg = tmp / "grid.txt"
     cfg.write_text(GRID_GAME)
     assert cli.main(["run", "-c", str(cfg), "-o", str(tmp / "grid.csv")]) == 0
+    # coord's projections all keep the whole block; fulldet's verifier points
+    # reach the rest of the per-block rule
+    cfg.write_text(GRID_GAME + "verify.estimators = fulldet\nverify.n_points = 1\n")
+    assert cli.main(["verify", "-c", str(cfg)]) == 0
     for demo in sorted(DEMOS.glob("*.py")):
         runpy.run_path(str(demo), run_name="__main__")
 

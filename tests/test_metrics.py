@@ -7,6 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import all_atoms, restricted_gap_ball, restricted_gap_bruteforce
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vistep import (
     BilinearGame,
@@ -31,6 +34,7 @@ from vistep import (
 from vistep import core, metrics
 from vistep.estimators import STRATEGIES
 from vistep.metrics import MC_SAMPLES, verify_contracts
+from vistep.problems import _gap_of_minima
 
 
 def two_by_two(mat):
@@ -107,6 +111,31 @@ def test_gap_names_a_wrong_length_and_a_payload_that_is_not_a_game(n):
     quad = gen_quadratic_vi(4, 0.5, 1.0)
     with pytest.raises(TypeError, match="the duality gap needs a game payload, got QuadraticOperator"):
         duality_gap_bilinear(quad.payload, np.zeros(4))
+
+
+# signed zeros, subnormals, the largest finite values and repeated entries,
+# mixed with any finite float
+F_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+F_VECTORS = st.integers(1, 6).flatmap(lambda h: arrays(np.float64, 2 * h, elements=F_ENTRIES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(F_VECTORS, st.integers(1, 10**6))
+# the minimum of f / row is a tie of -0.0 and 0.0, where min(f) / row is -0.0
+@example(np.array([-5e-324, 0.0, 0.0, 0.0]), 2)
+@example(np.array([1e308, -1e308, -1.7976931348623157e308, 5e-324]), 1)
+def test_the_gap_of_the_minima_divided_is_the_gap_of_the_vector_divided(f, row):
+    # a minimum is exact and division by a positive count is monotone under
+    # rounding, so the solver's every-row gap_avg keeps the bits of the gap of f / row
+    game = BilinearGame(avg=np.zeros((f.size // 2,) * 2), ratios=np.ones(1))
+    with np.errstate(over="ignore"):
+        got = _gap_of_minima(f.reshape(2, -1).min(axis=1) / row)
+        want = duality_gap_bilinear(game, None, f / row)
+    assert got.hex() == want.hex()
 
 
 def test_gap_nonnegative_and_convex():

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -186,13 +187,23 @@ def test_divergence_fails_fast_naming_iteration_and_step():
 
 
 @pytest.mark.parametrize(
-    "problem", [gen_policeman_burglar(3, seed=1), gen_quadratic_vi(5, 0.5, 2.0, seed=0)], ids=["game", "quadratic"]
+    "make",
+    [
+        lambda: gen_policeman_burglar(3, seed=1),
+        lambda: gen_policeman_burglar(30, seed=1),
+        lambda: gen_quadratic_vi(5, 0.5, 2.0, seed=0),
+    ],
+    ids=["game", "grid-game", "quadratic"],
 )
-def test_overflowing_step_raises_a_located_divergence(problem):
-    # gamma = 1e308 overflows the first step's point: on the game the
+def test_overflowing_step_raises_a_located_divergence(make):
+    # gamma = 1e308 overflows the first step's point: on the games the
     # projection refuses it before z^1 is formed, on the quadratic z^1 is
-    # not finite; both name the iteration and the step size
-    with np.errstate(over="ignore", invalid="ignore"):
+    # not finite; both name the iteration and the step size.  The step's
+    # products and the projection's sums overflow first, and a numpy warning,
+    # an error here, would escape in place of the divergence
+    problem = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match=r"^iterate is not finite at k=1 with gamma=1e\+308$"):
             run_solver(problem, SolverConfig(kind=EstimatorKind("fulldet"), K=5, gamma=1e308))
 
