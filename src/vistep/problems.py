@@ -210,28 +210,29 @@ def _check_coordinate(j: int, d: int) -> None:
         raise IndexError(f"coordinate {j} out of range for d={d}")
 
 
-def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector, fz: Vector | None = None) -> float:
+def duality_gap_bilinear(game: BilinearGame | GridGame, z: Vector) -> float:
     """max_i (A x)_i - min_j (A^T y)_j for the averaged matrix A: the sum
     of both players' best-response improvements, zero exactly at saddles.
 
-    Read off F(z) = (A^T y, -A x), which is formed unless given as ``fz``
-    (z is then not read).  A payload that is not a game raises a TypeError,
-    and a vector that is not 1-d of the game's dimension a ValueError."""
+    Read off F(z) = (A^T y, -A x).  A payload that is not a game raises a
+    TypeError, and a z that is not 1-d of the game's dimension a ValueError."""
     if not isinstance(game, _GameOracles):
         raise TypeError(f"the duality gap needs a game payload, got {type(game).__name__}")
-    name, v = ("z", z) if fz is None else ("fz", fz)
-    if np.ndim(v) != 1 or len(v) != game.dim:
-        raise ValueError(f"{name} shape {np.shape(v)} does not match game dimension {game.dim}")
-    if fz is None:
-        fz = game.full(z)
-    return _gap_of_minima(np.reshape(fz, (2, -1)).min(axis=1))
+    if np.ndim(z) != 1 or len(z) != game.dim:
+        raise ValueError(f"z shape {np.shape(z)} does not match game dimension {game.dim}")
+    return _gap_of_minima(game.full(z))
 
 
-def _gap_of_minima(lo) -> float:
-    """The duality gap from the minima (min_j (A^T y)_j, min_i (-A x)_i) of
-    F's two halves.  A gap of zero is +0.0: the sign of a zero minimum
-    depends on the order of a tie that a division can round into being."""
-    return float(-lo[1] - lo[0] + 0.0)
+def _gap_of_minima(fz: Vector, count: int = 1) -> float:
+    """The duality gap of F / count, read off the minima (min_j (A^T y)_j,
+    min_i (-A x)_i) of F's two halves divided by count: a minimum is exact
+    and division by a positive count is monotone under rounding, so this is
+    the gap of fz / count to the bit.  A gap of zero is +0.0: the sign of a
+    zero minimum depends on the order of a tie that a division can round
+    into being.  The arithmetic is on Python floats, the same IEEE doubles
+    without a numpy call per operation."""
+    lo_y, lo_x = fz.reshape(2, -1).min(axis=1).tolist()
+    return -lo_x / count - lo_y / count + 0.0
 
 
 @dataclass

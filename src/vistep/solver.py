@@ -241,14 +241,12 @@ def run_solver(p: VIProblem, config: SolverConfig) -> RunTrace:
             # the step hands over F at the last half point; coord's and local's
             # steps never form it, so their gap rows form it here, unbilled
             f_last = p.payload.full(last_half) if state.f_half is None else state.f_half
+            gap_last[row] = _gap_of_minima(f_last)
             if f_sum is not None:
-                # F is linear on a game: F(mean of the half points) = mean of their
-                # F values, whose minima are those of f_sum divided by the row count
+                # F is linear on a game: F(mean of the half points) = mean of their F values
                 np.add(f_sum, f_last, out=f_sum)
-                gap_last[row] = _gap_of_minima(f_last.reshape(2, -1).min(axis=1))
-                gap_avg[row] = _gap_of_minima(f_sum.reshape(2, -1).min(axis=1) / row)
+                gap_avg[row] = _gap_of_minima(f_sum, row)
             else:
-                gap_last[row] = duality_gap_bilinear(p.payload, last_half, f_last)
                 gap_avg[row] = duality_gap_bilinear(p.payload, half_sum / row)
 
     record(0)
